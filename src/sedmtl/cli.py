@@ -243,10 +243,10 @@ def _load_examples(manifest_path, vocabulary, features_dir):
 
 def _split_ids(entries, fold):
     if fold < 0:
-        ids = sorted(entries)
-        return ids, ids
-    train = sorted(c for c, e in entries.items() if e["fold"] != fold)
-    val = sorted(c for c, e in entries.items() if e["fold"] == fold)
+        train = val = sorted(entries)
+    else:
+        train = sorted(c for c, e in entries.items() if e["fold"] != fold)
+        val = sorted(c for c, e in entries.items() if e["fold"] == fold)
     if not train or not val:
         raise DataError(f"fold {fold} leaves an empty split")
     return train, val
@@ -427,27 +427,29 @@ def cmd_eval(args) -> int:
         entries, examples = _load_examples(args.manifest, vocabulary, args.features)
         split = _standardize_with(examples, _stats_from_meta(meta["band_stats"]))
         train_ids, val_ids = _split_ids(entries, args.fold)
-        val_clips = [split[c] for c in val_ids]
+        # One student forward per distinct clip; at --fold -1 the calibration
+        # and evaluation clips are the same set.
+        needed = set(val_ids) | (set(train_ids) if args.policy == "calibrated" else set())
+        posteriors = {c: training.student_posteriors(params, split[c]) for c in sorted(needed)}
+
+        def pairs(clip_ids):
+            return [(posteriors[c], split[c].roll) for c in clip_ids]
+
         if args.policy == "calibrated":
-            calib_clips = [split[c] for c in train_ids]
-            pairs = [
-                (training.student_posteriors(params, clip), clip.roll)
-                for clip in calib_clips
-            ]
             thresholds = ev.calibrate_thresholds(
-                pairs, [g / 20 for g in range(1, 20)],
+                pairs(train_ids), [g / 20 for g in range(1, 20)],
                 smooth_window=args.smooth_window,
-                hop_s=val_clips[0].roll.hop_seconds,
+                hop_s=split[val_ids[0]].roll.hop_seconds,
             )
             policy = ev.ThresholdPolicy("calibrated", per_class=thresholds)
         else:
             policy = ev.ThresholdPolicy("fixed", args.threshold)
 
         scores = training.evaluate_student(
-            params, val_clips, policy, smooth_window=args.smooth_window
+            pairs(val_ids), policy, smooth_window=args.smooth_window
         )
         per_event = training.pooled_per_event(
-            params, val_clips, policy, args.smooth_window, vocabulary.events
+            pairs(val_ids), policy, args.smooth_window, vocabulary.events
         )
     except (ValueError, DataError) as exc:
         _err(str(exc))
@@ -502,6 +504,8 @@ def cmd_cv(args) -> int:
             problems.append("cv.seeds must be a non-empty list")
         if not isinstance(modes, list) or not modes:
             problems.append("cv.modes must be a non-empty list")
+        if not isinstance(doc.get("train", {}), dict):
+            problems.append("'train' must be an object")
         if problems:
             raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
         base = dict(doc.get("train", {}))

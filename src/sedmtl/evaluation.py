@@ -51,7 +51,11 @@ class ThresholdPolicy:
 
 
 def threshold_posteriors(posteriors: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Per-class strict-greater thresholding of (M, N) posteriors."""
+    """Per-class strict-greater thresholding of (M, N) posteriors.
+
+    `thresholds[:, None]` is broadcast against `posteriors`, so (T, 1)
+    thresholds on (1, M, N) posteriors give a (T, M, N) stack.
+    """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if np.any(posteriors < 0.0) or np.any(posteriors > 1.0):
         raise ArgumentError("posteriors must lie in [0, 1]")
@@ -59,15 +63,19 @@ def threshold_posteriors(posteriors: np.ndarray, thresholds: np.ndarray) -> np.n
 
 
 def median_smooth(binary: np.ndarray, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
-    """Per-class binary median filter (zero-padded, centered, odd window)."""
+    """Binary median filter along the last (frame) axis: zero-padded, centered,
+    odd window. Leading axes (classes, thresholds) are filtered independently.
+    """
     if window < 1 or window % 2 == 0:
         raise ArgumentError(f"window must be odd and >= 1, got {window}")
     if window == 1:
-        return binary.astype(np.float64)
+        return np.array(binary, dtype=np.float64)
+    binary = np.asarray(binary, dtype=np.float64)
     pad = window // 2
-    padded = np.pad(np.asarray(binary, dtype=np.float64), ((0, 0), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=1)
-    return (windows.sum(axis=2) > window // 2).astype(np.float64)
+    lead = [(0, 0)] * (binary.ndim - 1)
+    # window sums as differences of a running sum; exact for 0/1 input
+    csum = np.cumsum(np.pad(binary, lead + [(pad + 1, pad)]), axis=-1)
+    return (csum[..., window:] - csum[..., :-window] > pad).astype(np.float64)
 
 
 def binarize(
@@ -93,26 +101,29 @@ class SegmentCounts:
     per_segment: list = field(default_factory=list)  # (S, D, I, Nref) rows
 
     def merge(self, other: "SegmentCounts") -> "SegmentCounts":
-        return SegmentCounts(
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-            substitutions=self.substitutions + other.substitutions,
-            deletions=self.deletions + other.deletions,
-            insertions=self.insertions + other.insertions,
-            n_ref=self.n_ref + other.n_ref,
-            per_segment=self.per_segment + other.per_segment,
-        )
+        """Add other's counts and per-segment rows into this one; returns self.
+
+        Accumulates in place, so pooling k clips costs O(total rows), not O(k^2).
+        """
+        self.tp += other.tp
+        self.fp += other.fp
+        self.fn += other.fn
+        self.substitutions += other.substitutions
+        self.deletions += other.deletions
+        self.insertions += other.insertions
+        self.n_ref += other.n_ref
+        self.per_segment.extend(other.per_segment)
+        return self
 
 
 def _segment_activity(binary: np.ndarray, frames_per_segment: int) -> np.ndarray:
-    m, n = binary.shape
+    """(..., N) frame activity to (..., S) segment activity; the trailing
+    partial segment is included."""
+    n = binary.shape[-1]
     n_segments = -(-n // frames_per_segment)
-    active = np.zeros((m, n_segments), dtype=bool)
-    for s in range(n_segments):
-        seg = binary[:, s * frames_per_segment : (s + 1) * frames_per_segment]
-        active[:, s] = seg.any(axis=1)
-    return active
+    lead = [(0, 0)] * (binary.ndim - 1)
+    padded = np.pad(binary != 0, lead + [(0, n_segments * frames_per_segment - n)])
+    return padded.reshape(binary.shape[:-1] + (n_segments, frames_per_segment)).any(axis=-1)
 
 
 def segment_counts(
@@ -135,23 +146,21 @@ def segment_counts(
     ref_seg = _segment_activity(reference, frames_per_segment)
     pred_seg = _segment_activity(prediction, frames_per_segment)
 
-    counts = SegmentCounts()
-    counts.tp = int((ref_seg & pred_seg).sum())
-    counts.fp = int((~ref_seg & pred_seg).sum())
-    counts.fn = int((ref_seg & ~pred_seg).sum())
-    for s in range(ref_seg.shape[1]):
-        seg_fn = int((ref_seg[:, s] & ~pred_seg[:, s]).sum())
-        seg_fp = int((~ref_seg[:, s] & pred_seg[:, s]).sum())
-        subs = min(seg_fn, seg_fp)
-        dels = seg_fn - subs
-        ins = seg_fp - subs
-        n_ref = int(ref_seg[:, s].sum())
-        counts.substitutions += subs
-        counts.deletions += dels
-        counts.insertions += ins
-        counts.n_ref += n_ref
-        counts.per_segment.append((subs, dels, ins, n_ref))
-    return counts
+    # per-segment class counts, shape (S,)
+    seg_fn = (ref_seg & ~pred_seg).sum(axis=0)
+    seg_fp = (~ref_seg & pred_seg).sum(axis=0)
+    subs = np.minimum(seg_fn, seg_fp)
+    dels, ins, n_ref = seg_fn - subs, seg_fp - subs, ref_seg.sum(axis=0)
+    return SegmentCounts(
+        tp=int((ref_seg & pred_seg).sum()),
+        fp=int(seg_fp.sum()),
+        fn=int(seg_fn.sum()),
+        substitutions=int(subs.sum()),
+        deletions=int(dels.sum()),
+        insertions=int(ins.sum()),
+        n_ref=int(n_ref.sum()),
+        per_segment=list(zip(subs.tolist(), dels.tolist(), ins.tolist(), n_ref.tolist())),
+    )
 
 
 def f1_score(counts: SegmentCounts) -> float:
@@ -218,35 +227,42 @@ def calibrate_thresholds(
 ) -> np.ndarray:
     """Per-class thresholds maximizing class F1 over (posteriors, reference)
     validation pairs; ties resolve to the lower threshold.
+
+    Each clip is thresholded at every grid point at once, giving a
+    (thresholds, classes, frames) stack that is smoothed and reduced to
+    per-(threshold, class) TP/FP/FN counts pooled over clips.
     """
-    grid = sorted(float(g) for g in grid)
-    if not grid:
+    grid = np.array(sorted(float(g) for g in grid))
+    if grid.size == 0:
         raise ArgumentError("threshold grid is empty")
     pairs = list(pairs)
     if not pairs:
         raise ArgumentError("no validation pairs to calibrate on")
+    frames_per_segment = max(1, int(round(segment_s / hop_s)))
     n_classes = pairs[0][0].shape[0]
-    best = np.full(n_classes, grid[0])
-    best_f1 = np.full(n_classes, -1.0)
-    for threshold in grid:
-        for m in range(n_classes):
-            counts = SegmentCounts()
-            for posteriors, reference in pairs:
-                ref = reference.data if hasattr(reference, "hop_seconds") else reference
-                pred = median_smooth(
-                    threshold_posteriors(
-                        posteriors[m : m + 1], np.array([threshold])
-                    ),
-                    smooth_window,
-                )
-                counts = counts.merge(
-                    segment_counts(ref[m : m + 1], pred, hop_s, segment_s)
-                )
-            score = f1_score(counts)
-            if score > best_f1[m]:  # strict: ties keep the lower threshold
-                best_f1[m] = score
-                best[m] = threshold
-    return best
+    tp = np.zeros((grid.size, n_classes), dtype=np.int64)
+    fp = np.zeros_like(tp)
+    fn = np.zeros_like(tp)
+    for posteriors, reference in pairs:
+        ref = np.asarray(reference.data if hasattr(reference, "hop_seconds") else reference)
+        posteriors = np.asarray(posteriors, dtype=np.float64)
+        if posteriors.shape != ref.shape or posteriors.shape[0] != n_classes:
+            raise DimensionError(
+                f"posteriors {posteriors.shape} and reference {ref.shape} "
+                f"differ or do not have {n_classes} classes"
+            )
+        # (thresholds, classes, frames): every grid point at once
+        pred = median_smooth(threshold_posteriors(posteriors[None], grid[:, None]), smooth_window)
+        pred_seg = _segment_activity(pred, frames_per_segment)  # (T, M, S)
+        ref_seg = _segment_activity(ref, frames_per_segment)  # (M, S)
+        tp += (pred_seg & ref_seg).sum(axis=-1)
+        fp += (pred_seg & ~ref_seg).sum(axis=-1)
+        fn += (~pred_seg & ref_seg).sum(axis=-1)
+    # the same float expression as f1_score, on the same integer counts
+    denom = 2 * tp + fp + fn
+    f1 = np.where(denom > 0, 100.0 * 2.0 * tp / np.maximum(denom, 1), 0.0)
+    # argmax takes the first maximum: the lowest threshold among ties
+    return grid[np.argmax(f1, axis=0)]
 
 
 def report_dict(counts: SegmentCounts, per_event_rows: list) -> dict:

@@ -8,9 +8,12 @@ Modes:
   mtl_soft    event loss + beta * soft scene loss against frozen teacher
               outputs softened at temperature T
 
-Every run is deterministic given (config, seed, data): parameter init,
-batch order and the optimizer all draw from seeded generators, and ops are
-single-threaded per run. Cross-validation fans runs out per (fold, seed).
+Every run is deterministic given (config, seed, data) and the BLAS thread
+count: parameter init, batch order and the optimizer all draw from seeded
+generators, but a multi-threaded BLAS may split matrix products differently
+for another thread count, so checkpoints are bit-identical only across runs
+with the same count (e.g. OPENBLAS_NUM_THREADS=1). Cross-validation fans runs
+out per (fold, seed).
 """
 
 import json
@@ -301,20 +304,26 @@ def student_posteriors(params: networks.ModelParams, clip) -> np.ndarray:
     return ad.sigmoid(event_logits).values
 
 
+def posterior_pairs(params: networks.ModelParams, clips) -> list:
+    """(event posteriors, event roll) per clip: one student forward each."""
+    return [(student_posteriors(params, clip), clip.roll) for clip in clips]
+
+
 def evaluate_student(
-    params: networks.ModelParams,
-    clips,
+    pairs,
     policy: ev.ThresholdPolicy,
     smooth_window: int = ev.DEFAULT_SMOOTH_WINDOW,
     segment_s: float = ev.DEFAULT_SEGMENT_S,
 ) -> dict:
-    """Pool segment counts over clips; returns f1/er plus the raw counts."""
+    """Pool segment counts over (posteriors, roll) pairs, one per clip;
+    returns f1/er plus the raw counts."""
+    if not pairs:
+        raise DataError("no clips to score: the validation fold is empty")
     counts = ev.SegmentCounts()
-    hop = clips[0].roll.hop_seconds
-    for clip in clips:
-        pred = ev.binarize(student_posteriors(params, clip), policy, smooth_window)
+    for posteriors, roll in pairs:
+        pred = ev.binarize(posteriors, policy, smooth_window)
         counts = counts.merge(
-            ev.segment_counts(clip.roll.data, pred, hop, segment_s)
+            ev.segment_counts(roll.data, pred, roll.hop_seconds, segment_s)
         )
     return {
         "f1": ev.f1_score(counts),
@@ -351,6 +360,8 @@ def train_student(
             raise ConfigError(f"soft labels missing for clips: {missing}")
     if not train_clips:
         raise DataError("student training fold is empty")
+    if not val_clips:
+        raise DataError("student validation fold is empty")
 
     if n_scenes is None:
         n_scenes = max(c.scene for c in list(train_clips) + list(val_clips)) + 1
@@ -406,7 +417,7 @@ def train_student(
         }
 
     def eval_metric():
-        scores = evaluate_student(params, val_clips, val_policy)
+        scores = evaluate_student(posterior_pairs(params, val_clips), val_policy)
         return "f1", scores["f1"], {"er": scores["er"]}
 
     return _early_stop_loop(config, run_epoch, eval_metric, params)
@@ -418,7 +429,7 @@ def train_student(
 
 def _cv_single(payload):
     """Train and evaluate everything for one (fold, seed); a worker job."""
-    examples, fold_split, base, modes, seed, fold, eval_cfg, n_scenes = payload
+    examples, fold_split, configs, fold, eval_cfg, n_scenes = payload
     train_ids = sorted(c for c, f in fold_split.assignment.items() if f != fold)
     val_ids = sorted(c for c, f in fold_split.assignment.items() if f == fold)
     split = standardize_split(examples, train_ids)
@@ -426,31 +437,26 @@ def _cv_single(payload):
     val_clips = [split[c] for c in val_ids]
 
     soft_labels = None
-    if "mtl_soft" in modes:
-        teacher_cfg = TrainConfig(**{**base, "mode": "teacher", "seed": seed, "fold": fold})
-        teacher = train_teacher(train_clips, val_clips, teacher_cfg, n_scenes=n_scenes)
-        soft_labels = compute_soft_labels(
-            teacher.params, train_clips, base.get("temperature", 1.0)
-        )
-
     results = []
-    for mode in modes:
-        cfg = TrainConfig(**{**base, "mode": mode, "seed": seed, "fold": fold})
+    for cfg in configs:  # the teacher, when there is one, comes first
+        if cfg.mode == "teacher":
+            teacher = train_teacher(train_clips, val_clips, cfg, n_scenes=n_scenes)
+            soft_labels = compute_soft_labels(teacher.params, train_clips, cfg.temperature)
+            continue
         result = train_student(
             train_clips, val_clips, cfg,
-            soft_labels=soft_labels if mode == "mtl_soft" else None,
+            soft_labels=soft_labels if cfg.mode == "mtl_soft" else None,
             n_scenes=n_scenes,
         )
         policy, smooth = _make_eval_policy(result.params, train_clips, eval_cfg)
-        scores = evaluate_student(result.params, val_clips, policy, smooth)
-        per_event = pooled_per_event(
-            result.params, val_clips, policy, smooth, eval_cfg.get("event_names")
-        )
+        val_pairs = posterior_pairs(result.params, val_clips)
+        scores = evaluate_student(val_pairs, policy, smooth)
+        per_event = pooled_per_event(val_pairs, policy, smooth, eval_cfg.get("event_names"))
         results.append(
             {
                 "fold": fold,
-                "seed": seed,
-                "mode": mode,
+                "seed": cfg.seed,
+                "mode": cfg.mode,
                 "f1": scores["f1"],
                 "er": scores["er"],
                 "best_epoch": result.best_epoch,
@@ -463,29 +469,29 @@ def _cv_single(payload):
 def _make_eval_policy(params, reference_clips, eval_cfg):
     smooth = eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
     if eval_cfg.get("policy", "fixed") == "calibrated":
-        pairs = [
-            (student_posteriors(params, clip), clip.roll) for clip in reference_clips
-        ]
         thresholds = ev.calibrate_thresholds(
-            pairs, eval_cfg.get("grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+            posterior_pairs(params, reference_clips),
+            eval_cfg.get("grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
             smooth_window=smooth, hop_s=reference_clips[0].roll.hop_seconds,
         )
         return ev.ThresholdPolicy("calibrated", per_class=thresholds), smooth
     return ev.ThresholdPolicy("fixed", eval_cfg.get("threshold", 0.5)), smooth
 
 
-def pooled_per_event(params, clips, policy, smooth, event_names=None):
-    # Segment counts must not straddle clip boundaries, so merge per clip.
-    hop = clips[0].roll.hop_seconds
-    n_events = clips[0].roll.data.shape[0]
+def pooled_per_event(pairs, policy, smooth, event_names=None):
+    """Per-class F1/ER rows pooled over (posteriors, roll) pairs, one per clip."""
+    if not pairs:
+        raise DataError("no clips to score: the validation fold is empty")
+    n_events = pairs[0][1].data.shape[0]
     if event_names is None:
         event_names = [str(i) for i in range(n_events)]
     pooled = [ev.SegmentCounts() for _ in range(n_events)]
-    for clip in clips:
-        pred = ev.binarize(student_posteriors(params, clip), policy, smooth)
+    # Segment counts must not straddle clip boundaries, so merge per clip.
+    for posteriors, roll in pairs:
+        pred = ev.binarize(posteriors, policy, smooth)
         for m in range(n_events):
             pooled[m] = pooled[m].merge(
-                ev.segment_counts(clip.roll.data[m : m + 1], pred[m : m + 1], hop)
+                ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
             )
     return [
         {
@@ -514,11 +520,16 @@ def run_cross_validation(
         if mode not in ("event_only", "mtl_hard", "mtl_soft"):
             raise ConfigError(f"cross-validation cannot run mode {mode!r}")
     n_scenes = max(ex.scene for ex in examples.values()) + 1
-    jobs = [
-        (examples, fold_split, base_config, list(modes), seed, fold, eval_cfg, n_scenes)
-        for fold in range(fold_split.n_folds)
-        for seed in seeds
-    ]
+    # mtl_soft students learn from the soft labels of a teacher trained first
+    run_modes = (["teacher"] if "mtl_soft" in modes else []) + list(modes)
+    jobs = []  # every run's config is validated before any training starts
+    for fold in range(fold_split.n_folds):
+        for seed in seeds:
+            configs = [
+                validate_config({**base_config, "mode": mode, "seed": seed, "fold": fold})
+                for mode in run_modes
+            ]
+            jobs.append((examples, fold_split, configs, fold, eval_cfg, n_scenes))
     if workers > 1:
         import multiprocessing
 

@@ -1,12 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sedmtl import cli, networks
+from sedmtl import cli, networks, training
 from sedmtl.data import read_manifest
-from sedmtl.features import read_feature_cache
+from sedmtl.features import compute_band_stats, read_feature_cache
 from sedmtl.fixture import generate_fixture
 
 
@@ -273,23 +274,102 @@ class TestEval:
             reports.append((report_dir / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_empty_manifest_is_a_clear_error(self, fixture_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "stub.ckpt"
+        self.make_oracle_checkpoint(ckpt, 4, 5, active_class=0)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")
+        assert cli.main([
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(manifest),
+            "--vocabulary", str(fixture_dataset["vocabulary"]),
+            "--features", str(fixture_dataset["features"]),
+            "--fold", "-1",
+            "--out", str(tmp_path / "report"),
+        ]) == 1
+        assert "empty split" in capsys.readouterr().err
+
+    # sha256 of report.json for the checkpoint below on the fixture dataset;
+    # scoring from cached posteriors must not change a byte of it
+    CALIBRATED_REPORT_SHA256 = "20d18ea25c42f18ed4c1f8dc5deaee286cd647bd7db087d64289503cfde8207e"
+
+    def test_calibrated_eval_forwards_each_clip_once(
+        self, fixture_dataset, tmp_path, monkeypatch
+    ):
+        ds = fixture_dataset
+        ids = sorted(read_manifest(ds["manifest"]))
+        stats = compute_band_stats(
+            [read_feature_cache(ds["features"] / f"{c}.sdfc", c) for c in ids]
+        )
+        params = networks.init_student_params(4, 5, seed=0)
+        params["event_out.weight"].values *= 10.0  # spread posteriors over the grid
+        ckpt = tmp_path / "student.ckpt"
+        networks.save_checkpoint(ckpt, params, {
+            "kind": "student", "n_scenes": 4, "n_events": 5,
+            "band_stats": {"mean": list(stats.mean), "std": list(stats.std)},
+        })
+        calls = []
+        forward = training.student_posteriors
+
+        def counting(params, clip):
+            calls.append(clip.clip_id)
+            return forward(params, clip)
+
+        monkeypatch.setattr(training, "student_posteriors", counting)
+        report_dir = tmp_path / "report"
+        assert cli.main([
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(ds["manifest"]),
+            "--vocabulary", str(ds["vocabulary"]),
+            "--features", str(ds["features"]),
+            "--fold", "-1",
+            "--policy", "calibrated",
+            "--out", str(report_dir),
+        ]) == 0
+        assert sorted(calls) == ids
+        digest = hashlib.sha256((report_dir / "report.json").read_bytes()).hexdigest()
+        assert digest == self.CALIBRATED_REPORT_SHA256
+
+
+def cv_config_doc(ds, out_dir, **train_overrides):
+    train = {
+        "alpha": 0.0001, "beta": 1.0, "temperature": 1.0,
+        "learning_rate": 1e-3, "batch_size": 8, "max_epochs": 1,
+        "patience": 2, "chunk_len": 50,
+    }
+    train.update(train_overrides)
+    return {
+        "paths": {
+            "manifest": str(ds["manifest"]),
+            "vocabulary": str(ds["vocabulary"]),
+            "features_dir": str(ds["features"]),
+            "out_dir": str(out_dir),
+        },
+        "train": train,
+        "cv": {"modes": ["event_only", "mtl_hard", "mtl_soft"], "seeds": [0]},
+    }
+
 
 class TestCrossValidation:
+    @pytest.mark.parametrize(
+        "override, fragment",
+        [({"max_epoch": 3}, "unknown field 'max_epoch'"), ({"max_epochs": 0}, "max_epochs")],
+    )
+    def test_invalid_train_block_rejected(
+        self, fixture_dataset, tmp_path, capsys, override, fragment
+    ):
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(cv_config_doc(fixture_dataset, tmp_path / "cv", **override)))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert fragment in err
+        assert not (tmp_path / "cv").exists()
+
     def test_cv_emits_row_per_mode(self, fixture_dataset, tmp_path, capsys):
-        doc = {
-            "paths": {
-                "manifest": str(fixture_dataset["manifest"]),
-                "vocabulary": str(fixture_dataset["vocabulary"]),
-                "features_dir": str(fixture_dataset["features"]),
-                "out_dir": str(tmp_path / "cv"),
-            },
-            "train": {
-                "alpha": 0.0001, "beta": 1.0, "temperature": 1.0,
-                "learning_rate": 1e-3, "batch_size": 8, "max_epochs": 1,
-                "patience": 2, "chunk_len": 50,
-            },
-            "cv": {"modes": ["event_only", "mtl_hard", "mtl_soft"], "seeds": [0]},
-        }
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
         cfg = tmp_path / "cv.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main(["cv", "--config", str(cfg)]) == 0

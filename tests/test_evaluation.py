@@ -36,6 +36,31 @@ def brute_force_recount(reference, prediction, frames_per_segment):
     return dict(tp=tp, fp=fp, fn=fn, s=subs, d=dels, i=ins, n_ref=n_ref, f1=f1, er=er)
 
 
+def brute_force_calibrate(pairs, grid, window, frames_per_segment):
+    """Per-(threshold, class) loop over clips: threshold, median-filter and
+    recount one class at a time; strict improvement keeps the lower threshold.
+    """
+    n_classes = pairs[0][0].shape[0]
+    pad = window // 2
+    best, best_f1 = [None] * n_classes, [-1.0] * n_classes
+    for threshold in sorted(grid):
+        for m in range(n_classes):
+            tp = fp = fn = 0
+            for post, ref in pairs:
+                n = post.shape[1]
+                raw = [1.0 if post[m, t] > threshold else 0.0 for t in range(n)]
+                smooth = np.zeros((1, n))
+                for t in range(n):
+                    votes = sum(raw[k] for k in range(max(0, t - pad), min(n, t + pad + 1)))
+                    smooth[0, t] = 1.0 if votes > pad else 0.0
+                oracle = brute_force_recount(ref[m : m + 1], smooth, frames_per_segment)
+                tp, fp, fn = tp + oracle["tp"], fp + oracle["fp"], fn + oracle["fn"]
+            f1 = 100.0 * 2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+            if f1 > best_f1[m]:
+                best_f1[m], best[m] = f1, threshold
+    return np.array(best)
+
+
 class TestBinarize:
     def test_all_above_fixed_threshold(self):
         post = np.full((2, 60), 0.9)
@@ -150,6 +175,20 @@ class TestSegmentCounts:
             assert ev.f1_score(counts) == oracle["f1"]
             assert ev.error_rate(counts) == oracle["er"]
 
+    def test_merge_pools_counts_and_keeps_rows_in_order(self):
+        rng = np.random.default_rng(8)
+        parts = []
+        for n in (120, 49, 200):
+            ref = (rng.random((3, n)) < 0.3).astype(float)
+            pred = (rng.random((3, n)) < 0.3).astype(float)
+            parts.append(ev.segment_counts(ref, pred, hop_s=0.02))
+        pooled = ev.SegmentCounts()
+        for part in parts:
+            pooled = pooled.merge(part)
+        assert pooled.per_segment == [row for part in parts for row in part.per_segment]
+        for name in ("tp", "fp", "fn", "substitutions", "deletions", "insertions", "n_ref"):
+            assert getattr(pooled, name) == sum(getattr(part, name) for part in parts)
+
     def test_invariant_to_class_permutation(self):
         rng = np.random.default_rng(4)
         ref = (rng.random((5, 200)) < 0.2).astype(float)
@@ -229,3 +268,40 @@ class TestCalibrateThresholds:
     def test_empty_grid(self):
         with pytest.raises(ArgumentError):
             ev.calibrate_thresholds([(np.zeros((1, 10)), np.zeros((1, 10)))], [])
+
+    def test_matches_brute_force_reference(self):
+        # rounded posteriors land exactly on grid points (ties); clip lengths
+        # leave partial last segments; grids arrive unsorted
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            m = int(rng.integers(1, 4))
+            pairs = []
+            for _ in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(1, 130))
+                post = rng.random((m, n))
+                if trial % 2:
+                    post = np.round(post, 1)
+                ref = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(float)
+                pairs.append((post, ref))
+            grid = list(rng.permutation([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])[: int(rng.integers(1, 7))])
+            window = int(rng.choice([1, 3, 27]))
+            segment_s = float(rng.choice([1.0, 0.3]))
+            out = ev.calibrate_thresholds(
+                pairs, grid, smooth_window=window, hop_s=0.02, segment_s=segment_s
+            )
+            expected = brute_force_calibrate(
+                pairs, grid, window, max(1, int(round(segment_s / 0.02)))
+            )
+            assert np.array_equal(out, expected), (trial, out, expected)
+
+    def test_out_of_range_posteriors_rejected(self):
+        ref = np.zeros((2, 10))
+        for bad in (1.5, -0.1):
+            post = np.full((2, 10), 0.5)
+            post[1, 3] = bad
+            with pytest.raises(ArgumentError):
+                ev.calibrate_thresholds([(np.full((2, 10), 0.5), ref), (post, ref)], [0.5])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            ev.calibrate_thresholds([(np.zeros((2, 10)), np.zeros((2, 11)))], [0.5])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sedmtl import networks, training
+from sedmtl import evaluation as ev, networks, training
 from sedmtl.data import EventRoll, FoldSplit
 from sedmtl.errors import ConfigError, DataError, DimensionError
 from sedmtl.features import LogMelSpectrogram
@@ -235,6 +235,16 @@ class TestTrainStudent:
                 clips, clips, quick_config("mtl_soft", beta=1.0),
                 soft_labels={clips[0].clip_id: np.full(4, 0.25)},
             )
+
+    def test_empty_validation_fold_rejected(self):
+        clips = self.clips()
+        with pytest.raises(DataError, match="validation fold is empty"):
+            training.train_student(clips, [], quick_config("event_only"))
+        policy = ev.ThresholdPolicy("fixed", 0.5)
+        with pytest.raises(DataError, match="validation fold is empty"):
+            training.evaluate_student([], policy)
+        with pytest.raises(DataError, match="validation fold is empty"):
+            training.pooled_per_event([], policy, ev.DEFAULT_SMOOTH_WINDOW)
 
     @pytest.mark.parametrize("mode", ["event_only", "mtl_hard", "mtl_soft"])
     def test_training_reduces_loss(self, mode):
