@@ -15,7 +15,6 @@ softmax. `grad_check` verifies any op against central finite differences.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, DimensionError
 
@@ -291,7 +290,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-padded 3x3 cross-correlation.
 
     x is (Cin, H, W), kernel (Cout, Cin, 3, 3), bias (Cout,); the output is
-    (Cout, H, W) with one ring of zero padding.
+    (Cout, H, W) with one ring of zero padding. The im2col matrix is built
+    channel-major, (Cin*9, H*W), so the forward GEMM `kmat @ cols` lands
+    directly in the (Cout, H*W) output layout and the input gradient comes
+    back as (Cin, 3, 3, H, W): one contiguous (H, W) plane per tap.
     """
     xv, kv = x.values, kernel.values
     if xv.ndim != 3 or kv.ndim != 4:
@@ -310,36 +312,52 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             f"conv2d bias shape {bias.values.shape} does not match {c_out} channels"
         )
     _, h, w = xv.shape
-    padded = np.pad(xv, ((0, 0), (1, 1), (1, 1)))
-    # (Cin, H, W, 3, 3) windows -> rows of the im2col matrix
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(1, 2, 0, 3, 4)).reshape(
-        h * w, c_in * 9
-    )
+    cols = np.zeros((c_in, 3, 3, h, w))
+    for di, dj, src, dst in _taps(h, w):
+        cols[:, di, dj][dst] = xv[src]
+    cols = cols.reshape(c_in * 9, h * w)
     kmat = kv.reshape(c_out, c_in * 9)
-    outv = (cols @ kmat.T).T.reshape(c_out, h, w) + bias.values[:, None, None]
-    out = Tensor(outv)
+    outv = kmat @ cols
+    outv += bias.values[:, None]
+    out = Tensor(outv.reshape(c_out, h, w))
 
     def backward(g):
-        gmat = g.reshape(c_out, h * w).T  # (H*W, Cout)
-        _accumulate(kernel, (gmat.T @ cols).reshape(kv.shape))
-        _accumulate(bias, g.sum(axis=(1, 2)))
-        dcols = (gmat @ kmat).reshape(h, w, c_in, 3, 3)
-        dpad = np.zeros_like(padded)
-        for di in range(3):
-            for dj in range(3):
-                dpad[:, di : di + h, dj : dj + w] += dcols[:, :, :, di, dj].transpose(
-                    2, 0, 1
-                )
-        _accumulate(x, dpad[:, 1 : h + 1, 1 : w + 1])
+        g2 = g.reshape(c_out, h * w)
+        _accumulate(kernel, (g2 @ cols.T).reshape(kv.shape))
+        _accumulate(bias, g2.sum(axis=1))
+        dcols = (kmat.T @ g2).reshape(c_in, 3, 3, h, w)
+        dx = np.zeros_like(xv)
+        for di, dj, src, dst in _taps(h, w):  # col2im, taps in row-major order
+            dx[src] += dcols[:, di, dj][dst]
+        _accumulate(x, dx)
 
     return _record(out, backward)
 
 
+def _taps(h: int, w: int):
+    """Yield (di, dj, src, dst) for each 3x3 tap in row-major order. Tap
+    (di, dj) of output pixel (i, j) reads input pixel (i + di - 1, j + dj - 1),
+    so it links the input block x[src] to the output block out[dst]; the part
+    of a tap that falls on the zero ring is left out."""
+    for di in range(3):
+        row_src, row_dst = _tap_span(di - 1, h)
+        for dj in range(3):
+            col_src, col_dst = _tap_span(dj - 1, w)
+            yield di, dj, (slice(None), row_src, col_src), (slice(None), row_dst, col_dst)
+
+
+def _tap_span(offset: int, n: int) -> tuple[slice, slice]:
+    # (input, output) ranges along an axis of length n for offset -1, 0 or 1
+    return slice(max(0, offset), n + min(0, offset)), slice(max(0, -offset), n - max(0, offset))
+
+
 def maxpool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     """Max pool with ceil semantics: a non-divisible final window is pooled
-    over its valid extent. Gradient routes to the first (row-major) maximal
-    element of each window.
+    over its valid extent (the input is padded with -inf only then). NaN
+    propagates to its window's output. The forward pass is an elementwise
+    maximum over the pool_h*pool_w strided views of the window blocks; the
+    gradient routes to the first (row-major) maximal element of each window,
+    whose index is computed only when the backward pass runs.
     """
     if pool_h < 1 or pool_w < 1:
         raise ArgumentError(f"pool dims must be >= 1, got {pool_h}x{pool_w}")
@@ -349,23 +367,27 @@ def maxpool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     c, h, w = xv.shape
     out_h = -(-h // pool_h)
     out_w = -(-w // pool_w)
-    pad_h, pad_w = out_h * pool_h - h, out_w * pool_w - w
-    padded = np.pad(
-        xv, ((0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf
-    )
-    windows = padded.reshape(c, out_h, pool_h, out_w, pool_w)
-    windows = windows.transpose(0, 1, 3, 2, 4).reshape(c, out_h, out_w, pool_h * pool_w)
-    arg = windows.argmax(axis=-1)  # first occurrence on ties
-    out = Tensor(np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0])
+    full_h, full_w = out_h * pool_h, out_w * pool_w
+    if (full_h, full_w) == (h, w):
+        padded = xv
+    else:
+        padded = np.full((c, full_h, full_w), -np.inf)
+        padded[:, :h, :w] = xv
+    blocks = padded.reshape(c, out_h, pool_h, out_w, pool_w)
+    outv = blocks[:, :, 0, :, 0].copy()
+    for di in range(pool_h):
+        for dj in range(pool_w):
+            if di or dj:
+                np.maximum(outv, blocks[:, :, di, :, dj], out=outv)
+    out = Tensor(outv)
 
     def backward(g):
-        dpad = np.zeros_like(padded)
-        ci, oi, oj = np.meshgrid(
-            np.arange(c), np.arange(out_h), np.arange(out_w), indexing="ij"
-        )
-        di, dj = np.divmod(arg, pool_w)
-        dpad[ci, oi * pool_h + di, oj * pool_w + dj] = g
-        _accumulate(x, dpad[:, :h, :w])
+        windows = blocks.transpose(0, 1, 3, 2, 4).reshape(c, out_h, out_w, pool_h * pool_w)
+        arg = windows.argmax(axis=-1)[..., None]  # first occurrence on ties
+        dwin = np.zeros((c, out_h, out_w, pool_h * pool_w))
+        np.put_along_axis(dwin, arg, g[..., None], axis=-1)
+        dpad = dwin.reshape(c, out_h, out_w, pool_h, pool_w).transpose(0, 1, 3, 2, 4)
+        _accumulate(x, dpad.reshape(c, full_h, full_w)[:, :h, :w])
 
     return _record(out, backward)
 

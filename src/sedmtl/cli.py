@@ -272,13 +272,20 @@ def _standardize_with(examples, stats: BandStats):
     }
 
 
+def _read_config(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("invalid config:\n  the top level must be a JSON object")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # train
 
 
 def _load_train_config(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_config(path)
     problems = []
     if "train" not in doc or not isinstance(doc.get("train"), dict):
         problems.append("missing 'train' object")
@@ -486,18 +493,35 @@ def cmd_eval(args) -> int:
 # cross-validation
 
 
+def _workers_from_env() -> int:
+    raw = os.environ.get("SEDMTL_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"SEDMTL_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def cmd_cv(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        workers = _workers_from_env()
+        doc = _read_config(args.config)
         problems = []
         paths = doc.get("paths", {})
+        if not isinstance(paths, dict):
+            problems.append("'paths' must be an object")
+            paths = {}
         for key in ("manifest", "vocabulary", "features_dir", "out_dir"):
             if key not in paths:
                 problems.append(f"paths.{key} is required")
         cv = doc.get("cv", {})
+        if not isinstance(cv, dict):
+            problems.append("'cv' must be an object")
+            cv = {}
         modes = cv.get("modes", ["event_only", "mtl_hard", "mtl_soft"])
         seeds = cv.get("seeds", [0, 1, 2])
         if not isinstance(seeds, list) or not seeds:
@@ -506,6 +530,9 @@ def cmd_cv(args) -> int:
             problems.append("cv.modes must be a non-empty list")
         if not isinstance(doc.get("train", {}), dict):
             problems.append("'train' must be an object")
+        eval_cfg = cv.get("eval", {})
+        if not isinstance(eval_cfg, dict):
+            problems.append("cv.eval must be an object")
         if problems:
             raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
         base = dict(doc.get("train", {}))
@@ -520,9 +547,7 @@ def cmd_cv(args) -> int:
             assignment={c: e["fold"] for c, e in entries.items()},
             n_folds=max(e["fold"] for e in entries.values()) + 1,
         )
-        eval_cfg = dict(cv.get("eval", {}))
-        eval_cfg.setdefault("event_names", vocabulary.events)
-        workers = int(os.environ.get("SEDMTL_WORKERS", "1"))
+        eval_cfg = {"event_names": vocabulary.events, **eval_cfg}
         out = training.run_cross_validation(
             examples, fold_split, base, modes, seeds,
             eval_cfg=eval_cfg, workers=workers,

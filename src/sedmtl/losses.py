@@ -48,21 +48,6 @@ class SceneTarget:
         return cls("soft", probs)
 
 
-@dataclass
-class LossWeights:
-    """Scene-loss weight alpha (hard), beta (soft) and softmax temperature."""
-
-    alpha: float = 0.0
-    beta: float = 0.0
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ArgumentError("loss weights must be nonnegative")
-        if self.temperature <= 0.0:
-            raise ArgumentError("temperature must be positive")
-
-
 def event_loss(logits: Tensor, roll: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     """Summed sigmoid cross-entropy between (M, N) event logits and a binary
     activity roll, restricted to frames where mask is nonzero.

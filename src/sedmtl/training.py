@@ -17,6 +17,7 @@ out per (fold, seed).
 """
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -332,14 +333,6 @@ def evaluate_student(
     }
 
 
-def _scene_term(mode, scene_logits, clip, n_scenes, soft_labels, temperature):
-    if mode == "mtl_hard":
-        return losses.scene_hard_loss(
-            scene_logits, SceneTarget.one_hot(clip.scene, n_scenes)
-        )
-    return losses.soft_scene_loss(scene_logits, soft_labels[clip.clip_id], temperature)
-
-
 def train_student(
     train_clips,
     val_clips,
@@ -393,14 +386,13 @@ def train_student(
                     if config.mode == "event_only":
                         loss = e1
                     elif config.mode == "mtl_hard":
-                        term = _scene_term(
-                            "mtl_hard", scene_logits, clip, n_scenes, None, None
+                        term = losses.scene_hard_loss(
+                            scene_logits, SceneTarget.one_hot(clip.scene, n_scenes)
                         )
                         loss = losses.mtl_objective(e1, term, config.alpha)
                     else:
-                        term = _scene_term(
-                            "mtl_soft", scene_logits, clip, n_scenes,
-                            soft_labels, config.temperature,
+                        term = losses.soft_scene_loss(
+                            scene_logits, soft_labels[clip.clip_id], config.temperature
                         )
                         loss = losses.proposed_objective(e1, term, config.beta)
                 tape.backward(loss)
@@ -466,12 +458,49 @@ def _cv_single(payload):
     return results
 
 
+_EVAL_FIELDS = ("policy", "threshold", "smooth_window", "grid", "event_names")
+_CV_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_eval_config(doc: dict):
+    """Check a cross-validation `eval` block, reporting every violation.
+
+    Thresholds and grid points must lie strictly inside (0, 1), the range
+    `ThresholdPolicy` accepts, so that no run fails at scoring time.
+    """
+    problems = [f"unknown field cv.eval.{key}" for key in doc if key not in _EVAL_FIELDS]
+    policy = doc.get("policy", "fixed")
+    if policy not in ("fixed", "calibrated"):
+        problems.append(f"cv.eval.policy must be 'fixed' or 'calibrated', got {policy!r}")
+    window = doc.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1 or window % 2 == 0:
+        problems.append(f"cv.eval.smooth_window must be an odd integer >= 1, got {window!r}")
+    threshold = doc.get("threshold", 0.5)
+    if not _is_number(threshold) or not 0.0 < threshold < 1.0:
+        problems.append(f"cv.eval.threshold must be a number in (0, 1), got {threshold!r}")
+    grid = doc.get("grid", _CV_GRID)
+    if (
+        not isinstance(grid, list)
+        or not grid
+        or not all(_is_number(g) and 0.0 < g < 1.0 for g in grid)
+    ):
+        problems.append(
+            f"cv.eval.grid must be a non-empty list of numbers in (0, 1), got {grid!r}"
+        )
+    if problems:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
+
+
 def _make_eval_policy(params, reference_clips, eval_cfg):
     smooth = eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
     if eval_cfg.get("policy", "fixed") == "calibrated":
         thresholds = ev.calibrate_thresholds(
             posterior_pairs(params, reference_clips),
-            eval_cfg.get("grid", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+            eval_cfg.get("grid", _CV_GRID),
             smooth_window=smooth, hop_s=reference_clips[0].roll.hop_seconds,
         )
         return ev.ThresholdPolicy("calibrated", per_class=thresholds), smooth
@@ -514,8 +543,12 @@ def run_cross_validation(
     eval_cfg: dict | None = None,
     workers: int = 1,
 ) -> dict:
-    """Train per (fold, seed) and aggregate mean F1/ER per mode across runs."""
+    """Train per (fold, seed) and aggregate mean F1/ER per mode across runs.
+
+    At most min(workers, runs, CPU count) worker processes run at once.
+    """
     eval_cfg = eval_cfg or {}
+    validate_eval_config(eval_cfg)
     for mode in modes:
         if mode not in ("event_only", "mtl_hard", "mtl_soft"):
             raise ConfigError(f"cross-validation cannot run mode {mode!r}")
@@ -530,6 +563,7 @@ def run_cross_validation(
                 for mode in run_modes
             ]
             jobs.append((examples, fold_split, configs, fold, eval_cfg, n_scenes))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 

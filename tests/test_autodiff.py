@@ -24,6 +24,43 @@ def brute_force_conv2d(x, kernel, bias):
     return out
 
 
+def brute_force_conv2d_backward(x, kernel, g):
+    """Nested-loop gradients (dx, dkernel, dbias) of sum(g * conv2d(x))."""
+    c_out, c_in, _, _ = kernel.shape
+    _, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    dpad = np.zeros_like(padded)
+    dkernel = np.zeros_like(kernel)
+    dbias = np.zeros(c_out)
+    for o in range(c_out):
+        for i in range(h):
+            for j in range(w):
+                dbias[o] += g[o, i, j]
+                for c in range(c_in):
+                    for di in range(3):
+                        for dj in range(3):
+                            dkernel[o, c, di, dj] += g[o, i, j] * padded[c, i + di, j + dj]
+                            dpad[c, i + di, j + dj] += g[o, i, j] * kernel[o, c, di, dj]
+    return dpad[:, 1:-1, 1:-1], dkernel, dbias
+
+
+def brute_force_maxpool2d_grad(x, pool_h, pool_w, g):
+    """Route each window's gradient to its first row-major maximum over the
+    window's valid extent."""
+    c, h, w = x.shape
+    dx = np.zeros_like(x)
+    for ch in range(c):
+        for oi in range(g.shape[1]):
+            for oj in range(g.shape[2]):
+                best = None
+                for i in range(oi * pool_h, min(h, (oi + 1) * pool_h)):
+                    for j in range(oj * pool_w, min(w, (oj + 1) * pool_w)):
+                        if best is None or x[ch, i, j] > x[ch, best[0], best[1]]:
+                            best = (i, j)
+                dx[ch, best[0], best[1]] += g[ch, oi, oj]
+    return dx
+
+
 def random_gru_cell(rng, n_in, units, scale=0.5):
     def w(r, c):
         return ad.tensor(rng.uniform(-scale, scale, size=(r, c)))
@@ -110,6 +147,24 @@ class TestConv2d:
                 ad.tensor(np.zeros(1)),
             )
 
+    @pytest.mark.parametrize(
+        "c_in, h, w, c_out",
+        [(1, 1, 1, 1), (1, 1, 1, 3), (1, 4, 4, 2), (2, 1, 5, 3), (3, 5, 1, 2), (2, 3, 7, 4)],
+    )
+    def test_backward_matches_brute_force(self, c_in, h, w, c_out):
+        rng = np.random.default_rng(100 + 7 * c_in + h + 3 * w)
+        x = ad.tensor(rng.normal(size=(c_in, h, w)))
+        k = ad.tensor(rng.normal(size=(c_out, c_in, 3, 3)))
+        b = ad.tensor(rng.normal(size=c_out))
+        g = rng.normal(size=(c_out, h, w))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.conv2d(x, k, b), ad.tensor(g)))
+        tape.backward(loss)
+        dx, dk, db = brute_force_conv2d_backward(x.values, k.values, g)
+        assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+        assert_allclose(k.grad, dk, rtol=0, atol=1e-12)
+        assert_allclose(b.grad, db, rtol=0, atol=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x = ad.tensor(rng.normal(size=(2, 4, 5)))
@@ -150,6 +205,36 @@ class TestMaxPool2d:
             loss = ad.sum_all(ad.maxpool2d(x, 2, 2))
         tape.backward(loss)
         assert_allclose(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+
+    def test_first_max_routing_with_partial_windows_on_both_axes(self):
+        # 5 x 7 pooled by 2 x 3: the last window row and column are partial;
+        # values from {0, 1, 2} make ties common.
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            vals = rng.integers(0, 3, size=(2, 5, 7)).astype(float)
+            x = ad.tensor(vals)
+            g = rng.normal(size=(2, 3, 3))
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.mul(ad.maxpool2d(x, 2, 3), ad.tensor(g)))
+            tape.backward(loss)
+            assert_allclose(x.grad, brute_force_maxpool2d_grad(vals, 2, 3, g), rtol=0, atol=0)
+
+    def test_forward_identical_with_and_without_tape(self):
+        x = ad.tensor(np.random.default_rng(10).normal(size=(3, 9, 10)))
+        bare = ad.maxpool2d(x, 2, 4).values
+        with ad.Tape():
+            taped = ad.maxpool2d(x, 2, 4).values
+        assert bare.tobytes() == taped.tobytes()
+
+    def test_nan_propagates(self):
+        vals = np.arange(2.0 * 5 * 7).reshape(2, 5, 7)
+        nan_at = [(0, 0, 0), (0, 2, 4), (1, 1, 5), (1, 4, 6)]  # first, middle, last, partial
+        for idx in nan_at:
+            vals[idx] = np.nan
+        out = ad.maxpool2d(ad.tensor(vals), 2, 3).values
+        expected = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 2, 2)}
+        for idx in np.ndindex(out.shape):
+            assert np.isnan(out[idx]) == (idx in expected)
 
     def test_gradient_matches_finite_differences(self):
         # Well-separated values so the finite-difference step cannot flip windows.

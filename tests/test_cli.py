@@ -135,6 +135,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "mode" in err and "batch_size" in err
 
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert "JSON object" in err
+
     def test_teacher_then_student_pipeline(self, fixture_dataset, tmp_path):
         ds = fixture_dataset
         teacher_dir = tmp_path / "teacher"
@@ -366,6 +374,58 @@ class TestCrossValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config")
         assert fragment in err
+        assert not (tmp_path / "cv").exists()
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "eval_block, fragment",
+        [
+            ({"policy": "calibratd"}, "cv.eval.policy"),
+            ({"smooth_window": 4}, "cv.eval.smooth_window"),
+            ({"smooth_window": 0}, "cv.eval.smooth_window"),
+            ({"smooth_window": -3}, "cv.eval.smooth_window"),
+            ({"threshold": 1.5}, "cv.eval.threshold"),
+            ({"threshold": -0.1}, "cv.eval.threshold"),
+            ({"policy": "calibrated", "grid": []}, "cv.eval.grid"),
+            ({"policy": "calibrated", "grid": [0.5, 1.2]}, "cv.eval.grid"),
+            ({"treshold": 0.4}, "unknown field cv.eval.treshold"),
+            ([["policy", "fixed"]], "cv.eval must be an object"),
+        ],
+    )
+    def test_invalid_eval_block_rejected_before_training(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, eval_block, fragment
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train_student", no_training)
+        monkeypatch.setattr(training, "train_teacher", no_training)
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["cv"]["eval"] = eval_block
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert fragment in err
+        assert not (tmp_path / "cv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_invalid_worker_count_rejected(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("SEDMTL_WORKERS", value)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(cv_config_doc(fixture_dataset, tmp_path / "cv")))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: SEDMTL_WORKERS must be an integer >= 1")
         assert not (tmp_path / "cv").exists()
 
     def test_cv_emits_row_per_mode(self, fixture_dataset, tmp_path, capsys):

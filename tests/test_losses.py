@@ -23,12 +23,6 @@ class TestSceneTarget:
         with pytest.raises(ArgumentError):
             SceneTarget.soft([0.5, 0.6])
 
-    def test_weights_validation(self):
-        with pytest.raises(ArgumentError):
-            losses.LossWeights(alpha=-1.0)
-        with pytest.raises(ArgumentError):
-            losses.LossWeights(temperature=0.0)
-
 
 class TestEventLoss:
     def test_zero_logits_single_cell(self):

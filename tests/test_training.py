@@ -341,3 +341,34 @@ class TestCrossValidation:
         assert json.dumps(sequential, sort_keys=True, default=str) == json.dumps(
             parallel, sort_keys=True, default=str
         )
+
+    def test_worker_count_clamped_to_runs_and_cpus(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(training.os, "cpu_count", lambda: 3)
+        examples = synthetic_scene_examples(clips_per_scene=1)
+        split = FoldSplit(
+            assignment={c: i % 2 for i, c in enumerate(sorted(examples))}, n_folds=2
+        )
+        base = dict(max_epochs=1, batch_size=8, chunk_len=50)
+        for seeds in ([0, 1], [0]):  # 4 runs, then 2
+            training.run_cross_validation(
+                examples, split, base, ["event_only"], seeds=seeds, workers=64
+            )
+        assert sizes == [3, 2]
