@@ -11,9 +11,11 @@ readable results live in files. Exit code 0 means no errors.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
@@ -40,7 +42,6 @@ from .features import (
     log_mel_energy,
     read_feature_cache,
     read_wav,
-    standardize,
     write_feature_cache,
 )
 from .training import ClipExample
@@ -76,6 +77,13 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, started, 
         "inputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in inputs)},
         "outputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in outputs)},
         "wall_clock": {"started_utc": started, "elapsed_s": elapsed},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        },
     }
     _write_json(Path(out_dir) / "run_manifest.json", manifest)
 
@@ -241,15 +249,8 @@ def _load_examples(manifest_path, vocabulary, features_dir):
     return entries, examples
 
 
-def _split_ids(entries, fold):
-    if fold < 0:
-        train = val = sorted(entries)
-    else:
-        train = sorted(c for c, e in entries.items() if e["fold"] != fold)
-        val = sorted(c for c, e in entries.items() if e["fold"] == fold)
-    if not train or not val:
-        raise DataError(f"fold {fold} leaves an empty split")
-    return train, val
+def _fold_assignment(entries) -> dict:
+    return {c: e["fold"] for c, e in entries.items()}
 
 
 def _stats_to_meta(stats: BandStats) -> dict:
@@ -258,18 +259,6 @@ def _stats_to_meta(stats: BandStats) -> dict:
 
 def _stats_from_meta(doc: dict) -> BandStats:
     return BandStats(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
-
-
-def _standardize_with(examples, stats: BandStats):
-    return {
-        clip_id: ClipExample(
-            clip_id=ex.clip_id,
-            features=standardize(ex.features, stats),
-            scene=ex.scene,
-            roll=ex.roll,
-        )
-        for clip_id, ex in examples.items()
-    }
 
 
 def _read_config(path) -> dict:
@@ -284,11 +273,8 @@ def _read_config(path) -> dict:
 # train
 
 
-def _load_train_config(path):
-    doc = _read_config(path)
-    problems = []
-    if "train" not in doc or not isinstance(doc.get("train"), dict):
-        problems.append("missing 'train' object")
+def _config_paths(doc, problems) -> dict:
+    """The config's `paths` object; what is missing or absent goes to problems."""
     paths = doc.get("paths")
     if not isinstance(paths, dict):
         problems.append("missing 'paths' object")
@@ -298,6 +284,15 @@ def _load_train_config(path):
             problems.append(f"paths.{key} is required")
         elif key != "out_dir" and not Path(paths[key]).exists():
             problems.append(f"paths.{key} does not exist: {paths[key]}")
+    return paths
+
+
+def _load_train_config(path):
+    doc = _read_config(path)
+    problems = []
+    if "train" not in doc or not isinstance(doc.get("train"), dict):
+        problems.append("missing 'train' object")
+    paths = _config_paths(doc, problems)
     config = None
     if not problems:
         try:
@@ -327,9 +322,9 @@ def cmd_train(args) -> int:
     try:
         vocabulary = Vocabulary.load(paths["vocabulary"])
         entries, examples = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
-        train_ids, val_ids = _split_ids(entries, config.fold)
+        train_ids, val_ids = training.split_ids(_fold_assignment(entries), config.fold)
         stats = compute_band_stats([examples[c].features for c in train_ids])
-        split = _standardize_with(examples, stats)
+        split = training.standardize_split(examples, stats)
         train_clips = [split[c] for c in train_ids]
         val_clips = [split[c] for c in val_ids]
 
@@ -399,7 +394,7 @@ def cmd_distill(args) -> int:
             raise ConfigError(f"temperature must be positive, got {args.temperature}")
         vocabulary = Vocabulary.load(args.vocabulary)
         entries, examples = _load_examples(args.manifest, vocabulary, args.features)
-        split = _standardize_with(examples, _stats_from_meta(meta["band_stats"]))
+        split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
         clips = [split[c] for c in sorted(split)]
         labels = training.compute_soft_labels(params, clips, args.temperature)
     except (ValueError, DataError) as exc:
@@ -432,32 +427,24 @@ def cmd_eval(args) -> int:
             raise DataError(f"{args.checkpoint} is not a student checkpoint")
         vocabulary = Vocabulary.load(args.vocabulary)
         entries, examples = _load_examples(args.manifest, vocabulary, args.features)
-        split = _standardize_with(examples, _stats_from_meta(meta["band_stats"]))
-        train_ids, val_ids = _split_ids(entries, args.fold)
-        # One student forward per distinct clip; at --fold -1 the calibration
-        # and evaluation clips are the same set.
-        needed = set(val_ids) | (set(train_ids) if args.policy == "calibrated" else set())
-        posteriors = {c: training.student_posteriors(params, split[c]) for c in sorted(needed)}
+        split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
+        train_ids, val_ids = training.split_ids(_fold_assignment(entries), args.fold)
+        # One student forward per distinct clip, run when first read; at
+        # --fold -1 the calibration and evaluation clips are the same set.
+        posteriors = functools.cache(lambda c: training.student_posteriors(params, split[c]))
 
         def pairs(clip_ids):
-            return [(posteriors[c], split[c].roll) for c in clip_ids]
+            return ((posteriors(c), split[c].roll) for c in clip_ids)
 
-        if args.policy == "calibrated":
-            thresholds = ev.calibrate_thresholds(
-                pairs(train_ids), [g / 20 for g in range(1, 20)],
-                smooth_window=args.smooth_window,
-                hop_s=split[val_ids[0]].roll.hop_seconds,
-            )
-            policy = ev.ThresholdPolicy("calibrated", per_class=thresholds)
-        else:
-            policy = ev.ThresholdPolicy("fixed", args.threshold)
-
+        policy = training.eval_policy(
+            {"policy": args.policy, "threshold": args.threshold,
+             "smooth_window": args.smooth_window},
+            pairs(train_ids),
+        )
         scores = training.evaluate_student(
             pairs(val_ids), policy, smooth_window=args.smooth_window
         )
-        per_event = training.pooled_per_event(
-            pairs(val_ids), policy, args.smooth_window, vocabulary.events
-        )
+        per_event = training.pooled_per_event(scores["counts"], vocabulary.events)
     except (ValueError, DataError) as exc:
         _err(str(exc))
         return 1
@@ -511,13 +498,7 @@ def cmd_cv(args) -> int:
         workers = _workers_from_env()
         doc = _read_config(args.config)
         problems = []
-        paths = doc.get("paths", {})
-        if not isinstance(paths, dict):
-            problems.append("'paths' must be an object")
-            paths = {}
-        for key in ("manifest", "vocabulary", "features_dir", "out_dir"):
-            if key not in paths:
-                problems.append(f"paths.{key} is required")
+        paths = _config_paths(doc, problems)
         cv = doc.get("cv", {})
         if not isinstance(cv, dict):
             problems.append("'cv' must be an object")
@@ -544,13 +525,12 @@ def cmd_cv(args) -> int:
             paths["manifest"], vocabulary, paths["features_dir"]
         )
         fold_split = FoldSplit(
-            assignment={c: e["fold"] for c, e in entries.items()},
+            assignment=_fold_assignment(entries),
             n_folds=max(e["fold"] for e in entries.values()) + 1,
         )
-        eval_cfg = {"event_names": vocabulary.events, **eval_cfg}
         out = training.run_cross_validation(
             examples, fold_split, base, modes, seeds,
-            eval_cfg=eval_cfg, workers=workers,
+            eval_cfg=eval_cfg, workers=workers, event_names=vocabulary.events,
         )
     except (ValueError, DataError, OSError, json.JSONDecodeError) as exc:
         _err(str(exc))

@@ -83,9 +83,6 @@ class FoldSplit:
     def fold_of(self, clip_id: str) -> int:
         return self.assignment[clip_id]
 
-    def clips_in_fold(self, fold: int) -> list[str]:
-        return sorted(c for c, f in self.assignment.items() if f == fold)
-
 
 def clip_id_from_path(audio_path: str) -> str:
     return PurePosixPath(audio_path.replace("\\", "/")).stem

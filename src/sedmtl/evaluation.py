@@ -15,6 +15,8 @@ from .errors import ArgumentError, DimensionError
 
 DEFAULT_SEGMENT_S = 1.0
 DEFAULT_SMOOTH_WINDOW = 27
+# thresholds searched by calibration unless a caller passes its own grid
+CALIBRATION_GRID = tuple(g / 20 for g in range(1, 20))
 F1_UNDEFINED_FLAG = "f1_undefined_no_activity"
 ER_UNDEFINED_FLAG = "er_undefined_empty_reference"
 
@@ -99,9 +101,14 @@ class SegmentCounts:
     insertions: int = 0
     n_ref: int = 0
     per_segment: list = field(default_factory=list)  # (S, D, I, Nref) rows
+    # per-class totals, (M,) integer arrays; 0 until counts with classes merge in
+    class_tp: np.ndarray | int = 0
+    class_fp: np.ndarray | int = 0
+    class_fn: np.ndarray | int = 0
 
     def merge(self, other: "SegmentCounts") -> "SegmentCounts":
-        """Add other's counts and per-segment rows into this one; returns self.
+        """Add other's counts, per-class totals and per-segment rows into this
+        one; returns self.
 
         Accumulates in place, so pooling k clips costs O(total rows), not O(k^2).
         """
@@ -113,6 +120,9 @@ class SegmentCounts:
         self.insertions += other.insertions
         self.n_ref += other.n_ref
         self.per_segment.extend(other.per_segment)
+        self.class_tp = self.class_tp + other.class_tp
+        self.class_fp = self.class_fp + other.class_fp
+        self.class_fn = self.class_fn + other.class_fn
         return self
 
 
@@ -132,7 +142,8 @@ def segment_counts(
     hop_s: float,
     segment_s: float = DEFAULT_SEGMENT_S,
 ) -> SegmentCounts:
-    """Count TP/FP/FN and per-segment S/D/I/Nref on (M, N) binary matrices.
+    """Count TP/FP/FN (in total and per class) and per-segment S/D/I/Nref on
+    (M, N) binary matrices.
 
     The trailing partial segment is included.
     """
@@ -145,14 +156,14 @@ def segment_counts(
     frames_per_segment = max(1, int(round(segment_s / hop_s)))
     ref_seg = _segment_activity(reference, frames_per_segment)
     pred_seg = _segment_activity(prediction, frames_per_segment)
+    hit, miss, false_alarm = ref_seg & pred_seg, ref_seg & ~pred_seg, ~ref_seg & pred_seg
 
     # per-segment class counts, shape (S,)
-    seg_fn = (ref_seg & ~pred_seg).sum(axis=0)
-    seg_fp = (~ref_seg & pred_seg).sum(axis=0)
+    seg_fn, seg_fp = miss.sum(axis=0), false_alarm.sum(axis=0)
     subs = np.minimum(seg_fn, seg_fp)
     dels, ins, n_ref = seg_fn - subs, seg_fp - subs, ref_seg.sum(axis=0)
     return SegmentCounts(
-        tp=int((ref_seg & pred_seg).sum()),
+        tp=int(hit.sum()),
         fp=int(seg_fp.sum()),
         fn=int(seg_fn.sum()),
         substitutions=int(subs.sum()),
@@ -160,6 +171,9 @@ def segment_counts(
         insertions=int(ins.sum()),
         n_ref=int(n_ref.sum()),
         per_segment=list(zip(subs.tolist(), dels.tolist(), ins.tolist(), n_ref.tolist())),
+        class_tp=hit.sum(axis=1),
+        class_fp=false_alarm.sum(axis=1),
+        class_fn=miss.sum(axis=1),
     )
 
 
@@ -187,35 +201,6 @@ def error_rate(counts: SegmentCounts) -> float:
 
 def er_defined(counts: SegmentCounts) -> bool:
     return counts.n_ref > 0
-
-
-def per_event_report(
-    reference: np.ndarray,
-    prediction: np.ndarray,
-    event_names,
-    hop_s: float,
-    segment_s: float = DEFAULT_SEGMENT_S,
-) -> list:
-    """One row per event class with class-restricted F1 and ER.
-
-    Within a single class there are no substitutions, so the class ER is
-    (deletions + insertions) / class Nref.
-    """
-    rows = []
-    for m, name in enumerate(event_names):
-        counts = segment_counts(
-            reference[m : m + 1], prediction[m : m + 1], hop_s, segment_s
-        )
-        rows.append(
-            {
-                "event": name,
-                "f1": f1_score(counts),
-                "f1_defined": f1_defined(counts),
-                "er": error_rate(counts),
-                "er_defined": er_defined(counts),
-            }
-        )
-    return rows
 
 
 def calibrate_thresholds(

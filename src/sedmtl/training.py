@@ -18,7 +18,7 @@ out per (fold, seed).
 
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import evaluation as ev
 from . import losses, networks
 from .data import EventRoll, chunk_clips
 from .errors import ConfigError, DataError, DimensionError
-from .features import LogMelSpectrogram, compute_band_stats, standardize
+from .features import BandStats, LogMelSpectrogram, compute_band_stats, standardize
 from .losses import SceneTarget
 
 MODES = ("teacher", "mtl_hard", "mtl_soft", "event_only")
@@ -161,18 +161,28 @@ class ClipExample:
     roll: EventRoll
 
 
-def standardize_split(examples: dict, train_ids) -> dict:
-    """Standardize every clip with per-band stats from the training ids only."""
-    stats = compute_band_stats([examples[c].features for c in sorted(train_ids)])
-    out = {}
-    for clip_id, ex in examples.items():
-        out[clip_id] = ClipExample(
-            clip_id=ex.clip_id,
-            features=standardize(ex.features, stats),
-            scene=ex.scene,
-            roll=ex.roll,
-        )
-    return out
+def split_ids(assignment: dict, fold: int):
+    """Sorted (train, validation) clip ids of a {clip: fold} assignment.
+
+    Fold -1 puts every clip on both sides.
+    """
+    if fold < 0:
+        train = val = sorted(assignment)
+    else:
+        train = sorted(c for c, f in assignment.items() if f != fold)
+        val = sorted(c for c, f in assignment.items() if f == fold)
+    if not train or not val:
+        raise DataError(f"fold {fold} leaves an empty split")
+    return train, val
+
+
+def standardize_split(examples: dict, stats: BandStats) -> dict:
+    """Every clip standardized with the given per-band stats, which callers
+    take from the training clips only (or from a checkpoint)."""
+    return {
+        clip_id: replace(ex, features=standardize(ex.features, stats))
+        for clip_id, ex in examples.items()
+    }
 
 
 @dataclass
@@ -199,7 +209,7 @@ def _early_stop_loop(config, run_epoch, eval_metric, params):
     best_snapshot = params.copy_values()
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
-        train_losses = run_epoch()
+        train_losses = run_epoch(epoch)
         metric_name, metric, extra = eval_metric()
         record = {
             "epoch": epoch,
@@ -218,6 +228,11 @@ def _early_stop_loop(config, run_epoch, eval_metric, params):
                 break
     params.set_values(best_snapshot)
     return TrainResult(params=params, log=log, best_epoch=best_epoch, best_metric=best_metric)
+
+
+def _check_finite(loss: float, mode: str, epoch: int, batch: int):
+    if not np.isfinite(loss):
+        raise DataError(f"{mode} training stopped: loss is {loss} at epoch {epoch}, batch {batch}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +264,7 @@ def train_teacher(
     rng = np.random.default_rng(config.seed)
     order_pool = list(train_clips)
 
-    def run_epoch():
+    def run_epoch(epoch):
         order = rng.permutation(len(order_pool))
         total = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -261,6 +276,7 @@ def train_teacher(
                     loss = losses.scene_hard_loss(
                         logits, SceneTarget.one_hot(clip.scene, n_scenes)
                     )
+                _check_finite(loss.item(), config.mode, epoch, start // config.batch_size + 1)
                 tape.backward(loss)
                 total += loss.item()
             adam_step(params, _mean_grads(params, len(batch)), state, config.learning_rate)
@@ -305,9 +321,10 @@ def student_posteriors(params: networks.ModelParams, clip) -> np.ndarray:
     return ad.sigmoid(event_logits).values
 
 
-def posterior_pairs(params: networks.ModelParams, clips) -> list:
-    """(event posteriors, event roll) per clip: one student forward each."""
-    return [(student_posteriors(params, clip), clip.roll) for clip in clips]
+def posterior_pairs(params: networks.ModelParams, clips):
+    """(event posteriors, event roll) per clip, lazily: one student forward
+    each, run only when the pair is read."""
+    return ((student_posteriors(params, clip), clip.roll) for clip in clips)
 
 
 def evaluate_student(
@@ -317,7 +334,9 @@ def evaluate_student(
     segment_s: float = ev.DEFAULT_SEGMENT_S,
 ) -> dict:
     """Pool segment counts over (posteriors, roll) pairs, one per clip;
-    returns f1/er plus the raw counts."""
+    returns f1/er plus the raw counts, whose per-class totals feed
+    `pooled_per_event`."""
+    pairs = list(pairs)
     if not pairs:
         raise DataError("no clips to score: the validation fold is empty")
     counts = ev.SegmentCounts()
@@ -369,7 +388,7 @@ def train_student(
             items.append((chunk, clip))
     val_policy = ev.ThresholdPolicy("fixed", 0.5)
 
-    def run_epoch():
+    def run_epoch(epoch):
         order = rng.permutation(len(items))
         event_total = 0.0
         scene_total = 0.0
@@ -395,6 +414,7 @@ def train_student(
                             scene_logits, soft_labels[clip.clip_id], config.temperature
                         )
                         loss = losses.proposed_objective(e1, term, config.beta)
+                _check_finite(loss.item(), config.mode, epoch, start // config.batch_size + 1)
                 tape.backward(loss)
                 event_total += e1.item()
                 scene_total += loss.item() - e1.item()
@@ -421,12 +441,14 @@ def train_student(
 
 def _cv_single(payload):
     """Train and evaluate everything for one (fold, seed); a worker job."""
-    examples, fold_split, configs, fold, eval_cfg, n_scenes = payload
-    train_ids = sorted(c for c, f in fold_split.assignment.items() if f != fold)
-    val_ids = sorted(c for c, f in fold_split.assignment.items() if f == fold)
-    split = standardize_split(examples, train_ids)
+    examples, assignment, configs, fold, eval_cfg, event_names, n_scenes = payload
+    train_ids, val_ids = split_ids(assignment, fold)
+    split = standardize_split(
+        examples, compute_band_stats([examples[c].features for c in train_ids])
+    )
     train_clips = [split[c] for c in train_ids]
     val_clips = [split[c] for c in val_ids]
+    smooth = eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
 
     soft_labels = None
     results = []
@@ -440,10 +462,8 @@ def _cv_single(payload):
             soft_labels=soft_labels if cfg.mode == "mtl_soft" else None,
             n_scenes=n_scenes,
         )
-        policy, smooth = _make_eval_policy(result.params, train_clips, eval_cfg)
-        val_pairs = posterior_pairs(result.params, val_clips)
-        scores = evaluate_student(val_pairs, policy, smooth)
-        per_event = pooled_per_event(val_pairs, policy, smooth, eval_cfg.get("event_names"))
+        policy = eval_policy(eval_cfg, posterior_pairs(result.params, train_clips))
+        scores = evaluate_student(posterior_pairs(result.params, val_clips), policy, smooth)
         results.append(
             {
                 "fold": fold,
@@ -452,14 +472,13 @@ def _cv_single(payload):
                 "f1": scores["f1"],
                 "er": scores["er"],
                 "best_epoch": result.best_epoch,
-                "per_event": per_event,
+                "per_event": pooled_per_event(scores["counts"], event_names),
             }
         )
     return results
 
 
-_EVAL_FIELDS = ("policy", "threshold", "smooth_window", "grid", "event_names")
-_CV_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+_EVAL_FIELDS = ("policy", "threshold", "smooth_window", "grid")
 
 
 def _is_number(value) -> bool:
@@ -482,7 +501,7 @@ def validate_eval_config(doc: dict):
     threshold = doc.get("threshold", 0.5)
     if not _is_number(threshold) or not 0.0 < threshold < 1.0:
         problems.append(f"cv.eval.threshold must be a number in (0, 1), got {threshold!r}")
-    grid = doc.get("grid", _CV_GRID)
+    grid = doc.get("grid", list(ev.CALIBRATION_GRID))
     if (
         not isinstance(grid, list)
         or not grid
@@ -495,43 +514,49 @@ def validate_eval_config(doc: dict):
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
 
 
-def _make_eval_policy(params, reference_clips, eval_cfg):
-    smooth = eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
-    if eval_cfg.get("policy", "fixed") == "calibrated":
-        thresholds = ev.calibrate_thresholds(
-            posterior_pairs(params, reference_clips),
-            eval_cfg.get("grid", _CV_GRID),
-            smooth_window=smooth, hop_s=reference_clips[0].roll.hop_seconds,
-        )
-        return ev.ThresholdPolicy("calibrated", per_class=thresholds), smooth
-    return ev.ThresholdPolicy("fixed", eval_cfg.get("threshold", 0.5)), smooth
+def eval_policy(eval_cfg: dict, calibration_pairs) -> ev.ThresholdPolicy:
+    """The threshold policy of an eval block (`policy`, `threshold`, `grid`,
+    `smooth_window`), shared by `eval` and `cv`.
+
+    A calibrated policy searches `grid` (default `ev.CALIBRATION_GRID`) on
+    the (posteriors, roll) pairs; a fixed one never reads them, so lazy pairs
+    cost no student forward.
+    """
+    if eval_cfg.get("policy", "fixed") != "calibrated":
+        return ev.ThresholdPolicy("fixed", eval_cfg.get("threshold", 0.5))
+    pairs = list(calibration_pairs)
+    thresholds = ev.calibrate_thresholds(
+        pairs, eval_cfg.get("grid", ev.CALIBRATION_GRID),
+        smooth_window=eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW),
+        hop_s=pairs[0][1].hop_seconds,
+    )
+    return ev.ThresholdPolicy("calibrated", per_class=thresholds)
 
 
-def pooled_per_event(pairs, policy, smooth, event_names=None):
-    """Per-class F1/ER rows pooled over (posteriors, roll) pairs, one per clip."""
-    if not pairs:
-        raise DataError("no clips to score: the validation fold is empty")
-    n_events = pairs[0][1].data.shape[0]
+def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
+    """Per-class F1/ER rows from the pooled per-class totals of `counts`.
+
+    Within one class a segment has no substitutions, so the class's
+    deletions are its FN, insertions its FP and Nref its TP + FN.
+    """
+    class_tp, class_fp, class_fn = (
+        counts.class_tp.tolist(), counts.class_fp.tolist(), counts.class_fn.tolist()
+    )
     if event_names is None:
-        event_names = [str(i) for i in range(n_events)]
-    pooled = [ev.SegmentCounts() for _ in range(n_events)]
-    # Segment counts must not straddle clip boundaries, so merge per clip.
-    for posteriors, roll in pairs:
-        pred = ev.binarize(posteriors, policy, smooth)
-        for m in range(n_events):
-            pooled[m] = pooled[m].merge(
-                ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
-            )
-    return [
-        {
-            "event": name,
-            "f1": ev.f1_score(counts),
-            "f1_defined": ev.f1_defined(counts),
-            "er": ev.error_rate(counts),
-            "er_defined": ev.er_defined(counts),
-        }
-        for name, counts in zip(event_names, pooled)
-    ]
+        event_names = [str(i) for i in range(len(class_tp))]
+    rows = []
+    for name, tp, fp, fn in zip(event_names, class_tp, class_fp, class_fn, strict=True):
+        one = ev.SegmentCounts(tp=tp, fp=fp, fn=fn, deletions=fn, insertions=fp, n_ref=tp + fn)
+        rows.append(
+            {
+                "event": name,
+                "f1": ev.f1_score(one),
+                "f1_defined": ev.f1_defined(one),
+                "er": ev.error_rate(one),
+                "er_defined": ev.er_defined(one),
+            }
+        )
+    return rows
 
 
 def run_cross_validation(
@@ -542,8 +567,11 @@ def run_cross_validation(
     seeds,
     eval_cfg: dict | None = None,
     workers: int = 1,
+    event_names=None,
 ) -> dict:
     """Train per (fold, seed) and aggregate mean F1/ER per mode across runs.
+
+    `event_names` label the per-event rows of each run (default "0", "1", ...).
 
     At most min(workers, runs, CPU count) worker processes run at once.
     """
@@ -562,7 +590,9 @@ def run_cross_validation(
                 validate_config({**base_config, "mode": mode, "seed": seed, "fold": fold})
                 for mode in run_modes
             ]
-            jobs.append((examples, fold_split, configs, fold, eval_cfg, n_scenes))
+            jobs.append(
+                (examples, fold_split.assignment, configs, fold, eval_cfg, event_names, n_scenes)
+            )
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing

@@ -15,6 +15,7 @@ import pytest
 
 from sedmtl import autodiff as ad
 from sedmtl import cli, evaluation as ev, losses, training
+from sedmtl.features import compute_band_stats
 from sedmtl.fixture import generate_fixture
 from sedmtl.losses import SceneTarget
 
@@ -340,7 +341,9 @@ class TestCriterion6ReductionEquivalence:
         vocabulary = Vocabulary.load(ws["vocabulary"])
         entries, examples = cli._load_examples(ws["manifest"], vocabulary, ws["features"])
         ids = sorted(examples)
-        split = training.standardize_split(examples, ids)
+        split = training.standardize_split(
+            examples, compute_band_stats([examples[c].features for c in ids])
+        )
         clips = [split[c] for c in ids]
         one_hot = {}
         for clip in clips:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import platform
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from sedmtl import cli, networks, training
 from sedmtl.data import read_manifest
-from sedmtl.features import compute_band_stats, read_feature_cache
+from sedmtl.features import compute_band_stats, read_feature_cache, write_feature_cache
 from sedmtl.fixture import generate_fixture
 
 
@@ -34,6 +37,15 @@ def fixture_dataset(tmp_path_factory):
         "features": feats,
         "root": root,
     }
+
+
+def nan_features_dir(ds, dest):
+    """A copy of the fixture's feature caches with one NaN in one clip."""
+    shutil.copytree(ds["features"], dest)
+    spec = read_feature_cache(dest / "home_0.sdfc", "home_0")
+    spec.data[10, 20] = np.nan
+    write_feature_cache(dest / "home_0.sdfc", spec)
+    return dest
 
 
 def train_config_doc(ds, out_dir, mode, **train_overrides):
@@ -155,6 +167,13 @@ class TestTrain:
         assert (teacher_dir / "teacher_log.jsonl").is_file()
         manifest = json.loads((teacher_dir / "run_manifest.json").read_text())
         assert str(ckpt) in manifest["outputs"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        }
 
         soft_path = tmp_path / "soft_labels.json"
         assert cli.main([
@@ -185,6 +204,17 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert "soft_labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["teacher", "event_only"])
+    def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys, mode):
+        doc = train_config_doc(fixture_dataset, tmp_path / "out", mode)
+        doc["paths"]["features_dir"] = str(nan_features_dir(fixture_dataset, tmp_path / "f"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mode} training stopped: loss is nan at epoch 1, batch ")
+        assert not (tmp_path / "out" / f"{mode}.ckpt").exists()
 
     def test_reproducible_checkpoint_and_log(self, fixture_dataset, tmp_path):
         blobs = []
@@ -397,6 +427,7 @@ class TestCrossValidation:
             ({"policy": "calibrated", "grid": [0.5, 1.2]}, "cv.eval.grid"),
             ({"treshold": 0.4}, "unknown field cv.eval.treshold"),
             ([["policy", "fixed"]], "cv.eval must be an object"),
+            ({"event_names": ["a", "b", "c", "d", "e"]}, "unknown field cv.eval.event_names"),
         ],
     )
     def test_invalid_eval_block_rejected_before_training(
@@ -415,6 +446,35 @@ class TestCrossValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config")
         assert fragment in err
+        assert not (tmp_path / "cv").exists()
+
+    def test_missing_input_path_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train_student", no_training)
+        monkeypatch.setattr(training, "train_teacher", no_training)
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["paths"]["manifest"] = str(tmp_path / "nowhere" / "manifest.json")
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert "paths.manifest does not exist" in err
+        assert not (tmp_path / "cv").exists()
+
+    def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys):
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["paths"]["features_dir"] = str(nan_features_dir(fixture_dataset, tmp_path / "f"))
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "training stopped: loss is nan at epoch 1, batch " in err
         assert not (tmp_path / "cv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])

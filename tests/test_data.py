@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sedmtl import data
+from sedmtl import data, training
 from sedmtl.data import ClipRecord, EventRoll, Vocabulary
 from sedmtl.errors import ArgumentError, ParseError, VocabularyError
 
@@ -120,7 +120,7 @@ class TestMakeFolds:
     def test_exact_stratification(self):
         split = data.make_folds(self.make_records(4, scenes=2), n_folds=4, seed=1)
         for fold in range(4):
-            clips = split.clips_in_fold(fold)
+            clips = training.split_ids(split.assignment, fold)[1]
             assert len(clips) == 2
             scenes = {c[1] for c in clips}
             assert scenes == {"0", "1"}
@@ -141,8 +141,8 @@ class TestMakeFolds:
         all_clips = [r.clip_id for r in records]
         assert sorted(split.assignment) == sorted(all_clips)
         for fold in range(4):
-            assert split.clips_in_fold(fold)
-        sizes = [len(split.clips_in_fold(f)) for f in range(4)]
+            assert training.split_ids(split.assignment, fold)[1]
+        sizes = [len(training.split_ids(split.assignment, f)[1]) for f in range(4)]
         assert max(sizes) - min(sizes) <= 1
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sedmtl import evaluation as ev
+from sedmtl import evaluation as ev, training
+from sedmtl.data import EventRoll
 from sedmtl.errors import ArgumentError, DimensionError
 
 
@@ -59,6 +60,28 @@ def brute_force_calibrate(pairs, grid, window, frames_per_segment):
             if f1 > best_f1[m]:
                 best_f1[m], best[m] = f1, threshold
     return np.array(best)
+
+
+def brute_force_per_event(pairs, policy, smooth_window, event_names):
+    """Per-class rows by merging single-row segment counts clip by clip, one
+    class at a time (segments must not straddle clip boundaries)."""
+    pooled = [ev.SegmentCounts() for _ in event_names]
+    for posteriors, roll in pairs:
+        pred = ev.binarize(posteriors, policy, smooth_window)
+        for m in range(len(event_names)):
+            pooled[m] = pooled[m].merge(
+                ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
+            )
+    return [
+        {
+            "event": name,
+            "f1": ev.f1_score(counts),
+            "f1_defined": ev.f1_defined(counts),
+            "er": ev.error_rate(counts),
+            "er_defined": ev.er_defined(counts),
+        }
+        for name, counts in zip(event_names, pooled)
+    ]
 
 
 class TestBinarize:
@@ -181,13 +204,21 @@ class TestSegmentCounts:
         for n in (120, 49, 200):
             ref = (rng.random((3, n)) < 0.3).astype(float)
             pred = (rng.random((3, n)) < 0.3).astype(float)
-            parts.append(ev.segment_counts(ref, pred, hop_s=0.02))
+            # 5-frame segments, so that segments and classes differ
+            parts.append(ev.segment_counts(ref, pred, hop_s=0.02, segment_s=0.1))
         pooled = ev.SegmentCounts()
         for part in parts:
             pooled = pooled.merge(part)
         assert pooled.per_segment == [row for part in parts for row in part.per_segment]
         for name in ("tp", "fp", "fn", "substitutions", "deletions", "insertions", "n_ref"):
             assert getattr(pooled, name) == sum(getattr(part, name) for part in parts)
+        for name in ("class_tp", "class_fp", "class_fn"):
+            per_class = getattr(pooled, name)
+            assert per_class.shape == (3,)
+            assert np.array_equal(per_class, sum(getattr(part, name) for part in parts))
+        assert pooled.class_tp.sum() == pooled.tp
+        assert pooled.class_fp.sum() == pooled.fp
+        assert pooled.class_fn.sum() == pooled.fn
 
     def test_invariant_to_class_permutation(self):
         rng = np.random.default_rng(4)
@@ -206,7 +237,9 @@ class TestPerEventReport:
         pred = np.zeros((2, 100))
         ref[0, 10:60] = 1.0
         pred[0, 10:60] = 1.0
-        rows = ev.per_event_report(ref, pred, ["present", "absent"], hop_s=0.02)
+        rows = training.pooled_per_event(
+            ev.segment_counts(ref, pred, hop_s=0.02), ["present", "absent"]
+        )
         assert rows[0]["f1"] == 100.0 and rows[0]["f1_defined"]
         assert rows[1]["f1"] == 0.0 and not rows[1]["f1_defined"]
         assert rows[1]["er"] == 0.0 and not rows[1]["er_defined"]
@@ -215,8 +248,8 @@ class TestPerEventReport:
         rng = np.random.default_rng(5)
         ref = (rng.random((1, 300)) < 0.3).astype(float)
         pred = (rng.random((1, 300)) < 0.3).astype(float)
-        rows = ev.per_event_report(ref, pred, ["only"], hop_s=0.02)
         counts = ev.segment_counts(ref, pred, hop_s=0.02)
+        rows = training.pooled_per_event(counts, ["only"])
         assert rows[0]["f1"] == ev.f1_score(counts)
         assert rows[0]["er"] == ev.error_rate(counts)
 
@@ -224,11 +257,37 @@ class TestPerEventReport:
         ref = np.zeros((1, 100))
         pred = np.zeros((1, 100))
         counts = ev.segment_counts(ref, pred, hop_s=0.02)
-        rows = ev.per_event_report(ref, pred, ["quiet"], hop_s=0.02)
+        rows = training.pooled_per_event(counts, ["quiet"])
         report = ev.report_dict(counts, rows)
         assert ev.F1_UNDEFINED_FLAG in report["overall"]["flags"]
         table = ev.format_report_table(report)
         assert "quiet" in table and "overall" in table
+
+    def test_pooled_rows_match_per_clip_per_class_merge(self):
+        # several clips of different lengths (partial last segments), classes
+        # absent from every reference or prediction, fixed and calibrated
+        # policies, windows 1/3/27
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            m = int(rng.integers(1, 5))
+            names = [f"e{k}" for k in range(m)]
+            pairs = []
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(1, 260))
+                # blocky posteriors, so that events survive the median filter
+                post = np.repeat(rng.random((m, -(-n // 10))), 10, axis=1)[:, :n]
+                ref = np.repeat(rng.random((m, -(-n // 10))) < 0.4, 10, axis=1)[:, :n]
+                ref[rng.random(m) < 0.3] = False
+                post[rng.random(m) < 0.2] = 0.0
+                pairs.append((post, EventRoll(data=ref.astype(np.float64), hop_seconds=0.02)))
+            if trial % 3:
+                policy = ev.ThresholdPolicy("fixed", float(rng.choice([0.3, 0.5, 0.7])))
+            else:
+                policy = ev.ThresholdPolicy("calibrated", per_class=rng.uniform(0.1, 0.9, m))
+            window = int(rng.choice([1, 3, 27]))
+            scores = training.evaluate_student(pairs, policy, smooth_window=window)
+            rows = training.pooled_per_event(scores["counts"], names)
+            assert rows == brute_force_per_event(pairs, policy, window, names), trial
 
 
 class TestCalibrateThresholds:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from sedmtl import evaluation as ev, networks, training
 from sedmtl.data import EventRoll, FoldSplit
 from sedmtl.errors import ConfigError, DataError, DimensionError
-from sedmtl.features import LogMelSpectrogram
+from sedmtl.features import LogMelSpectrogram, compute_band_stats
 from sedmtl.training import AdamState, ClipExample, TrainConfig
 
 
@@ -243,8 +243,6 @@ class TestTrainStudent:
         policy = ev.ThresholdPolicy("fixed", 0.5)
         with pytest.raises(DataError, match="validation fold is empty"):
             training.evaluate_student([], policy)
-        with pytest.raises(DataError, match="validation fold is empty"):
-            training.pooled_per_event([], policy, ev.DEFAULT_SMOOTH_WINDOW)
 
     @pytest.mark.parametrize("mode", ["event_only", "mtl_hard", "mtl_soft"])
     def test_training_reduces_loss(self, mode):
@@ -272,11 +270,49 @@ class TestTrainStudent:
         assert teacher.params.checksum() == checksum_before
 
 
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("mode", ["teacher", "event_only"])
+    def test_nan_features_stop_training_at_their_batch(self, mode):
+        clips = sorted(synthetic_scene_examples().values(), key=lambda c: c.clip_id)
+        bad = copy.deepcopy(clips[5])
+        bad.features.data[3, 7] = np.nan
+        clips[5] = bad
+        cfg = quick_config(mode, batch_size=3)
+        # one clip per batch item, drawn in the order of the first permutation
+        order = np.random.default_rng(cfg.seed).permutation(len(clips))
+        batch = int(np.flatnonzero(order == 5)[0]) // 3 + 1
+        train = training.train_teacher if mode == "teacher" else training.train_student
+        with pytest.raises(
+            DataError, match=rf"^{mode} training stopped: loss is nan at epoch 1, batch {batch}$"
+        ):
+            train(clips, clips, cfg)
+
+
+class TestSplitIds:
+    ASSIGNMENT = {"c": 1, "a": 0, "d": 0, "b": 1}
+
+    def test_fold_minus_one_puts_every_clip_on_both_sides(self):
+        everything = ["a", "b", "c", "d"]
+        assert training.split_ids(self.ASSIGNMENT, -1) == (everything, everything)
+
+    def test_held_out_fold(self):
+        assert training.split_ids(self.ASSIGNMENT, 1) == (["a", "d"], ["b", "c"])
+
+    @pytest.mark.parametrize(
+        "assignment, fold", [(ASSIGNMENT, 2), ({"a": 0, "b": 0}, 0), ({}, -1)]
+    )
+    def test_empty_side_rejected(self, assignment, fold):
+        with pytest.raises(DataError, match=f"fold {fold} leaves an empty split"):
+            training.split_ids(assignment, fold)
+
+
 class TestStandardizeSplit:
     def test_stats_come_from_training_ids_only(self):
         examples = synthetic_scene_examples()
         train_ids = sorted(examples)[:4]
-        split = training.standardize_split(examples, train_ids)
+        split = training.standardize_split(
+            examples, compute_band_stats([examples[c].features for c in train_ids])
+        )
         stacked = np.concatenate([split[c].features.data for c in train_ids], axis=1)
         assert np.abs(stacked.mean(axis=1)).max() < 1e-9
         assert np.abs(stacked.std(axis=1) - 1.0).max() < 1e-9
@@ -313,7 +349,7 @@ class TestCrossValidation:
         base = dict(max_epochs=1, batch_size=8, chunk_len=50)
         out = training.run_cross_validation(
             examples, split, base, ["event_only"], seeds=[0],
-            eval_cfg={"event_names": ["a", "b", "c"]},
+            event_names=["a", "b", "c"],
         )
         for run in out["runs"]:
             assert [r["event"] for r in run["per_event"]] == ["a", "b", "c"]
