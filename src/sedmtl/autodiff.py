@@ -22,13 +22,18 @@ _ACTIVE_TAPE = None
 
 
 class Tensor:
-    """A dense float64 array plus an optional same-shape gradient buffer."""
+    """A dense float64 array plus an optional same-shape gradient buffer.
 
-    __slots__ = ("values", "grad")
+    A constant tensor (network input features, for example) never receives a
+    gradient, so ops skip the work of computing one for it.
+    """
 
-    def __init__(self, values):
+    __slots__ = ("values", "grad", "constant")
+
+    def __init__(self, values, constant: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
+        self.constant = constant
 
     @property
     def shape(self):
@@ -80,7 +85,10 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and visit ops in reverse execution order.
 
         Gradients accumulate into `Tensor.grad`; tensors never reached from
-        the loss keep `grad` None and their records are skipped.
+        the loss keep `grad` None and their records are skipped. An op's
+        output gradient is dropped once that op has passed it on, so only
+        the leaves (parameters and inputs) keep theirs and the gradients of
+        intermediate activations never pile up.
         """
         if loss.values.size != 1:
             raise ArgumentError(
@@ -90,6 +98,7 @@ class Tape:
         for out, backward_fn in reversed(self._records):
             if out.grad is not None:
                 backward_fn(out.grad)
+                out.grad = None
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
@@ -99,7 +108,8 @@ def _record(out: Tensor, backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    t.grad = g if t.grad is None else t.grad + g
+    if not t.constant:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grads(tensors):
@@ -161,6 +171,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, backward)
 
 
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Join equal-shape tensors along a new axis."""
+    out = Tensor(np.stack([t.values for t in tensors], axis=axis))
+
+    def backward(g):
+        for i, t in enumerate(tensors):
+            _accumulate(t, np.take(g, i, axis=axis))
+
+    return _record(out, backward)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
     out = Tensor(np.transpose(a.values, axes))
     inverse = None if axes is None else np.argsort(axes)
@@ -204,13 +225,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below zero
+    # are the two usual stable forms (NaN takes the second and stays NaN).
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -294,6 +312,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     channel-major, (Cin*9, H*W), so the forward GEMM `kmat @ cols` lands
     directly in the (Cout, H*W) output layout and the input gradient comes
     back as (Cin, 3, 3, H, W): one contiguous (H, W) plane per tap.
+
+    The backward pass rebuilds the im2col matrix from the input instead of
+    keeping it (Cin*9 times the input's size) alive on the tape, and skips
+    the input gradient when x is a constant.
     """
     xv, kv = x.values, kernel.values
     if xv.ndim != 3 or kv.ndim != 4:
@@ -312,19 +334,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             f"conv2d bias shape {bias.values.shape} does not match {c_out} channels"
         )
     _, h, w = xv.shape
-    cols = np.zeros((c_in, 3, 3, h, w))
-    for di, dj, src, dst in _taps(h, w):
-        cols[:, di, dj][dst] = xv[src]
-    cols = cols.reshape(c_in * 9, h * w)
     kmat = kv.reshape(c_out, c_in * 9)
-    outv = kmat @ cols
+    outv = kmat @ _im2col(xv)
     outv += bias.values[:, None]
     out = Tensor(outv.reshape(c_out, h, w))
 
     def backward(g):
         g2 = g.reshape(c_out, h * w)
-        _accumulate(kernel, (g2 @ cols.T).reshape(kv.shape))
+        _accumulate(kernel, (g2 @ _im2col(xv).T).reshape(kv.shape))
         _accumulate(bias, g2.sum(axis=1))
+        if x.constant:
+            return
         dcols = (kmat.T @ g2).reshape(c_in, 3, 3, h, w)
         dx = np.zeros_like(xv)
         for di, dj, src, dst in _taps(h, w):  # col2im, taps in row-major order
@@ -332,6 +352,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         _accumulate(x, dx)
 
     return _record(out, backward)
+
+
+def _im2col(xv: np.ndarray) -> np.ndarray:
+    # (Cin, H, W) -> (Cin*9, H*W), zero where a tap falls on the padding ring
+    c_in, h, w = xv.shape
+    cols = np.zeros((c_in, 3, 3, h, w))
+    for di, dj, src, dst in _taps(h, w):
+        cols[:, di, dj][dst] = xv[src]
+    return cols.reshape(c_in * 9, h * w)
 
 
 def _taps(h: int, w: int):
@@ -353,43 +382,70 @@ def _tap_span(offset: int, n: int) -> tuple[slice, slice]:
 
 def maxpool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
     """Max pool with ceil semantics: a non-divisible final window is pooled
-    over its valid extent (the input is padded with -inf only then). NaN
-    propagates to its window's output. The forward pass is an elementwise
-    maximum over the pool_h*pool_w strided views of the window blocks; the
-    gradient routes to the first (row-major) maximal element of each window,
-    whose index is computed only when the backward pass runs.
+    over its valid extent. NaN propagates to its window's output.
+
+    The pool is separable: a max over band windows (the last axis), then a
+    max over time windows of that result. Each stage is an elementwise
+    maximum over the strided views of its window blocks, padded with -inf
+    only when its axis has a partial window. The gradient routes to the
+    first row-major maximal element of each window: band-then-time, each
+    stage routing to its own first maximum, picks exactly that element.
+    Under a tape each stage keeps only a bool mask of those elements, never
+    the pooled input.
     """
     if pool_h < 1 or pool_w < 1:
         raise ArgumentError(f"pool dims must be >= 1, got {pool_h}x{pool_w}")
     xv = x.values
     if xv.ndim != 3:
         raise DimensionError(f"maxpool2d expects (C,H,W), got {xv.shape}")
-    c, h, w = xv.shape
-    out_h = -(-h // pool_h)
-    out_w = -(-w // pool_w)
-    full_h, full_w = out_h * pool_h, out_w * pool_w
-    if (full_h, full_w) == (h, w):
-        padded = xv
-    else:
-        padded = np.full((c, full_h, full_w), -np.inf)
-        padded[:, :h, :w] = xv
-    blocks = padded.reshape(c, out_h, pool_h, out_w, pool_w)
-    outv = blocks[:, :, 0, :, 0].copy()
-    for di in range(pool_h):
-        for dj in range(pool_w):
-            if di or dj:
-                np.maximum(outv, blocks[:, :, di, :, dj], out=outv)
-    out = Tensor(outv)
+    taped = _ACTIVE_TAPE is not None
+    stages = []  # (axis, input length, routing mask) per stage that pools
+    outv = xv
+    for axis, size in ((2, pool_w), (1, pool_h)):
+        if size > 1:
+            n = outv.shape[axis]
+            outv, mask = _pool_axis(outv, axis, size, taped)
+            stages.append((axis, n, mask))
+    out = Tensor(outv if stages else xv.copy())
 
     def backward(g):
-        windows = blocks.transpose(0, 1, 3, 2, 4).reshape(c, out_h, out_w, pool_h * pool_w)
-        arg = windows.argmax(axis=-1)[..., None]  # first occurrence on ties
-        dwin = np.zeros((c, out_h, out_w, pool_h * pool_w))
-        np.put_along_axis(dwin, arg, g[..., None], axis=-1)
-        dpad = dwin.reshape(c, out_h, out_w, pool_h, pool_w).transpose(0, 1, 3, 2, 4)
-        _accumulate(x, dpad.reshape(c, full_h, full_w)[:, :h, :w])
+        for axis, n, mask in reversed(stages):
+            g = _unpool_axis(g, axis, n, mask)
+        _accumulate(x, g)
 
     return _record(out, backward)
+
+
+def _pool_axis(v: np.ndarray, axis: int, size: int, taped: bool):
+    """Max over windows of `size` along `axis` (ceil semantics), plus the
+    first-maximum routing mask over the window blocks when taped."""
+    n = v.shape[axis]
+    n_out = -(-n // size)
+    if n_out * size != n:
+        padded = np.full(v.shape[:axis] + (n_out * size,) + v.shape[axis + 1 :], -np.inf)
+        padded[(slice(None),) * axis + (slice(0, n),)] = v
+        v = padded
+    blocks = v.reshape(v.shape[:axis] + (n_out, size) + v.shape[axis + 1 :])
+    lead = (slice(None),) * (axis + 1)
+    out = blocks[lead + (0,)].copy()
+    for k in range(1, size):
+        np.maximum(out, blocks[lead + (k,)], out=out)
+    if not taped:
+        return out, None
+    mask = blocks == np.expand_dims(out, axis + 1)
+    if np.count_nonzero(mask) != out.size or np.isnan(out).any():
+        # ties or NaN: keep only the first maximum (argmax: first NaN) per window
+        mask = np.zeros(blocks.shape, dtype=bool)
+        first = np.expand_dims(blocks.argmax(axis=axis + 1), axis + 1)
+        np.put_along_axis(mask, first, True, axis=axis + 1)
+    return out, mask
+
+
+def _unpool_axis(g: np.ndarray, axis: int, n: int, mask: np.ndarray) -> np.ndarray:
+    """Gradient of one pooling stage: g at each window's routed element."""
+    dblocks = np.where(mask, np.expand_dims(g, axis + 1), 0.0)
+    merged = dblocks.reshape(mask.shape[:axis] + (-1,) + mask.shape[axis + 2 :])
+    return merged[(slice(None),) * axis + (slice(0, n),)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,94 +483,107 @@ class GRUCell:
         ]
 
 
-def _gru_direction_forward(xv, cell: GRUCell):
-    n = xv.shape[0]
-    units = cell.u_update.values.shape[0]
-    # Input projections for the whole sequence in one matmul per gate.
-    xu = xv @ cell.w_update.values + cell.b_update.values
-    xr = xv @ cell.w_reset.values + cell.b_reset.values
-    xc = xv @ cell.w_cand.values + cell.b_cand.values
-    h = np.zeros(units)
-    h_prev = np.empty((n, units))
-    upd = np.empty((n, units))
-    rst = np.empty((n, units))
-    cand = np.empty((n, units))
-    hs = np.empty((n, units))
-    uu, ur, uc = cell.u_update.values, cell.u_reset.values, cell.u_cand.values
-    for t in range(n):
-        h_prev[t] = h
-        z = _sigmoid_values(xu[t] + h @ uu)
-        r = _sigmoid_values(xr[t] + h @ ur)
-        c = np.tanh(xc[t] + (r * h) @ uc)
-        h = z * h + (1.0 - z) * c
-        upd[t], rst[t], cand[t], hs[t] = z, r, c, h
-    return hs, (h_prev, upd, rst, cand)
-
-
-def _gru_direction_backward(xv, cell: GRUCell, cache, dh_out):
-    h_prev, upd, rst, cand = cache
-    n, units = dh_out.shape
-    uu, ur, uc = cell.u_update.values, cell.u_reset.values, cell.u_cand.values
-    da_u = np.empty((n, units))
-    da_r = np.empty((n, units))
-    da_c = np.empty((n, units))
-    carry = np.zeros(units)
-    for t in range(n - 1, -1, -1):
-        dh = dh_out[t] + carry
-        z, r, c, hp = upd[t], rst[t], cand[t], h_prev[t]
-        dz = dh * (hp - c)
-        dc = dh * (1.0 - z)
-        dhp = dh * z
-        ac = dc * (1.0 - c * c)
-        drh = ac @ uc.T
-        dr = drh * hp
-        dhp = dhp + drh * r
-        az = dz * z * (1.0 - z)
-        ar = dr * r * (1.0 - r)
-        dhp = dhp + az @ uu.T + ar @ ur.T
-        da_u[t], da_r[t], da_c[t] = az, ar, ac
-        carry = dhp
-    grads = {
-        "w_update": xv.T @ da_u,
-        "w_reset": xv.T @ da_r,
-        "w_cand": xv.T @ da_c,
-        "u_update": h_prev.T @ da_u,
-        "u_reset": h_prev.T @ da_r,
-        "u_cand": (rst * h_prev).T @ da_c,
-        "b_update": da_u.sum(axis=0),
-        "b_reset": da_r.sum(axis=0),
-        "b_cand": da_c.sum(axis=0),
-    }
-    dx = (
-        da_u @ cell.w_update.values.T
-        + da_r @ cell.w_reset.values.T
-        + da_c @ cell.w_cand.values.T
-    )
-    return dx, grads
-
-
 def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> Tensor:
-    """Run a GRU left-to-right and right-to-left over x (N, F) and return the
-    per-frame concatenation (N, 2*units). Initial states are zero.
+    """Run a GRU left-to-right and right-to-left over a time-major sequence
+    and return the per-frame concatenation of the two states. x is (N, B, F),
+    a batch of B sequences, giving (N, B, 2*units); a 2-D (N, F) x is a batch
+    of one and gives (N, 2*units). Initial states are zero.
+
+    Both directions advance in one time loop over a stacked (2, B, units)
+    state: step t feeds frame t to the forward cell and frame N-1-t to the
+    backward cell, and the update and reset gates share one recurrent matmul
+    against [U_update | U_reset].
     """
     xv = x.values
-    if xv.ndim != 2 or xv.shape[0] < 1:
-        raise ArgumentError(f"bigru expects a non-empty (N,F) sequence, got {xv.shape}")
-    hs_f, cache_f = _gru_direction_forward(xv, forward_cell)
-    xv_rev = xv[::-1]
-    hs_b, cache_b = _gru_direction_forward(xv_rev, backward_cell)
-    out = Tensor(np.concatenate([hs_f, hs_b[::-1]], axis=1))
+    if xv.ndim not in (2, 3) or xv.shape[0] < 1:
+        raise ArgumentError(
+            f"bigru expects a non-empty (N,F) or (N,B,F) sequence, got {xv.shape}"
+        )
+    seq = xv[:, None, :] if xv.ndim == 2 else xv
+    n, b, f = seq.shape
+    cells = (forward_cell, backward_cell)
+    units = forward_cell.u_update.values.shape[0]
+    # Each direction's rows in its own time order, and its input projections
+    # for the whole sequence in one matmul: (N, direction, B, 3*units).
+    rows = (seq.reshape(n * b, f), seq[::-1].reshape(n * b, f))
+    proj = np.empty((n, 2, b, 3 * units))
+    for d, cell in enumerate(cells):
+        w = np.concatenate([cell.w_update.values, cell.w_reset.values, cell.w_cand.values], 1)
+        bias = np.concatenate([cell.b_update.values, cell.b_reset.values, cell.b_cand.values])
+        proj[:, d] = (rows[d] @ w + bias).reshape(n, b, 3 * units)
+    u_gates = np.stack(
+        [np.concatenate([c.u_update.values, c.u_reset.values], axis=1) for c in cells]
+    )
+    u_cand = np.stack([c.u_cand.values for c in cells])
+    h = np.zeros((2, b, units))
+    h_prev = np.empty((n, 2, b, units))
+    gates = np.empty((n, 2, b, 2 * units))  # update | reset
+    cand = np.empty((n, 2, b, units))
+    hs = np.empty((n, 2, b, units))
+    for t in range(n):
+        h_prev[t] = h
+        zr = _sigmoid_values(proj[t, ..., : 2 * units] + np.matmul(h, u_gates))
+        z, r = zr[..., :units], zr[..., units:]
+        c = np.tanh(proj[t, ..., 2 * units :] + np.matmul(r * h, u_cand))
+        h = z * h + (1.0 - z) * c
+        gates[t], cand[t], hs[t] = zr, c, h
+    outv = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
+    out = Tensor(outv.reshape(xv.shape[:-1] + (2 * units,)))
 
     def backward(g):
-        units = hs_f.shape[1]
-        dx_f, grads_f = _gru_direction_backward(xv, forward_cell, cache_f, g[:, :units])
-        dx_b, grads_b = _gru_direction_backward(
-            xv_rev, backward_cell, cache_b, g[::-1, units:]
+        g = g.reshape(n, b, 2 * units)
+        dh_out = np.empty((n, 2, b, units))
+        dh_out[:, 0] = g[..., :units]
+        dh_out[:, 1] = g[::-1, :, units:]
+        uu_t, ur_t, uc_t = (
+            np.stack([getattr(c, name).values for c in cells]).transpose(0, 2, 1)
+            for name in ("u_update", "u_reset", "u_cand")
         )
-        _accumulate(x, dx_f + dx_b[::-1])
-        for cell, grads in ((forward_cell, grads_f), (backward_cell, grads_b)):
+        da = np.empty((n, 2, b, 3 * units))  # pre-activation grads: update | reset | cand
+        carry = np.zeros((2, b, units))
+        for t in range(n - 1, -1, -1):
+            dh = dh_out[t] + carry
+            z, r = gates[t, ..., :units], gates[t, ..., units:]
+            c, hp = cand[t], h_prev[t]
+            dz = dh * (hp - c)
+            dc = dh * (1.0 - z)
+            dhp = dh * z
+            ac = dc * (1.0 - c * c)
+            drh = np.matmul(ac, uc_t)
+            dr = drh * hp
+            dhp = dhp + drh * r
+            az = dz * z * (1.0 - z)
+            ar = dr * r * (1.0 - r)
+            dhp = dhp + np.matmul(az, uu_t) + np.matmul(ar, ur_t)
+            da[t, ..., :units], da[t, ..., units : 2 * units], da[t, ..., 2 * units :] = az, ar, ac
+            carry = dhp
+        dx = []
+        for d, cell in enumerate(cells):
+            a = da[:, d].reshape(n * b, 3 * units)
+            a_u, a_r, a_c = a[:, :units], a[:, units : 2 * units], a[:, 2 * units :]
+            hp = h_prev[:, d].reshape(n * b, units)
+            rh = (gates[:, d, :, units:] * h_prev[:, d]).reshape(n * b, units)
+            grads = {
+                "w_update": rows[d].T @ a_u,
+                "w_reset": rows[d].T @ a_r,
+                "w_cand": rows[d].T @ a_c,
+                "u_update": hp.T @ a_u,
+                "u_reset": hp.T @ a_r,
+                "u_cand": rh.T @ a_c,
+                "b_update": a_u.sum(axis=0),
+                "b_reset": a_r.sum(axis=0),
+                "b_cand": a_c.sum(axis=0),
+            }
             for name, gv in grads.items():
                 _accumulate(getattr(cell, name), gv)
+            dx.append(
+                (
+                    a_u @ cell.w_update.values.T
+                    + a_r @ cell.w_reset.values.T
+                    + a_c @ cell.w_cand.values.T
+                ).reshape(n, b, f)
+            )
+        _accumulate(x, (dx[0] + dx[1][::-1]).reshape(xv.shape))
 
     return _record(out, backward)
 

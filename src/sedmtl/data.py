@@ -36,12 +36,6 @@ class Vocabulary:
     def n_events(self) -> int:
         return len(self.events)
 
-    def scene_index(self, name: str) -> int:
-        try:
-            return self.scenes.index(name)
-        except ValueError:
-            raise VocabularyError(f"unknown scene name {name!r}") from None
-
     def event_index(self, name: str) -> int:
         try:
             return self.events.index(name)
@@ -166,21 +160,6 @@ def count_clipped_events(events, n_frames: int, hop_seconds: float) -> int:
     """How many annotations extend past the last frame center."""
     clip_end = (n_frames - 1 + 0.5) * hop_seconds
     return sum(1 for _, offset, _ in events if offset > clip_end)
-
-
-def roll_to_intervals(roll: EventRoll) -> list:
-    """Maximal runs of active frames mapped back to (onset, offset, class)."""
-    intervals = []
-    hop = roll.hop_seconds
-    for cls in range(roll.data.shape[0]):
-        row = roll.data[cls]
-        padded = np.concatenate([[0.0], row, [0.0]])
-        starts = np.flatnonzero((padded[1:-1] == 1.0) & (padded[:-2] == 0.0))
-        ends = np.flatnonzero((padded[1:-1] == 1.0) & (padded[2:] == 0.0))
-        for n0, n1 in zip(starts, ends):
-            intervals.append((n0 * hop, (n1 + 1) * hop, cls))
-    intervals.sort(key=lambda e: (e[0], e[2]))
-    return intervals
 
 
 def make_folds(records, n_folds: int = 4, seed: int = 0) -> FoldSplit:

@@ -130,27 +130,3 @@ def generate_fixture(
         clip_seconds=clip_seconds,
     )
 
-
-def load_fixture_examples(info: FixtureInfo) -> dict:
-    """Extract features and build rolls for every fixture clip, through the
-    same parsing and feature code the pipeline uses."""
-    from .data import events_to_roll, parse_event_annotations
-    from .features import log_mel_energy, read_wav
-    from .training import ClipExample
-
-    examples = {}
-    for clip in info.clips:
-        waveform = read_wav(clip.audio_path)
-        feats = log_mel_energy(waveform, clip_id=clip.clip_id)
-        events = parse_event_annotations(
-            Path(clip.annotation_path).read_text(encoding="utf-8"),
-            clip.clip_id,
-            info.vocabulary,
-        )
-        roll = events_to_roll(
-            events, feats.n_frames, feats.hop_seconds, info.vocabulary.n_events
-        )
-        examples[clip.clip_id] = ClipExample(
-            clip_id=clip.clip_id, features=feats, scene=clip.scene, roll=roll
-        )
-    return examples

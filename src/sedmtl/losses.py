@@ -50,24 +50,27 @@ class SceneTarget:
 
 def event_loss(logits: Tensor, roll: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     """Summed sigmoid cross-entropy between (M, N) event logits and a binary
-    activity roll, restricted to frames where mask is nonzero.
+    activity roll, restricted to frames where mask (N,) is nonzero. A batch
+    of B chunks passes (B, M, N) logits and rolls with a (B, N) mask.
 
     Computed in the logit form max(y,0) - y*z + log(1 + exp(-|y|)), which is
     exact and never overflows.
     """
     y = logits.values
     roll = np.asarray(roll, dtype=np.float64)
-    if roll.shape != y.shape:
+    if y.ndim not in (2, 3) or roll.shape != y.shape:
         raise DimensionError(
             f"event roll shape {roll.shape} does not match logits {y.shape}"
         )
+    frames = y.shape[:-2] + y.shape[-1:]
     if mask is None:
-        mask = np.ones(y.shape[1])
+        mask = np.ones(frames)
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (y.shape[1],):
+    if mask.shape != frames:
         raise DimensionError(
-            f"mask shape {mask.shape} does not match {y.shape[1]} frames"
+            f"mask shape {mask.shape} does not match logits {y.shape}, expected {frames}"
         )
+    mask = np.expand_dims(mask, -2)  # broadcast over the M classes
     cell = np.maximum(y, 0.0) - y * roll + np.log1p(np.exp(-np.abs(y)))
     out = Tensor((cell * mask).sum())
 

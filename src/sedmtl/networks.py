@@ -3,14 +3,20 @@
 Both nets consume a 64-band log mel matrix, internally laid out as
 (channels, time, band) so pooling sizes read as time x band:
 
-  teacher:  3x [conv 3x3 (128 ch) -> ReLU -> maxpool 8x8 / 4x4 / 2x2],
+  teacher:  3x [conv 3x3 (128 ch) -> maxpool 8x8 / 4x4 / 2x2 -> ReLU],
             mean over residual time, dense -> C scene logits
-  student:  shared trunk 3x [conv 3x3 (128 ch) -> ReLU -> maxpool 1x8 / 1x4
-            / 1x2] keeps all N frames and collapses the band axis;
-            scene head: 2x [conv 3x3 (64, 16 ch) -> ReLU -> maxpool 10x1 /
-            5x1], mean over residual time, dense -> C;
+  student:  shared trunk 3x [conv 3x3 (128 ch) -> maxpool 1x8 / 1x4 / 1x2
+            -> ReLU] keeps all N frames and collapses the band axis;
+            scene head: 2x [conv 3x3 (64, 16 ch) -> maxpool 10x1 / 5x1 ->
+            ReLU], mean over residual time, dense -> C;
             event head: BiGRU (32 units per direction) -> dense 32 (ReLU)
             -> dense -> M logits per frame.
+
+Pooling before the ReLU is exact: ReLU is monotone, so relu(maxpool(x)) ==
+maxpool(relu(x)) value for value, and the gradient reaches the same element
+of each window; the ReLU then runs on the pooled, smaller array. A training
+mini-batch of equal-length chunks runs the trunk and scene head per chunk and
+the BiGRU and event head once, time-major over the whole batch.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -65,9 +71,6 @@ class ModelParams:
 
     def items(self):
         return self._params.items()
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def blob(self) -> bytes:
         parts = [
@@ -164,12 +167,12 @@ def _features_to_input(features) -> Tensor:
         raise DimensionError(
             f"expected a ({N_BANDS}, N) feature matrix, got shape {data.shape}"
         )
-    # (bands, time) -> (1 channel, time, band)
-    return ad.tensor(data.T[None, :, :])
+    # (bands, time) -> (1 channel, time, band); nothing needs its gradient
+    return Tensor(data.T[None, :, :], constant=True)
 
 def _conv_block(x: Tensor, params: ModelParams, name, pool) -> Tensor:
-    x = ad.relu(ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"]))
-    return ad.maxpool2d(x, pool[0], pool[1])
+    x = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
+    return ad.relu(ad.maxpool2d(x, pool[0], pool[1]))
 
 def _collapse_to_vector(x: Tensor) -> Tensor:
     # (C, T', 1) -> mean over residual time -> (C,)
@@ -190,22 +193,36 @@ def student_trunk(params: ModelParams, features) -> Tensor:
         x = _conv_block(x, params, f"trunk{i + 1}", pool)
     return x  # (128, N, 1)
 
-def student_forward(params: ModelParams, features) -> tuple[Tensor, Tensor]:
-    """Event logits (M, N) and scene logits (C,) for one clip or chunk."""
-    trunk = student_trunk(params, features)
-
+def _scene_head(params: ModelParams, trunk: Tensor) -> Tensor:
     scene = trunk
     for i, pool in enumerate(SCENE_POOLS):
         scene = _conv_block(scene, params, f"scene{i + 1}", pool)
     scene_vec = _collapse_to_vector(scene)
-    scene_logits = ad.dense(scene_vec, params["scene_out.weight"], params["scene_out.bias"])
+    return ad.dense(scene_vec, params["scene_out.weight"], params["scene_out.bias"])
 
-    c, n, _ = trunk.shape
-    sequence = ad.transpose(ad.reshape(trunk, (c, n)), (1, 0))  # (N, 128)
+def student_forward(params: ModelParams, features):
+    """Event logits (M, N) and scene logits (C,) for one clip or chunk.
+
+    Given a list of B equal-length feature matrices (a mini-batch of
+    chunks), returns event logits (B, M, N) and a list of B scene logit
+    vectors: the convolutional trunk and scene head run per chunk, the BiGRU
+    and the dense event head once over the whole batch.
+    """
+    batch = isinstance(features, list)
+    trunks = [student_trunk(params, f) for f in (features if batch else [features])]
+    scene_logits = [_scene_head(params, trunk) for trunk in trunks]
+
+    c, n, _ = trunks[0].shape
+    # (128, N, 1) per chunk -> time-major (N, B, 128)
+    sequence = ad.stack([ad.transpose(ad.reshape(t, (c, n)), (1, 0)) for t in trunks], axis=1)
     hidden = ad.bigru_forward(sequence, _gru_cell(params, "gru.fwd"), _gru_cell(params, "gru.bwd"))
+    hidden = ad.reshape(hidden, (n * len(trunks), -1))
     hidden = ad.relu(ad.dense(hidden, params["event_hidden.weight"], params["event_hidden.bias"]))
     frame_logits = ad.dense(hidden, params["event_out.weight"], params["event_out.bias"])
-    return ad.transpose(frame_logits, (1, 0)), scene_logits
+    event_logits = ad.transpose(ad.reshape(frame_logits, (n, len(trunks), -1)), (1, 2, 0))
+    if batch:
+        return event_logits, scene_logits
+    return ad.reshape(event_logits, event_logits.shape[1:]), scene_logits[0]
 
 def save_checkpoint(path, params: ModelParams, meta: dict):
     """JSON header (meta + parameter manifest) followed by the value blob."""

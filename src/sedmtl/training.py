@@ -14,8 +14,15 @@ generators, but a multi-threaded BLAS may split matrix products differently
 for another thread count, so checkpoints are bit-identical only across runs
 with the same count (e.g. OPENBLAS_NUM_THREADS=1). Cross-validation fans runs
 out per (fold, seed).
+
+The student records one autodiff tape per mini-batch: its chunks share one
+length, so a single forward and backward covers the batch, with the scene
+losses still taken per chunk. The teacher records one tape per clip, because
+its clips may differ in length. A loss or gradient that is not finite stops
+training before the optimizer step, naming the epoch, batch and parameter.
 """
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -193,12 +200,22 @@ class TrainResult:
     best_metric: float
 
 
-def _mean_grads(params: networks.ModelParams, batch_len: int) -> dict:
-    return {
-        name: t.grad / batch_len
-        for name, t in params.items()
-        if t.grad is not None
-    }
+def _mean_grads(
+    params: networks.ModelParams, batch_len: int, mode: str, epoch: int, batch: int
+) -> dict:
+    """Batch-mean gradients; a non-finite one stops training and names its
+    parameter, before the optimizer can spread it into every weight."""
+    grads = {}
+    for name, t in params.items():
+        if t.grad is None:
+            continue
+        if not np.isfinite(t.grad).all():
+            raise DataError(
+                f"{mode} training stopped: gradient of {name} is not finite "
+                f"at epoch {epoch}, batch {batch}"
+            )
+        grads[name] = t.grad / batch_len
+    return grads
 
 
 def _early_stop_loop(config, run_epoch, eval_metric, params):
@@ -269,17 +286,19 @@ def train_teacher(
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [order_pool[i] for i in order[start : start + config.batch_size]]
+            number = start // config.batch_size + 1
             ad.zero_grads(params.tensors())
-            for clip in batch:
+            for clip in batch:  # clips differ in length: one tape each
                 with ad.Tape() as tape:
                     logits = networks.teacher_forward(params, clip.features)
                     loss = losses.scene_hard_loss(
                         logits, SceneTarget.one_hot(clip.scene, n_scenes)
                     )
-                _check_finite(loss.item(), config.mode, epoch, start // config.batch_size + 1)
+                _check_finite(loss.item(), config.mode, epoch, number)
                 tape.backward(loss)
                 total += loss.item()
-            adam_step(params, _mean_grads(params, len(batch)), state, config.learning_rate)
+            grads = _mean_grads(params, len(batch), config.mode, epoch, number)
+            adam_step(params, grads, state, config.learning_rate)
         ad.zero_grads(params.tensors())
         return {"scene_hard": total / len(order_pool)}
 
@@ -395,31 +414,41 @@ def train_student(
         unit_total = 0
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start : start + config.batch_size]]
+            chunks = [chunk for chunk, _ in batch]
+            number = start // config.batch_size + 1
             ad.zero_grads(params.tensors())
-            for chunk, clip in batch:
-                with ad.Tape() as tape:
-                    event_logits, scene_logits = networks.student_forward(
-                        params, chunk.features
-                    )
-                    e1 = losses.event_loss(event_logits, chunk.roll, chunk.mask)
-                    if config.mode == "event_only":
-                        loss = e1
-                    elif config.mode == "mtl_hard":
-                        term = losses.scene_hard_loss(
-                            scene_logits, SceneTarget.one_hot(clip.scene, n_scenes)
-                        )
-                        loss = losses.mtl_objective(e1, term, config.alpha)
-                    else:
-                        term = losses.soft_scene_loss(
-                            scene_logits, soft_labels[clip.clip_id], config.temperature
-                        )
-                        loss = losses.proposed_objective(e1, term, config.beta)
-                _check_finite(loss.item(), config.mode, epoch, start // config.batch_size + 1)
-                tape.backward(loss)
-                event_total += e1.item()
-                scene_total += loss.item() - e1.item()
-                unit_total += n_events * int(chunk.mask.sum())
-            adam_step(params, _mean_grads(params, len(batch)), state, config.learning_rate)
+            with ad.Tape() as tape:  # one tape for the whole mini-batch
+                event_logits, scene_logits = networks.student_forward(
+                    params, [chunk.features for chunk in chunks]
+                )
+                event = losses.event_loss(
+                    event_logits,
+                    np.stack([chunk.roll for chunk in chunks]),
+                    np.stack([chunk.mask for chunk in chunks]),
+                )
+                if config.mode == "event_only":
+                    loss = event
+                elif config.mode == "mtl_hard":
+                    terms = [
+                        losses.scene_hard_loss(s, SceneTarget.one_hot(clip.scene, n_scenes))
+                        for s, (_, clip) in zip(scene_logits, batch)
+                    ]
+                    scene = functools.reduce(ad.add, terms)
+                    loss = losses.mtl_objective(event, scene, config.alpha)
+                else:
+                    terms = [
+                        losses.soft_scene_loss(s, soft_labels[clip.clip_id], config.temperature)
+                        for s, (_, clip) in zip(scene_logits, batch)
+                    ]
+                    scene = functools.reduce(ad.add, terms)
+                    loss = losses.proposed_objective(event, scene, config.beta)
+            _check_finite(loss.item(), config.mode, epoch, number)
+            tape.backward(loss)
+            event_total += event.item()
+            scene_total += loss.item() - event.item()
+            unit_total += sum(n_events * int(chunk.mask.sum()) for chunk in chunks)
+            grads = _mean_grads(params, len(batch), config.mode, epoch, number)
+            adam_step(params, grads, state, config.learning_rate)
         ad.zero_grads(params.tensors())
         return {
             "event": event_total / len(items),
@@ -577,6 +606,13 @@ def run_cross_validation(
     """
     eval_cfg = eval_cfg or {}
     validate_eval_config(eval_cfg)
+    folds = set(fold_split.assignment.values())
+    expected = set(range(fold_split.n_folds))
+    if folds != expected:
+        last = fold_split.n_folds - 1
+        problems = [f"fold {f} has no clips" for f in sorted(expected - folds)]
+        problems += [f"fold {f} is outside 0..{last}" for f in sorted(folds - expected)]
+        raise DataError(f"cross-validation folds must be 0..{last}: " + ", ".join(problems))
     for mode in modes:
         if mode not in ("event_only", "mtl_hard", "mtl_soft"):
             raise ConfigError(f"cross-validation cannot run mode {mode!r}")

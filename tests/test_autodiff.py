@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -46,7 +49,7 @@ def brute_force_conv2d_backward(x, kernel, g):
 
 def brute_force_maxpool2d_grad(x, pool_h, pool_w, g):
     """Route each window's gradient to its first row-major maximum over the
-    window's valid extent."""
+    window's valid extent; NaN counts as the largest value."""
     c, h, w = x.shape
     dx = np.zeros_like(x)
     for ch in range(c):
@@ -55,7 +58,8 @@ def brute_force_maxpool2d_grad(x, pool_h, pool_w, g):
                 best = None
                 for i in range(oi * pool_h, min(h, (oi + 1) * pool_h)):
                     for j in range(oj * pool_w, min(w, (oj + 1) * pool_w)):
-                        if best is None or x[ch, i, j] > x[ch, best[0], best[1]]:
+                        v, top = x[ch, i, j], None if best is None else x[ch, best[0], best[1]]
+                        if best is None or v > top or (np.isnan(v) and not np.isnan(top)):
                             best = (i, j)
                 dx[ch, best[0], best[1]] += g[ch, oi, oj]
     return dx
@@ -165,6 +169,19 @@ class TestConv2d:
         assert_allclose(k.grad, dk, rtol=0, atol=1e-12)
         assert_allclose(b.grad, db, rtol=0, atol=1e-12)
 
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(19)
+        x = ad.Tensor(rng.normal(size=(2, 4, 5)), constant=True)
+        k = ad.tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = ad.tensor(rng.normal(size=3))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.conv2d(x, k, b))
+        tape.backward(loss)
+        assert x.grad is None
+        _, dk, db = brute_force_conv2d_backward(x.values, k.values, np.ones((3, 4, 5)))
+        assert_allclose(k.grad, dk, rtol=0, atol=1e-12)
+        assert_allclose(b.grad, db, rtol=0, atol=1e-12)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x = ad.tensor(rng.normal(size=(2, 4, 5)))
@@ -218,6 +235,40 @@ class TestMaxPool2d:
                 loss = ad.sum_all(ad.mul(ad.maxpool2d(x, 2, 3), ad.tensor(g)))
             tape.backward(loss)
             assert_allclose(x.grad, brute_force_maxpool2d_grad(vals, 2, 3, g), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("values", ["distinct", "ties", "nan"])
+    @pytest.mark.parametrize(
+        "shape, pool", [((3, 4, 16), (1, 8)), ((2, 13, 16), (8, 8)), ((2, 11, 13), (8, 8))]
+    )
+    def test_separable_routing_matches_brute_force(self, shape, pool, values):
+        # 1x8 is the trunk's band pool; 8x8 with 13 or 11 rows (and 13 bands)
+        # has partial windows; "ties" draws from {0, 1, 2}, "nan" adds NaNs
+        rng = np.random.default_rng(20)
+        if values == "distinct":
+            vals = rng.normal(size=shape)
+        else:
+            vals = rng.integers(0, 3, size=shape).astype(float)
+        if values == "nan":
+            vals.reshape(-1)[rng.choice(vals.size, 6, replace=False)] = np.nan
+        x = ad.tensor(vals)
+        with ad.Tape() as tape:
+            pooled = ad.maxpool2d(x, *pool)
+            g = rng.normal(size=pooled.shape)
+            loss = ad.sum_all(ad.mul(pooled, ad.tensor(g)))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, brute_force_maxpool2d_grad(vals, *pool, g))
+
+    def test_taped_pool_does_not_keep_its_input(self):
+        x = ad.tensor(np.random.default_rng(21).normal(size=(2, 6, 16)))
+        alive = weakref.ref(x.values)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.maxpool2d(x, 2, 8))
+        x.values = None
+        gc.collect()
+        assert alive() is None
+        tape.backward(loss)
+        assert x.grad.shape == (2, 6, 16)
+        assert x.grad.sum() == 2 * 3 * 2  # one routed 1.0 per window
 
     def test_forward_identical_with_and_without_tape(self):
         x = ad.tensor(np.random.default_rng(10).normal(size=(3, 9, 10)))
@@ -358,6 +409,49 @@ class TestBiGRU:
 
         report = ad.grad_check(fn, inputs)
         assert report.max_rel_err < 1e-4
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(23)
+        cell_f = random_gru_cell(rng, 2, 2)
+        cell_b = random_gru_cell(rng, 2, 2)
+        x = ad.tensor(rng.normal(size=(3, 2, 2)))  # (N, B, F)
+        inputs = [x] + cell_f.tensors() + cell_b.tensors()
+
+        def fn(xt, *weights):
+            return ad.bigru_forward(xt, cell_f, cell_b)
+
+        report = ad.grad_check(fn, inputs)
+        assert report.max_rel_err < 1e-4
+
+    def test_batch_of_one_is_bit_identical(self):
+        rng = np.random.default_rng(24)
+        cell_f = random_gru_cell(rng, 5, 4)
+        cell_b = random_gru_cell(rng, 5, 4)
+        x = rng.normal(size=(9, 5))
+        single = ad.bigru_forward(ad.tensor(x), cell_f, cell_b).values
+        batched = ad.bigru_forward(ad.tensor(x[:, None, :]), cell_f, cell_b).values
+        assert batched.shape == (9, 1, 8)
+        assert batched[:, 0].tobytes() == single.tobytes()
+
+    def test_batch_columns_match_single_sequences(self):
+        rng = np.random.default_rng(25)
+        cell_f = random_gru_cell(rng, 3, 4)
+        cell_b = random_gru_cell(rng, 3, 4)
+        x = rng.normal(size=(6, 3, 3))
+        batched = ad.bigru_forward(ad.tensor(x), cell_f, cell_b).values
+        assert batched.shape == (6, 3, 8)
+        for i in range(3):
+            single = ad.bigru_forward(ad.tensor(x[:, i]), cell_f, cell_b).values
+            assert_allclose(batched[:, i], single, rtol=0, atol=1e-13)
+
+
+class TestStack:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(26)
+        a = ad.tensor(rng.normal(size=(3, 2)))
+        b = ad.tensor(rng.normal(size=(3, 2)))
+        report = ad.grad_check(lambda s, t: ad.stack([s, t], axis=1), [a, b])
+        assert report.max_rel_err < 1e-6
 
 
 class TestDense:

@@ -466,6 +466,28 @@ class TestCrossValidation:
         assert "paths.manifest does not exist" in err
         assert not (tmp_path / "cv").exists()
 
+    def test_fold_gap_rejected_before_training(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train_student", no_training)
+        monkeypatch.setattr(training, "train_teacher", no_training)
+        entries = read_manifest(fixture_dataset["manifest"])
+        for entry in entries.values():  # folds {0, 1} become {0, 2}
+            entry["fold"] *= 2
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["paths"]["manifest"] = str(manifest)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cross-validation folds must be 0..2: fold 1 has no clips\n"
+        assert not (tmp_path / "cv").exists()
+
     def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys):
         doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
         doc["paths"]["features_dir"] = str(nan_features_dir(fixture_dataset, tmp_path / "f"))

@@ -12,6 +12,20 @@ VOCAB = Vocabulary(
 )
 
 
+def roll_to_intervals(roll: EventRoll) -> list:
+    """Maximal runs of active frames mapped back to (onset, offset, class)."""
+    intervals = []
+    hop = roll.hop_seconds
+    for cls in range(roll.data.shape[0]):
+        padded = np.concatenate([[0.0], roll.data[cls], [0.0]])
+        starts = np.flatnonzero((padded[1:-1] == 1.0) & (padded[:-2] == 0.0))
+        ends = np.flatnonzero((padded[1:-1] == 1.0) & (padded[2:] == 0.0))
+        for n0, n1 in zip(starts, ends):
+            intervals.append((n0 * hop, (n1 + 1) * hop, cls))
+    intervals.sort(key=lambda e: (e[0], e[2]))
+    return intervals
+
+
 class TestParseMetadata:
     def test_scene_resolution(self):
         records = data.parse_metadata("audio/a.wav\thome\n", VOCAB)
@@ -101,7 +115,7 @@ class TestEventsToRoll:
                 events.append((onset, onset + duration, cls))
                 cursor = onset + duration + 2 * hop  # keep runs separated
             roll = data.events_to_roll(events, n, hop, 3)
-            recovered = data.roll_to_intervals(roll)
+            recovered = roll_to_intervals(roll)
             assert len(recovered) == len(events)
             for (a0, a1, c0), (b0, b1, c1) in zip(sorted(events), recovered):
                 assert c0 == c1

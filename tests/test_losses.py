@@ -62,6 +62,25 @@ class TestEventLoss:
         report = ad.grad_check(lambda t: losses.event_loss(t, roll, mask), [logits])
         assert report.max_rel_err < 1e-6
 
+    def test_batch_is_the_sum_of_its_chunks(self):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=(2, 3, 5))
+        roll = (rng.random((2, 3, 5)) < 0.5).astype(float)
+        mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0, 0.0]])
+        batched = losses.event_loss(ad.tensor(logits), roll, mask).item()
+        chunks = [losses.event_loss(ad.tensor(logits[i]), roll[i], mask[i]) for i in range(2)]
+        assert_allclose(batched, chunks[0].item() + chunks[1].item(), rtol=1e-14)
+        with pytest.raises(DimensionError):
+            losses.event_loss(ad.tensor(logits), roll, mask[0])
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        logits = ad.tensor(rng.normal(size=(2, 3, 4)))  # (B, M, N)
+        roll = (rng.random((2, 3, 4)) < 0.5).astype(float)
+        mask = np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        report = ad.grad_check(lambda t: losses.event_loss(t, roll, mask), [logits])
+        assert report.max_rel_err < 1e-6
+
 
 class TestSceneHardLoss:
     def test_uniform_logits(self):

@@ -47,7 +47,7 @@ class TestInit:
     def test_parameter_count_deterministic(self):
         teacher = networks.init_teacher_params(4, seed=0)
         conv = 128 * 1 * 9 + 128 + 2 * (128 * 128 * 9 + 128)
-        assert teacher.n_values() == conv + 128 * 4 + 4
+        assert sum(t.size for t in teacher.tensors()) == conv + 128 * 4 + 4
 
 
 class TestTeacherForward:
@@ -84,6 +84,17 @@ class TestStudentForward:
         event_logits, scene_logits = networks.student_forward(params, random_features(57))
         assert event_logits.values.shape == (25, 57)
         assert scene_logits.values.shape == (4,)
+
+    def test_batch_shapes_and_batch_of_one_bytes(self):
+        params = networks.init_student_params(4, 5, seed=10)
+        feats = [random_features(37, seed=s) for s in range(3)]
+        event_logits, scene_logits = networks.student_forward(params, feats)
+        assert event_logits.values.shape == (3, 5, 37)
+        assert [s.values.shape for s in scene_logits] == [(4,)] * 3
+        single_event, single_scene = networks.student_forward(params, feats[1])
+        one_event, one_scene = networks.student_forward(params, [feats[1]])
+        assert one_event.values[0].tobytes() == single_event.values.tobytes()
+        assert one_scene[0].values.tobytes() == single_scene.values.tobytes()
 
     def test_scene_head_time_reduction(self):
         # 500 frames -> pool 10 -> 50 -> pool 5 -> 10 positions before the mean

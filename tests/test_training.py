@@ -1,14 +1,17 @@
 import copy
+import functools
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sedmtl import evaluation as ev, networks, training
+from sedmtl import autodiff as ad
+from sedmtl import evaluation as ev, losses, networks, training
 from sedmtl.data import EventRoll, FoldSplit
 from sedmtl.errors import ConfigError, DataError, DimensionError
 from sedmtl.features import LogMelSpectrogram, compute_band_stats
+from sedmtl.losses import SceneTarget
 from sedmtl.training import AdamState, ClipExample, TrainConfig
 
 
@@ -286,6 +289,78 @@ class TestNonFiniteLoss:
             DataError, match=rf"^{mode} training stopped: loss is nan at epoch 1, batch {batch}$"
         ):
             train(clips, clips, cfg)
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize(
+        "mode, name, poisoned_call",
+        # batch 2 starts at the 4th per-clip backward (teacher) or the 2nd
+        # per-batch backward (student) with batches of 3
+        [("teacher", "conv2.kernel", 4), ("event_only", "gru.fwd.u_cand", 2)],
+    )
+    def test_poisoned_gradient_stops_before_the_update(
+        self, monkeypatch, mode, name, poisoned_call
+    ):
+        clips = sorted(synthetic_scene_examples().values(), key=lambda c: c.clip_id)
+        init_name = "init_teacher_params" if mode == "teacher" else "init_student_params"
+        init = getattr(networks, init_name)
+        made = []
+        monkeypatch.setattr(networks, init_name, lambda *a: made.append(init(*a)) or made[-1])
+        backward = ad.Tape.backward
+        calls = []
+        before = {}
+
+        def poisoning(tape, loss):
+            backward(tape, loss)
+            calls.append(1)
+            if len(calls) == poisoned_call:
+                before.update(made[0].copy_values())
+                param = made[0][name]
+                param.grad = param.grad.copy()
+                param.grad.flat[3] = np.inf
+
+        monkeypatch.setattr(ad.Tape, "backward", poisoning)
+        train = training.train_teacher if mode == "teacher" else training.train_student
+        with pytest.raises(
+            DataError,
+            match=rf"^{mode} training stopped: gradient of {name} is not finite "
+            r"at epoch 1, batch 2$",
+        ):
+            train(clips, clips, quick_config(mode, batch_size=3))
+        after = made[0].copy_values()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
+class TestBatchedStudentStep:
+    def test_one_tape_matches_the_per_chunk_sum(self):
+        rng = np.random.default_rng(30)
+        params = networks.init_student_params(4, 3, seed=4)
+        feats = [rng.normal(size=(64, 30)) for _ in range(3)]
+        rolls = [(rng.random((3, 30)) < 0.3).astype(float) for _ in range(3)]
+        masks = [np.ones(30), np.ones(30), np.r_[np.ones(12), np.zeros(18)]]
+        scenes = [0, 3, 1]
+
+        def grads(feature_list, roll, mask, scene_ids):
+            ad.zero_grads(params.tensors())
+            with ad.Tape() as tape:
+                event, scene = networks.student_forward(params, feature_list)
+                if not isinstance(feature_list, list):
+                    scene = [scene]
+                terms = [
+                    losses.scene_hard_loss(s, SceneTarget.one_hot(c, 4))
+                    for s, c in zip(scene, scene_ids)
+                ]
+                loss = losses.mtl_objective(
+                    losses.event_loss(event, roll, mask), functools.reduce(ad.add, terms), 0.5
+                )
+            tape.backward(loss)
+            return {k: t.grad.copy() for k, t in params.items()}
+
+        batched = grads(feats, np.stack(rolls), np.stack(masks), scenes)
+        per_chunk = [grads(feats[i], rolls[i], masks[i], scenes[i : i + 1]) for i in range(3)]
+        for name, g in batched.items():
+            total = per_chunk[0][name] + per_chunk[1][name] + per_chunk[2][name]
+            assert np.abs(g - total).max() <= 1e-10 * np.abs(total).max(), name
 
 
 class TestSplitIds:
