@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,14 +70,20 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, started, elapsed):
+def _clock():
+    """A run's start: UTC wall-clock time for the record, monotonic for timing."""
+    return datetime.now(timezone.utc).isoformat(), time.monotonic()
+
+
+def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
+    elapsed = time.monotonic() - clock[1]
     manifest = {
         "command": command,
         "config": config_doc,
         "version": __version__,
         "inputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in inputs)},
         "outputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in outputs)},
-        "wall_clock": {"started_utc": started, "elapsed_s": elapsed},
+        "wall_clock": {"started_utc": clock[0], "elapsed_s": elapsed},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -211,9 +218,7 @@ def cmd_features(args) -> int:
         except (ValueError, DataError) as exc:
             _err(f"{clip_id}: {exc}")
             failures += 1
-    with open(index_path, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(index_path, index)
     print(f"feature cache in {out_dir}: {len(entries) - failures} ok, {failures} failed")
     return 1 if failures else 0
 
@@ -290,28 +295,19 @@ def _config_paths(doc, problems) -> dict:
 def _load_train_config(path):
     doc = _read_config(path)
     problems = []
-    if "train" not in doc or not isinstance(doc.get("train"), dict):
-        problems.append("missing 'train' object")
     paths = _config_paths(doc, problems)
-    config = None
-    if not problems:
-        try:
-            config = training.validate_config(doc["train"])
-        except ConfigError as exc:
-            problems.append(str(exc))
+    config = training.check_settings(training.TrainConfig, doc.get("train"), "train", problems)
     if config is not None and config.mode == "mtl_soft":
         if "soft_labels" not in paths:
             problems.append("paths.soft_labels is required for mode mtl_soft")
         elif not Path(paths["soft_labels"]).exists():
             problems.append(f"paths.soft_labels does not exist: {paths['soft_labels']}")
-    if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
+    training.fail_on(problems)
     return doc, config, paths
 
 
 def cmd_train(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    clock = _clock()
     try:
         doc, config, paths = _load_train_config(args.config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
@@ -360,17 +356,14 @@ def cmd_train(args) -> int:
         "n_bands": networks.N_BANDS,
         "seed": config.seed,
         "band_stats": _stats_to_meta(stats),
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
     networks.save_checkpoint(ckpt_path, result.params, meta)
     log_path = out_dir / f"{config.mode}_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_run_manifest(
-        out_dir, "train", doc, inputs, [ckpt_path, log_path],
-        started, time.monotonic() - t0,
-    )
+    _write_run_manifest(out_dir, "train", doc, inputs, [ckpt_path, log_path], clock)
     best = result.log[result.best_epoch - 1]["val_metrics"] if result.log else {}
     print(
         f"trained {config.mode} for {len(result.log)} epochs; "
@@ -384,8 +377,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    clock = _clock()
     try:
         params, meta = networks.load_checkpoint(args.checkpoint)
         if meta.get("kind") != "teacher":
@@ -408,7 +400,7 @@ def cmd_distill(args) -> int:
     _write_run_manifest(
         out_path.parent, "distill",
         {"temperature": args.temperature, "checkpoint": str(args.checkpoint)},
-        inputs, [out_path], started, time.monotonic() - t0,
+        inputs, [out_path], clock,
     )
     print(f"wrote soft labels for {len(labels)} clips to {out_path}")
     return 0
@@ -419,9 +411,10 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    clock = _clock()
     try:
+        flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
+        settings = training.parse_settings(training.EvalConfig, flags, "eval")
         params, meta = networks.load_checkpoint(args.checkpoint)
         if meta.get("kind") != "student":
             raise DataError(f"{args.checkpoint} is not a student checkpoint")
@@ -436,13 +429,9 @@ def cmd_eval(args) -> int:
         def pairs(clip_ids):
             return ((posteriors(c), split[c].roll) for c in clip_ids)
 
-        policy = training.eval_policy(
-            {"policy": args.policy, "threshold": args.threshold,
-             "smooth_window": args.smooth_window},
-            pairs(train_ids),
-        )
+        policy = training.eval_policy(settings, pairs(train_ids))
         scores = training.evaluate_student(
-            pairs(val_ids), policy, smooth_window=args.smooth_window
+            pairs(val_ids), policy, smooth_window=settings.smooth_window
         )
         per_event = training.pooled_per_event(scores["counts"], vocabulary.events)
     except (ValueError, DataError) as exc:
@@ -454,9 +443,9 @@ def cmd_eval(args) -> int:
     report = ev.report_dict(scores["counts"], per_event)
     report["policy"] = {
         "kind": policy.kind,
-        "threshold": args.threshold if policy.kind == "fixed" else None,
+        "threshold": settings.threshold if policy.kind == "fixed" else None,
         "per_class": list(policy.per_class) if policy.per_class is not None else None,
-        "smooth_window": args.smooth_window,
+        "smooth_window": settings.smooth_window,
         "note": "per-event ER is class-restricted (no cross-class substitutions)",
     }
     report_path = out_dir / "report.json"
@@ -466,8 +455,8 @@ def cmd_eval(args) -> int:
     inputs = [args.checkpoint, args.manifest, args.vocabulary]
     inputs += [Path(args.features) / f"{c}.sdfc" for c in sorted(entries)]
     _write_run_manifest(
-        out_dir, "eval", {"fold": args.fold, "policy": args.policy},
-        inputs, [report_path, table_path], started, time.monotonic() - t0,
+        out_dir, "eval", {"fold": args.fold, "policy": settings.policy},
+        inputs, [report_path, table_path], clock,
     )
     print(
         f"fold {args.fold}: F-score {report['overall']['f1']:.2f}% "
@@ -492,45 +481,27 @@ def _workers_from_env() -> int:
 
 
 def cmd_cv(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    t0 = time.monotonic()
+    clock = _clock()
     try:
         workers = _workers_from_env()
         doc = _read_config(args.config)
         problems = []
         paths = _config_paths(doc, problems)
-        cv = doc.get("cv", {})
-        if not isinstance(cv, dict):
-            problems.append("'cv' must be an object")
-            cv = {}
-        modes = cv.get("modes", ["event_only", "mtl_hard", "mtl_soft"])
-        seeds = cv.get("seeds", [0, 1, 2])
-        if not isinstance(seeds, list) or not seeds:
-            problems.append("cv.seeds must be a non-empty list")
-        if not isinstance(modes, list) or not modes:
-            problems.append("cv.modes must be a non-empty list")
-        if not isinstance(doc.get("train", {}), dict):
-            problems.append("'train' must be an object")
-        eval_cfg = cv.get("eval", {})
-        if not isinstance(eval_cfg, dict):
-            problems.append("cv.eval must be an object")
-        if problems:
-            raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-        base = dict(doc.get("train", {}))
-        base.pop("mode", None)
-        base.pop("seed", None)
-        base.pop("fold", None)
-        vocabulary = Vocabulary.load(paths["vocabulary"])
-        entries, examples = _load_examples(
-            paths["manifest"], vocabulary, paths["features_dir"]
+        cv = training.check_settings(training.CvConfig, doc.get("cv", {}), "cv", problems)
+        base = doc.get("train", {})
+        train = training.check_settings(
+            training.TrainConfig, base, "train", problems, fixed=training.CV_RUN_FIELDS
         )
+        training.fail_on(problems)
+        vocabulary = Vocabulary.load(paths["vocabulary"])
+        entries, examples = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
         fold_split = FoldSplit(
             assignment=_fold_assignment(entries),
             n_folds=max(e["fold"] for e in entries.values()) + 1,
         )
         out = training.run_cross_validation(
-            examples, fold_split, base, modes, seeds,
-            eval_cfg=eval_cfg, workers=workers, event_names=vocabulary.events,
+            examples, fold_split, base, cv.modes, cv.seeds,
+            eval_cfg=asdict(cv.eval), workers=workers, event_names=vocabulary.events,
         )
     except (ValueError, DataError, OSError, json.JSONDecodeError) as exc:
         _err(str(exc))
@@ -543,25 +514,19 @@ def cmd_cv(args) -> int:
     lines = [f"{'Method':<28} {'F-score':>8} {'ER':>7}  (runs)"]
     label = {
         "event_only": "CNN-BiGRU (event only)",
-        "mtl_hard": f"MTL (alpha={base.get('alpha', 0.0)})",
-        "mtl_soft": (
-            f"MTL w/ soft labels (beta={base.get('beta', 0.0)}, "
-            f"T={base.get('temperature', 1.0)})"
-        ),
+        "mtl_hard": f"MTL (alpha={train.alpha})",
+        "mtl_soft": f"MTL w/ soft labels (beta={train.beta}, T={train.temperature})",
     }
-    for mode in modes:
+    for mode in cv.modes:
         agg = out["aggregate"][mode]
         lines.append(
-            f"{label.get(mode, mode):<28} {agg['f1']:7.2f}% {agg['er']:7.3f}  ({agg['n_runs']})"
+            f"{label[mode]:<28} {agg['f1']:7.2f}% {agg['er']:7.3f}  ({agg['n_runs']})"
         )
     table = "\n".join(lines) + "\n"
     (out_dir / "cv_table.txt").write_text(table, encoding="utf-8")
     inputs = [args.config, paths["manifest"], paths["vocabulary"]]
     inputs += [Path(paths["features_dir"]) / f"{c}.sdfc" for c in sorted(entries)]
-    _write_run_manifest(
-        out_dir, "cv", doc, inputs,
-        [report_path, out_dir / "cv_table.txt"], started, time.monotonic() - t0,
-    )
+    _write_run_manifest(out_dir, "cv", doc, inputs, [report_path, out_dir / "cv_table.txt"], clock)
     print(table, end="")
     return 0
 
@@ -610,9 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocabulary", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--fold", type=int, required=True)
-    p.add_argument("--policy", choices=("fixed", "calibrated"), default="fixed")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--smooth-window", type=int, default=ev.DEFAULT_SMOOTH_WINDOW)
+    # defaults and rules are EvalConfig's, checked like a cv.eval block
+    p.add_argument("--policy", default=training.EvalConfig.policy, help="fixed or calibrated")
+    p.add_argument("--threshold", type=float, default=training.EvalConfig.threshold)
+    p.add_argument("--smooth-window", type=int, default=training.EvalConfig.smooth_window)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -11,9 +11,10 @@ Modes:
 Every run is deterministic given (config, seed, data) and the BLAS thread
 count: parameter init, batch order and the optimizer all draw from seeded
 generators, but a multi-threaded BLAS may split matrix products differently
-for another thread count, so checkpoints are bit-identical only across runs
-with the same count (e.g. OPENBLAS_NUM_THREADS=1). Cross-validation fans runs
-out per (fold, seed).
+for another thread count. The package pins one thread unless the caller set
+another (see `sedmtl/__init__.py`), so checkpoints are bit-identical on any
+machine with the same numpy/BLAS build. Cross-validation fans runs out per
+(fold, seed), one process each.
 
 The student records one autodiff tape per mini-batch: its chunks share one
 length, so a single forward and backward covers the batch, with the scene
@@ -25,7 +26,8 @@ training before the optimizer step, naming the epoch, batch and parameter.
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -38,77 +40,136 @@ from .features import BandStats, LogMelSpectrogram, compute_band_stats, standard
 from .losses import SceneTarget
 
 MODES = ("teacher", "mtl_hard", "mtl_soft", "event_only")
+STUDENT_MODES = ("event_only", "mtl_hard", "mtl_soft")
+# cv sets these per run; they stand in for them when its `train` block is checked
+CV_RUN_FIELDS = {"mode": "event_only", "seed": 0, "fold": 0}
+
+# ---------------------------------------------------------------------------
+# settings: each section is a dataclass whose fields declare the JSON type
+# (the annotation), the default and the value rule; `check_settings` reads
+# them for `train`, `cv`, `cv.eval` and the `eval` flags alike.
+
+
+def _rule(ok, text, default=MISSING):
+    """A settings field whose value must pass `ok`; `text` words the rule in
+    error messages and in the README's config reference."""
+    return field(default=default, metadata={"ok": ok, "rule": text})
 
 
 @dataclass
 class TrainConfig:
-    mode: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    temperature: float = 1.0
-    learning_rate: float = 1e-3
-    batch_size: int = 16
-    max_epochs: int = 200
-    patience: int = 20
-    seed: int = 0
-    fold: int = 0
-    chunk_len: int = 500
+    mode: str = _rule(lambda v: v in MODES, f"must be one of {MODES}")
+    alpha: float = _rule(lambda v: v >= 0, "must be >= 0", 0.0)
+    beta: float = _rule(lambda v: v >= 0, "must be >= 0", 0.0)
+    temperature: float = _rule(lambda v: v > 0, "must be > 0", 1.0)
+    learning_rate: float = _rule(lambda v: v > 0, "must be > 0", 1e-3)
+    batch_size: int = _rule(lambda v: v >= 1, "must be >= 1", 16)
+    max_epochs: int = _rule(lambda v: v >= 1, "must be >= 1", 200)
+    patience: int = _rule(lambda v: v >= 0, "must be >= 0", 20)
+    seed: int = _rule(lambda v: v >= 0, "must be >= 0", 0)
+    fold: int = _rule(
+        lambda v: v >= -1, "must be >= -1 (-1 trains and validates on all clips)", 0
+    )
+    chunk_len: int = _rule(lambda v: v >= 1, "must be >= 1", 500)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """How `eval` and `cv` turn posteriors into decisions."""
+
+    policy: str = _rule(
+        lambda v: v in ("fixed", "calibrated"), "must be 'fixed' or 'calibrated'", "fixed"
+    )
+    threshold: float = _rule(lambda v: 0 < v < 1, "must be a number in (0, 1)", 0.5)
+    smooth_window: int = _rule(
+        lambda v: v >= 1 and v % 2 == 1, "must be an odd integer >= 1",
+        ev.DEFAULT_SMOOTH_WINDOW,
+    )
+    grid: tuple[float, ...] = _rule(
+        lambda v: len(v) > 0 and all(0 < g < 1 for g in v),
+        "must be a non-empty list of numbers in (0, 1)", ev.CALIBRATION_GRID,
+    )
 
 
-_CONFIG_FIELDS = {
-    "mode": str,
-    "alpha": (int, float),
-    "beta": (int, float),
-    "temperature": (int, float),
-    "learning_rate": (int, float),
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "fold": int,
-    "chunk_len": int,
-}
+@dataclass(frozen=True)
+class CvConfig:
+    """Which student modes and seeds `cv` runs, and how it scores them."""
+
+    modes: tuple[str, ...] = _rule(
+        lambda v: len(v) > 0 and set(v) <= set(STUDENT_MODES) and len(set(v)) == len(v),
+        f"must be a non-empty list of distinct modes from {STUDENT_MODES}", STUDENT_MODES,
+    )
+    seeds: tuple[int, ...] = _rule(
+        lambda v: len(v) > 0 and min(v) >= 0 and len(set(v)) == len(v),
+        "must be a non-empty list of distinct integers >= 0", (0, 1, 2),
+    )
+    eval: EvalConfig = EvalConfig()
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value has a field's annotated type: a float field takes
+    any number, a tuple field a list; a bool is never a number."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
+    scalar = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, scalar)
+
+
+def check_settings(cls, doc, section: str, problems: list, fixed: dict | None = None):
+    """The settings dataclass `cls` built from the plain dict `doc`, or None,
+    appending every violation to `problems`. Absent fields take their
+    defaults, lists become tuples and `fixed` overrides `doc`'s fields.
+
+    A field prints as `section.name`, except in the `train` section, whose
+    fields print as 'name'.
+    """
+    if not isinstance(doc, dict):
+        problems.append(f"{section} must be an object")
+        return None
+    doc = {**doc, **(fixed or {})}
+    found = len(problems)
+    known = {f.name: f for f in fields(cls)}
+
+    def label(name):
+        return repr(name) if section == "train" else f"{section}.{name}"
+
+    problems += [f"unknown field {label(key)}" for key in doc if key not in known]
+    values = {}
+    for name, spec in known.items():
+        if name not in doc:
+            if spec.default is MISSING:
+                problems.append(f"field {label(name)} is required")
+            continue
+        value = doc[name]
+        if is_dataclass(spec.type):
+            values[name] = check_settings(spec.type, value, label(name), problems)
+        elif not _has_type(value, spec.type):
+            problems.append(f"field {label(name)} has wrong type, got {value!r}")
+        elif not spec.metadata["ok"](value):
+            problems.append(f"field {label(name)} {spec.metadata['rule']}, got {value!r}")
+        else:
+            values[name] = tuple(value) if isinstance(value, list) else value
+    return None if len(problems) > found else cls(**values)
+
+
+def fail_on(problems: list):
+    """Raise one ConfigError that lists every problem, if there are any."""
+    if problems:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
+
+
+def parse_settings(cls, doc, section: str, fixed: dict | None = None):
+    """`check_settings`, raising one ConfigError for all its violations."""
+    problems = []
+    settings = check_settings(cls, doc, section, problems, fixed)
+    fail_on(problems)
+    return settings
 
 
 def validate_config(doc: dict) -> TrainConfig:
     """Build a TrainConfig from a plain dict, reporting every violation."""
-    problems = []
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in doc:
-        if key not in _CONFIG_FIELDS:
-            problems.append(f"unknown field {key!r}")
-    for key, types in _CONFIG_FIELDS.items():
-        if key not in doc:
-            continue
-        if isinstance(doc[key], bool) or not isinstance(doc[key], types):
-            problems.append(f"field {key!r} has wrong type")
-    mode = doc.get("mode")
-    if mode is None:
-        problems.append("field 'mode' is required")
-    elif mode not in MODES:
-        problems.append(f"mode must be one of {MODES}, got {mode!r}")
-    checks = [
-        ("alpha", lambda v: v >= 0, "must be >= 0"),
-        ("beta", lambda v: v >= 0, "must be >= 0"),
-        ("temperature", lambda v: v > 0, "must be > 0"),
-        ("learning_rate", lambda v: v > 0, "must be > 0"),
-        ("batch_size", lambda v: v >= 1, "must be >= 1"),
-        ("max_epochs", lambda v: v >= 1, "must be >= 1"),
-        ("patience", lambda v: v >= 0, "must be >= 0"),
-        ("fold", lambda v: v >= -1, "must be >= -1 (-1 trains and validates on all clips)"),
-        ("chunk_len", lambda v: v >= 1, "must be >= 1"),
-    ]
-    for key, ok, why in checks:
-        value = doc.get(key)
-        if value is not None and isinstance(value, (int, float)) and not ok(value):
-            problems.append(f"field {key!r} {why}, got {value}")
-    if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-    return TrainConfig(**doc)
+    return parse_settings(TrainConfig, doc, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +258,7 @@ class TrainResult:
     params: networks.ModelParams
     log: list
     best_epoch: int
-    best_metric: float
+    val_posteriors: list | None = None  # students: the best epoch's, per val clip
 
 
 def _mean_grads(
@@ -219,15 +280,20 @@ def _mean_grads(
 
 
 def _early_stop_loop(config, run_epoch, eval_metric, params):
-    """Shared epoch loop: train, evaluate, snapshot the best, stop on patience."""
+    """Shared epoch loop: train, evaluate, snapshot the best, stop on patience.
+
+    `eval_metric` returns (name, value, extra metrics, validation posteriors);
+    the best epoch's posteriors are those of the restored parameters.
+    """
     log = []
     best_metric = -np.inf
     best_epoch = -1
     best_snapshot = params.copy_values()
+    best_posteriors = None
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
         train_losses = run_epoch(epoch)
-        metric_name, metric, extra = eval_metric()
+        metric_name, metric, extra, posteriors = eval_metric()
         record = {
             "epoch": epoch,
             "train_losses": train_losses,
@@ -238,13 +304,14 @@ def _early_stop_loop(config, run_epoch, eval_metric, params):
             best_metric = metric
             best_epoch = epoch
             best_snapshot = params.copy_values()
+            best_posteriors = posteriors
             since_best = 0
         else:
             since_best += 1
             if since_best > config.patience:
                 break
     params.set_values(best_snapshot)
-    return TrainResult(params=params, log=log, best_epoch=best_epoch, best_metric=best_metric)
+    return TrainResult(params, log, best_epoch, best_posteriors)
 
 
 def _check_finite(loss: float, mode: str, epoch: int, batch: int):
@@ -303,7 +370,7 @@ def train_teacher(
         return {"scene_hard": total / len(order_pool)}
 
     def eval_metric():
-        return "scene_accuracy", teacher_accuracy(params, val_clips), {}
+        return "scene_accuracy", teacher_accuracy(params, val_clips), {}, None
 
     return _early_stop_loop(config, run_epoch, eval_metric, params)
 
@@ -312,8 +379,6 @@ def compute_soft_labels(params: networks.ModelParams, clips, temperature: float)
     """Frozen-teacher soft label per clip: temperature softmax of its logits."""
     out = {}
     for clip in clips:
-        if clip.features is None:
-            raise DataError(f"clip {clip.clip_id!r} has no features")
         logits = networks.teacher_forward(params, clip.features).values
         out[clip.clip_id] = losses.distill_targets(logits, temperature)
     return out
@@ -350,7 +415,6 @@ def evaluate_student(
     pairs,
     policy: ev.ThresholdPolicy,
     smooth_window: int = ev.DEFAULT_SMOOTH_WINDOW,
-    segment_s: float = ev.DEFAULT_SEGMENT_S,
 ) -> dict:
     """Pool segment counts over (posteriors, roll) pairs, one per clip;
     returns f1/er plus the raw counts, whose per-class totals feed
@@ -361,9 +425,7 @@ def evaluate_student(
     counts = ev.SegmentCounts()
     for posteriors, roll in pairs:
         pred = ev.binarize(posteriors, policy, smooth_window)
-        counts = counts.merge(
-            ev.segment_counts(roll.data, pred, roll.hop_seconds, segment_s)
-        )
+        counts = counts.merge(ev.segment_counts(roll.data, pred, roll.hop_seconds))
     return {
         "f1": ev.f1_score(counts),
         "er": ev.error_rate(counts),
@@ -381,7 +443,7 @@ def train_student(
     """Minimize the mode's objective over fixed-length chunks; early stop on
     validation segment F1 at a fixed 0.5 threshold.
     """
-    if config.mode not in ("event_only", "mtl_hard", "mtl_soft"):
+    if config.mode not in STUDENT_MODES:
         raise ConfigError(f"train_student cannot run mode {config.mode!r}")
     if config.mode == "mtl_soft":
         if soft_labels is None:
@@ -458,8 +520,9 @@ def train_student(
         }
 
     def eval_metric():
-        scores = evaluate_student(posterior_pairs(params, val_clips), val_policy)
-        return "f1", scores["f1"], {"er": scores["er"]}
+        posteriors = [student_posteriors(params, clip) for clip in val_clips]
+        scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), val_policy)
+        return "f1", scores["f1"], {"er": scores["er"]}, posteriors
 
     return _early_stop_loop(config, run_epoch, eval_metric, params)
 
@@ -472,12 +535,10 @@ def _cv_single(payload):
     """Train and evaluate everything for one (fold, seed); a worker job."""
     examples, assignment, configs, fold, eval_cfg, event_names, n_scenes = payload
     train_ids, val_ids = split_ids(assignment, fold)
-    split = standardize_split(
-        examples, compute_band_stats([examples[c].features for c in train_ids])
-    )
+    stats = compute_band_stats([examples[c].features for c in train_ids])
+    split = standardize_split(examples, stats)
     train_clips = [split[c] for c in train_ids]
     val_clips = [split[c] for c in val_ids]
-    smooth = eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
 
     soft_labels = None
     results = []
@@ -492,7 +553,9 @@ def _cv_single(payload):
             n_scenes=n_scenes,
         )
         policy = eval_policy(eval_cfg, posterior_pairs(result.params, train_clips))
-        scores = evaluate_student(posterior_pairs(result.params, val_clips), policy, smooth)
+        # train_student scored the validation clips with the restored parameters
+        val_pairs = zip(result.val_posteriors, (c.roll for c in val_clips))
+        scores = evaluate_student(val_pairs, policy, eval_cfg.smooth_window)
         results.append(
             {
                 "fold": fold,
@@ -507,57 +570,17 @@ def _cv_single(payload):
     return results
 
 
-_EVAL_FIELDS = ("policy", "threshold", "smooth_window", "grid")
+def eval_policy(cfg: EvalConfig, calibration_pairs) -> ev.ThresholdPolicy:
+    """The threshold policy of an EvalConfig, shared by `eval` and `cv`.
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def validate_eval_config(doc: dict):
-    """Check a cross-validation `eval` block, reporting every violation.
-
-    Thresholds and grid points must lie strictly inside (0, 1), the range
-    `ThresholdPolicy` accepts, so that no run fails at scoring time.
+    A calibrated policy searches `cfg.grid` on the (posteriors, roll) pairs;
+    a fixed one never reads them, so lazy pairs cost no student forward.
     """
-    problems = [f"unknown field cv.eval.{key}" for key in doc if key not in _EVAL_FIELDS]
-    policy = doc.get("policy", "fixed")
-    if policy not in ("fixed", "calibrated"):
-        problems.append(f"cv.eval.policy must be 'fixed' or 'calibrated', got {policy!r}")
-    window = doc.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW)
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1 or window % 2 == 0:
-        problems.append(f"cv.eval.smooth_window must be an odd integer >= 1, got {window!r}")
-    threshold = doc.get("threshold", 0.5)
-    if not _is_number(threshold) or not 0.0 < threshold < 1.0:
-        problems.append(f"cv.eval.threshold must be a number in (0, 1), got {threshold!r}")
-    grid = doc.get("grid", list(ev.CALIBRATION_GRID))
-    if (
-        not isinstance(grid, list)
-        or not grid
-        or not all(_is_number(g) and 0.0 < g < 1.0 for g in grid)
-    ):
-        problems.append(
-            f"cv.eval.grid must be a non-empty list of numbers in (0, 1), got {grid!r}"
-        )
-    if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-
-
-def eval_policy(eval_cfg: dict, calibration_pairs) -> ev.ThresholdPolicy:
-    """The threshold policy of an eval block (`policy`, `threshold`, `grid`,
-    `smooth_window`), shared by `eval` and `cv`.
-
-    A calibrated policy searches `grid` (default `ev.CALIBRATION_GRID`) on
-    the (posteriors, roll) pairs; a fixed one never reads them, so lazy pairs
-    cost no student forward.
-    """
-    if eval_cfg.get("policy", "fixed") != "calibrated":
-        return ev.ThresholdPolicy("fixed", eval_cfg.get("threshold", 0.5))
+    if cfg.policy != "calibrated":
+        return ev.ThresholdPolicy("fixed", cfg.threshold)
     pairs = list(calibration_pairs)
     thresholds = ev.calibrate_thresholds(
-        pairs, eval_cfg.get("grid", ev.CALIBRATION_GRID),
-        smooth_window=eval_cfg.get("smooth_window", ev.DEFAULT_SMOOTH_WINDOW),
-        hop_s=pairs[0][1].hop_seconds,
+        pairs, cfg.grid, smooth_window=cfg.smooth_window, hop_s=pairs[0][1].hop_seconds
     )
     return ev.ThresholdPolicy("calibrated", per_class=thresholds)
 
@@ -600,12 +623,15 @@ def run_cross_validation(
 ) -> dict:
     """Train per (fold, seed) and aggregate mean F1/ER per mode across runs.
 
+    `modes`, `seeds` and `eval_cfg` are checked as the fields of a `cv`
+    section and `base_config` as cv's `train` block, before any training.
     `event_names` label the per-event rows of each run (default "0", "1", ...).
 
     At most min(workers, runs, CPU count) worker processes run at once.
     """
-    eval_cfg = eval_cfg or {}
-    validate_eval_config(eval_cfg)
+    eval_cfg = {} if eval_cfg is None else eval_cfg
+    cv = parse_settings(CvConfig, {"modes": modes, "seeds": seeds, "eval": eval_cfg}, "cv")
+    base = parse_settings(TrainConfig, base_config, "train", fixed=CV_RUN_FIELDS)
     folds = set(fold_split.assignment.values())
     expected = set(range(fold_split.n_folds))
     if folds != expected:
@@ -613,21 +639,15 @@ def run_cross_validation(
         problems = [f"fold {f} has no clips" for f in sorted(expected - folds)]
         problems += [f"fold {f} is outside 0..{last}" for f in sorted(folds - expected)]
         raise DataError(f"cross-validation folds must be 0..{last}: " + ", ".join(problems))
-    for mode in modes:
-        if mode not in ("event_only", "mtl_hard", "mtl_soft"):
-            raise ConfigError(f"cross-validation cannot run mode {mode!r}")
     n_scenes = max(ex.scene for ex in examples.values()) + 1
     # mtl_soft students learn from the soft labels of a teacher trained first
-    run_modes = (["teacher"] if "mtl_soft" in modes else []) + list(modes)
-    jobs = []  # every run's config is validated before any training starts
+    run_modes = (["teacher"] if "mtl_soft" in cv.modes else []) + list(cv.modes)
+    jobs = []
     for fold in range(fold_split.n_folds):
-        for seed in seeds:
-            configs = [
-                validate_config({**base_config, "mode": mode, "seed": seed, "fold": fold})
-                for mode in run_modes
-            ]
+        for seed in cv.seeds:
+            configs = [replace(base, mode=mode, seed=seed, fold=fold) for mode in run_modes]
             jobs.append(
-                (examples, fold_split.assignment, configs, fold, eval_cfg, event_names, n_scenes)
+                (examples, fold_split.assignment, configs, fold, cv.eval, event_names, n_scenes)
             )
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -641,7 +661,7 @@ def run_cross_validation(
     runs.sort(key=lambda r: (r["fold"], r["seed"], r["mode"]))
 
     aggregate = {}
-    for mode in modes:
+    for mode in cv.modes:
         mode_runs = [r for r in runs if r["mode"] == mode]
         aggregate[mode] = {
             "f1": float(np.mean([r["f1"] for r in mode_runs])),

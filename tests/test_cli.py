@@ -3,6 +3,8 @@ import json
 import os
 import platform
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,18 @@ def nan_features_dir(ds, dest):
     spec.data[10, 20] = np.nan
     write_feature_cache(dest / "home_0.sdfc", spec)
     return dest
+
+
+def refuse_to_load(monkeypatch, *extra):
+    """Make training, example loading and any `(module, name)` in `extra`
+    fail if called: a config error must stop a command before them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called after an invalid config")
+
+    targets = [(training, "train_student"), (training, "train_teacher"), (cli, "_load_examples")]
+    for module, name in targets + list(extra):
+        monkeypatch.setattr(module, name, refuse)
 
 
 def train_config_doc(ds, out_dir, mode, **train_overrides):
@@ -233,6 +247,20 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
 
+    def test_negative_seed_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        refuse_to_load(monkeypatch)
+        cfg = tmp_path / "seed.json"
+        doc = train_config_doc(fixture_dataset, tmp_path / "out", "teacher", seed=-1)
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert "field 'seed' must be >= 0, got -1" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def make_oracle_checkpoint(self, path, n_scenes, n_events, active_class):
         """Student stub whose event posteriors are 1 for one class, 0 for the
@@ -369,6 +397,34 @@ class TestEval:
         assert sorted(calls) == ids
         digest = hashlib.sha256((report_dir / "report.json").read_bytes()).hexdigest()
         assert digest == self.CALIBRATED_REPORT_SHA256
+
+
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--smooth-window", "4", "field eval.smooth_window must be an odd integer >= 1"),
+            ("--threshold", "1.5", "field eval.threshold must be a number in (0, 1), got 1.5"),
+            ("--policy", "calibratd", "field eval.policy must be 'fixed' or 'calibrated'"),
+        ],
+    )
+    def test_invalid_flag_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, flag, value, fragment
+    ):
+        refuse_to_load(monkeypatch, (networks, "load_checkpoint"))
+        assert cli.main([
+            "eval",
+            "--checkpoint", str(tmp_path / "student.ckpt"),
+            "--manifest", str(fixture_dataset["manifest"]),
+            "--vocabulary", str(fixture_dataset["vocabulary"]),
+            "--features", str(fixture_dataset["features"]),
+            "--fold", "0",
+            flag, value,
+            "--out", str(tmp_path / "report"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert fragment in err
+        assert not (tmp_path / "report").exists()
 
 
 def cv_config_doc(ds, out_dir, **train_overrides):
@@ -523,3 +579,100 @@ class TestCrossValidation:
         assert len(report["runs"]) == 2 * 3  # 2 folds x 1 seed x 3 modes
         for run in report["runs"]:
             assert len(run["per_event"]) == 5
+
+    @pytest.mark.parametrize(
+        "cv_block, fragment",
+        [
+            ({"seed": [5]}, "unknown field cv.seed"),
+            ({"seeds": [0, 0]}, "field cv.seeds must be a non-empty list of distinct integers"),
+            ({"modes": ["mtl_hard", "mtl_hard"]}, "field cv.modes must be a non-empty list"),
+            ({"seeds": [-1]}, "field cv.seeds must be a non-empty list of distinct integers >= 0"),
+            ({"modes": ["teacher"]}, "field cv.modes"),
+            ({"seeds": []}, "field cv.seeds"),
+            ({"modes": "event_only"}, "field cv.modes has wrong type"),
+            ({"eval": {"policy": "calibrated", "grid": [0.5, True]}}, "field cv.eval.grid"),
+        ],
+    )
+    def test_invalid_cv_block_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, cv_block, fragment
+    ):
+        refuse_to_load(monkeypatch)
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["cv"].update(cv_block)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert fragment in err
+        assert not (tmp_path / "cv").exists()
+
+    def test_invalid_train_block_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        refuse_to_load(monkeypatch)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(cv_config_doc(fixture_dataset, tmp_path / "cv", patience=-1)))
+        assert cli.main(["cv", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config")
+        assert "field 'patience' must be >= 0, got -1" in err
+
+    def test_fixed_policy_forwards_validation_clips_once_per_epoch(
+        self, fixture_dataset, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("SEDMTL_WORKERS", "1")
+        calls = []
+        forward = training.student_posteriors
+
+        def counting(params, clip):
+            calls.append(clip.clip_id)
+            return forward(params, clip)
+
+        monkeypatch.setattr(training, "student_posteriors", counting)
+        epochs = 2
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv", max_epochs=epochs, patience=epochs)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 0
+        # each (fold, mode) run validates its fold's clips once per epoch and
+        # scores them from the best epoch's posteriors; the folds cover every clip
+        n_clips = len(read_manifest(fixture_dataset["manifest"]))
+        assert len(calls) == len(doc["cv"]["modes"]) * epochs * n_clips
+
+
+class TestBlasThreads:
+    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def env(self, **overrides):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARIABLES}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return {**env, **overrides}
+
+    def test_unset_variables_train_the_same_bytes_as_one_thread(self, fixture_dataset, tmp_path):
+        checkpoints = []
+        for name, env in (("unset", self.env()), ("one", self.env(OPENBLAS_NUM_THREADS="1"))):
+            doc = train_config_doc(fixture_dataset, tmp_path / name, "event_only")
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            subprocess.run(
+                [sys.executable, "-m", "sedmtl.cli", "train", "--config", str(cfg)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            checkpoints.append((tmp_path / name / "event_only.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        manifest = json.loads((tmp_path / "unset" / "run_manifest.json").read_text())
+        assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["environment"]["OMP_NUM_THREADS"] == "1"
+
+    def test_a_value_the_user_set_wins(self):
+        code = (
+            "import json, os, sedmtl; "
+            f"print(json.dumps([os.environ.get(k) for k in {self.VARIABLES!r}]))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=self.env(MKL_NUM_THREADS="3"),
+            check=True, capture_output=True, text=True, timeout=60,
+        ).stdout
+        assert json.loads(out) == ["1", "1", "3"]

@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import functools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,49 @@ class TestConfigValidation:
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
             training.validate_config({"mode": "teacher", "alpha": True})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="field 'seed' must be >= 0, got -1"):
+            training.validate_config({"mode": "teacher", "seed": -1})
+
+
+class TestSettingsReference:
+    """README's config reference table against the settings dataclasses."""
+
+    def readme_rows(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Training config reference", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            match = re.fullmatch(r"\| `([\w.]+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \|", line)
+            if match:
+                name, _, rule, default = (g.strip() for g in match.groups())
+                rows[name] = (rule, default)
+        return rows
+
+    def schema_rows(self):
+        rows = {}
+        sections = [("train", TrainConfig), ("cv", training.CvConfig),
+                    ("cv.eval", training.EvalConfig)]
+        for section, cls in sections:
+            for field in dataclasses.fields(cls):
+                if field.default is dataclasses.MISSING:
+                    default = "required"
+                elif dataclasses.is_dataclass(field.default):
+                    assert field.default == type(field.default)()
+                    default = "`{}`"
+                else:
+                    default = f"`{json.dumps(field.default)}`"
+                rows[f"{section}.{field.name}"] = (field.metadata.get("rule"), default)
+        return rows
+
+    def test_names_rules_and_defaults_match(self):
+        readme, schema = self.readme_rows(), self.schema_rows()
+        assert list(readme) == list(schema)
+        for name, (rule, default) in schema.items():
+            assert readme[name][1] == default, name
+            if rule is not None:  # a nested section has no rule of its own
+                assert readme[name][0] == rule, name
 
 
 class TestAdam:
@@ -203,6 +249,15 @@ class TestTrainStudent:
     def clips(self):
         examples = synthetic_scene_examples()
         return sorted(examples.values(), key=lambda c: c.clip_id)
+
+    def test_val_posteriors_are_those_of_the_restored_parameters(self):
+        clips = self.clips()
+        result = training.train_student(clips[:5], clips[3:], quick_config("mtl_hard", alpha=0.1))
+        assert result.best_epoch < len(result.log)  # the restored epoch is not the last
+        again = [training.student_posteriors(result.params, clip) for clip in clips[3:]]
+        assert len(result.val_posteriors) == len(again)
+        for kept, fresh in zip(result.val_posteriors, again):
+            assert kept.tobytes() == fresh.tobytes()
 
     def test_event_only_equals_mtl_hard_alpha_zero(self):
         clips = self.clips()
@@ -483,3 +538,26 @@ class TestCrossValidation:
                 examples, split, base, ["event_only"], seeds=seeds, workers=64
             )
         assert sizes == [3, 2]
+
+    @pytest.mark.parametrize(
+        "modes, seeds, eval_cfg, fragment",
+        [
+            (["event_only"], [0, 0], None, "field cv.seeds"),
+            (["event_only", "event_only"], [0], None, "field cv.modes"),
+            (["event_only"], [-1], None, "field cv.seeds"),
+            (["event_only"], [0], {"smooth_window": 4}, "field cv.eval.smooth_window"),
+        ],
+    )
+    def test_invalid_settings_rejected_before_training(
+        self, monkeypatch, modes, seeds, eval_cfg, fragment
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train_student", no_training)
+        examples = synthetic_scene_examples(clips_per_scene=1)
+        split = FoldSplit(
+            assignment={c: i % 2 for i, c in enumerate(sorted(examples))}, n_folds=2
+        )
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            training.run_cross_validation(examples, split, {}, modes, seeds, eval_cfg=eval_cfg)
