@@ -305,13 +305,16 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded 3x3 cross-correlation.
+    """Same-padded 3x3 cross-correlation over band-major activations.
 
-    x is (Cin, H, W), kernel (Cout, Cin, 3, 3), bias (Cout,); the output is
-    (Cout, H, W) with one ring of zero padding. The im2col matrix is built
-    channel-major, (Cin*9, H*W), so the forward GEMM `kmat @ cols` lands
-    directly in the (Cout, H*W) output layout and the input gradient comes
-    back as (Cin, 3, 3, H, W): one contiguous (H, W) plane per tap.
+    x is (Cin, bands, frames), kernel (Cout, Cin, 3 frame taps, 3 band taps),
+    bias (Cout,); the output is (Cout, bands, frames) with one ring of zero
+    padding. The frame axis is the contiguous one, so each tap copy moves
+    whole runs of frames. The im2col matrix is built channel-major,
+    (Cin*9, bands*frames) with rows in (cin, frame tap, band tap) order, so
+    the forward GEMM `kmat @ cols` lands directly in the (Cout, bands*frames)
+    output layout and the input gradient comes back as
+    (Cin, 3, 3, bands, frames): one contiguous plane per tap.
 
     The backward pass rebuilds the im2col matrix from the input instead of
     keeping it (Cin*9 times the input's size) alive on the tape, and skips
@@ -320,7 +323,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     xv, kv = x.values, kernel.values
     if xv.ndim != 3 or kv.ndim != 4:
         raise DimensionError(
-            f"conv2d expects (Cin,H,W) and (Cout,Cin,3,3), got {xv.shape} and {kv.shape}"
+            f"conv2d expects (Cin,bands,frames) and (Cout,Cin,3,3), got {xv.shape} and {kv.shape}"
         )
     c_out, c_in, kh, kw = kv.shape
     if (kh, kw) != (3, 3):
@@ -333,46 +336,48 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"conv2d bias shape {bias.values.shape} does not match {c_out} channels"
         )
-    _, h, w = xv.shape
+    _, n_bands, n_frames = xv.shape
     kmat = kv.reshape(c_out, c_in * 9)
     outv = kmat @ _im2col(xv)
     outv += bias.values[:, None]
-    out = Tensor(outv.reshape(c_out, h, w))
+    out = Tensor(outv.reshape(c_out, n_bands, n_frames))
 
     def backward(g):
-        g2 = g.reshape(c_out, h * w)
+        g2 = g.reshape(c_out, n_bands * n_frames)
         _accumulate(kernel, (g2 @ _im2col(xv).T).reshape(kv.shape))
         _accumulate(bias, g2.sum(axis=1))
         if x.constant:
             return
-        dcols = (kmat.T @ g2).reshape(c_in, 3, 3, h, w)
+        dcols = (kmat.T @ g2).reshape(c_in, 3, 3, n_bands, n_frames)
         dx = np.zeros_like(xv)
-        for di, dj, src, dst in _taps(h, w):  # col2im, taps in row-major order
-            dx[src] += dcols[:, di, dj][dst]
+        for i, j, src, dst in _taps(n_bands, n_frames):  # col2im
+            dx[src] += dcols[:, i, j][dst]
         _accumulate(x, dx)
 
     return _record(out, backward)
 
 
 def _im2col(xv: np.ndarray) -> np.ndarray:
-    # (Cin, H, W) -> (Cin*9, H*W), zero where a tap falls on the padding ring
-    c_in, h, w = xv.shape
-    cols = np.zeros((c_in, 3, 3, h, w))
-    for di, dj, src, dst in _taps(h, w):
-        cols[:, di, dj][dst] = xv[src]
-    return cols.reshape(c_in * 9, h * w)
+    # (Cin, bands, frames) -> (Cin*9, bands*frames), zero where a tap falls
+    # on the padding ring
+    c_in, n_bands, n_frames = xv.shape
+    cols = np.zeros((c_in, 3, 3, n_bands, n_frames))
+    for i, j, src, dst in _taps(n_bands, n_frames):
+        cols[:, i, j][dst] = xv[src]
+    return cols.reshape(c_in * 9, n_bands * n_frames)
 
 
-def _taps(h: int, w: int):
-    """Yield (di, dj, src, dst) for each 3x3 tap in row-major order. Tap
-    (di, dj) of output pixel (i, j) reads input pixel (i + di - 1, j + dj - 1),
-    so it links the input block x[src] to the output block out[dst]; the part
-    of a tap that falls on the zero ring is left out."""
-    for di in range(3):
-        row_src, row_dst = _tap_span(di - 1, h)
-        for dj in range(3):
-            col_src, col_dst = _tap_span(dj - 1, w)
-            yield di, dj, (slice(None), row_src, col_src), (slice(None), row_dst, col_dst)
+def _taps(n_bands: int, n_frames: int):
+    """Yield (i, j, src, dst) for each 3x3 tap, frame tap i outer and band
+    tap j inner. Tap (i, j) of the output at (band b, frame t) reads the
+    input at (band b + j - 1, frame t + i - 1), so it links the input block
+    x[src] to the output block out[dst]; the part of a tap that falls on the
+    zero ring is left out."""
+    for i in range(3):
+        frame_src, frame_dst = _tap_span(i - 1, n_frames)
+        for j in range(3):
+            band_src, band_dst = _tap_span(j - 1, n_bands)
+            yield i, j, (slice(None), band_src, frame_src), (slice(None), band_dst, frame_dst)
 
 
 def _tap_span(offset: int, n: int) -> tuple[slice, slice]:
@@ -380,28 +385,30 @@ def _tap_span(offset: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, offset), n + min(0, offset)), slice(max(0, -offset), n - max(0, offset))
 
 
-def maxpool2d(x: Tensor, pool_h: int, pool_w: int) -> Tensor:
-    """Max pool with ceil semantics: a non-divisible final window is pooled
-    over its valid extent. NaN propagates to its window's output.
+def maxpool2d(x: Tensor, pool_frames: int, pool_bands: int) -> Tensor:
+    """Max pool of band-major (C, bands, frames) activations over windows of
+    pool_frames x pool_bands, with ceil semantics: a non-divisible final
+    window is pooled over its valid extent. NaN propagates to its window's
+    output.
 
-    The pool is separable: a max over band windows (the last axis), then a
-    max over time windows of that result. Each stage is an elementwise
+    The pool is separable: a max over band windows (axis 1), then a max over
+    frame windows (axis 2) of that result. Each stage is an elementwise
     maximum over the strided views of its window blocks, padded with -inf
     only when its axis has a partial window. The gradient routes to the
-    first row-major maximal element of each window: band-then-time, each
+    first frame-major maximal element of each window: band-then-frame, each
     stage routing to its own first maximum, picks exactly that element.
     Under a tape each stage keeps only a bool mask of those elements, never
     the pooled input.
     """
-    if pool_h < 1 or pool_w < 1:
-        raise ArgumentError(f"pool dims must be >= 1, got {pool_h}x{pool_w}")
+    if pool_frames < 1 or pool_bands < 1:
+        raise ArgumentError(f"pool dims must be >= 1, got {pool_frames}x{pool_bands}")
     xv = x.values
     if xv.ndim != 3:
-        raise DimensionError(f"maxpool2d expects (C,H,W), got {xv.shape}")
+        raise DimensionError(f"maxpool2d expects (C,bands,frames), got {xv.shape}")
     taped = _ACTIVE_TAPE is not None
     stages = []  # (axis, input length, routing mask) per stage that pools
     outv = xv
-    for axis, size in ((2, pool_w), (1, pool_h)):
+    for axis, size in ((1, pool_bands), (2, pool_frames)):
         if size > 1:
             n = outv.shape[axis]
             outv, mask = _pool_axis(outv, axis, size, taped)

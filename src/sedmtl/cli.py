@@ -90,6 +90,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
         },
     }
     _write_json(Path(out_dir) / "run_manifest.json", manifest)

@@ -1,7 +1,8 @@
 """Teacher scene classifier and student multitask network.
 
-Both nets consume a 64-band log mel matrix, internally laid out as
-(channels, time, band) so pooling sizes read as time x band:
+Both nets consume a 64-band log mel matrix, (bands, frames), and keep every
+conv-stack activation band-major, (channels, bands, frames), so the long
+frame axis is the contiguous one. Pooling sizes read as time x band:
 
   teacher:  3x [conv 3x3 (128 ch) -> maxpool 8x8 / 4x4 / 2x2 -> ReLU],
             mean over residual time, dense -> C scene logits
@@ -167,17 +168,20 @@ def _features_to_input(features) -> Tensor:
         raise DimensionError(
             f"expected a ({N_BANDS}, N) feature matrix, got shape {data.shape}"
         )
-    # (bands, time) -> (1 channel, time, band); nothing needs its gradient
-    return Tensor(data.T[None, :, :], constant=True)
+    # (bands, frames) -> (1 channel, bands, frames); nothing needs its gradient
+    return Tensor(data[None], constant=True)
 
 def _conv_block(x: Tensor, params: ModelParams, name, pool) -> Tensor:
-    x = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
-    return ad.relu(ad.maxpool2d(x, pool[0], pool[1]))
+    conv = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
+    pooled = ad.maxpool2d(conv, pool[0], pool[1])
+    # Only the pool reads the conv output, and a tape needs only its .grad.
+    conv.values = None
+    return ad.relu(pooled)
 
 def _collapse_to_vector(x: Tensor) -> Tensor:
-    # (C, T', 1) -> mean over residual time -> (C,)
-    c, t, b = x.shape
-    return ad.mean_axis(ad.reshape(x, (c, t * b)), 1)
+    # (C, 1, T') -> mean over residual time -> (C,)
+    c, b, t = x.shape
+    return ad.mean_axis(ad.reshape(x, (c, b * t)), 1)
 
 def teacher_forward(params: ModelParams, features) -> Tensor:
     """Scene logits (length C) for one clip."""
@@ -191,7 +195,7 @@ def student_trunk(params: ModelParams, features) -> Tensor:
     x = _features_to_input(features)
     for i, pool in enumerate(TRUNK_POOLS):
         x = _conv_block(x, params, f"trunk{i + 1}", pool)
-    return x  # (128, N, 1)
+    return x  # (128, 1, N)
 
 def _scene_head(params: ModelParams, trunk: Tensor) -> Tensor:
     scene = trunk
@@ -212,8 +216,8 @@ def student_forward(params: ModelParams, features):
     trunks = [student_trunk(params, f) for f in (features if batch else [features])]
     scene_logits = [_scene_head(params, trunk) for trunk in trunks]
 
-    c, n, _ = trunks[0].shape
-    # (128, N, 1) per chunk -> time-major (N, B, 128)
+    c, _, n = trunks[0].shape
+    # (128, 1, N) per chunk -> time-major (N, B, 128)
     sequence = ad.stack([ad.transpose(ad.reshape(t, (c, n)), (1, 0)) for t in trunks], axis=1)
     hidden = ad.bigru_forward(sequence, _gru_cell(params, "gru.fwd"), _gru_cell(params, "gru.bwd"))
     hidden = ad.reshape(hidden, (n * len(trunks), -1))

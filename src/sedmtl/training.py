@@ -41,8 +41,13 @@ from .losses import SceneTarget
 
 MODES = ("teacher", "mtl_hard", "mtl_soft", "event_only")
 STUDENT_MODES = ("event_only", "mtl_hard", "mtl_soft")
-# cv sets these per run; they stand in for them when its `train` block is checked
-CV_RUN_FIELDS = {"mode": "event_only", "seed": 0, "fold": 0}
+# cv sets these per run from the named source, so its `train` block must not;
+# the values stand in for them when that block is checked
+CV_RUN_FIELDS = {
+    "mode": ("event_only", "cv.modes"),
+    "seed": (0, "cv.seeds"),
+    "fold": (0, "the manifest folds"),
+}
 
 # ---------------------------------------------------------------------------
 # settings: each section is a dataclass whose fields declare the JSON type
@@ -119,7 +124,8 @@ def _has_type(value, kind) -> bool:
 def check_settings(cls, doc, section: str, problems: list, fixed: dict | None = None):
     """The settings dataclass `cls` built from the plain dict `doc`, or None,
     appending every violation to `problems`. Absent fields take their
-    defaults, lists become tuples and `fixed` overrides `doc`'s fields.
+    defaults and lists become tuples. `fixed` maps each field that another
+    source sets to (stand-in value, source): `doc` must not set it.
 
     A field prints as `section.name`, except in the `train` section, whose
     fields print as 'name'.
@@ -127,13 +133,19 @@ def check_settings(cls, doc, section: str, problems: list, fixed: dict | None = 
     if not isinstance(doc, dict):
         problems.append(f"{section} must be an object")
         return None
-    doc = {**doc, **(fixed or {})}
     found = len(problems)
     known = {f.name: f for f in fields(cls)}
 
     def label(name):
         return repr(name) if section == "train" else f"{section}.{name}"
 
+    fixed = fixed or {}
+    problems += [
+        f"field {label(key)} is set per run by {source}, not by the {section} block"
+        for key, (_, source) in fixed.items()
+        if key in doc
+    ]
+    doc = {**doc, **{key: value for key, (value, _) in fixed.items()}}
     problems += [f"unknown field {label(key)}" for key in doc if key not in known]
     values = {}
     for name, spec in known.items():

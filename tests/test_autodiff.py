@@ -132,8 +132,9 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 4))
         k = rng.normal(size=(2, 1, 3, 3))
         b = rng.normal(size=2)
-        out = ad.conv2d(ad.tensor(x), ad.tensor(k), ad.tensor(b))
-        assert_allclose(out.values, brute_force_conv2d(x, k, b), rtol=0, atol=1e-12)
+        out = ad.conv2d(ad.tensor(x.transpose(0, 2, 1)), ad.tensor(k), ad.tensor(b))
+        expected = brute_force_conv2d(x, k, b).transpose(0, 2, 1)
+        assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError, match="channel mismatch"):
@@ -157,28 +158,30 @@ class TestConv2d:
     )
     def test_backward_matches_brute_force(self, c_in, h, w, c_out):
         rng = np.random.default_rng(100 + 7 * c_in + h + 3 * w)
-        x = ad.tensor(rng.normal(size=(c_in, h, w)))
+        xv = rng.normal(size=(c_in, h, w))
+        x = ad.tensor(xv.transpose(0, 2, 1))
         k = ad.tensor(rng.normal(size=(c_out, c_in, 3, 3)))
         b = ad.tensor(rng.normal(size=c_out))
         g = rng.normal(size=(c_out, h, w))
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(ad.conv2d(x, k, b), ad.tensor(g)))
+            loss = ad.sum_all(ad.mul(ad.conv2d(x, k, b), ad.tensor(g.transpose(0, 2, 1))))
         tape.backward(loss)
-        dx, dk, db = brute_force_conv2d_backward(x.values, k.values, g)
-        assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+        dx, dk, db = brute_force_conv2d_backward(xv, k.values, g)
+        assert_allclose(x.grad, dx.transpose(0, 2, 1), rtol=0, atol=1e-12)
         assert_allclose(k.grad, dk, rtol=0, atol=1e-12)
         assert_allclose(b.grad, db, rtol=0, atol=1e-12)
 
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(19)
-        x = ad.Tensor(rng.normal(size=(2, 4, 5)), constant=True)
+        xv = rng.normal(size=(2, 4, 5))
+        x = ad.Tensor(xv.transpose(0, 2, 1), constant=True)
         k = ad.tensor(rng.normal(size=(3, 2, 3, 3)))
         b = ad.tensor(rng.normal(size=3))
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.conv2d(x, k, b))
         tape.backward(loss)
         assert x.grad is None
-        _, dk, db = brute_force_conv2d_backward(x.values, k.values, np.ones((3, 4, 5)))
+        _, dk, db = brute_force_conv2d_backward(xv, k.values, np.ones((3, 4, 5)))
         assert_allclose(k.grad, dk, rtol=0, atol=1e-12)
         assert_allclose(b.grad, db, rtol=0, atol=1e-12)
 
@@ -203,14 +206,14 @@ class TestMaxPool2d:
 
     def test_band_axis_64_to_1(self):
         # 64 bands pooled by 8, then 4, then 2 collapse to a single band.
-        x = ad.tensor(np.random.default_rng(7).normal(size=(1, 5, 64)))
+        x = ad.tensor(np.random.default_rng(7).normal(size=(1, 5, 64)).transpose(0, 2, 1))
         out = ad.maxpool2d(ad.maxpool2d(ad.maxpool2d(x, 1, 8), 1, 4), 1, 2)
-        assert out.values.shape == (1, 5, 1)
+        assert out.values.shape == (1, 1, 5)
 
     def test_partial_final_window(self):
-        x = ad.tensor(np.arange(5.0).reshape(1, 1, 5))
+        x = ad.tensor(np.arange(5.0).reshape(1, 1, 5).transpose(0, 2, 1))
         out = ad.maxpool2d(x, 1, 2)
-        assert_allclose(out.values, [[[1.0, 3.0, 4.0]]])
+        assert_allclose(out.values, np.transpose([[[1.0, 3.0, 4.0]]], (0, 2, 1)))
 
     def test_invalid_pool_dims(self):
         with pytest.raises(ArgumentError):
@@ -229,12 +232,14 @@ class TestMaxPool2d:
         rng = np.random.default_rng(9)
         for _ in range(20):
             vals = rng.integers(0, 3, size=(2, 5, 7)).astype(float)
-            x = ad.tensor(vals)
+            x = ad.tensor(vals.transpose(0, 2, 1))
             g = rng.normal(size=(2, 3, 3))
             with ad.Tape() as tape:
-                loss = ad.sum_all(ad.mul(ad.maxpool2d(x, 2, 3), ad.tensor(g)))
+                pooled = ad.maxpool2d(x, 2, 3)
+                loss = ad.sum_all(ad.mul(pooled, ad.tensor(g.transpose(0, 2, 1))))
             tape.backward(loss)
-            assert_allclose(x.grad, brute_force_maxpool2d_grad(vals, 2, 3, g), rtol=0, atol=0)
+            expected = brute_force_maxpool2d_grad(vals, 2, 3, g).transpose(0, 2, 1)
+            assert_allclose(x.grad, expected, rtol=0, atol=0)
 
     @pytest.mark.parametrize("values", ["distinct", "ties", "nan"])
     @pytest.mark.parametrize(
@@ -250,16 +255,17 @@ class TestMaxPool2d:
             vals = rng.integers(0, 3, size=shape).astype(float)
         if values == "nan":
             vals.reshape(-1)[rng.choice(vals.size, 6, replace=False)] = np.nan
-        x = ad.tensor(vals)
+        x = ad.tensor(vals.transpose(0, 2, 1))
         with ad.Tape() as tape:
             pooled = ad.maxpool2d(x, *pool)
             g = rng.normal(size=pooled.shape)
             loss = ad.sum_all(ad.mul(pooled, ad.tensor(g)))
         tape.backward(loss)
-        assert np.array_equal(x.grad, brute_force_maxpool2d_grad(vals, *pool, g))
+        expected = brute_force_maxpool2d_grad(vals, *pool, g.transpose(0, 2, 1))
+        assert np.array_equal(x.grad, expected.transpose(0, 2, 1))
 
     def test_taped_pool_does_not_keep_its_input(self):
-        x = ad.tensor(np.random.default_rng(21).normal(size=(2, 6, 16)))
+        x = ad.tensor(np.random.default_rng(21).normal(size=(2, 6, 16)).transpose(0, 2, 1))
         alive = weakref.ref(x.values)
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.maxpool2d(x, 2, 8))
@@ -267,7 +273,7 @@ class TestMaxPool2d:
         gc.collect()
         assert alive() is None
         tape.backward(loss)
-        assert x.grad.shape == (2, 6, 16)
+        assert x.grad.shape == (2, 16, 6)
         assert x.grad.sum() == 2 * 3 * 2  # one routed 1.0 per window
 
     def test_forward_identical_with_and_without_tape(self):
@@ -282,7 +288,7 @@ class TestMaxPool2d:
         nan_at = [(0, 0, 0), (0, 2, 4), (1, 1, 5), (1, 4, 6)]  # first, middle, last, partial
         for idx in nan_at:
             vals[idx] = np.nan
-        out = ad.maxpool2d(ad.tensor(vals), 2, 3).values
+        out = ad.maxpool2d(ad.tensor(vals.transpose(0, 2, 1)), 2, 3).values.transpose(0, 2, 1)
         expected = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 2, 2)}
         for idx in np.ndindex(out.shape):
             assert np.isnan(out[idx]) == (idx in expected)

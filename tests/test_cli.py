@@ -187,6 +187,7 @@ class TestTrain:
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
         }
 
         soft_path = tmp_path / "soft_labels.json"
@@ -617,6 +618,18 @@ class TestCrossValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config")
         assert "field 'patience' must be >= 0, got -1" in err
+        # cv sets each run's mode, seed and fold itself
+        for field, value, source in [
+            ("mode", "mtl_hard", "cv.modes"),
+            ("seed", 7, "cv.seeds"),
+            ("fold", 1, "the manifest folds"),
+        ]:
+            doc = cv_config_doc(fixture_dataset, tmp_path / "cv", **{field: value})
+            cfg.write_text(json.dumps(doc))
+            assert cli.main(["cv", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid config")
+            assert f"field '{field}' is set per run by {source}, not by the train block" in err
 
     def test_fixed_policy_forwards_validation_clips_once_per_epoch(
         self, fixture_dataset, tmp_path, monkeypatch
@@ -665,6 +678,7 @@ class TestBlasThreads:
         manifest = json.loads((tmp_path / "unset" / "run_manifest.json").read_text())
         assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == "1"
         assert manifest["environment"]["OMP_NUM_THREADS"] == "1"
+        assert manifest["environment"]["MKL_NUM_THREADS"] == "1"
 
     def test_a_value_the_user_set_wins(self):
         code = (

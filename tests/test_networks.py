@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -103,8 +107,8 @@ class TestStudentForward:
         scene = trunk
         for i, pool in enumerate(networks.SCENE_POOLS):
             scene = networks._conv_block(scene, params, f"scene{i + 1}", pool)
-        assert trunk.values.shape == (128, 500, 1)
-        assert scene.values.shape == (16, 10, 1)
+        assert trunk.values.shape == (128, 1, 500)
+        assert scene.values.shape == (16, 1, 10)
 
     def test_zero_input_zero_bias_gives_sigmoid_half(self):
         params = networks.init_student_params(4, 5, seed=10)
@@ -129,9 +133,10 @@ class TestStudentForward:
         params = networks.init_student_params(4, 25, seed=12)
         feats = random_features(40, seed=2)
         shifted = np.concatenate([feats[:, :1], feats[:, :-1]], axis=1)
-        out = networks.student_trunk(params, feats).values[:, :, 0]
-        out_shifted = networks.student_trunk(params, shifted).values[:, :, 0]
+        out = networks.student_trunk(params, feats).values[:, 0, :]
+        out_shifted = networks.student_trunk(params, shifted).values[:, 0, :]
         # interior columns, clear of the conv stack's receptive-field border
+        assert out_shifted[:, 4:-4].shape == (128, 32)
         assert_allclose(out_shifted[:, 4:-4], out[:, 3:-5], atol=1e-9)
 
     def test_gradient_reaches_every_parameter(self):
@@ -151,6 +156,65 @@ class TestStudentForward:
         for name, t in params.items():
             assert t.grad is not None, name
             assert np.any(t.grad != 0.0), name
+
+
+class TestForwardBits:
+    # sha256 of the outputs of seeded networks, recorded with the earlier
+    # (channels, frames, bands) conv layout: band-major activations must not
+    # move a forward bit (with one BLAS thread, on the numpy/BLAS build that
+    # the pinned report digest in test_cli assumes)
+    DIGESTS = {
+        49: (
+            "d7474d622bbc473bceb088b3abc13fe973413a3143066aa9d8d8f7f0bea3f420",
+            "65d128fea4e9b1fa565ab4cb605325218db6f881f17314a98d8ed7f89bc3610a",
+            "6fc682939fdadc0c3a988e916940eb4f8fea1937fc3d54d0acf8a212b50760d2",
+        ),
+        37: (
+            "7d6d4e0e9969814d43cc4b38a48c63be685caa2c2268ec6742125893350eb770",
+            "245a7f347a267ce6902107735c009904cef9192884a90a087ac5aba4f2b3f213",
+            "84941fa6b8ad3131ab455983418fe6ab491b4505a7f1e91d18ebf286a923d65f",
+        ),
+    }
+
+    @pytest.mark.parametrize("n_frames", sorted(DIGESTS))
+    def test_forward_bytes_pinned(self, n_frames):
+        student = networks.init_student_params(4, 5, seed=16)
+        teacher = networks.init_teacher_params(4, seed=16)
+        feats = np.random.default_rng(n_frames).normal(size=(64, n_frames))
+        event_logits, scene_logits = networks.student_forward(student, feats)
+        outputs = (event_logits, scene_logits, networks.teacher_forward(teacher, feats))
+        digests = tuple(hashlib.sha256(t.values.tobytes()).hexdigest() for t in outputs)
+        assert digests == self.DIGESTS[n_frames]
+
+
+class TestConvBlock:
+    def test_taped_block_releases_its_conv_output(self, monkeypatch):
+        params = networks.init_student_params(4, 5, seed=17)
+        x = ad.tensor(np.random.default_rng(6).normal(size=(128, 1, 30)))
+        kernel, bias = params["scene1.kernel"], params["scene1.bias"]
+        pool = networks.SCENE_POOLS[0]
+        conv2d = ad.conv2d
+        conv_values = []
+
+        def recording_conv2d(*args):
+            out = conv2d(*args)
+            conv_values.append(weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(networks._conv_block(x, params, "scene1", pool))
+        gc.collect()
+        assert len(conv_values) == 1 and conv_values[0]() is None
+        tape.backward(loss)
+        released = [t.grad.tobytes() for t in (x, kernel, bias)]
+
+        # the same block with the conv output kept alive gives the same bits
+        ad.zero_grads([x, kernel, bias])
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.relu(ad.maxpool2d(conv2d(x, kernel, bias), *pool)))
+        tape.backward(loss)
+        assert released == [t.grad.tobytes() for t in (x, kernel, bias)]
 
 
 class TestCheckpoint:
