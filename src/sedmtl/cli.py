@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, evaluation as ev, networks, training
 from .data import (
-    FoldSplit,
     Vocabulary,
     count_clipped_events,
     events_to_roll,
@@ -141,7 +140,7 @@ def cmd_ingest(args) -> int:
             "audio_path": str((audio_root / record.audio_path).resolve()),
             "annotation_path": str(Path(record.annotation_path).resolve()),
             "scene": record.scene,
-            "fold": folds.fold_of(record.clip_id),
+            "fold": folds[record.clip_id],
         }
     write_manifest(out_dir / "manifest.json", entries)
     vocabulary.save(out_dir / "vocabulary.json")
@@ -430,9 +429,9 @@ def cmd_eval(args) -> int:
         def pairs(clip_ids):
             return ((posteriors(c), split[c].roll) for c in clip_ids)
 
-        policy = training.eval_policy(settings, pairs(train_ids))
+        thresholds = training.eval_policy(settings, pairs(train_ids))
         scores = training.evaluate_student(
-            pairs(val_ids), policy, smooth_window=settings.smooth_window
+            pairs(val_ids), thresholds, smooth_window=settings.smooth_window
         )
         per_event = training.pooled_per_event(scores["counts"], vocabulary.events)
     except (ValueError, DataError) as exc:
@@ -442,10 +441,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ev.report_dict(scores["counts"], per_event)
+    calibrated = settings.policy == "calibrated"
     report["policy"] = {
-        "kind": policy.kind,
-        "threshold": settings.threshold if policy.kind == "fixed" else None,
-        "per_class": list(policy.per_class) if policy.per_class is not None else None,
+        "kind": settings.policy,
+        "threshold": None if calibrated else settings.threshold,
+        "per_class": list(thresholds) if calibrated else None,
         "smooth_window": settings.smooth_window,
         "note": "per-event ER is class-restricted (no cross-class substitutions)",
     }
@@ -496,12 +496,8 @@ def cmd_cv(args) -> int:
         training.fail_on(problems)
         vocabulary = Vocabulary.load(paths["vocabulary"])
         entries, examples = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
-        fold_split = FoldSplit(
-            assignment=_fold_assignment(entries),
-            n_folds=max(e["fold"] for e in entries.values()) + 1,
-        )
         out = training.run_cross_validation(
-            examples, fold_split, base, cv.modes, cv.seeds,
+            examples, _fold_assignment(entries), base, cv.modes, cv.seeds,
             eval_cfg=asdict(cv.eval), workers=workers, event_names=vocabulary.events,
         )
     except (ValueError, DataError, OSError, json.JSONDecodeError) as exc:

@@ -69,15 +69,6 @@ class EventRoll:
     hop_seconds: float
 
 
-@dataclass
-class FoldSplit:
-    assignment: dict  # clip_id -> fold index
-    n_folds: int
-
-    def fold_of(self, clip_id: str) -> int:
-        return self.assignment[clip_id]
-
-
 def clip_id_from_path(audio_path: str) -> str:
     return PurePosixPath(audio_path.replace("\\", "/")).stem
 
@@ -162,8 +153,9 @@ def count_clipped_events(events, n_frames: int, hop_seconds: float) -> int:
     return sum(1 for _, offset, _ in events if offset > clip_end)
 
 
-def make_folds(records, n_folds: int = 4, seed: int = 0) -> FoldSplit:
-    """Scene-stratified fold assignment, deterministic for a given seed.
+def make_folds(records, n_folds: int = 4, seed: int = 0) -> dict:
+    """Scene-stratified {clip_id: fold} assignment, deterministic for a given
+    seed.
 
     Clips are grouped by scene, shuffled within each group, and dealt to
     folds with a cursor that runs across groups, so both per-scene and total
@@ -185,7 +177,7 @@ def make_folds(records, n_folds: int = 4, seed: int = 0) -> FoldSplit:
         for i in order:
             assignment[clip_ids[i]] = cursor % n_folds
             cursor += 1
-    return FoldSplit(assignment=assignment, n_folds=n_folds)
+    return assignment
 
 
 @dataclass
@@ -193,11 +185,9 @@ class Chunk:
     features: np.ndarray  # (n_bands, chunk_len)
     roll: np.ndarray  # (n_events, chunk_len)
     mask: np.ndarray  # (chunk_len,), 1.0 on valid frames
-    clip_id: str
-    start_frame: int
 
 
-def chunk_clips(features, roll: EventRoll, chunk_len: int = 500, clip_id: str = "") -> list:
+def chunk_clips(features, roll: EventRoll, chunk_len: int = 500) -> list:
     """Cut a clip into consecutive fixed-length chunks; the final chunk is
     zero-padded and its mask marks the padded frames invalid.
     """
@@ -218,7 +208,7 @@ def chunk_clips(features, roll: EventRoll, chunk_len: int = 500, clip_id: str = 
         f[:, :valid] = data[:, start : start + valid]
         r[:, :valid] = roll.data[:, start : start + valid]
         m[:valid] = 1.0
-        chunks.append(Chunk(features=f, roll=r, mask=m, clip_id=clip_id, start_frame=start))
+        chunks.append(Chunk(features=f, roll=r, mask=m))
     return chunks
 
 

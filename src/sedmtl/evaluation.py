@@ -21,37 +21,6 @@ F1_UNDEFINED_FLAG = "f1_undefined_no_activity"
 ER_UNDEFINED_FLAG = "er_undefined_empty_reference"
 
 
-@dataclass
-class ThresholdPolicy:
-    """Fixed global threshold or per-class calibrated thresholds."""
-
-    kind: str = "fixed"  # "fixed" | "calibrated"
-    value: float = 0.5
-    per_class: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "calibrated"):
-            raise ArgumentError(f"unknown threshold policy kind {self.kind!r}")
-        if self.kind == "fixed":
-            if not 0.0 < self.value < 1.0:
-                raise ArgumentError(f"threshold must be in (0,1), got {self.value}")
-        else:
-            if self.per_class is None:
-                raise ArgumentError("calibrated policy needs per-class thresholds")
-            self.per_class = np.asarray(self.per_class, dtype=np.float64)
-            if np.any(self.per_class <= 0.0) or np.any(self.per_class >= 1.0):
-                raise ArgumentError("per-class thresholds must be in (0,1)")
-
-    def thresholds(self, n_classes: int) -> np.ndarray:
-        if self.kind == "fixed":
-            return np.full(n_classes, self.value)
-        if self.per_class.size != n_classes:
-            raise DimensionError(
-                f"{self.per_class.size} thresholds for {n_classes} classes"
-            )
-        return self.per_class
-
-
 def threshold_posteriors(posteriors: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Per-class strict-greater thresholding of (M, N) posteriors.
 
@@ -82,12 +51,22 @@ def median_smooth(binary: np.ndarray, window: int = DEFAULT_SMOOTH_WINDOW) -> np
 
 def binarize(
     posteriors: np.ndarray,
-    policy: ThresholdPolicy,
+    thresholds,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> np.ndarray:
-    """Threshold then median-smooth; returns a binary (M, N) matrix."""
+    """Threshold then median-smooth; returns a binary (M, N) matrix.
+
+    `thresholds` is one threshold for every class or one per class, each in
+    (0, 1).
+    """
     posteriors = np.asarray(posteriors, dtype=np.float64)
-    raw = threshold_posteriors(posteriors, policy.thresholds(posteriors.shape[0]))
+    n_classes = posteriors.shape[0]
+    thresholds = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+    if not np.all((thresholds > 0.0) & (thresholds < 1.0)):
+        raise ArgumentError(f"thresholds must be in (0,1), got {thresholds.tolist()}")
+    if thresholds.size not in (1, n_classes):
+        raise DimensionError(f"{thresholds.size} thresholds for {n_classes} classes")
+    raw = threshold_posteriors(posteriors, np.broadcast_to(thresholds, (n_classes,)))
     return median_smooth(raw, smooth_window)
 
 

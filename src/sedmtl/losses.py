@@ -10,42 +10,11 @@ backward passes use the exact closed-form gradients, recorded on the active
 autodiff tape.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _accumulate, _record, _sigmoid_values
 from .errors import ArgumentError, DimensionError
-
-
-@dataclass
-class SceneTarget:
-    """A scene label: one-hot or a soft probability vector over C scenes."""
-
-    kind: str  # "one_hot" | "soft"
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.kind not in ("one_hot", "soft"):
-            raise ArgumentError(f"unknown scene target kind {self.kind!r}")
-        if self.probs.ndim != 1 or self.probs.size == 0:
-            raise ArgumentError("scene target must be a non-empty vector")
-        if np.any(self.probs < 0.0) or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ArgumentError("scene target must be a probability vector")
-        if self.kind == "one_hot" and np.count_nonzero(self.probs == 1.0) != 1:
-            raise ArgumentError("one-hot target must have exactly one entry equal to 1")
-
-    @classmethod
-    def one_hot(cls, index: int, n_scenes: int) -> "SceneTarget":
-        probs = np.zeros(n_scenes)
-        probs[index] = 1.0
-        return cls("one_hot", probs)
-
-    @classmethod
-    def soft(cls, probs) -> "SceneTarget":
-        return cls("soft", probs)
 
 
 def event_loss(logits: Tensor, roll: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -85,11 +54,15 @@ def _log_softmax(u: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def scene_hard_loss(logits: Tensor, target: SceneTarget) -> Tensor:
-    """Softmax cross-entropy of scene logits against a one-hot target."""
-    if target.kind != "one_hot":
-        raise ArgumentError("scene_hard_loss requires a one-hot target")
-    return _scene_cross_entropy(logits, target.probs, 1.0)
+def scene_hard_loss(logits: Tensor, scene: int) -> Tensor:
+    """Softmax cross-entropy of scene logits against the one-hot label of
+    scene index `scene`."""
+    n_scenes = logits.values.size
+    if not 0 <= scene < n_scenes:
+        raise ArgumentError(f"scene index {scene} is outside 0..{n_scenes - 1}")
+    one_hot = np.zeros(n_scenes)
+    one_hot[scene] = 1.0
+    return _scene_cross_entropy(logits, one_hot, 1.0)
 
 
 def distill_targets(teacher_logits: np.ndarray, temperature: float) -> np.ndarray:

@@ -24,7 +24,6 @@ recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
 JSON header plus one little-endian float64 blob in declared parameter order.
 """
 
-import hashlib
 import json
 import struct
 
@@ -61,12 +60,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
-
     def tensors(self):
         return list(self._params.values())
 
@@ -91,9 +84,6 @@ class ModelParams:
             offset += nbytes
         if offset != len(blob):
             raise DataError(f"checkpoint blob has {len(blob) - offset} trailing bytes")
-
-    def checksum(self) -> str:
-        return hashlib.sha256(self.blob()).hexdigest()
 
     def copy_values(self) -> dict:
         return {name: t.values.copy() for name, t in self._params.items()}

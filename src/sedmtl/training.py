@@ -37,7 +37,6 @@ from . import losses, networks
 from .data import EventRoll, chunk_clips
 from .errors import ConfigError, DataError, DimensionError
 from .features import BandStats, LogMelSpectrogram, compute_band_stats, standardize
-from .losses import SceneTarget
 
 MODES = ("teacher", "mtl_hard", "mtl_soft", "event_only")
 STUDENT_MODES = ("event_only", "mtl_hard", "mtl_soft")
@@ -177,11 +176,6 @@ def parse_settings(cls, doc, section: str, fixed: dict | None = None):
     settings = check_settings(cls, doc, section, problems, fixed)
     fail_on(problems)
     return settings
-
-
-def validate_config(doc: dict) -> TrainConfig:
-    """Build a TrainConfig from a plain dict, reporting every violation."""
-    return parse_settings(TrainConfig, doc, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +364,7 @@ def train_teacher(
             for clip in batch:  # clips differ in length: one tape each
                 with ad.Tape() as tape:
                     logits = networks.teacher_forward(params, clip.features)
-                    loss = losses.scene_hard_loss(
-                        logits, SceneTarget.one_hot(clip.scene, n_scenes)
-                    )
+                    loss = losses.scene_hard_loss(logits, clip.scene)
                 _check_finite(loss.item(), config.mode, epoch, number)
                 tape.backward(loss)
                 total += loss.item()
@@ -425,18 +417,18 @@ def posterior_pairs(params: networks.ModelParams, clips):
 
 def evaluate_student(
     pairs,
-    policy: ev.ThresholdPolicy,
+    thresholds,
     smooth_window: int = ev.DEFAULT_SMOOTH_WINDOW,
 ) -> dict:
-    """Pool segment counts over (posteriors, roll) pairs, one per clip;
-    returns f1/er plus the raw counts, whose per-class totals feed
-    `pooled_per_event`."""
+    """Pool segment counts over (posteriors, roll) pairs, one per clip,
+    binarized at `thresholds` (one, or one per class); returns f1/er plus
+    the raw counts, whose per-class totals feed `pooled_per_event`."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("no clips to score: the validation fold is empty")
     counts = ev.SegmentCounts()
     for posteriors, roll in pairs:
-        pred = ev.binarize(posteriors, policy, smooth_window)
+        pred = ev.binarize(posteriors, thresholds, smooth_window)
         counts = counts.merge(ev.segment_counts(roll.data, pred, roll.hop_seconds))
     return {
         "f1": ev.f1_score(counts),
@@ -477,9 +469,8 @@ def train_student(
 
     items = []  # (chunk, clip) pairs; the chunk inherits its clip's scene target
     for clip in train_clips:
-        for chunk in chunk_clips(clip.features, clip.roll, config.chunk_len, clip.clip_id):
+        for chunk in chunk_clips(clip.features, clip.roll, config.chunk_len):
             items.append((chunk, clip))
-    val_policy = ev.ThresholdPolicy("fixed", 0.5)
 
     def run_epoch(epoch):
         order = rng.permutation(len(items))
@@ -504,7 +495,7 @@ def train_student(
                     loss = event
                 elif config.mode == "mtl_hard":
                     terms = [
-                        losses.scene_hard_loss(s, SceneTarget.one_hot(clip.scene, n_scenes))
+                        losses.scene_hard_loss(s, clip.scene)
                         for s, (_, clip) in zip(scene_logits, batch)
                     ]
                     scene = functools.reduce(ad.add, terms)
@@ -533,7 +524,7 @@ def train_student(
 
     def eval_metric():
         posteriors = [student_posteriors(params, clip) for clip in val_clips]
-        scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), val_policy)
+        scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), 0.5)
         return "f1", scores["f1"], {"er": scores["er"]}, posteriors
 
     return _early_stop_loop(config, run_epoch, eval_metric, params)
@@ -564,10 +555,10 @@ def _cv_single(payload):
             soft_labels=soft_labels if cfg.mode == "mtl_soft" else None,
             n_scenes=n_scenes,
         )
-        policy = eval_policy(eval_cfg, posterior_pairs(result.params, train_clips))
+        thresholds = eval_policy(eval_cfg, posterior_pairs(result.params, train_clips))
         # train_student scored the validation clips with the restored parameters
         val_pairs = zip(result.val_posteriors, (c.roll for c in val_clips))
-        scores = evaluate_student(val_pairs, policy, eval_cfg.smooth_window)
+        scores = evaluate_student(val_pairs, thresholds, eval_cfg.smooth_window)
         results.append(
             {
                 "fold": fold,
@@ -582,19 +573,20 @@ def _cv_single(payload):
     return results
 
 
-def eval_policy(cfg: EvalConfig, calibration_pairs) -> ev.ThresholdPolicy:
-    """The threshold policy of an EvalConfig, shared by `eval` and `cv`.
+def eval_policy(cfg: EvalConfig, calibration_pairs):
+    """The thresholds of an EvalConfig, shared by `eval` and `cv`:
+    `cfg.threshold` for the fixed policy, per-class thresholds for the
+    calibrated one.
 
     A calibrated policy searches `cfg.grid` on the (posteriors, roll) pairs;
     a fixed one never reads them, so lazy pairs cost no student forward.
     """
     if cfg.policy != "calibrated":
-        return ev.ThresholdPolicy("fixed", cfg.threshold)
+        return cfg.threshold
     pairs = list(calibration_pairs)
-    thresholds = ev.calibrate_thresholds(
+    return ev.calibrate_thresholds(
         pairs, cfg.grid, smooth_window=cfg.smooth_window, hop_s=pairs[0][1].hop_seconds
     )
-    return ev.ThresholdPolicy("calibrated", per_class=thresholds)
 
 
 def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
@@ -625,7 +617,7 @@ def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
 
 def run_cross_validation(
     examples: dict,
-    fold_split,
+    folds: dict,
     base_config: dict,
     modes,
     seeds,
@@ -634,6 +626,9 @@ def run_cross_validation(
     event_names=None,
 ) -> dict:
     """Train per (fold, seed) and aggregate mean F1/ER per mode across runs.
+
+    `folds` maps each clip id to its fold; the folds must be 0..max, each
+    with at least one clip.
 
     `modes`, `seeds` and `eval_cfg` are checked as the fields of a `cv`
     section and `base_config` as cv's `train` block, before any training.
@@ -644,23 +639,21 @@ def run_cross_validation(
     eval_cfg = {} if eval_cfg is None else eval_cfg
     cv = parse_settings(CvConfig, {"modes": modes, "seeds": seeds, "eval": eval_cfg}, "cv")
     base = parse_settings(TrainConfig, base_config, "train", fixed=CV_RUN_FIELDS)
-    folds = set(fold_split.assignment.values())
-    expected = set(range(fold_split.n_folds))
-    if folds != expected:
-        last = fold_split.n_folds - 1
-        problems = [f"fold {f} has no clips" for f in sorted(expected - folds)]
-        problems += [f"fold {f} is outside 0..{last}" for f in sorted(folds - expected)]
+    present = set(folds.values())
+    last = max(present)
+    expected = set(range(last + 1))
+    if present != expected:
+        problems = [f"fold {f} has no clips" for f in sorted(expected - present)]
+        problems += [f"fold {f} is outside 0..{last}" for f in sorted(present - expected)]
         raise DataError(f"cross-validation folds must be 0..{last}: " + ", ".join(problems))
     n_scenes = max(ex.scene for ex in examples.values()) + 1
     # mtl_soft students learn from the soft labels of a teacher trained first
     run_modes = (["teacher"] if "mtl_soft" in cv.modes else []) + list(cv.modes)
     jobs = []
-    for fold in range(fold_split.n_folds):
+    for fold in range(last + 1):
         for seed in cv.seeds:
             configs = [replace(base, mode=mode, seed=seed, fold=fold) for mode in run_modes]
-            jobs.append(
-                (examples, fold_split.assignment, configs, fold, cv.eval, event_names, n_scenes)
-            )
+            jobs.append((examples, folds, configs, fold, cv.eval, event_names, n_scenes))
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing

@@ -17,7 +17,6 @@ from sedmtl import autodiff as ad
 from sedmtl import cli, evaluation as ev, losses, training
 from sedmtl.features import compute_band_stats
 from sedmtl.fixture import generate_fixture
-from sedmtl.losses import SceneTarget
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -97,9 +96,9 @@ class TestCriterion1GradientSuite:
             )
 
         def hard_loss_case(rng):
-            target = SceneTarget.one_hot(int(rng.integers(0, 4)), 4)
+            scene = int(rng.integers(0, 4))
             return (
-                lambda t: losses.scene_hard_loss(t, target),
+                lambda t: losses.scene_hard_loss(t, scene),
                 [ad.tensor(rng.normal(scale=2.0, size=4))],
             )
 
@@ -138,9 +137,8 @@ class TestCriterion2DistillationIdentities:
         for _ in range(100):
             logits = rng.normal(scale=3.0, size=4)
             idx = int(rng.integers(0, 4))
-            target = SceneTarget.one_hot(idx, 4)
-            hard = losses.scene_hard_loss(ad.tensor(logits), target).values
-            soft = losses.soft_scene_loss(ad.tensor(logits), target.probs, 1.0).values
+            hard = losses.scene_hard_loss(ad.tensor(logits), idx).values
+            soft = losses.soft_scene_loss(ad.tensor(logits), np.eye(4)[idx], 1.0).values
             max_gap = max(max_gap, abs(float(hard) - float(soft)))
         e1 = ad.tensor(1.2345)
         exact_beta = losses.proposed_objective(e1, ad.tensor(9.9), 0.0).values == e1.values

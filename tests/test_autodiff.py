@@ -220,11 +220,13 @@ class TestMaxPool2d:
             ad.maxpool2d(ad.tensor(np.zeros((1, 2, 2))), 0, 1)
 
     def test_gradient_routes_to_first_max_on_ties(self):
-        x = ad.tensor([[[2.0, 2.0], [1.0, 2.0]]])
+        # (bands, frames): the first frame-major maximum is (band 1, frame 0),
+        # the first band-major one (band 0, frame 1)
+        x = ad.tensor([[[1.0, 2.0], [2.0, 0.0]]])
         with ad.Tape() as tape:
             loss = ad.sum_all(ad.maxpool2d(x, 2, 2))
         tape.backward(loss)
-        assert_allclose(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        assert_allclose(x.grad, [[[0.0, 0.0], [1.0, 0.0]]])
 
     def test_first_max_routing_with_partial_windows_on_both_axes(self):
         # 5 x 7 pooled by 2 x 3: the last window row and column are partial;

@@ -680,6 +680,41 @@ class TestBlasThreads:
         assert manifest["environment"]["OMP_NUM_THREADS"] == "1"
         assert manifest["environment"]["MKL_NUM_THREADS"] == "1"
 
+    # sha256 of (checkpoint, log) from 2 epochs on the fixture dataset, 8
+    # chunks of 50 frames per batch. Features and training run in fresh
+    # processes, where the package pins one BLAS thread (pytest loads numpy
+    # first, and the feature bits depend on the thread count). A change in
+    # gradient summation order moves these bytes on the numpy/BLAS build
+    # that the pinned report digest in TestEval assumes.
+    TRAINING_SHA256 = {
+        "teacher": (
+            "44db368c29f3aa14c25ed6a3e39c68a9ceee2698def61f2c48ec8550cb2d06a0",
+            "261473092ccce382424fb4eaae8c6fb2367fe236d37a27035754fba1c22a18fd",
+        ),
+        "mtl_hard": (
+            "1f95fc7b29fe58993125cf0e69923c0f0d6e65477775ca522f33ed96e7e74b0b",
+            "657213ed73f6656f15a5d02f985880165d9b6b6c9f88370e360c0d8c575eeaa6",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(TRAINING_SHA256))
+    def test_training_bytes_pinned(self, fixture_dataset, tmp_path, mode):
+        doc = train_config_doc(fixture_dataset, tmp_path, mode, alpha=0.5)
+        doc["paths"]["features_dir"] = str(tmp_path / "features")
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(doc))
+        features = ["--manifest", doc["paths"]["manifest"], "--out", str(tmp_path / "features")]
+        for argv in (["features", *features], ["train", "--config", str(cfg)]):
+            subprocess.run(
+                [sys.executable, "-m", "sedmtl.cli", *argv],
+                env=self.env(), check=True, capture_output=True, timeout=120,
+            )
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in (f"{mode}.ckpt", f"{mode}_log.jsonl")
+        )
+        assert digests == self.TRAINING_SHA256[mode]
+
     def test_a_value_the_user_set_wins(self):
         code = (
             "import json, os, sedmtl; "

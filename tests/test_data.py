@@ -134,7 +134,7 @@ class TestMakeFolds:
     def test_exact_stratification(self):
         split = data.make_folds(self.make_records(4, scenes=2), n_folds=4, seed=1)
         for fold in range(4):
-            clips = training.split_ids(split.assignment, fold)[1]
+            clips = training.split_ids(split, fold)[1]
             assert len(clips) == 2
             scenes = {c[1] for c in clips}
             assert scenes == {"0", "1"}
@@ -143,7 +143,7 @@ class TestMakeFolds:
         records = self.make_records(5, scenes=3)
         a = data.make_folds(records, n_folds=4, seed=7)
         b = data.make_folds(records, n_folds=4, seed=7)
-        assert a.assignment == b.assignment
+        assert a == b
 
     def test_too_few_clips(self):
         with pytest.raises(ArgumentError):
@@ -153,10 +153,10 @@ class TestMakeFolds:
         records = self.make_records(7, scenes=3)
         split = data.make_folds(records, n_folds=4, seed=3)
         all_clips = [r.clip_id for r in records]
-        assert sorted(split.assignment) == sorted(all_clips)
+        assert sorted(split) == sorted(all_clips)
         for fold in range(4):
-            assert training.split_ids(split.assignment, fold)[1]
-        sizes = [len(training.split_ids(split.assignment, f)[1]) for f in range(4)]
+            assert training.split_ids(split, fold)[1]
+        sizes = [len(training.split_ids(split, f)[1]) for f in range(4)]
         assert max(sizes) - min(sizes) <= 1
 
 

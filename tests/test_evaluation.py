@@ -62,12 +62,12 @@ def brute_force_calibrate(pairs, grid, window, frames_per_segment):
     return np.array(best)
 
 
-def brute_force_per_event(pairs, policy, smooth_window, event_names):
+def brute_force_per_event(pairs, thresholds, smooth_window, event_names):
     """Per-class rows by merging single-row segment counts clip by clip, one
     class at a time (segments must not straddle clip boundaries)."""
     pooled = [ev.SegmentCounts() for _ in event_names]
     for posteriors, roll in pairs:
-        pred = ev.binarize(posteriors, policy, smooth_window)
+        pred = ev.binarize(posteriors, thresholds, smooth_window)
         for m in range(len(event_names)):
             pooled[m] = pooled[m].merge(
                 ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
@@ -87,7 +87,7 @@ def brute_force_per_event(pairs, policy, smooth_window, event_names):
 class TestBinarize:
     def test_all_above_fixed_threshold(self):
         post = np.full((2, 60), 0.9)
-        out = ev.binarize(post, ev.ThresholdPolicy("fixed", 0.5))
+        out = ev.binarize(post, 0.5)
         assert out.all()
 
     def test_exactly_at_threshold_is_inactive(self):
@@ -98,13 +98,13 @@ class TestBinarize:
     def test_isolated_spike_removed_by_median(self):
         post = np.zeros((1, 60))
         post[0, 30] = 0.99
-        out = ev.binarize(post, ev.ThresholdPolicy("fixed", 0.5))
+        out = ev.binarize(post, 0.5)
         assert not out.any()
 
     def test_long_activation_survives_median(self):
         post = np.zeros((1, 80))
         post[0, 20:60] = 0.99
-        out = ev.binarize(post, ev.ThresholdPolicy("fixed", 0.5))
+        out = ev.binarize(post, 0.5)
         assert out[0, 25:55].all()
 
     def test_out_of_range_posterior(self):
@@ -119,12 +119,19 @@ class TestBinarize:
         assert not (higher > lower).any()
 
     def test_policy_validation(self):
-        with pytest.raises(ArgumentError):
-            ev.ThresholdPolicy("fixed", 1.0)
-        with pytest.raises(ArgumentError):
-            ev.ThresholdPolicy("calibrated")
-        with pytest.raises(ArgumentError):
-            ev.ThresholdPolicy("adaptive")
+        post = np.full((3, 60), 0.5)
+        for bad in (0.0, 1.0, [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]):
+            with pytest.raises(ArgumentError, match=r"thresholds must be in \(0,1\)"):
+                ev.binarize(post, bad)
+        with pytest.raises(DimensionError, match="2 thresholds for 3 classes"):
+            ev.binarize(post, [0.4, 0.6])
+
+    def test_one_threshold_or_one_per_class(self):
+        post = np.tile(np.array([[0.2], [0.5], [0.8]]), (1, 60))
+        assert np.array_equal(ev.binarize(post, 0.4), ev.binarize(post, [0.4, 0.4, 0.4]))
+        assert np.array_equal(ev.binarize(post, [0.4]), ev.binarize(post, 0.4))
+        per_class = ev.binarize(post, [0.1, 0.6, 0.9])
+        assert per_class[0].all() and not per_class[1].any() and not per_class[2].any()
 
 
 class TestSegmentCounts:
@@ -281,13 +288,13 @@ class TestPerEventReport:
                 post[rng.random(m) < 0.2] = 0.0
                 pairs.append((post, EventRoll(data=ref.astype(np.float64), hop_seconds=0.02)))
             if trial % 3:
-                policy = ev.ThresholdPolicy("fixed", float(rng.choice([0.3, 0.5, 0.7])))
+                thresholds = float(rng.choice([0.3, 0.5, 0.7]))
             else:
-                policy = ev.ThresholdPolicy("calibrated", per_class=rng.uniform(0.1, 0.9, m))
+                thresholds = rng.uniform(0.1, 0.9, m)
             window = int(rng.choice([1, 3, 27]))
-            scores = training.evaluate_student(pairs, policy, smooth_window=window)
+            scores = training.evaluate_student(pairs, thresholds, smooth_window=window)
             rows = training.pooled_per_event(scores["counts"], names)
-            assert rows == brute_force_per_event(pairs, policy, window, names), trial
+            assert rows == brute_force_per_event(pairs, thresholds, window, names), trial
 
 
 class TestCalibrateThresholds:

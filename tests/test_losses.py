@@ -7,21 +7,6 @@ from numpy.testing import assert_allclose
 from sedmtl import autodiff as ad
 from sedmtl import losses
 from sedmtl.errors import ArgumentError, DimensionError
-from sedmtl.losses import SceneTarget
-
-
-class TestSceneTarget:
-    def test_one_hot_valid(self):
-        t = SceneTarget.one_hot(2, 4)
-        assert_allclose(t.probs, [0, 0, 1, 0])
-
-    def test_one_hot_rejects_soft_vector(self):
-        with pytest.raises(ArgumentError):
-            SceneTarget("one_hot", [0.5, 0.5])
-
-    def test_soft_must_normalize(self):
-        with pytest.raises(ArgumentError):
-            SceneTarget.soft([0.5, 0.6])
 
 
 class TestEventLoss:
@@ -84,30 +69,33 @@ class TestEventLoss:
 
 class TestSceneHardLoss:
     def test_uniform_logits(self):
-        out = losses.scene_hard_loss(
-            ad.tensor([0.0, 0.0, 0.0, 0.0]), SceneTarget.one_hot(1, 4)
-        )
+        out = losses.scene_hard_loss(ad.tensor([0.0, 0.0, 0.0, 0.0]), 1)
         assert_allclose(out.values, math.log(4.0), atol=1e-12)
 
     def test_two_logits(self):
-        out = losses.scene_hard_loss(ad.tensor([1.0, 2.0]), SceneTarget.one_hot(1, 2))
+        out = losses.scene_hard_loss(ad.tensor([1.0, 2.0]), 1)
         assert_allclose(out.values, 0.31326168751822286, atol=1e-12)
 
     def test_confident_correct_drives_loss_to_zero(self):
-        out = losses.scene_hard_loss(
-            ad.tensor([40.0, 0.0, 0.0]), SceneTarget.one_hot(0, 3)
-        )
+        out = losses.scene_hard_loss(ad.tensor([40.0, 0.0, 0.0]), 0)
         assert out.values < 1e-12
 
-    def test_rejects_soft_target(self):
-        with pytest.raises(ArgumentError):
-            losses.scene_hard_loss(ad.tensor([0.0, 0.0]), SceneTarget.soft([0.5, 0.5]))
+    def test_one_hot_from_scene_index(self):
+        # the one-hot target of scene 2 weights only that logit's log-softmax
+        logits = np.array([0.5, -1.0, 2.0, 0.0])
+        out = losses.scene_hard_loss(ad.tensor(logits), 2)
+        expected = np.log(np.exp(logits).sum()) - logits[2]
+        assert_allclose(out.values, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("scene", [-1, 4])
+    def test_rejects_scene_index_out_of_range(self, scene):
+        with pytest.raises(ArgumentError, match="outside 0..3"):
+            losses.scene_hard_loss(ad.tensor([0.0, 0.0, 0.0, 0.0]), scene)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         logits = ad.tensor(rng.normal(size=4))
-        target = SceneTarget.one_hot(2, 4)
-        report = ad.grad_check(lambda t: losses.scene_hard_loss(t, target), [logits])
+        report = ad.grad_check(lambda t: losses.scene_hard_loss(t, 2), [logits])
         assert report.max_rel_err < 1e-6
 
 
@@ -138,9 +126,8 @@ class TestSoftSceneLoss:
         for _ in range(100):
             logits = rng.normal(scale=3.0, size=4)
             idx = int(rng.integers(0, 4))
-            target = SceneTarget.one_hot(idx, 4)
-            hard = losses.scene_hard_loss(ad.tensor(logits), target).values
-            soft = losses.soft_scene_loss(ad.tensor(logits), target.probs, 1.0).values
+            hard = losses.scene_hard_loss(ad.tensor(logits), idx).values
+            soft = losses.soft_scene_loss(ad.tensor(logits), np.eye(4)[idx], 1.0).values
             assert abs(hard - soft) <= 1e-12
 
     def test_hand_computed_value(self):

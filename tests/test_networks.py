@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from sedmtl import autodiff as ad
 from sedmtl import losses, networks
 from sedmtl.errors import DimensionError
-from sedmtl.losses import SceneTarget
 
 
 def random_features(n_frames, seed=0, scale=1.0):
@@ -149,7 +148,7 @@ class TestStudentForward:
             event_logits, scene_logits = networks.student_forward(params, feats)
             loss = losses.mtl_objective(
                 losses.event_loss(event_logits, roll),
-                losses.scene_hard_loss(scene_logits, SceneTarget.one_hot(1, 3)),
+                losses.scene_hard_loss(scene_logits, 1),
                 alpha=1.0,
             )
         tape.backward(loss)
@@ -225,10 +224,11 @@ class TestCheckpoint:
         networks.save_checkpoint(path, params, meta)
         loaded, loaded_meta = networks.load_checkpoint(path)
         assert loaded_meta == meta
-        assert loaded.names() == params.names()
+        assert [n for n, _ in loaded.items()] == [n for n, _ in params.items()]
         for a, b in zip(params.tensors(), loaded.tensors()):
             assert np.array_equal(a.values, b.values)
-        assert loaded.checksum() == params.checksum()
+        digest = hashlib.sha256(params.blob()).hexdigest()
+        assert hashlib.sha256(loaded.blob()).hexdigest() == digest
 
     def test_forward_identical_after_reload(self, tmp_path):
         params = networks.init_teacher_params(4, seed=15)
