@@ -11,7 +11,6 @@ readable results live in files. Exit code 0 means no errors.
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -266,6 +265,17 @@ def _stats_from_meta(doc: dict) -> BandStats:
     return BandStats(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
 
 
+def _check_vocabulary(path, meta: dict, vocabulary: Vocabulary, *counts):
+    """Stop before any features load when the checkpoint's class counts
+    (`n_scenes`, `n_events`) are not the vocabulary's."""
+    for count in counts:
+        if meta.get(count) != getattr(vocabulary, count):
+            raise DataError(
+                f"{path} has {count} {meta.get(count)}, "
+                f"but the vocabulary has {getattr(vocabulary, count)}"
+            )
+
+
 def _read_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -385,6 +395,7 @@ def cmd_distill(args) -> int:
         if args.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {args.temperature}")
         vocabulary = Vocabulary.load(args.vocabulary)
+        _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
         entries, examples = _load_examples(args.manifest, vocabulary, args.features)
         split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
         clips = [split[c] for c in sorted(split)]
@@ -419,15 +430,18 @@ def cmd_eval(args) -> int:
         if meta.get("kind") != "student":
             raise DataError(f"{args.checkpoint} is not a student checkpoint")
         vocabulary = Vocabulary.load(args.vocabulary)
+        _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes", "n_events")
         entries, examples = _load_examples(args.manifest, vocabulary, args.features)
         split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
         train_ids, val_ids = training.split_ids(_fold_assignment(entries), args.fold)
-        # One student forward per distinct clip, run when first read; at
+        # One batched forward over every distinct clip the policy reads; at
         # --fold -1 the calibration and evaluation clips are the same set.
-        posteriors = functools.cache(lambda c: training.student_posteriors(params, split[c]))
+        calibrated = settings.policy == "calibrated"
+        read = sorted(set(val_ids) | set(train_ids if calibrated else ()))
+        posteriors = dict(zip(read, training.student_posteriors(params, *(split[c] for c in read))))
 
         def pairs(clip_ids):
-            return ((posteriors(c), split[c].roll) for c in clip_ids)
+            return ((posteriors[c], split[c].roll) for c in clip_ids)
 
         thresholds = training.eval_policy(settings, pairs(train_ids))
         scores = training.evaluate_student(
@@ -441,7 +455,6 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ev.report_dict(scores["counts"], per_event)
-    calibrated = settings.policy == "calibrated"
     report["policy"] = {
         "kind": settings.policy,
         "threshold": None if calibrated else settings.threshold,

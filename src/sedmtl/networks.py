@@ -15,9 +15,10 @@ frame axis is the contiguous one. Pooling sizes read as time x band:
 
 Pooling before the ReLU is exact: ReLU is monotone, so relu(maxpool(x)) ==
 maxpool(relu(x)) value for value, and the gradient reaches the same element
-of each window; the ReLU then runs on the pooled, smaller array. A training
-mini-batch of equal-length chunks runs the trunk and scene head per chunk and
-the BiGRU and event head once, time-major over the whole batch.
+of each window; the ReLU then runs on the pooled, smaller array. A batch of
+equal-length inputs (a training mini-batch of chunks, or clips at inference)
+runs the trunk and scene head per input and the BiGRU and event head once,
+time-major over the whole batch; inference skips the scene head.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -194,17 +195,19 @@ def _scene_head(params: ModelParams, trunk: Tensor) -> Tensor:
     scene_vec = _collapse_to_vector(scene)
     return ad.dense(scene_vec, params["scene_out.weight"], params["scene_out.bias"])
 
-def student_forward(params: ModelParams, features):
-    """Event logits (M, N) and scene logits (C,) for one clip or chunk.
+def student_forward(params: ModelParams, features: list, scene: bool = True):
+    """Event logits (B, M, N) and a list of B scene logit vectors for a list
+    of B equal-length feature matrices.
 
-    Given a list of B equal-length feature matrices (a mini-batch of
-    chunks), returns event logits (B, M, N) and a list of B scene logit
-    vectors: the convolutional trunk and scene head run per chunk, the BiGRU
-    and the dense event head once over the whole batch.
+    The convolutional trunk and scene head run per matrix, the BiGRU and the
+    dense event head once over the whole batch. With `scene=False` the scene
+    head is skipped and the scene logits are None. A matrix listed more than
+    once runs the trunk once.
     """
-    batch = isinstance(features, list)
-    trunks = [student_trunk(params, f) for f in (features if batch else [features])]
-    scene_logits = [_scene_head(params, trunk) for trunk in trunks]
+    distinct = {id(f): f for f in features}
+    trunk_of = {key: student_trunk(params, f) for key, f in distinct.items()}
+    trunks = [trunk_of[id(f)] for f in features]
+    scene_logits = [_scene_head(params, trunk) for trunk in trunks] if scene else None
 
     c, _, n = trunks[0].shape
     # (128, 1, N) per chunk -> time-major (N, B, 128)
@@ -214,9 +217,7 @@ def student_forward(params: ModelParams, features):
     hidden = ad.relu(ad.dense(hidden, params["event_hidden.weight"], params["event_hidden.bias"]))
     frame_logits = ad.dense(hidden, params["event_out.weight"], params["event_out.bias"])
     event_logits = ad.transpose(ad.reshape(frame_logits, (n, len(trunks), -1)), (1, 2, 0))
-    if batch:
-        return event_logits, scene_logits
-    return ad.reshape(event_logits, event_logits.shape[1:]), scene_logits[0]
+    return event_logits, scene_logits
 
 def save_checkpoint(path, params: ModelParams, meta: dict):
     """JSON header (meta + parameter manifest) followed by the value blob."""

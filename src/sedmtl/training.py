@@ -18,7 +18,8 @@ machine with the same numpy/BLAS build. Cross-validation fans runs out per
 
 The student records one autodiff tape per mini-batch: its chunks share one
 length, so a single forward and backward covers the batch, with the scene
-losses still taken per chunk. The teacher records one tape per clip, because
+losses still taken per chunk; in event_only mode, where no loss reads the
+scene head, it is not run. The teacher records one tape per clip, because
 its clips may differ in length. A loss or gradient that is not finite stops
 training before the optimizer step, naming the epoch, batch and parameter.
 """
@@ -404,15 +405,43 @@ def load_soft_labels(path) -> dict:
 # student
 
 
-def student_posteriors(params: networks.ModelParams, clip) -> np.ndarray:
-    event_logits, _ = networks.student_forward(params, clip.features)
-    return ad.sigmoid(event_logits).values
+# Clips per BiGRU batch at inference: 8 already shares the step loop's
+# per-step overhead; 16 was barely faster but kept twice the trunk outputs and
+# recurrent state alive, and raised eval-many's peak RSS by ~10%.
+INFER_BATCH = 8
+
+
+def student_posteriors(params: networks.ModelParams, *clips) -> list:
+    """Event posteriors, one (M, N) array per clip, in the order given.
+
+    Clips of equal frame count share the BiGRU and event head in batches of
+    at most INFER_BATCH; the scene head, which no caller reads, is skipped. A
+    clip alone in its batch runs twice over: at B=1 the recurrent matmuls
+    take a BLAS matrix-vector path with other rounding, while at any B >= 2
+    a clip's rows are the same bits, so its posteriors never depend on which
+    clips share the call.
+    """
+    out = [None] * len(clips)
+    groups = {}
+    for i, clip in enumerate(clips):
+        groups.setdefault(clip.features.n_frames, []).append(i)
+    for members in groups.values():
+        for start in range(0, len(members), INFER_BATCH):
+            batch = members[start : start + INFER_BATCH]
+            features = [clips[i].features for i in batch]
+            event_logits, _ = networks.student_forward(
+                params, features * 2 if len(batch) == 1 else features, scene=False
+            )
+            posteriors = ad.sigmoid(event_logits).values
+            for row, i in enumerate(batch):
+                out[i] = posteriors[row]
+    return out
 
 
 def posterior_pairs(params: networks.ModelParams, clips):
-    """(event posteriors, event roll) per clip, lazily: one student forward
-    each, run only when the pair is read."""
-    return ((student_posteriors(params, clip), clip.roll) for clip in clips)
+    """(event posteriors, event roll) per clip, lazily: one batched student
+    forward over all the clips, run when the first pair is read."""
+    yield from zip(student_posteriors(params, *clips), (clip.roll for clip in clips))
 
 
 def evaluate_student(
@@ -484,7 +513,8 @@ def train_student(
             ad.zero_grads(params.tensors())
             with ad.Tape() as tape:  # one tape for the whole mini-batch
                 event_logits, scene_logits = networks.student_forward(
-                    params, [chunk.features for chunk in chunks]
+                    params, [chunk.features for chunk in chunks],
+                    scene=config.mode != "event_only",
                 )
                 event = losses.event_loss(
                     event_logits,
@@ -523,7 +553,7 @@ def train_student(
         }
 
     def eval_metric():
-        posteriors = [student_posteriors(params, clip) for clip in val_clips]
+        posteriors = student_posteriors(params, *val_clips)
         scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), 0.5)
         return "f1", scores["f1"], {"er": scores["er"]}, posteriors
 

@@ -213,6 +213,28 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert (student_dir / "mtl_soft.ckpt").is_file()
 
+    def test_distill_rejects_a_teacher_of_another_vocabulary(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        ckpt = tmp_path / "three_scenes.ckpt"
+        networks.save_checkpoint(ckpt, networks.init_teacher_params(3, seed=0), {
+            "kind": "teacher", "n_scenes": 3, "n_events": 5,
+            "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
+        })
+        refuse_to_load(monkeypatch)
+        soft_path = tmp_path / "soft_labels.json"
+        assert cli.main([
+            "distill",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(fixture_dataset["manifest"]),
+            "--vocabulary", str(fixture_dataset["vocabulary"]),
+            "--features", str(fixture_dataset["features"]),
+            "--out", str(soft_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt} has n_scenes 3, but the vocabulary has 4" in err
+        assert not soft_path.exists()
+
     def test_mtl_soft_requires_soft_labels_path(self, fixture_dataset, tmp_path, capsys):
         doc = train_config_doc(fixture_dataset, tmp_path, "mtl_soft", beta=1.0)
         cfg = tmp_path / "cfg.json"
@@ -379,9 +401,9 @@ class TestEval:
         calls = []
         forward = training.student_posteriors
 
-        def counting(params, clip):
-            calls.append(clip.clip_id)
-            return forward(params, clip)
+        def counting(params, *clips):
+            calls.extend(clip.clip_id for clip in clips)
+            return forward(params, *clips)
 
         monkeypatch.setattr(training, "student_posteriors", counting)
         report_dir = tmp_path / "report"
@@ -399,6 +421,25 @@ class TestEval:
         digest = hashlib.sha256((report_dir / "report.json").read_bytes()).hexdigest()
         assert digest == self.CALIBRATED_REPORT_SHA256
 
+
+    def test_checkpoint_vocabulary_mismatch_rejected_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        ckpt = tmp_path / "three_events.ckpt"
+        self.make_oracle_checkpoint(ckpt, 4, 3, active_class=0)
+        refuse_to_load(monkeypatch)
+        assert cli.main([
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--manifest", str(fixture_dataset["manifest"]),
+            "--vocabulary", str(fixture_dataset["vocabulary"]),
+            "--features", str(fixture_dataset["features"]),
+            "--fold", "-1",
+            "--out", str(tmp_path / "report"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt} has n_events 3, but the vocabulary has 5" in err
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
         "flag, value, fragment",
@@ -638,9 +679,9 @@ class TestCrossValidation:
         calls = []
         forward = training.student_posteriors
 
-        def counting(params, clip):
-            calls.append(clip.clip_id)
-            return forward(params, clip)
+        def counting(params, *clips):
+            calls.extend(clip.clip_id for clip in clips)
+            return forward(params, *clips)
 
         monkeypatch.setattr(training, "student_posteriors", counting)
         epochs = 2

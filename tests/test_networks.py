@@ -84,20 +84,34 @@ class TestTeacherForward:
 class TestStudentForward:
     def test_output_shapes(self):
         params = networks.init_student_params(4, 25, seed=8)
-        event_logits, scene_logits = networks.student_forward(params, random_features(57))
-        assert event_logits.values.shape == (25, 57)
-        assert scene_logits.values.shape == (4,)
+        event_logits, scene_logits = networks.student_forward(params, [random_features(57)])
+        assert event_logits.values.shape == (1, 25, 57)
+        assert [s.values.shape for s in scene_logits] == [(4,)]
 
-    def test_batch_shapes_and_batch_of_one_bytes(self):
+    def test_batch_shapes_and_skipped_scene_head(self):
         params = networks.init_student_params(4, 5, seed=10)
         feats = [random_features(37, seed=s) for s in range(3)]
         event_logits, scene_logits = networks.student_forward(params, feats)
         assert event_logits.values.shape == (3, 5, 37)
         assert [s.values.shape for s in scene_logits] == [(4,)] * 3
-        single_event, single_scene = networks.student_forward(params, feats[1])
-        one_event, one_scene = networks.student_forward(params, [feats[1]])
-        assert one_event.values[0].tobytes() == single_event.values.tobytes()
-        assert one_scene[0].values.tobytes() == single_scene.values.tobytes()
+        events_only, no_scene = networks.student_forward(params, feats, scene=False)
+        assert no_scene is None
+        assert events_only.values.tobytes() == event_logits.values.tobytes()
+
+    def test_repeated_matrix_runs_the_trunk_once(self, monkeypatch):
+        params = networks.init_student_params(4, 5, seed=10)
+        feats = random_features(37)
+        trunk = networks.student_trunk
+        calls = []
+
+        def counting(params, features):
+            calls.append(features)
+            return trunk(params, features)
+
+        monkeypatch.setattr(networks, "student_trunk", counting)
+        event_logits, _ = networks.student_forward(params, [feats, feats], scene=False)
+        assert len(calls) == 1
+        assert event_logits.values[0].tobytes() == event_logits.values[1].tobytes()
 
     def test_scene_head_time_reduction(self):
         # 500 frames -> pool 10 -> 50 -> pool 5 -> 10 positions before the mean
@@ -111,7 +125,7 @@ class TestStudentForward:
 
     def test_zero_input_zero_bias_gives_sigmoid_half(self):
         params = networks.init_student_params(4, 5, seed=10)
-        event_logits, _ = networks.student_forward(params, np.zeros((64, 20)))
+        event_logits, _ = networks.student_forward(params, [np.zeros((64, 20))])
         assert_allclose(event_logits.values, 0.0, atol=1e-12)
         assert_allclose(
             ad.sigmoid(event_logits).values, 0.5, atol=1e-12
@@ -123,9 +137,9 @@ class TestStudentForward:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             feats = rng.uniform(-10, 10, size=(64, 30))
-            ev, sc = networks.student_forward(params, feats)
+            ev, sc = networks.student_forward(params, [feats])
             assert np.isfinite(ev.values).all()
-            assert np.isfinite(sc.values).all()
+            assert np.isfinite(sc[0].values).all()
             assert np.isfinite(networks.teacher_forward(teacher, feats).values).all()
 
     def test_trunk_time_equivariance(self):
@@ -145,10 +159,10 @@ class TestStudentForward:
         roll = (rng.random((4, 25)) < 0.5).astype(float)
         ad.zero_grads(params.tensors())
         with ad.Tape() as tape:
-            event_logits, scene_logits = networks.student_forward(params, feats)
+            event_logits, scene_logits = networks.student_forward(params, [feats])
             loss = losses.mtl_objective(
-                losses.event_loss(event_logits, roll),
-                losses.scene_hard_loss(scene_logits, 1),
+                losses.event_loss(event_logits, roll[None]),
+                losses.scene_hard_loss(scene_logits[0], 1),
                 alpha=1.0,
             )
         tape.backward(loss)
@@ -180,8 +194,8 @@ class TestForwardBits:
         student = networks.init_student_params(4, 5, seed=16)
         teacher = networks.init_teacher_params(4, seed=16)
         feats = np.random.default_rng(n_frames).normal(size=(64, n_frames))
-        event_logits, scene_logits = networks.student_forward(student, feats)
-        outputs = (event_logits, scene_logits, networks.teacher_forward(teacher, feats))
+        event_logits, scene_logits = networks.student_forward(student, [feats])
+        outputs = (event_logits, scene_logits[0], networks.teacher_forward(teacher, feats))
         digests = tuple(hashlib.sha256(t.values.tobytes()).hexdigest() for t in outputs)
         assert digests == self.DIGESTS[n_frames]
 

@@ -254,7 +254,7 @@ class TestTrainStudent:
         clips = self.clips()
         result = training.train_student(clips[:5], clips[3:], quick_config("mtl_hard", alpha=0.1))
         assert result.best_epoch < len(result.log)  # the restored epoch is not the last
-        again = [training.student_posteriors(result.params, clip) for clip in clips[3:]]
+        again = [training.student_posteriors(result.params, clip)[0] for clip in clips[3:]]
         assert len(result.val_posteriors) == len(again)
         for kept, fresh in zip(result.val_posteriors, again):
             assert kept.tobytes() == fresh.tobytes()
@@ -385,6 +385,60 @@ class TestNonFiniteGradient:
         assert all(np.array_equal(after[k], before[k]) for k in before)
 
 
+def clip_with_frames(clip_id, n_frames, seed, n_events=3):
+    rng = np.random.default_rng(seed)
+    return ClipExample(
+        clip_id=clip_id,
+        features=LogMelSpectrogram(data=rng.normal(size=(64, n_frames)), hop_seconds=0.02),
+        scene=0,
+        roll=EventRoll(data=np.zeros((n_events, n_frames)), hop_seconds=0.02),
+    )
+
+
+class TestStudentPosteriors:
+    def params(self):
+        return networks.init_student_params(4, 3, seed=21)
+
+    def test_bytes_do_not_depend_on_the_company(self):
+        params = self.params()
+        target = clip_with_frames("target", 30, seed=0)
+        (alone,) = training.student_posteriors(params, target)
+        # equal-length clips that fill whole batches: the target is the lone tail
+        same = [clip_with_frames(f"c{i}", 30, seed=i + 1) for i in range(2 * training.INFER_BATCH)]
+        tail = training.student_posteriors(params, *same, target)[-1]
+        mixed_in = [clip_with_frames("a", 22, 40), target, clip_with_frames("b", 30, 41),
+                    clip_with_frames("c", 41, 42), clip_with_frames("d", 30, 43)]
+        mixed = training.student_posteriors(params, *mixed_in)[1]
+        assert alone.shape == (3, 30)
+        assert tail.tobytes() == alone.tobytes()
+        assert mixed.tobytes() == alone.tobytes()
+
+    def test_output_keeps_the_input_order(self):
+        params = self.params()
+        clips = [clip_with_frames(f"c{i}", n, seed=i) for i, n in enumerate((25, 31, 25, 18, 31))]
+        together = training.student_posteriors(params, *clips)
+        one_by_one = [training.student_posteriors(params, clip)[0] for clip in clips]
+        assert [p.shape[1] for p in together] == [25, 31, 25, 18, 31]
+        for batched, alone in zip(together, one_by_one, strict=True):
+            assert batched.tobytes() == alone.tobytes()
+
+    def test_skips_the_scene_head(self, monkeypatch):
+        params = self.params()
+        conv2d = ad.conv2d
+        kernels = []
+
+        def recording_conv2d(x, kernel, bias):
+            kernels.append(kernel)
+            return conv2d(x, kernel, bias)
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+        clips = [clip_with_frames(f"c{i}", 20, seed=i) for i in range(3)]
+        training.student_posteriors(params, *clips)
+        scene_kernels = [params["scene1.kernel"], params["scene2.kernel"]]
+        assert len(kernels) == 3 * len(clips)
+        assert not any(k is s for k in kernels for s in scene_kernels)
+
+
 class TestBatchedStudentStep:
     def test_one_tape_matches_the_per_chunk_sum(self):
         rng = np.random.default_rng(30)
@@ -398,8 +452,6 @@ class TestBatchedStudentStep:
             ad.zero_grads(params.tensors())
             with ad.Tape() as tape:
                 event, scene = networks.student_forward(params, feature_list)
-                if not isinstance(feature_list, list):
-                    scene = [scene]
                 terms = [
                     losses.scene_hard_loss(s, c)
                     for s, c in zip(scene, scene_ids)
@@ -411,7 +463,10 @@ class TestBatchedStudentStep:
             return {k: t.grad.copy() for k, t in params.items()}
 
         batched = grads(feats, np.stack(rolls), np.stack(masks), scenes)
-        per_chunk = [grads(feats[i], rolls[i], masks[i], scenes[i : i + 1]) for i in range(3)]
+        per_chunk = [
+            grads(feats[i : i + 1], rolls[i][None], masks[i][None], scenes[i : i + 1])
+            for i in range(3)
+        ]
         for name, g in batched.items():
             total = per_chunk[0][name] + per_chunk[1][name] + per_chunk[2][name]
             assert np.abs(g - total).max() <= 1e-10 * np.abs(total).max(), name
