@@ -37,7 +37,6 @@ from .data import (
 from .errors import ConfigError, DataError
 from .features import (
     BandStats,
-    compute_band_stats,
     log_mel_energy,
     read_feature_cache,
     read_wav,
@@ -227,8 +226,11 @@ def cmd_features(args) -> int:
 
 
 def _load_examples(manifest_path, vocabulary, features_dir):
+    """({clip: fold}, {clip: ClipExample}, the files read): the manifest, and
+    each clip's feature cache and annotation file."""
     entries = read_manifest(manifest_path)
     examples = {}
+    inputs = [manifest_path]
     clipped_total = 0
     for clip_id in sorted(entries):
         entry = entries[clip_id]
@@ -248,13 +250,10 @@ def _load_examples(manifest_path, vocabulary, features_dir):
         examples[clip_id] = ClipExample(
             clip_id=clip_id, features=features, scene=entry["scene"], roll=roll
         )
+        inputs += [cache_path, entry["annotation_path"]]
     if clipped_total:
         _note(f"note: {clipped_total} annotations extend past their clip end")
-    return entries, examples
-
-
-def _fold_assignment(entries) -> dict:
-    return {c: e["fold"] for c, e in entries.items()}
+    return {c: e["fold"] for c, e in entries.items()}, examples, inputs
 
 
 def _stats_to_meta(stats: BandStats) -> dict:
@@ -327,16 +326,11 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         vocabulary = Vocabulary.load(paths["vocabulary"])
-        entries, examples = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
-        train_ids, val_ids = training.split_ids(_fold_assignment(entries), config.fold)
-        stats = compute_band_stats([examples[c].features for c in train_ids])
-        split = training.standardize_split(examples, stats)
-        train_clips = [split[c] for c in train_ids]
-        val_clips = [split[c] for c in val_ids]
-
-        inputs = [args.config, paths["manifest"], paths["vocabulary"]]
-        inputs += [Path(paths["features_dir"]) / f"{c}.sdfc" for c in sorted(entries)]
-        inputs += [entries[c]["annotation_path"] for c in sorted(entries)]
+        folds, examples, inputs = _load_examples(
+            paths["manifest"], vocabulary, paths["features_dir"]
+        )
+        train_clips, val_clips, stats = training.standardize_split(examples, folds, config.fold)
+        inputs += [args.config, paths["vocabulary"]]
 
         if config.mode == "teacher":
             result = training.train_teacher(
@@ -396,9 +390,10 @@ def cmd_distill(args) -> int:
             raise ConfigError(f"temperature must be positive, got {args.temperature}")
         vocabulary = Vocabulary.load(args.vocabulary)
         _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
-        entries, examples = _load_examples(args.manifest, vocabulary, args.features)
-        split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
-        clips = [split[c] for c in sorted(split)]
+        folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+        clips, _, _ = training.standardize_split(
+            examples, folds, -1, _stats_from_meta(meta["band_stats"])
+        )
         labels = training.compute_soft_labels(params, clips, args.temperature)
     except (ValueError, DataError) as exc:
         _err(str(exc))
@@ -406,8 +401,7 @@ def cmd_distill(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     training.save_soft_labels(out_path, labels)
-    inputs = [args.checkpoint, args.manifest, args.vocabulary]
-    inputs += [Path(args.features) / f"{c}.sdfc" for c in sorted(entries)]
+    inputs += [args.checkpoint, args.vocabulary]
     _write_run_manifest(
         out_path.parent, "distill",
         {"temperature": args.temperature, "checkpoint": str(args.checkpoint)},
@@ -431,34 +425,25 @@ def cmd_eval(args) -> int:
             raise DataError(f"{args.checkpoint} is not a student checkpoint")
         vocabulary = Vocabulary.load(args.vocabulary)
         _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes", "n_events")
-        entries, examples = _load_examples(args.manifest, vocabulary, args.features)
-        split = training.standardize_split(examples, _stats_from_meta(meta["band_stats"]))
-        train_ids, val_ids = training.split_ids(_fold_assignment(entries), args.fold)
-        # One batched forward over every distinct clip the policy reads; at
-        # --fold -1 the calibration and evaluation clips are the same set.
-        calibrated = settings.policy == "calibrated"
-        read = sorted(set(val_ids) | set(train_ids if calibrated else ()))
-        posteriors = dict(zip(read, training.student_posteriors(params, *(split[c] for c in read))))
-
-        def pairs(clip_ids):
-            return ((posteriors[c], split[c].roll) for c in clip_ids)
-
-        thresholds = training.eval_policy(settings, pairs(train_ids))
-        scores = training.evaluate_student(
-            pairs(val_ids), thresholds, smooth_window=settings.smooth_window
+        folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+        train_clips, val_clips, _ = training.standardize_split(
+            examples, folds, args.fold, _stats_from_meta(meta["band_stats"])
         )
-        per_event = training.pooled_per_event(scores["counts"], vocabulary.events)
+        scores = training.score_student(
+            params, settings, train_clips, val_clips, vocabulary.events
+        )
     except (ValueError, DataError) as exc:
         _err(str(exc))
         return 1
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = ev.report_dict(scores["counts"], per_event)
+    calibrated = settings.policy == "calibrated"
+    report = ev.report_dict(scores["counts"], scores["per_event"])
     report["policy"] = {
         "kind": settings.policy,
         "threshold": None if calibrated else settings.threshold,
-        "per_class": list(thresholds) if calibrated else None,
+        "per_class": list(scores["thresholds"]) if calibrated else None,
         "smooth_window": settings.smooth_window,
         "note": "per-event ER is class-restricted (no cross-class substitutions)",
     }
@@ -466,8 +451,7 @@ def cmd_eval(args) -> int:
     _write_json(report_path, report)
     table_path = out_dir / "report.txt"
     table_path.write_text(ev.format_report_table(report), encoding="utf-8")
-    inputs = [args.checkpoint, args.manifest, args.vocabulary]
-    inputs += [Path(args.features) / f"{c}.sdfc" for c in sorted(entries)]
+    inputs += [args.checkpoint, args.vocabulary]
     _write_run_manifest(
         out_dir, "eval", {"fold": args.fold, "policy": settings.policy},
         inputs, [report_path, table_path], clock,
@@ -502,16 +486,17 @@ def cmd_cv(args) -> int:
         problems = []
         paths = _config_paths(doc, problems)
         cv = training.check_settings(training.CvConfig, doc.get("cv", {}), "cv", problems)
-        base = doc.get("train", {})
         train = training.check_settings(
-            training.TrainConfig, base, "train", problems, fixed=training.CV_RUN_FIELDS
+            training.TrainConfig, doc.get("train", {}), "train", problems,
+            fixed=training.CV_RUN_FIELDS,
         )
         training.fail_on(problems)
         vocabulary = Vocabulary.load(paths["vocabulary"])
-        entries, examples = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
+        folds, examples, inputs = _load_examples(
+            paths["manifest"], vocabulary, paths["features_dir"]
+        )
         out = training.run_cross_validation(
-            examples, _fold_assignment(entries), base, cv.modes, cv.seeds,
-            eval_cfg=asdict(cv.eval), workers=workers, event_names=vocabulary.events,
+            examples, folds, train, cv, vocabulary, workers=workers
         )
     except (ValueError, DataError, OSError, json.JSONDecodeError) as exc:
         _err(str(exc))
@@ -534,8 +519,7 @@ def cmd_cv(args) -> int:
         )
     table = "\n".join(lines) + "\n"
     (out_dir / "cv_table.txt").write_text(table, encoding="utf-8")
-    inputs = [args.config, paths["manifest"], paths["vocabulary"]]
-    inputs += [Path(paths["features_dir"]) / f"{c}.sdfc" for c in sorted(entries)]
+    inputs += [args.config, paths["vocabulary"]]
     _write_run_manifest(out_dir, "cv", doc, inputs, [report_path, out_dir / "cv_table.txt"], clock)
     print(table, end="")
     return 0

@@ -251,13 +251,21 @@ def split_ids(assignment: dict, fold: int):
     return train, val
 
 
-def standardize_split(examples: dict, stats: BandStats) -> dict:
-    """Every clip standardized with the given per-band stats, which callers
-    take from the training clips only (or from a checkpoint)."""
-    return {
-        clip_id: replace(ex, features=standardize(ex.features, stats))
-        for clip_id, ex in examples.items()
+def standardize_split(examples: dict, assignment: dict, fold: int, stats: BandStats | None = None):
+    """(train clips, validation clips, stats) of one fold of `assignment`.
+
+    Every clip is standardized once with `stats`, which default to the
+    per-band stats of the training clips; at fold -1 both lists hold the same
+    clip objects.
+    """
+    train_ids, val_ids = split_ids(assignment, fold)
+    if stats is None:
+        stats = compute_band_stats([examples[c].features for c in train_ids])
+    split = {
+        c: replace(examples[c], features=standardize(examples[c].features, stats))
+        for c in {*train_ids, *val_ids}
     }
+    return [split[c] for c in train_ids], [split[c] for c in val_ids], stats
 
 
 @dataclass
@@ -438,12 +446,6 @@ def student_posteriors(params: networks.ModelParams, *clips) -> list:
     return out
 
 
-def posterior_pairs(params: networks.ModelParams, clips):
-    """(event posteriors, event roll) per clip, lazily: one batched student
-    forward over all the clips, run when the first pair is read."""
-    yield from zip(student_posteriors(params, *clips), (clip.roll for clip in clips))
-
-
 def evaluate_student(
     pairs,
     thresholds,
@@ -560,35 +562,69 @@ def train_student(
     return _early_stop_loop(config, run_epoch, eval_metric, params)
 
 
+def score_student(
+    params: networks.ModelParams,
+    cfg: EvalConfig,
+    calibration_clips,
+    val_clips,
+    event_names,
+    val_posteriors=None,
+) -> dict:
+    """`evaluate_student` scores of the validation clips under `cfg`, plus
+    the `thresholds` used and the `per_event` rows; shared by `eval` and `cv`.
+
+    The fixed policy uses `cfg.threshold`; the calibrated one searches
+    `cfg.grid` per class on the calibration clips. Every clip read is
+    forwarded once, in one batched call, unless `val_posteriors` (one per
+    validation clip) already hold the validation clips' posteriors.
+    """
+    calibrated = cfg.policy == "calibrated"
+    posteriors = dict(zip([c.clip_id for c in val_clips], val_posteriors or []))
+    read = {c.clip_id: c for c in [*(calibration_clips if calibrated else []), *val_clips]}
+    ids = sorted(read.keys() - posteriors.keys())
+    if ids:  # never a forward over zero clips
+        posteriors.update(zip(ids, student_posteriors(params, *(read[c] for c in ids))))
+
+    def pairs(clips):
+        return [(posteriors[c.clip_id], c.roll) for c in clips]
+
+    thresholds = cfg.threshold
+    if calibrated:
+        calibration = pairs(calibration_clips)
+        thresholds = ev.calibrate_thresholds(
+            calibration, cfg.grid, smooth_window=cfg.smooth_window,
+            hop_s=calibration[0][1].hop_seconds,
+        )
+    scores = evaluate_student(pairs(val_clips), thresholds, cfg.smooth_window)
+    per_event = pooled_per_event(scores["counts"], event_names)
+    return {**scores, "thresholds": thresholds, "per_event": per_event}
+
+
 # ---------------------------------------------------------------------------
 # cross-validation driver
 
 
 def _cv_single(payload):
     """Train and evaluate everything for one (fold, seed); a worker job."""
-    examples, assignment, configs, fold, eval_cfg, event_names, n_scenes = payload
-    train_ids, val_ids = split_ids(assignment, fold)
-    stats = compute_band_stats([examples[c].features for c in train_ids])
-    split = standardize_split(examples, stats)
-    train_clips = [split[c] for c in train_ids]
-    val_clips = [split[c] for c in val_ids]
-
+    examples, assignment, configs, fold, eval_cfg, vocabulary = payload
+    train_clips, val_clips, _ = standardize_split(examples, assignment, fold)
     soft_labels = None
     results = []
     for cfg in configs:  # the teacher, when there is one, comes first
         if cfg.mode == "teacher":
-            teacher = train_teacher(train_clips, val_clips, cfg, n_scenes=n_scenes)
+            teacher = train_teacher(train_clips, val_clips, cfg, n_scenes=vocabulary.n_scenes)
             soft_labels = compute_soft_labels(teacher.params, train_clips, cfg.temperature)
             continue
         result = train_student(
             train_clips, val_clips, cfg,
             soft_labels=soft_labels if cfg.mode == "mtl_soft" else None,
-            n_scenes=n_scenes,
+            n_scenes=vocabulary.n_scenes,
         )
-        thresholds = eval_policy(eval_cfg, posterior_pairs(result.params, train_clips))
         # train_student scored the validation clips with the restored parameters
-        val_pairs = zip(result.val_posteriors, (c.roll for c in val_clips))
-        scores = evaluate_student(val_pairs, thresholds, eval_cfg.smooth_window)
+        scores = score_student(
+            result.params, eval_cfg, train_clips, val_clips, vocabulary.events,
+            val_posteriors=result.val_posteriors,
+        )
         results.append(
             {
                 "fold": fold,
@@ -597,29 +633,13 @@ def _cv_single(payload):
                 "f1": scores["f1"],
                 "er": scores["er"],
                 "best_epoch": result.best_epoch,
-                "per_event": pooled_per_event(scores["counts"], event_names),
+                "per_event": scores["per_event"],
             }
         )
     return results
 
 
-def eval_policy(cfg: EvalConfig, calibration_pairs):
-    """The thresholds of an EvalConfig, shared by `eval` and `cv`:
-    `cfg.threshold` for the fixed policy, per-class thresholds for the
-    calibrated one.
-
-    A calibrated policy searches `cfg.grid` on the (posteriors, roll) pairs;
-    a fixed one never reads them, so lazy pairs cost no student forward.
-    """
-    if cfg.policy != "calibrated":
-        return cfg.threshold
-    pairs = list(calibration_pairs)
-    return ev.calibrate_thresholds(
-        pairs, cfg.grid, smooth_window=cfg.smooth_window, hop_s=pairs[0][1].hop_seconds
-    )
-
-
-def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
+def pooled_per_event(counts: ev.SegmentCounts, event_names) -> list:
     """Per-class F1/ER rows from the pooled per-class totals of `counts`.
 
     Within one class a segment has no substitutions, so the class's
@@ -628,8 +648,6 @@ def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
     class_tp, class_fp, class_fn = (
         counts.class_tp.tolist(), counts.class_fp.tolist(), counts.class_fn.tolist()
     )
-    if event_names is None:
-        event_names = [str(i) for i in range(len(class_tp))]
     rows = []
     for name, tp, fp, fn in zip(event_names, class_tp, class_fp, class_fn, strict=True):
         one = ev.SegmentCounts(tp=tp, fp=fp, fn=fn, deletions=fn, insertions=fp, n_ref=tp + fn)
@@ -648,27 +666,20 @@ def pooled_per_event(counts: ev.SegmentCounts, event_names=None) -> list:
 def run_cross_validation(
     examples: dict,
     folds: dict,
-    base_config: dict,
-    modes,
-    seeds,
-    eval_cfg: dict | None = None,
+    base: TrainConfig,
+    cv: CvConfig,
+    vocabulary,
     workers: int = 1,
-    event_names=None,
 ) -> dict:
     """Train per (fold, seed) and aggregate mean F1/ER per mode across runs.
 
     `folds` maps each clip id to its fold; the folds must be 0..max, each
-    with at least one clip.
-
-    `modes`, `seeds` and `eval_cfg` are checked as the fields of a `cv`
-    section and `base_config` as cv's `train` block, before any training.
-    `event_names` label the per-event rows of each run (default "0", "1", ...).
+    with at least one clip. `base` is cv's checked `train` block: each run
+    sets its own mode, seed and fold. The `vocabulary` sizes the scene heads
+    and names the per-event rows.
 
     At most min(workers, runs, CPU count) worker processes run at once.
     """
-    eval_cfg = {} if eval_cfg is None else eval_cfg
-    cv = parse_settings(CvConfig, {"modes": modes, "seeds": seeds, "eval": eval_cfg}, "cv")
-    base = parse_settings(TrainConfig, base_config, "train", fixed=CV_RUN_FIELDS)
     present = set(folds.values())
     last = max(present)
     expected = set(range(last + 1))
@@ -676,14 +687,13 @@ def run_cross_validation(
         problems = [f"fold {f} has no clips" for f in sorted(expected - present)]
         problems += [f"fold {f} is outside 0..{last}" for f in sorted(present - expected)]
         raise DataError(f"cross-validation folds must be 0..{last}: " + ", ".join(problems))
-    n_scenes = max(ex.scene for ex in examples.values()) + 1
     # mtl_soft students learn from the soft labels of a teacher trained first
     run_modes = (["teacher"] if "mtl_soft" in cv.modes else []) + list(cv.modes)
     jobs = []
     for fold in range(last + 1):
         for seed in cv.seeds:
             configs = [replace(base, mode=mode, seed=seed, fold=fold) for mode in run_modes]
-            jobs.append((examples, folds, configs, fold, cv.eval, event_names, n_scenes))
+            jobs.append((examples, folds, configs, fold, cv.eval, vocabulary))
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing

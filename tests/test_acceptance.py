@@ -15,7 +15,6 @@ import pytest
 
 from sedmtl import autodiff as ad
 from sedmtl import cli, evaluation as ev, losses, training
-from sedmtl.features import compute_band_stats
 from sedmtl.fixture import generate_fixture
 
 
@@ -337,12 +336,8 @@ class TestCriterion6ReductionEquivalence:
         from sedmtl.data import Vocabulary
 
         vocabulary = Vocabulary.load(ws["vocabulary"])
-        entries, examples = cli._load_examples(ws["manifest"], vocabulary, ws["features"])
-        ids = sorted(examples)
-        split = training.standardize_split(
-            examples, compute_band_stats([examples[c].features for c in ids])
-        )
-        clips = [split[c] for c in ids]
+        folds, examples, _ = cli._load_examples(ws["manifest"], vocabulary, ws["features"])
+        clips, _, _ = training.standardize_split(examples, folds, -1)
         one_hot = {}
         for clip in clips:
             p = np.zeros(vocabulary.n_scenes)

@@ -6,14 +6,17 @@ must record. A span names a public function or method of a `sedmtl` module
 (`networks.student_forward.train` is `networks.student_forward`, split by
 whether a tape is active). The file is parsed, not imported, so the first
 test runs no benchmark code; a rename or deletion in `sedmtl` then fails
-here, not only in a traced benchmark run. The second runs a small `eval`
-under `perfbench/tracing.py`'s tracer, whose hooks read some functions'
-arguments, so a signature change they rely on fails here too.
+here, not only in a traced benchmark run. The others run a small `eval`
+and a small fixed-policy `cv` under `perfbench/tracing.py`'s tracer, whose
+hooks read some functions' arguments (the `student_posteriors` hook reads
+the first clip), so a signature change they rely on, or a call they cannot
+read, fails here too.
 """
 
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 from sedmtl import cli, networks
@@ -56,36 +59,62 @@ def test_every_required_span_names_a_sedmtl_function():
     assert sorted(s for s in spans if not names_traced_code(s)) == []
 
 
-def test_traced_calibrated_eval_records_the_inference_spans(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracing import Tracer
-
-    info = generate_fixture(tmp_path / "data", clip_seconds=1.0, clips_per_scene=1)
-    ingested, features = tmp_path / "ingested", tmp_path / "features"
+def ingested_fixture(root):
+    """Four 1 s fixture clips in two folds: (manifest, vocabulary, features)."""
+    info = generate_fixture(root / "data", clip_seconds=1.0, clips_per_scene=1)
+    ingested, features = root / "ingested", root / "features"
     assert cli.main([
         "ingest", "--metadata", str(info.metadata_path),
         "--annotations", str(info.annotations_dir), "--out", str(ingested), "--folds", "2",
     ]) == 0
     assert cli.main(["features", "--manifest", str(ingested / "manifest.json"),
                      "--out", str(features)]) == 0
+    return ingested / "manifest.json", ingested / "vocabulary.json", features
+
+
+def traced_spans(monkeypatch, argv):
+    """The span names of one `sedmtl` command run under the benchmark's tracer."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer("sedmtl")
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    return [span[0] for span in tracer.spans]
+
+
+def test_traced_calibrated_eval_records_the_inference_spans(tmp_path, monkeypatch):
+    manifest, vocabulary, features = ingested_fixture(tmp_path)
     ckpt = tmp_path / "student.ckpt"
     networks.save_checkpoint(ckpt, networks.init_student_params(4, 5, seed=0), {
         "kind": "student", "n_scenes": 4, "n_events": 5,
         "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
     })
-    tracer = Tracer("sedmtl")
-    tracer.install()
-    try:
-        code = cli.main([
-            "eval", "--checkpoint", str(ckpt),
-            "--manifest", str(ingested / "manifest.json"),
-            "--vocabulary", str(ingested / "vocabulary.json"),
-            "--features", str(features), "--fold", "-1", "--policy", "calibrated",
-            "--out", str(tmp_path / "report"),
-        ])
-    finally:
-        tracer.uninstall()
-    assert code == 0
-    names = [span[0] for span in tracer.spans]
+    names = traced_spans(monkeypatch, [
+        "eval", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+        "--vocabulary", str(vocabulary), "--features", str(features),
+        "--fold", "-1", "--policy", "calibrated", "--out", str(tmp_path / "report"),
+    ])
     assert names.count("training.student_posteriors") >= 1
     assert names.count("networks.student_forward.infer") >= 1
+
+
+def test_traced_fixed_policy_cv_scores_from_the_training_posteriors(tmp_path, monkeypatch):
+    manifest, vocabulary, features = ingested_fixture(tmp_path)
+    cfg = tmp_path / "cv.json"
+    cfg.write_text(json.dumps({
+        "paths": {"manifest": str(manifest), "vocabulary": str(vocabulary),
+                  "features_dir": str(features), "out_dir": str(tmp_path / "cv")},
+        "train": {"max_epochs": 1, "batch_size": 8, "chunk_len": 50},
+        "cv": {"modes": ["event_only"], "seeds": [0], "eval": {"policy": "fixed"}},
+    }))
+    monkeypatch.setenv("SEDMTL_WORKERS", "1")
+    names = traced_spans(monkeypatch, ["cv", "--config", str(cfg)])
+    assert names.count("training.run_cross_validation") == 1
+    assert names.count("training.score_student") == 2  # one per fold
+    # one validation forward per fold and epoch; scoring adds none
+    assert names.count("training.student_posteriors") == 2

@@ -695,6 +695,102 @@ class TestCrossValidation:
         assert len(calls) == len(doc["cv"]["modes"]) * epochs * n_clips
 
 
+def unused_scene_vocabulary(ds, tmp_path):
+    """The fixture's vocabulary with a fifth scene that no clip is in."""
+    vocab = json.loads(Path(ds["vocabulary"]).read_text())
+    vocab["scenes"].append("zz_unused")
+    path = tmp_path / "vocabulary.json"
+    path.write_text(json.dumps(vocab))
+    return path
+
+
+class TestSharedScoringPath:
+    """`cv` and `train` followed by `eval --fold k` split, standardize, size
+    the model and score through the same functions, so each (mode, seed,
+    fold) run of `cv` reports what the two commands report for it."""
+
+    MODES = ("event_only", "mtl_hard")
+    POLICIES = ("fixed", "calibrated")
+    EPOCHS = 3
+
+    @pytest.mark.parametrize("unused_scene", [False, True], ids=["vocabulary", "unused_scene"])
+    def test_cv_runs_equal_train_then_eval(self, fixture_dataset, tmp_path, unused_scene):
+        ds = fixture_dataset
+        vocabulary = unused_scene_vocabulary(ds, tmp_path) if unused_scene else ds["vocabulary"]
+        epochs = {"max_epochs": self.EPOCHS, "patience": self.EPOCHS}
+        cv_runs = {}
+        for policy in self.POLICIES:
+            doc = cv_config_doc(ds, tmp_path / f"cv_{policy}", **epochs)
+            doc["paths"]["vocabulary"] = str(vocabulary)
+            doc["cv"] = {"modes": list(self.MODES), "seeds": [0], "eval": {"policy": policy}}
+            cfg = tmp_path / f"cv_{policy}.json"
+            cfg.write_text(json.dumps(doc))
+            assert cli.main(["cv", "--config", str(cfg)]) == 0
+            report = json.loads((tmp_path / f"cv_{policy}" / "cv_report.json").read_text())
+            for run in report["runs"]:
+                cv_runs[policy, run["mode"], run["seed"], run["fold"]] = run
+        compared = 0
+        for mode in self.MODES:
+            for fold in (0, 1):
+                out = tmp_path / f"{mode}_{fold}"
+                doc = train_config_doc(ds, out, mode, alpha=0.0001, fold=fold, **epochs)
+                doc["paths"]["vocabulary"] = str(vocabulary)
+                cfg = tmp_path / f"{mode}_{fold}.json"
+                cfg.write_text(json.dumps(doc))
+                assert cli.main(["train", "--config", str(cfg)]) == 0
+                for policy in self.POLICIES:
+                    assert cli.main([
+                        "eval", "--checkpoint", str(out / f"{mode}.ckpt"),
+                        "--manifest", str(ds["manifest"]), "--vocabulary", str(vocabulary),
+                        "--features", str(ds["features"]), "--fold", str(fold),
+                        "--policy", policy, "--out", str(out / policy),
+                    ]) == 0
+                    report = json.loads((out / policy / "report.json").read_text())
+                    run = cv_runs[policy, mode, 0, fold]
+                    assert (run["f1"], run["er"], run["per_event"]) == (
+                        report["overall"]["f1"], report["overall"]["er"], report["per_event"]
+                    ), (policy, mode, fold)
+                    compared += 1
+        assert compared == len(cv_runs) == 8
+
+
+class TestRunManifestInputs:
+    def test_every_command_records_the_annotations_it_read(self, fixture_dataset, tmp_path):
+        ds = fixture_dataset
+        annotations = {
+            entry["annotation_path"] for entry in read_manifest(ds["manifest"]).values()
+        }
+        assert len(annotations) == 8
+        doc = train_config_doc(ds, tmp_path / "train", "event_only", max_epochs=1)
+        (tmp_path / "train.json").write_text(json.dumps(doc))
+        doc = cv_config_doc(ds, tmp_path / "cv")
+        doc["cv"]["modes"] = ["event_only"]
+        (tmp_path / "cv.json").write_text(json.dumps(doc))
+        teacher = tmp_path / "teacher.ckpt"
+        networks.save_checkpoint(teacher, networks.init_teacher_params(4, seed=0), {
+            "kind": "teacher", "n_scenes": 4, "n_events": 5,
+            "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
+        })
+        data = ["--manifest", str(ds["manifest"]), "--vocabulary", str(ds["vocabulary"]),
+                "--features", str(ds["features"])]
+        runs = {
+            "train": ["train", "--config", str(tmp_path / "train.json")],
+            "cv": ["cv", "--config", str(tmp_path / "cv.json")],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "train" / "event_only.ckpt"),
+                     *data, "--fold", "0", "--out", str(tmp_path / "eval")],
+            "distill": ["distill", "--checkpoint", str(teacher), *data,
+                        "--out", str(tmp_path / "distill" / "soft_labels.json")],
+        }
+        for command, argv in runs.items():
+            assert cli.main(argv) == 0
+            manifest = json.loads((tmp_path / command / "run_manifest.json").read_text())
+            for path in annotations:
+                assert manifest["inputs"].get(path) == hashlib.sha256(
+                    Path(path).read_bytes()
+                ).hexdigest(), (command, path)
+            assert str(ds["manifest"]) in manifest["inputs"]
+
+
 class TestBlasThreads:
     VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
 from sedmtl import losses, networks, training
-from sedmtl.data import EventRoll
+from sedmtl.data import EventRoll, Vocabulary
 from sedmtl.errors import ConfigError, DataError, DimensionError
-from sedmtl.features import LogMelSpectrogram, compute_band_stats
+from sedmtl.features import LogMelSpectrogram
 from sedmtl.training import AdamState, ClipExample, TrainConfig, parse_settings
 
 
@@ -493,32 +493,51 @@ class TestSplitIds:
 class TestStandardizeSplit:
     def test_stats_come_from_training_ids_only(self):
         examples = synthetic_scene_examples()
-        train_ids = sorted(examples)[:4]
-        split = training.standardize_split(
-            examples, compute_band_stats([examples[c].features for c in train_ids])
-        )
-        stacked = np.concatenate([split[c].features.data for c in train_ids], axis=1)
+        assignment = {c: int(i >= 4) for i, c in enumerate(sorted(examples))}
+        train_clips, val_clips, stats = training.standardize_split(examples, assignment, 1)
+        assert [c.clip_id for c in train_clips] == sorted(examples)[:4]
+        stacked = np.concatenate([c.features.data for c in train_clips], axis=1)
         assert np.abs(stacked.mean(axis=1)).max() < 1e-9
         assert np.abs(stacked.std(axis=1) - 1.0).max() < 1e-9
-        other = sorted(examples)[4:]
-        pooled = np.concatenate([split[c].features.data for c in other], axis=1)
+        pooled = np.concatenate([c.features.data for c in val_clips], axis=1)
         assert np.abs(pooled.mean(axis=1)).max() > 1e-6  # val not re-centered
+        again, _, _ = training.standardize_split(examples, assignment, 0, stats)
+        assert np.array_equal(again[0].features.data, val_clips[0].features.data)
+
+    def test_fold_minus_one_standardizes_each_clip_once(self):
+        examples = synthetic_scene_examples()
+        train_clips, val_clips, _ = training.standardize_split(
+            examples, {c: 0 for c in examples}, -1
+        )
+        assert all(a is b for a, b in zip(train_clips, val_clips, strict=True))
+
+
+VOCABULARY = Vocabulary(scenes=["s0", "s1", "s2", "s3"], events=["a", "b", "c"])
+
+
+def cv_settings(modes, seeds=(0,), eval_cfg=None, **train):
+    """The `train` and `cv` blocks as `sedmtl cv` checks them."""
+    base = parse_settings(TrainConfig, train, "train", fixed=training.CV_RUN_FIELDS)
+    cv = parse_settings(
+        training.CvConfig, {"modes": modes, "seeds": seeds, "eval": eval_cfg or {}}, "cv"
+    )
+    return base, cv
 
 
 class TestCrossValidation:
     def test_run_count_and_determinism(self):
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        base = dict(
-            alpha=0.0001, beta=1.0, temperature=1.0, learning_rate=1e-3,
+        modes = ["event_only", "mtl_soft"]
+        base, cv = cv_settings(
+            modes, alpha=0.0001, beta=1.0, temperature=1.0, learning_rate=1e-3,
             batch_size=8, max_epochs=2, patience=5, chunk_len=50,
         )
-        modes = ["event_only", "mtl_soft"]
-        out = training.run_cross_validation(examples, split, base, modes, seeds=[0])
+        out = training.run_cross_validation(examples, split, base, cv, VOCABULARY)
         assert len(out["runs"]) == 2 * 1 * len(modes)
         for mode in modes:
             assert out["aggregate"][mode]["n_runs"] == 2
-        rerun = training.run_cross_validation(examples, split, base, modes, seeds=[0])
+        rerun = training.run_cross_validation(examples, split, base, cv, VOCABULARY)
         assert json.dumps(out, sort_keys=True, default=str) == json.dumps(
             rerun, sort_keys=True, default=str
         )
@@ -526,29 +545,24 @@ class TestCrossValidation:
     def test_per_event_rows_cover_all_events(self):
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        base = dict(max_epochs=1, batch_size=8, chunk_len=50)
-        out = training.run_cross_validation(
-            examples, split, base, ["event_only"], seeds=[0],
-            event_names=["a", "b", "c"],
-        )
+        base, cv = cv_settings(["event_only"], max_epochs=1, batch_size=8, chunk_len=50)
+        out = training.run_cross_validation(examples, split, base, cv, VOCABULARY)
         for run in out["runs"]:
             assert [r["event"] for r in run["per_event"]] == ["a", "b", "c"]
 
     def test_rejects_teacher_mode(self):
-        examples = synthetic_scene_examples(clips_per_scene=1)
-        split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        with pytest.raises(ConfigError):
-            training.run_cross_validation(examples, split, {}, ["teacher"], seeds=[0])
+        with pytest.raises(ConfigError, match=re.escape("field cv.modes")):
+            cv_settings(["teacher"])
 
     def test_worker_pool_matches_sequential(self):
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        base = dict(max_epochs=1, batch_size=8, chunk_len=50)
+        base, cv = cv_settings(["event_only"], max_epochs=1, batch_size=8, chunk_len=50)
         sequential = training.run_cross_validation(
-            examples, split, base, ["event_only"], seeds=[0], workers=1
+            examples, split, base, cv, VOCABULARY, workers=1
         )
         parallel = training.run_cross_validation(
-            examples, split, base, ["event_only"], seeds=[0], workers=2
+            examples, split, base, cv, VOCABULARY, workers=2
         )
         assert json.dumps(sequential, sort_keys=True, default=str) == json.dumps(
             parallel, sort_keys=True, default=str
@@ -576,11 +590,11 @@ class TestCrossValidation:
         monkeypatch.setattr(training.os, "cpu_count", lambda: 3)
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        base = dict(max_epochs=1, batch_size=8, chunk_len=50)
         for seeds in ([0, 1], [0]):  # 4 runs, then 2
-            training.run_cross_validation(
-                examples, split, base, ["event_only"], seeds=seeds, workers=64
+            base, cv = cv_settings(
+                ["event_only"], seeds, max_epochs=1, batch_size=8, chunk_len=50
             )
+            training.run_cross_validation(examples, split, base, cv, VOCABULARY, workers=64)
         assert sizes == [3, 2]
 
     @pytest.mark.parametrize(
@@ -602,4 +616,6 @@ class TestCrossValidation:
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
         with pytest.raises(ConfigError, match=re.escape(fragment)):
-            training.run_cross_validation(examples, split, {}, modes, seeds, eval_cfg=eval_cfg)
+            training.run_cross_validation(
+                examples, split, *cv_settings(modes, seeds, eval_cfg), VOCABULARY
+            )
