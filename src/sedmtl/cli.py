@@ -85,6 +85,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "inference_threads": networks.inference_threads(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),

@@ -20,13 +20,25 @@ equal-length inputs (a training mini-batch of chunks, or clips at inference)
 runs the trunk and scene head per input and the BiGRU and event head once,
 time-major over the whole batch; inference skips the scene head.
 
+Untaped per-input forwards (the trunk of each distinct matrix, and the
+callers' per-clip teacher forwards) run on a pool of threads, one per core
+in the process's affinity mask, the caller included. Each thread issues the
+same single-threaded BLAS calls as a serial loop, so the bits do not change.
+Under a tape, with fewer than two inputs or cores, and in a forked child
+(a `cv` worker process) the loop runs serially on the calling thread.
+Callers bracket each threaded inference call with `_trimmed_heap`.
+
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
 JSON header plus one little-endian float64 blob in declared parameter order.
 """
 
+import contextlib
+import ctypes
 import json
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -44,6 +56,75 @@ GRU_UNITS = 32
 EVENT_HIDDEN = 32
 
 CHECKPOINT_MAGIC = b"SDCK1"
+
+def _affinity_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+_threads = _affinity_cores()
+_pool = None  # ThreadPoolExecutor of _threads - 1 helpers, made on first use
+
+def _serial_after_fork():
+    # The child inherits the pool object but none of its threads; its
+    # parallelism is the process pool that forked it.
+    global _threads, _pool
+    _threads, _pool = 1, None
+
+os.register_at_fork(after_in_child=_serial_after_fork)
+
+try:  # glibc: malloc_trim(0) hands every malloc arena's free pages to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library
+    _malloc_trim = None
+
+@contextlib.contextmanager
+def _trimmed_heap():
+    """Hand free heap pages back to the OS before and after a threaded
+    inference call. Each helper thread allocates from its own malloc arena,
+    and glibc keeps an arena's freed transients resident: untrimmed, the
+    helper's would stack on the later training peak, and the caller's free
+    pages from earlier stages on the call's own peak."""
+    trim = _malloc_trim if _threads > 1 else None
+    if trim:
+        trim(0)
+    try:
+        yield
+    finally:
+        if trim:
+            trim(0)
+
+def inference_threads() -> int:
+    """Threads that share untaped per-input forwards in this process."""
+    return _threads
+
+def _thread_map(fn, items) -> list:
+    """[fn(item) for item in items], in input order, with the items split
+    into contiguous shares: the caller runs the first, helper threads the
+    rest. A failure raises the error of the first failing item in input
+    order, once every share has stopped. Serial under an active tape; `fn`
+    must not call `_thread_map` itself."""
+    global _pool
+    items = list(items)
+    threads = min(_threads, len(items))
+    if threads < 2 or ad._ACTIVE_TAPE is not None:
+        return [fn(item) for item in items]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_threads - 1, thread_name_prefix="sedmtl-infer")
+    bounds = [len(items) * k // threads for k in range(threads + 1)]
+    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    helpers = [
+        _pool.submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]
+    ]
+    try:
+        results = [fn(item) for item in shares[0]]
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        results += helper.result()
+    return results
 
 class ModelParams:
     """Named parameter collection with a stable declaration order."""
@@ -205,7 +286,9 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     once runs the trunk once.
     """
     distinct = {id(f): f for f in features}
-    trunk_of = {key: student_trunk(params, f) for key, f in distinct.items()}
+    trunk_of = dict(
+        zip(distinct, _thread_map(lambda f: student_trunk(params, f), distinct.values()))
+    )
     trunks = [trunk_of[id(f)] for f in features]
     scene_logits = [_scene_head(params, trunk) for trunk in trunks] if scene else None
 

@@ -14,7 +14,9 @@ generators, but a multi-threaded BLAS may split matrix products differently
 for another thread count. The package pins one thread unless the caller set
 another (see `sedmtl/__init__.py`), so checkpoints are bit-identical on any
 machine with the same numpy/BLAS build. Cross-validation fans runs out per
-(fold, seed), one process each.
+(fold, seed), one process each. Inference (validation, soft labels,
+scoring) spreads its per-clip forwards over threads (see `networks`), each
+with the same one-thread BLAS calls, so that too leaves the bits unchanged.
 
 The student records one autodiff tape per mini-batch: its chunks share one
 length, so a single forward and backward covers the batch, with the scene
@@ -338,17 +340,21 @@ def _check_finite(loss: float, mode: str, epoch: int, batch: int):
 # teacher
 
 
+def _teacher_logits(params: networks.ModelParams, clips) -> list:
+    """Each clip's scene logits, the clips' forwards shared across threads."""
+    with networks._trimmed_heap():
+        return networks._thread_map(
+            lambda clip: networks.teacher_forward(params, clip.features).values, clips
+        )
+
+
 def teacher_accuracy(params: networks.ModelParams, clips) -> float:
-    correct = 0
-    for clip in clips:
-        logits = networks.teacher_forward(params, clip.features).values
-        correct += int(np.argmax(logits)) == clip.scene
+    logits = _teacher_logits(params, clips)
+    correct = sum(int(np.argmax(x)) == clip.scene for x, clip in zip(logits, clips))
     return correct / len(clips)
 
 
-def train_teacher(
-    train_clips, val_clips, config: TrainConfig, n_scenes: int | None = None
-) -> TrainResult:
+def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) -> TrainResult:
     """Minimize the hard scene loss; early stop on validation scene accuracy."""
     if config.mode != "teacher":
         raise ConfigError(f"train_teacher needs mode 'teacher', got {config.mode!r}")
@@ -356,8 +362,6 @@ def train_teacher(
         raise DataError("teacher training fold is empty")
     if not val_clips:
         raise DataError("teacher validation fold is empty")
-    if n_scenes is None:
-        n_scenes = max(c.scene for c in list(train_clips) + list(val_clips)) + 1
     params = networks.init_teacher_params(n_scenes, config.seed)
     state = AdamState()
     rng = np.random.default_rng(config.seed)
@@ -390,11 +394,10 @@ def train_teacher(
 
 def compute_soft_labels(params: networks.ModelParams, clips, temperature: float) -> dict:
     """Frozen-teacher soft label per clip: temperature softmax of its logits."""
-    out = {}
-    for clip in clips:
-        logits = networks.teacher_forward(params, clip.features).values
-        out[clip.clip_id] = losses.distill_targets(logits, temperature)
-    return out
+    logits = _teacher_logits(params, clips)
+    return {
+        clip.clip_id: losses.distill_targets(x, temperature) for x, clip in zip(logits, clips)
+    }
 
 
 def save_soft_labels(path, labels: dict):
@@ -433,16 +436,17 @@ def student_posteriors(params: networks.ModelParams, *clips) -> list:
     groups = {}
     for i, clip in enumerate(clips):
         groups.setdefault(clip.features.n_frames, []).append(i)
-    for members in groups.values():
-        for start in range(0, len(members), INFER_BATCH):
-            batch = members[start : start + INFER_BATCH]
-            features = [clips[i].features for i in batch]
-            event_logits, _ = networks.student_forward(
-                params, features * 2 if len(batch) == 1 else features, scene=False
-            )
-            posteriors = ad.sigmoid(event_logits).values
-            for row, i in enumerate(batch):
-                out[i] = posteriors[row]
+    with networks._trimmed_heap():
+        for members in groups.values():
+            for start in range(0, len(members), INFER_BATCH):
+                batch = members[start : start + INFER_BATCH]
+                features = [clips[i].features for i in batch]
+                event_logits, _ = networks.student_forward(
+                    params, features * 2 if len(batch) == 1 else features, scene=False
+                )
+                posteriors = ad.sigmoid(event_logits).values
+                for row, i in enumerate(batch):
+                    out[i] = posteriors[row]
     return out
 
 
@@ -472,8 +476,8 @@ def train_student(
     train_clips,
     val_clips,
     config: TrainConfig,
+    n_scenes: int,
     soft_labels: dict | None = None,
-    n_scenes: int | None = None,
 ) -> TrainResult:
     """Minimize the mode's objective over fixed-length chunks; early stop on
     validation segment F1 at a fixed 0.5 threshold.
@@ -490,9 +494,6 @@ def train_student(
         raise DataError("student training fold is empty")
     if not val_clips:
         raise DataError("student validation fold is empty")
-
-    if n_scenes is None:
-        n_scenes = max(c.scene for c in list(train_clips) + list(val_clips)) + 1
     n_events = train_clips[0].roll.data.shape[0]
     params = networks.init_student_params(n_scenes, n_events, config.seed)
     state = AdamState()

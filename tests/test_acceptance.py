@@ -351,10 +351,12 @@ class TestCriterion6ReductionEquivalence:
         hard = training.train_student(
             clips, clips,
             training.TrainConfig(mode="mtl_hard", alpha=weight, **common),
+            n_scenes=vocabulary.n_scenes,
         )
         soft = training.train_student(
             clips, clips,
             training.TrainConfig(mode="mtl_soft", beta=weight, temperature=1.0, **common),
+            n_scenes=vocabulary.n_scenes,
             soft_labels=one_hot,
         )
         gaps = [

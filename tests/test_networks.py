@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,6 +171,69 @@ class TestStudentForward:
         for name, t in params.items():
             assert t.grad is not None, name
             assert np.any(t.grad != 0.0), name
+
+
+@pytest.fixture
+def three_threads(monkeypatch):
+    """The caller plus two helper threads, whatever this machine's core count."""
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(networks, "_threads", 3)
+    monkeypatch.setattr(networks, "_pool", pool)
+    yield
+    pool.shutdown()
+
+
+class TestThreadMap:
+    def test_results_keep_the_input_order(self, three_threads):
+        threads = set()
+
+        def square(x):
+            threads.add(threading.get_ident())
+            return x * x
+
+        assert networks._thread_map(square, range(7)) == [x * x for x in range(7)]
+        assert len(threads) > 1
+
+    @pytest.mark.parametrize("bad, first", [((4, 6, 8), 4), ((1, 5, 7), 1), ((8,), 8)])
+    def test_first_failing_item_in_input_order_wins(self, three_threads, bad, first):
+        def fail_on_bad(x):
+            if x in bad:  # the shares are items 0-2 (the caller's), 3-5 and 6-8
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            networks._thread_map(fail_on_bad, range(9))
+        assert networks._thread_map(fail_on_bad, [0, 2, 3]) == [0, 2, 3]
+
+    def test_bad_clip_in_a_helper_share_raises_its_own_error(self, three_threads):
+        params = networks.init_student_params(4, 5, seed=10)
+        feats = [random_features(20, seed=s) for s in range(5)]
+        feats[4] = feats[4][:32]  # in the last share, run by a helper
+        with pytest.raises(DimensionError, match=r"got shape \(32, 20\)"):
+            networks.student_forward(params, feats, scene=False)
+
+    def test_taped_trunks_run_on_the_calling_thread(self, three_threads, monkeypatch):
+        params = networks.init_student_params(4, 5, seed=10)
+        trunk = networks.student_trunk
+        threads = []
+
+        def recording(params, features):
+            threads.append(threading.get_ident())
+            return trunk(params, features)
+
+        monkeypatch.setattr(networks, "student_trunk", recording)
+        feats = [random_features(20, seed=s) for s in range(5)]
+        with ad.Tape():
+            networks.student_forward(params, feats)
+        assert threads == [threading.get_ident()] * 5
+        threads.clear()
+        networks.student_forward(params, feats, scene=False)
+        assert len(threads) == 5 and len(set(threads)) > 1
+
+    def test_serial_with_one_thread(self, monkeypatch):
+        monkeypatch.setattr(networks, "_threads", 1)
+        threads = networks._thread_map(lambda _: threading.get_ident(), range(4))
+        assert threads == [threading.get_ident()] * 4
 
 
 class TestForwardBits:

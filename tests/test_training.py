@@ -2,7 +2,12 @@ import copy
 import dataclasses
 import functools
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +174,7 @@ class TestTrainTeacher:
         examples = synthetic_scene_examples()
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         cfg = quick_config("teacher", max_epochs=200, patience=10, learning_rate=3e-3)
-        result = training.train_teacher(clips, clips, cfg)
+        result = training.train_teacher(clips, clips, cfg, n_scenes=4)
         assert training.teacher_accuracy(result.params, clips) == 1.0
         assert result.best_epoch <= 200
 
@@ -177,8 +182,8 @@ class TestTrainTeacher:
         examples = synthetic_scene_examples()
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         cfg = quick_config("teacher", max_epochs=4)
-        a = training.train_teacher(clips, clips, cfg)
-        b = training.train_teacher(clips, clips, cfg)
+        a = training.train_teacher(clips, clips, cfg, n_scenes=4)
+        b = training.train_teacher(clips, clips, cfg, n_scenes=4)
         assert json.dumps(a.log, sort_keys=True) == json.dumps(b.log, sort_keys=True)
         assert a.params.blob() == b.params.blob()
 
@@ -186,16 +191,16 @@ class TestTrainTeacher:
         examples = synthetic_scene_examples()
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         cfg = quick_config("teacher", max_epochs=100, patience=0, learning_rate=3e-3)
-        result = training.train_teacher(clips, clips, cfg)
+        result = training.train_teacher(clips, clips, cfg, n_scenes=4)
         assert len(result.log) == result.best_epoch + 1
 
     def test_wrong_mode_and_empty_fold(self):
         examples = synthetic_scene_examples()
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         with pytest.raises(ConfigError):
-            training.train_teacher(clips, clips, quick_config("mtl_hard"))
+            training.train_teacher(clips, clips, quick_config("mtl_hard"), n_scenes=4)
         with pytest.raises(DataError):
-            training.train_teacher([], clips, quick_config("teacher"))
+            training.train_teacher([], clips, quick_config("teacher"), n_scenes=4)
 
 
 class TestSoftLabels:
@@ -220,7 +225,7 @@ class TestSoftLabels:
         examples = synthetic_scene_examples()
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         cfg = quick_config("teacher", max_epochs=30, patience=5, learning_rate=3e-3)
-        result = training.train_teacher(clips, clips, cfg)
+        result = training.train_teacher(clips, clips, cfg, n_scenes=4)
 
         def mean_entropy(temperature):
             labels = training.compute_soft_labels(result.params, clips, temperature)
@@ -252,7 +257,9 @@ class TestTrainStudent:
 
     def test_val_posteriors_are_those_of_the_restored_parameters(self):
         clips = self.clips()
-        result = training.train_student(clips[:5], clips[3:], quick_config("mtl_hard", alpha=0.1))
+        result = training.train_student(
+            clips[:5], clips[3:], quick_config("mtl_hard", alpha=0.1), n_scenes=4
+        )
         assert result.best_epoch < len(result.log)  # the restored epoch is not the last
         again = [training.student_posteriors(result.params, clip)[0] for clip in clips[3:]]
         assert len(result.val_posteriors) == len(again)
@@ -261,8 +268,8 @@ class TestTrainStudent:
 
     def test_event_only_equals_mtl_hard_alpha_zero(self):
         clips = self.clips()
-        a = training.train_student(clips, clips, quick_config("event_only"))
-        b = training.train_student(clips, clips, quick_config("mtl_hard", alpha=0.0))
+        a = training.train_student(clips, clips, quick_config("event_only"), n_scenes=4)
+        b = training.train_student(clips, clips, quick_config("mtl_hard", alpha=0.0), n_scenes=4)
         assert json.dumps(a.log, sort_keys=True) == json.dumps(b.log, sort_keys=True)
 
     def test_one_hot_soft_labels_reproduce_hard_trace(self):
@@ -274,10 +281,10 @@ class TestTrainStudent:
             one_hot[c.clip_id] = p
         weight = 0.37
         hard = training.train_student(
-            clips, clips, quick_config("mtl_hard", alpha=weight)
+            clips, clips, quick_config("mtl_hard", alpha=weight), n_scenes=4
         )
         soft = training.train_student(
-            clips, clips, quick_config("mtl_soft", beta=weight, temperature=1.0),
+            clips, clips, quick_config("mtl_soft", beta=weight, temperature=1.0), n_scenes=4,
             soft_labels=one_hot,
         )
         for ra, rb in zip(hard.log, soft.log):
@@ -287,17 +294,17 @@ class TestTrainStudent:
     def test_missing_soft_labels_rejected(self):
         clips = self.clips()
         with pytest.raises(ConfigError):
-            training.train_student(clips, clips, quick_config("mtl_soft", beta=1.0))
+            training.train_student(clips, clips, quick_config("mtl_soft", beta=1.0), n_scenes=4)
         with pytest.raises(ConfigError):
             training.train_student(
-                clips, clips, quick_config("mtl_soft", beta=1.0),
+                clips, clips, quick_config("mtl_soft", beta=1.0), n_scenes=4,
                 soft_labels={clips[0].clip_id: np.full(4, 0.25)},
             )
 
     def test_empty_validation_fold_rejected(self):
         clips = self.clips()
         with pytest.raises(DataError, match="validation fold is empty"):
-            training.train_student(clips, [], quick_config("event_only"))
+            training.train_student(clips, [], quick_config("event_only"), n_scenes=4)
         with pytest.raises(DataError, match="validation fold is empty"):
             training.evaluate_student([], 0.5)
 
@@ -318,11 +325,11 @@ class TestTrainStudent:
     def test_teacher_untouched_by_student_training(self):
         clips = self.clips()
         teacher_cfg = quick_config("teacher", max_epochs=5, patience=2)
-        teacher = training.train_teacher(clips, clips, teacher_cfg)
+        teacher = training.train_teacher(clips, clips, teacher_cfg, n_scenes=4)
         blob_before = teacher.params.blob()
         labels = training.compute_soft_labels(teacher.params, clips, 1.0)
         training.train_student(
-            clips, clips, quick_config("mtl_soft", beta=1.0), soft_labels=labels
+            clips, clips, quick_config("mtl_soft", beta=1.0), n_scenes=4, soft_labels=labels
         )
         assert teacher.params.blob() == blob_before
 
@@ -342,7 +349,7 @@ class TestNonFiniteLoss:
         with pytest.raises(
             DataError, match=rf"^{mode} training stopped: loss is nan at epoch 1, batch {batch}$"
         ):
-            train(clips, clips, cfg)
+            train(clips, clips, cfg, n_scenes=4)
 
 
 class TestNonFiniteGradient:
@@ -380,7 +387,7 @@ class TestNonFiniteGradient:
             match=rf"^{mode} training stopped: gradient of {name} is not finite "
             r"at epoch 1, batch 2$",
         ):
-            train(clips, clips, quick_config(mode, batch_size=3))
+            train(clips, clips, quick_config(mode, batch_size=3), n_scenes=4)
         after = made[0].copy_values()
         assert all(np.array_equal(after[k], before[k]) for k in before)
 
@@ -437,6 +444,71 @@ class TestStudentPosteriors:
         scene_kernels = [params["scene1.kernel"], params["scene2.kernel"]]
         assert len(kernels) == 3 * len(clips)
         assert not any(k is s for k in kernels for s in scene_kernels)
+
+
+def mixed_length_clips():
+    """17 clips: 9 of 30 frames (a full batch, then a lone clip), 5 of 22, 3 of 41."""
+    lengths = [30] * 9 + [22] * 5 + [41] * 3
+    order = np.random.default_rng(5).permutation(len(lengths))
+    return [clip_with_frames(f"c{i}", lengths[i], seed=i) for i in order]
+
+
+def recording_threads(monkeypatch, module, name):
+    """Wrap module.name to note the thread of each call; returns the notes."""
+    original = getattr(module, name)
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return threads
+
+
+class TestInferenceThreads:
+    """Threaded inference gives the bytes of the serial loop."""
+
+    @pytest.fixture
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(networks, "_threads", 2)
+
+    def test_student_posteriors(self, monkeypatch, two_threads):
+        params = networks.init_student_params(4, 3, seed=21)
+        clips = mixed_length_clips()
+        threads = recording_threads(monkeypatch, networks, "student_trunk")
+        pooled = training.student_posteriors(params, *clips)
+        assert len(set(threads)) == 2
+        monkeypatch.setattr(networks, "_threads", 1)
+        serial = training.student_posteriors(params, *clips)
+        for a, b in zip(pooled, serial, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_soft_labels_and_teacher_accuracy(self, monkeypatch, two_threads):
+        params = networks.init_teacher_params(4, seed=3)
+        clips = mixed_length_clips()
+        for i, clip in enumerate(clips):
+            clip.scene = i % 4
+        threads = recording_threads(monkeypatch, networks, "teacher_forward")
+        pooled = training.compute_soft_labels(params, clips, 2.0)
+        accuracy = training.teacher_accuracy(params, clips)
+        assert len(set(threads)) == 2
+        monkeypatch.setattr(networks, "_threads", 1)
+        serial = training.compute_soft_labels(params, clips, 2.0)
+        assert list(pooled) == list(serial) == [c.clip_id for c in clips]
+        assert all(pooled[c].tobytes() == serial[c].tobytes() for c in serial)
+        assert accuracy == training.teacher_accuracy(params, clips)
+
+    def test_each_threaded_call_trims_the_heap_before_and_after(self, monkeypatch, two_threads):
+        trims = []
+        monkeypatch.setattr(networks, "_malloc_trim", trims.append)
+        clips = mixed_length_clips()[:3]
+        training.student_posteriors(networks.init_student_params(4, 3, seed=21), *clips)
+        training.compute_soft_labels(networks.init_teacher_params(4, seed=3), clips, 1.0)
+        assert trims == [0] * 4
+        monkeypatch.setattr(networks, "_threads", 1)  # serial: the allocator is left alone
+        training.student_posteriors(networks.init_student_params(4, 3, seed=21), *clips)
+        assert trims == [0] * 4
 
 
 class TestBatchedStudentStep:
@@ -567,6 +639,46 @@ class TestCrossValidation:
         assert json.dumps(sequential, sort_keys=True, default=str) == json.dumps(
             parallel, sort_keys=True, default=str
         )
+
+    def test_worker_processes_after_threaded_inference(self):
+        # A forked worker inherits the parent's thread pool without its
+        # threads; it must run its inference serially instead of waiting on
+        # them. A fresh process keeps a hang from stalling the suite.
+        tests = Path(__file__).resolve().parent
+        code = f"""
+import json, sys
+sys.path.insert(0, {str(tests)!r})
+from sedmtl import networks, training
+from test_training import VOCABULARY, clip_with_frames, cv_settings, synthetic_scene_examples
+
+networks._threads = 2
+params = networks.init_student_params(4, 3, seed=0)
+training.student_posteriors(params, *[clip_with_frames(f"c{{i}}", 20, i) for i in range(4)])
+examples = synthetic_scene_examples(clips_per_scene=1)
+split = {{c: i % 2 for i, c in enumerate(sorted(examples))}}
+base, cv = cv_settings(["event_only"], max_epochs=1, batch_size=8, chunk_len=50)
+runs = [
+    training.run_cross_validation(examples, split, base, cv, VOCABULARY, workers=w)
+    for w in (1, 2)
+]
+print(json.dumps([json.dumps(r, sort_keys=True, default=str) for r in runs]))
+"""
+        src = str(tests.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # its own session, so a hang's forked workers are killed with it
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("cross-validation workers hung after threaded inference")
+        assert proc.returncode == 0, err
+        sequential, parallel = json.loads(out)
+        assert parallel == sequential
 
     def test_worker_count_clamped_to_runs_and_cpus(self, monkeypatch):
         import multiprocessing
