@@ -833,12 +833,31 @@ class TestBlasThreads:
             "1f95fc7b29fe58993125cf0e69923c0f0d6e65477775ca522f33ed96e7e74b0b",
             "657213ed73f6656f15a5d02f985880165d9b6b6c9f88370e360c0d8c575eeaa6",
         ),
+        "event_only": (
+            "fbc8cf502c451b157df75e5e77ee3d97896044e93881f54d761cfcd9eff6239d",
+            "30b126ef78330a92747ecad78224120dfac0bb9e3160fe2c8924b3acd1372f85",
+        ),
+        "mtl_soft": (
+            "514614d3d05ab86777be8c9a15873198a206c916bf8cb24f13559eba43b60057",
+            "10ff7913eb4c91a7bc87317f7e626c6c2baf4f48d4fab378b6227e0f36817cda",
+        ),
     }
 
     @pytest.mark.parametrize("mode", sorted(TRAINING_SHA256))
     def test_training_bytes_pinned(self, fixture_dataset, tmp_path, mode):
         doc = train_config_doc(fixture_dataset, tmp_path, mode, alpha=0.5)
         doc["paths"]["features_dir"] = str(tmp_path / "features")
+        if mode == "mtl_soft":
+            # a fixed target, 0.7 on the clip's scene and 0.1 on the others,
+            # so the pin does not depend on a teacher run
+            labels = {}
+            for clip_id, entry in read_manifest(fixture_dataset["manifest"]).items():
+                labels[clip_id] = [0.1] * 4
+                labels[clip_id][entry["scene"]] = 0.7
+            doc["paths"]["soft_labels"] = str(tmp_path / "soft_labels.json")
+            (tmp_path / "soft_labels.json").write_text(json.dumps(labels))
+            # beta differs from alpha, so a run weighted by the wrong one shows
+            doc["train"].update(beta=0.25, temperature=2.0)
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps(doc))
         features = ["--manifest", doc["paths"]["manifest"], "--out", str(tmp_path / "features")]
