@@ -241,16 +241,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    out = Tensor(t)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - t * t))
-
-    return _record(out, backward)
-
-
 def softmax_temperature(logits: Tensor, temperature: float) -> Tensor:
     """Temperature softmax over a 1-D logit vector.
 
@@ -610,9 +600,6 @@ class GradCheckReport:
 
     per_input: list[float]
     max_rel_err: float
-
-    def passed(self, tol: float) -> bool:
-        return self.max_rel_err < tol
 
 
 def grad_check(fn, inputs, eps: float = 1e-5, seed: int = 0) -> GradCheckReport:

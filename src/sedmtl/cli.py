@@ -111,26 +111,20 @@ def cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     metadata_text = metadata_path.read_text(encoding="utf-8")
 
-    try:
-        if args.vocabulary:
-            vocabulary = Vocabulary.load(args.vocabulary)
-        else:
-            vocabulary = _derive_vocabulary(metadata_text, ann_dir)
-        records = parse_metadata(metadata_text, vocabulary)
-        for record in records:
-            ann_path = ann_dir / f"{record.clip_id}.txt"
-            if not ann_path.is_file():
-                raise DataError(
-                    f"annotation file missing for clip {record.clip_id!r}: {ann_path}"
-                )
-            record.annotation_path = str(ann_path)
-            record.events = parse_event_annotations(
-                ann_path.read_text(encoding="utf-8"), record.clip_id, vocabulary
-            )
-        folds = make_folds(records, n_folds=args.folds, seed=args.seed)
-    except (ValueError, DataError) as exc:
-        _err(str(exc))
-        return 1
+    if args.vocabulary:
+        vocabulary = Vocabulary.load(args.vocabulary)
+    else:
+        vocabulary = _derive_vocabulary(metadata_text, ann_dir)
+    records = parse_metadata(metadata_text, vocabulary)
+    for record in records:
+        ann_path = ann_dir / f"{record.clip_id}.txt"
+        if not ann_path.is_file():
+            raise DataError(f"annotation file missing for clip {record.clip_id!r}: {ann_path}")
+        record.annotation_path = str(ann_path)
+        record.events = parse_event_annotations(
+            ann_path.read_text(encoding="utf-8"), record.clip_id, vocabulary
+        )
+    folds = make_folds(records, n_folds=args.folds, seed=args.seed)
 
     audio_root = metadata_path.parent
     entries = {}
@@ -181,10 +175,9 @@ def _derive_vocabulary(metadata_text: str, ann_dir: Path) -> Vocabulary:
 
 
 def cmd_features(args) -> int:
-    manifest_path = Path(args.manifest)
+    entries = read_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = read_manifest(manifest_path)
     index_path = out_dir / "cache_index.json"
     index = {}
     if index_path.is_file():
@@ -318,39 +311,28 @@ def _load_train_config(path):
 
 def cmd_train(args) -> int:
     clock = _clock()
-    try:
-        doc, config, paths = _load_train_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        _err(str(exc))
-        return 1
+    doc, config, paths = _load_train_config(args.config)
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        vocabulary = Vocabulary.load(paths["vocabulary"])
-        folds, examples, inputs = _load_examples(
-            paths["manifest"], vocabulary, paths["features_dir"]
-        )
-        train_clips, val_clips, stats = training.standardize_split(examples, folds, config.fold)
-        inputs += [args.config, paths["vocabulary"]]
+    vocabulary = Vocabulary.load(paths["vocabulary"])
+    folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
+    train_clips, val_clips, stats = training.standardize_split(examples, folds, config.fold)
+    inputs += [args.config, paths["vocabulary"]]
 
-        if config.mode == "teacher":
-            result = training.train_teacher(
-                train_clips, val_clips, config, n_scenes=vocabulary.n_scenes
-            )
-            kind = "teacher"
-        else:
-            soft_labels = None
-            if config.mode == "mtl_soft":
-                soft_labels = training.load_soft_labels(paths["soft_labels"])
-                inputs.append(paths["soft_labels"])
-            result = training.train_student(
-                train_clips, val_clips, config,
-                soft_labels=soft_labels, n_scenes=vocabulary.n_scenes,
-            )
-            kind = "student"
-    except (ValueError, DataError) as exc:
-        _err(str(exc))
-        return 1
+    if config.mode == "teacher":
+        result = training.train_teacher(
+            train_clips, val_clips, config, n_scenes=vocabulary.n_scenes
+        )
+        kind = "teacher"
+    else:
+        soft_labels = None
+        if config.mode == "mtl_soft":
+            soft_labels = training.load_soft_labels(paths["soft_labels"])
+            inputs.append(paths["soft_labels"])
+        result = training.train_student(
+            train_clips, val_clips, config, soft_labels=soft_labels, n_scenes=vocabulary.n_scenes
+        )
+        kind = "student"
 
     ckpt_path = out_dir / f"{config.mode}.ckpt"
     meta = {
@@ -383,22 +365,18 @@ def cmd_train(args) -> int:
 
 def cmd_distill(args) -> int:
     clock = _clock()
-    try:
-        params, meta = networks.load_checkpoint(args.checkpoint)
-        if meta.get("kind") != "teacher":
-            raise DataError(f"{args.checkpoint} is not a teacher checkpoint")
-        if args.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {args.temperature}")
-        vocabulary = Vocabulary.load(args.vocabulary)
-        _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
-        folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
-        clips, _, _ = training.standardize_split(
-            examples, folds, -1, _stats_from_meta(meta["band_stats"])
-        )
-        labels = training.compute_soft_labels(params, clips, args.temperature)
-    except (ValueError, DataError) as exc:
-        _err(str(exc))
-        return 1
+    params, meta = networks.load_checkpoint(args.checkpoint)
+    if meta.get("kind") != "teacher":
+        raise DataError(f"{args.checkpoint} is not a teacher checkpoint")
+    if args.temperature <= 0:
+        raise ConfigError(f"temperature must be positive, got {args.temperature}")
+    vocabulary = Vocabulary.load(args.vocabulary)
+    _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
+    folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+    clips, _, _ = training.standardize_split(
+        examples, folds, -1, _stats_from_meta(meta["band_stats"])
+    )
+    labels = training.compute_soft_labels(params, clips, args.temperature)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     training.save_soft_labels(out_path, labels)
@@ -418,24 +396,18 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     clock = _clock()
-    try:
-        flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
-        settings = training.parse_settings(training.EvalConfig, flags, "eval")
-        params, meta = networks.load_checkpoint(args.checkpoint)
-        if meta.get("kind") != "student":
-            raise DataError(f"{args.checkpoint} is not a student checkpoint")
-        vocabulary = Vocabulary.load(args.vocabulary)
-        _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes", "n_events")
-        folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
-        train_clips, val_clips, _ = training.standardize_split(
-            examples, folds, args.fold, _stats_from_meta(meta["band_stats"])
-        )
-        scores = training.score_student(
-            params, settings, train_clips, val_clips, vocabulary.events
-        )
-    except (ValueError, DataError) as exc:
-        _err(str(exc))
-        return 1
+    flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
+    settings = training.parse_settings(training.EvalConfig, flags, "eval")
+    params, meta = networks.load_checkpoint(args.checkpoint)
+    if meta.get("kind") != "student":
+        raise DataError(f"{args.checkpoint} is not a student checkpoint")
+    vocabulary = Vocabulary.load(args.vocabulary)
+    _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes", "n_events")
+    folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+    train_clips, val_clips, _ = training.standardize_split(
+        examples, folds, args.fold, _stats_from_meta(meta["band_stats"])
+    )
+    scores = training.score_student(params, settings, train_clips, val_clips, vocabulary.events)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -481,27 +453,19 @@ def _workers_from_env() -> int:
 
 def cmd_cv(args) -> int:
     clock = _clock()
-    try:
-        workers = _workers_from_env()
-        doc = _read_config(args.config)
-        problems = []
-        paths = _config_paths(doc, problems)
-        cv = training.check_settings(training.CvConfig, doc.get("cv", {}), "cv", problems)
-        train = training.check_settings(
-            training.TrainConfig, doc.get("train", {}), "train", problems,
-            fixed=training.CV_RUN_FIELDS,
-        )
-        training.fail_on(problems)
-        vocabulary = Vocabulary.load(paths["vocabulary"])
-        folds, examples, inputs = _load_examples(
-            paths["manifest"], vocabulary, paths["features_dir"]
-        )
-        out = training.run_cross_validation(
-            examples, folds, train, cv, vocabulary, workers=workers
-        )
-    except (ValueError, DataError, OSError, json.JSONDecodeError) as exc:
-        _err(str(exc))
-        return 1
+    workers = _workers_from_env()
+    doc = _read_config(args.config)
+    problems = []
+    paths = _config_paths(doc, problems)
+    cv = training.check_settings(training.CvConfig, doc.get("cv", {}), "cv", problems)
+    train = training.check_settings(
+        training.TrainConfig, doc.get("train", {}), "train", problems,
+        fixed=training.CV_RUN_FIELDS,
+    )
+    training.fail_on(problems)
+    vocabulary = Vocabulary.load(paths["vocabulary"])
+    folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
+    out = training.run_cross_validation(examples, folds, train, cv, vocabulary, workers=workers)
 
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -584,8 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Every error it raises on bad input or data ends
+    here as one `error:` line on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, DataError, OSError) as exc:
+        _err(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

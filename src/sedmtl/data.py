@@ -187,15 +187,14 @@ class Chunk:
     mask: np.ndarray  # (chunk_len,), 1.0 on valid frames
 
 
-def chunk_clips(features, roll: EventRoll, chunk_len: int = 500) -> list:
-    """Cut a clip into consecutive fixed-length chunks; the final chunk is
-    zero-padded and its mask marks the padded frames invalid.
+def chunk_clips(features: np.ndarray, roll: np.ndarray, chunk_len: int = 500) -> list:
+    """Cut a clip's (bands, frames) features and (events, frames) roll into
+    consecutive fixed-length chunks; the final chunk is zero-padded and its
+    mask marks the padded frames invalid.
     """
-    data = features.data if hasattr(features, "hop_seconds") else np.asarray(features)
-    if data.shape[1] != roll.data.shape[1]:
-        raise ArgumentError(
-            f"features have {data.shape[1]} frames but roll has {roll.data.shape[1]}"
-        )
+    data = np.asarray(features)
+    if data.shape[1] != roll.shape[1]:
+        raise ArgumentError(f"features have {data.shape[1]} frames but roll has {roll.shape[1]}")
     if chunk_len < 1:
         raise ArgumentError(f"chunk_len must be >= 1, got {chunk_len}")
     n = data.shape[1]
@@ -203,10 +202,10 @@ def chunk_clips(features, roll: EventRoll, chunk_len: int = 500) -> list:
     for start in range(0, n, chunk_len):
         valid = min(chunk_len, n - start)
         f = np.zeros((data.shape[0], chunk_len))
-        r = np.zeros((roll.data.shape[0], chunk_len))
+        r = np.zeros((roll.shape[0], chunk_len))
         m = np.zeros(chunk_len)
         f[:, :valid] = data[:, start : start + valid]
-        r[:, :valid] = roll.data[:, start : start + valid]
+        r[:, :valid] = roll[:, start : start + valid]
         m[:valid] = 1.0
         chunks.append(Chunk(features=f, roll=r, mask=m))
     return chunks

@@ -190,7 +190,8 @@ def calibrate_thresholds(
     segment_s: float = DEFAULT_SEGMENT_S,
 ) -> np.ndarray:
     """Per-class thresholds maximizing class F1 over (posteriors, reference)
-    validation pairs; ties resolve to the lower threshold.
+    validation pairs of (classes, frames) arrays; ties resolve to the lower
+    threshold.
 
     Each clip is thresholded at every grid point at once, giving a
     (thresholds, classes, frames) stack that is smoothed and reduced to
@@ -208,7 +209,7 @@ def calibrate_thresholds(
     fp = np.zeros_like(tp)
     fn = np.zeros_like(tp)
     for posteriors, reference in pairs:
-        ref = np.asarray(reference.data if hasattr(reference, "hop_seconds") else reference)
+        ref = np.asarray(reference)
         posteriors = np.asarray(posteriors, dtype=np.float64)
         if posteriors.shape != ref.shape or posteriors.shape[0] != n_classes:
             raise DimensionError(

@@ -234,8 +234,8 @@ def init_student_params(n_scenes: int, n_events: int, seed: int) -> ModelParams:
     _add_dense(params, rng, "event_out", EVENT_HIDDEN, n_events)
     return params
 
-def _features_to_input(features) -> Tensor:
-    data = features.data if hasattr(features, "hop_seconds") else np.asarray(features)
+def _features_to_input(features: np.ndarray) -> Tensor:
+    data = np.asarray(features)
     if data.ndim != 2 or data.shape[0] != N_BANDS:
         raise DimensionError(
             f"expected a ({N_BANDS}, N) feature matrix, got shape {data.shape}"

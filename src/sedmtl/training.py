@@ -18,14 +18,17 @@ machine with the same numpy/BLAS build. Cross-validation fans runs out per
 scoring) spreads its per-clip forwards over threads (see `networks`), each
 with the same one-thread BLAS calls, so that too leaves the bits unchanged.
 
-The student records one autodiff tape per mini-batch: its chunks share one
-length, so a single forward and backward covers the batch, with the scene
-losses still taken per chunk; in event_only mode, where no loss reads the
-scene head, it is not run. The teacher records one tape per clip, because
-its clips may differ in length. A loss or gradient that is not finite stops
-training before the optimizer step, naming the epoch, batch and parameter.
+Every mode runs one epoch loop, `_fit`: seeded mini-batches, batch-mean
+gradients, Adam, per-epoch validation, and early stopping that restores the
+best epoch. A loss or gradient that is not finite stops training before the
+optimizer step, naming the epoch, batch and parameter. The teacher records one
+tape per clip, as its clips may differ in length; the student one tape per
+mini-batch of equal-length chunks, taking the scene losses per chunk. A
+student's mode picks its scene term once; event_only, which has none, skips
+the scene head.
 """
 
+import collections
 import functools
 import json
 import os
@@ -278,30 +281,30 @@ class TrainResult:
     val_posteriors: list | None = None  # students: the best epoch's, per val clip
 
 
-def _mean_grads(
-    params: networks.ModelParams, batch_len: int, mode: str, epoch: int, batch: int
-) -> dict:
-    """Batch-mean gradients; a non-finite one stops training and names its
-    parameter, before the optimizer can spread it into every weight."""
-    grads = {}
-    for name, t in params.items():
-        if t.grad is None:
-            continue
-        if not np.isfinite(t.grad).all():
-            raise DataError(
-                f"{mode} training stopped: gradient of {name} is not finite "
-                f"at epoch {epoch}, batch {batch}"
-            )
-        grads[name] = t.grad / batch_len
-    return grads
+def _fit(config, init, items, val_clips, run_batch, epoch_losses, validate) -> TrainResult:
+    """The epoch loop of every mode, early-stopping on `validate(params)`,
+    which returns (metric name, value, extra metrics, validation posteriors).
 
-
-def _early_stop_loop(config, run_epoch, eval_metric, params):
-    """Shared epoch loop: train, evaluate, snapshot the best, stop on patience.
-
-    `eval_metric` returns (name, value, extra metrics, validation posteriors);
-    the best epoch's posteriors are those of the restored parameters.
+    `init()` builds the parameters once both folds are known to be non-empty.
+    Per mini-batch, `run_batch(params, batch, totals, check)` records its
+    tapes, hands each loss to `check` before its backward, and adds its
+    losses into the epoch's `totals`, which `epoch_losses(totals)` turns into
+    the log record.
     """
+    kind = "teacher" if config.mode == "teacher" else "student"
+    if not items:
+        raise DataError(f"{kind} training fold is empty")
+    if not val_clips:
+        raise DataError(f"{kind} validation fold is empty")
+    params = init()
+    state = AdamState()
+    rng = np.random.default_rng(config.seed)
+    stop = f"{config.mode} training stopped"
+
+    def check(loss):
+        if not np.isfinite(loss.item()):
+            raise DataError(f"{stop}: loss is {loss.item()} at epoch {epoch}, batch {number}")
+
     log = []
     best_metric = -np.inf
     best_epoch = -1
@@ -309,14 +312,33 @@ def _early_stop_loop(config, run_epoch, eval_metric, params):
     best_posteriors = None
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
-        train_losses = run_epoch(epoch)
-        metric_name, metric, extra, posteriors = eval_metric()
-        record = {
-            "epoch": epoch,
-            "train_losses": train_losses,
-            "val_metrics": {metric_name: metric, **extra},
-        }
-        log.append(record)
+        order = rng.permutation(len(items))
+        totals = collections.defaultdict(int)
+        for start in range(0, len(order), config.batch_size):
+            batch = [items[i] for i in order[start : start + config.batch_size]]
+            number = start // config.batch_size + 1
+            ad.zero_grads(params.tensors())
+            run_batch(params, batch, totals, check)
+            grads = {}  # batch means
+            for name, t in params.items():
+                if t.grad is None:
+                    continue
+                if not np.isfinite(t.grad).all():
+                    raise DataError(
+                        f"{stop}: gradient of {name} is not finite "
+                        f"at epoch {epoch}, batch {number}"
+                    )
+                grads[name] = t.grad / len(batch)
+            adam_step(params, grads, state, config.learning_rate)
+        ad.zero_grads(params.tensors())
+        metric_name, metric, extra, posteriors = validate(params)
+        log.append(
+            {
+                "epoch": epoch,
+                "train_losses": epoch_losses(totals),
+                "val_metrics": {metric_name: metric, **extra},
+            }
+        )
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
@@ -331,11 +353,6 @@ def _early_stop_loop(config, run_epoch, eval_metric, params):
     return TrainResult(params, log, best_epoch, best_posteriors)
 
 
-def _check_finite(loss: float, mode: str, epoch: int, batch: int):
-    if not np.isfinite(loss):
-        raise DataError(f"{mode} training stopped: loss is {loss} at epoch {epoch}, batch {batch}")
-
-
 # ---------------------------------------------------------------------------
 # teacher
 
@@ -344,7 +361,7 @@ def _teacher_logits(params: networks.ModelParams, clips) -> list:
     """Each clip's scene logits, the clips' forwards shared across threads."""
     with networks._trimmed_heap():
         return networks._thread_map(
-            lambda clip: networks.teacher_forward(params, clip.features).values, clips
+            lambda clip: networks.teacher_forward(params, clip.features.data).values, clips
         )
 
 
@@ -358,38 +375,25 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
     """Minimize the hard scene loss; early stop on validation scene accuracy."""
     if config.mode != "teacher":
         raise ConfigError(f"train_teacher needs mode 'teacher', got {config.mode!r}")
-    if not train_clips:
-        raise DataError("teacher training fold is empty")
-    if not val_clips:
-        raise DataError("teacher validation fold is empty")
-    params = networks.init_teacher_params(n_scenes, config.seed)
-    state = AdamState()
-    rng = np.random.default_rng(config.seed)
-    order_pool = list(train_clips)
 
-    def run_epoch(epoch):
-        order = rng.permutation(len(order_pool))
-        total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [order_pool[i] for i in order[start : start + config.batch_size]]
-            number = start // config.batch_size + 1
-            ad.zero_grads(params.tensors())
-            for clip in batch:  # clips differ in length: one tape each
-                with ad.Tape() as tape:
-                    logits = networks.teacher_forward(params, clip.features)
-                    loss = losses.scene_hard_loss(logits, clip.scene)
-                _check_finite(loss.item(), config.mode, epoch, number)
-                tape.backward(loss)
-                total += loss.item()
-            grads = _mean_grads(params, len(batch), config.mode, epoch, number)
-            adam_step(params, grads, state, config.learning_rate)
-        ad.zero_grads(params.tensors())
-        return {"scene_hard": total / len(order_pool)}
+    def run_batch(params, batch, totals, check):
+        for clip in batch:  # clips differ in length: one tape each
+            with ad.Tape() as tape:
+                logits = networks.teacher_forward(params, clip.features.data)
+                loss = losses.scene_hard_loss(logits, clip.scene)
+            check(loss)
+            tape.backward(loss)
+            totals["scene_hard"] += loss.item()
 
-    def eval_metric():
-        return "scene_accuracy", teacher_accuracy(params, val_clips), {}, None
-
-    return _early_stop_loop(config, run_epoch, eval_metric, params)
+    return _fit(
+        config,
+        lambda: networks.init_teacher_params(n_scenes, config.seed),
+        train_clips,
+        val_clips,
+        run_batch,
+        lambda totals: {"scene_hard": totals["scene_hard"] / len(train_clips)},
+        lambda params: ("scene_accuracy", teacher_accuracy(params, val_clips), {}, None),
+    )
 
 
 def compute_soft_labels(params: networks.ModelParams, clips, temperature: float) -> dict:
@@ -440,7 +444,7 @@ def student_posteriors(params: networks.ModelParams, *clips) -> list:
         for members in groups.values():
             for start in range(0, len(members), INFER_BATCH):
                 batch = members[start : start + INFER_BATCH]
-                features = [clips[i].features for i in batch]
+                features = [clips[i].features.data for i in batch]
                 event_logits, _ = networks.student_forward(
                     params, features * 2 if len(batch) == 1 else features, scene=False
                 )
@@ -490,77 +494,70 @@ def train_student(
         missing = [c.clip_id for c in train_clips if c.clip_id not in soft_labels]
         if missing:
             raise ConfigError(f"soft labels missing for clips: {missing}")
-    if not train_clips:
-        raise DataError("student training fold is empty")
-    if not val_clips:
-        raise DataError("student validation fold is empty")
-    n_events = train_clips[0].roll.data.shape[0]
-    params = networks.init_student_params(n_scenes, n_events, config.seed)
-    state = AdamState()
-    rng = np.random.default_rng(config.seed)
+    items = [  # (chunk, clip) pairs; the chunk inherits its clip's scene target
+        (chunk, clip)
+        for clip in train_clips
+        for chunk in chunk_clips(clip.features.data, clip.roll.data, config.chunk_len)
+    ]
+    # the scene term's loss per chunk, its objective and its weight
+    scene_term = {
+        "event_only": None,
+        "mtl_hard": (
+            lambda s, clip: losses.scene_hard_loss(s, clip.scene),
+            losses.mtl_objective, config.alpha,
+        ),
+        "mtl_soft": (
+            lambda s, clip: losses.soft_scene_loss(
+                s, soft_labels[clip.clip_id], config.temperature
+            ),
+            losses.proposed_objective, config.beta,
+        ),
+    }[config.mode]
 
-    items = []  # (chunk, clip) pairs; the chunk inherits its clip's scene target
-    for clip in train_clips:
-        for chunk in chunk_clips(clip.features, clip.roll, config.chunk_len):
-            items.append((chunk, clip))
+    def run_batch(params, batch, totals, check):
+        chunks = [chunk for chunk, _ in batch]
+        with ad.Tape() as tape:  # one tape for the whole mini-batch
+            event_logits, scene_logits = networks.student_forward(
+                params, [chunk.features for chunk in chunks], scene=scene_term is not None
+            )
+            event = losses.event_loss(
+                event_logits,
+                np.stack([chunk.roll for chunk in chunks]),
+                np.stack([chunk.mask for chunk in chunks]),
+            )
+            loss = event
+            if scene_term is not None:
+                scene_loss, objective, weight = scene_term
+                terms = [scene_loss(s, clip) for s, (_, clip) in zip(scene_logits, batch)]
+                loss = objective(event, functools.reduce(ad.add, terms), weight)
+        check(loss)
+        tape.backward(loss)
+        totals["event"] += event.item()
+        totals["scene"] += loss.item() - event.item()
+        totals["units"] += sum(chunk.roll.shape[0] * int(chunk.mask.sum()) for chunk in chunks)
 
-    def run_epoch(epoch):
-        order = rng.permutation(len(items))
-        event_total = 0.0
-        scene_total = 0.0
-        unit_total = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [items[i] for i in order[start : start + config.batch_size]]
-            chunks = [chunk for chunk, _ in batch]
-            number = start // config.batch_size + 1
-            ad.zero_grads(params.tensors())
-            with ad.Tape() as tape:  # one tape for the whole mini-batch
-                event_logits, scene_logits = networks.student_forward(
-                    params, [chunk.features for chunk in chunks],
-                    scene=config.mode != "event_only",
-                )
-                event = losses.event_loss(
-                    event_logits,
-                    np.stack([chunk.roll for chunk in chunks]),
-                    np.stack([chunk.mask for chunk in chunks]),
-                )
-                if config.mode == "event_only":
-                    loss = event
-                elif config.mode == "mtl_hard":
-                    terms = [
-                        losses.scene_hard_loss(s, clip.scene)
-                        for s, (_, clip) in zip(scene_logits, batch)
-                    ]
-                    scene = functools.reduce(ad.add, terms)
-                    loss = losses.mtl_objective(event, scene, config.alpha)
-                else:
-                    terms = [
-                        losses.soft_scene_loss(s, soft_labels[clip.clip_id], config.temperature)
-                        for s, (_, clip) in zip(scene_logits, batch)
-                    ]
-                    scene = functools.reduce(ad.add, terms)
-                    loss = losses.proposed_objective(event, scene, config.beta)
-            _check_finite(loss.item(), config.mode, epoch, number)
-            tape.backward(loss)
-            event_total += event.item()
-            scene_total += loss.item() - event.item()
-            unit_total += sum(n_events * int(chunk.mask.sum()) for chunk in chunks)
-            grads = _mean_grads(params, len(batch), config.mode, epoch, number)
-            adam_step(params, grads, state, config.learning_rate)
-        ad.zero_grads(params.tensors())
+    def epoch_losses(totals):
         return {
-            "event": event_total / len(items),
-            "scene_term": scene_total / len(items),
-            "total": (event_total + scene_total) / len(items),
-            "event_per_unit": event_total / unit_total,
+            "event": totals["event"] / len(items),
+            "scene_term": totals["scene"] / len(items),
+            "total": (totals["event"] + totals["scene"]) / len(items),
+            "event_per_unit": totals["event"] / totals["units"],
         }
 
-    def eval_metric():
+    def validate(params):
         posteriors = student_posteriors(params, *val_clips)
         scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), 0.5)
         return "f1", scores["f1"], {"er": scores["er"]}, posteriors
 
-    return _early_stop_loop(config, run_epoch, eval_metric, params)
+    return _fit(
+        config,
+        lambda: networks.init_student_params(n_scenes, items[0][0].roll.shape[0], config.seed),
+        items,
+        val_clips,
+        run_batch,
+        epoch_losses,
+        validate,
+    )
 
 
 def score_student(
@@ -586,17 +583,15 @@ def score_student(
     if ids:  # never a forward over zero clips
         posteriors.update(zip(ids, student_posteriors(params, *(read[c] for c in ids))))
 
-    def pairs(clips):
-        return [(posteriors[c.clip_id], c.roll) for c in clips]
-
     thresholds = cfg.threshold
     if calibrated:
-        calibration = pairs(calibration_clips)
         thresholds = ev.calibrate_thresholds(
-            calibration, cfg.grid, smooth_window=cfg.smooth_window,
-            hop_s=calibration[0][1].hop_seconds,
+            [(posteriors[c.clip_id], c.roll.data) for c in calibration_clips], cfg.grid,
+            smooth_window=cfg.smooth_window, hop_s=calibration_clips[0].roll.hop_seconds,
         )
-    scores = evaluate_student(pairs(val_clips), thresholds, cfg.smooth_window)
+    scores = evaluate_student(
+        [(posteriors[c.clip_id], c.roll) for c in val_clips], thresholds, cfg.smooth_window
+    )
     per_event = pooled_per_event(scores["counts"], event_names)
     return {**scores, "thresholds": thresholds, "per_event": per_event}
 

@@ -792,6 +792,56 @@ class TestRunManifestInputs:
             assert str(ds["manifest"]) in manifest["inputs"]
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "command, missing",
+        [
+            ("eval", "--checkpoint"),
+            ("eval", "--vocabulary"),
+            ("distill", "--manifest"),
+            ("features", "--manifest"),
+        ],
+    )
+    def test_missing_input_path_is_one_error_line(
+        self, fixture_dataset, tmp_path, command, missing
+    ):
+        ds = fixture_dataset
+        kind = "teacher" if command == "distill" else "student"
+        params = (
+            networks.init_teacher_params(4, seed=0) if kind == "teacher"
+            else networks.init_student_params(4, 5, seed=0)
+        )
+        networks.save_checkpoint(tmp_path / "model.ckpt", params, {
+            "kind": kind, "n_scenes": 4, "n_events": 5,
+            "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
+        })
+        flags = {
+            "--checkpoint": str(tmp_path / "model.ckpt"),
+            "--manifest": str(ds["manifest"]),
+            "--vocabulary": str(ds["vocabulary"]),
+            "--features": str(ds["features"]),
+        }
+        if command == "features":
+            flags = {"--manifest": flags["--manifest"]}
+        if command == "eval":
+            flags["--fold"] = "0"
+        flags["--out"] = str(tmp_path / "out")
+        flags[missing] = str(tmp_path / "missing.json")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sedmtl.cli", command, *(x for f in flags.items() for x in f)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "missing.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestBlasThreads:
     VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -164,7 +164,7 @@ class TestChunkClips:
     def make_pair(self, n):
         rng = np.random.default_rng(n)
         feats = rng.normal(size=(8, n))
-        roll = EventRoll(data=(rng.random((3, n)) < 0.3).astype(float), hop_seconds=0.02)
+        roll = (rng.random((3, n)) < 0.3).astype(float)
         return feats, roll
 
     def test_exact_division(self):

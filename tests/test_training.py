@@ -587,12 +587,10 @@ class TestStandardizeSplit:
 VOCABULARY = Vocabulary(scenes=["s0", "s1", "s2", "s3"], events=["a", "b", "c"])
 
 
-def cv_settings(modes, seeds=(0,), eval_cfg=None, **train):
+def cv_settings(modes, seeds=(0,), **train):
     """The `train` and `cv` blocks as `sedmtl cv` checks them."""
     base = parse_settings(TrainConfig, train, "train", fixed=training.CV_RUN_FIELDS)
-    cv = parse_settings(
-        training.CvConfig, {"modes": modes, "seeds": seeds, "eval": eval_cfg or {}}, "cv"
-    )
+    cv = parse_settings(training.CvConfig, {"modes": modes, "seeds": seeds}, "cv")
     return base, cv
 
 
@@ -621,10 +619,6 @@ class TestCrossValidation:
         out = training.run_cross_validation(examples, split, base, cv, VOCABULARY)
         for run in out["runs"]:
             assert [r["event"] for r in run["per_event"]] == ["a", "b", "c"]
-
-    def test_rejects_teacher_mode(self):
-        with pytest.raises(ConfigError, match=re.escape("field cv.modes")):
-            cv_settings(["teacher"])
 
     def test_worker_pool_matches_sequential(self):
         examples = synthetic_scene_examples(clips_per_scene=1)
@@ -709,25 +703,3 @@ print(json.dumps([json.dumps(r, sort_keys=True, default=str) for r in runs]))
             training.run_cross_validation(examples, split, base, cv, VOCABULARY, workers=64)
         assert sizes == [3, 2]
 
-    @pytest.mark.parametrize(
-        "modes, seeds, eval_cfg, fragment",
-        [
-            (["event_only"], [0, 0], None, "field cv.seeds"),
-            (["event_only", "event_only"], [0], None, "field cv.modes"),
-            (["event_only"], [-1], None, "field cv.seeds"),
-            (["event_only"], [0], {"smooth_window": 4}, "field cv.eval.smooth_window"),
-        ],
-    )
-    def test_invalid_settings_rejected_before_training(
-        self, monkeypatch, modes, seeds, eval_cfg, fragment
-    ):
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(training, "train_student", no_training)
-        examples = synthetic_scene_examples(clips_per_scene=1)
-        split = {c: i % 2 for i, c in enumerate(sorted(examples))}
-        with pytest.raises(ConfigError, match=re.escape(fragment)):
-            training.run_cross_validation(
-                examples, split, *cv_settings(modes, seeds, eval_cfg), VOCABULARY
-            )
