@@ -49,6 +49,38 @@ class TestInit:
                 limit = np.sqrt(6.0 / (n_in + n_out))
                 assert np.abs(t.values).max() <= limit
 
+    # (name, shape) of each parameter in declaration order, with 4 scenes and
+    # 5 events: the checkpoint's manifest and blob order, and the order in
+    # which init draws from its RNG
+    TEACHER_MANIFEST = [
+        ("conv1.kernel", (128, 1, 3, 3)), ("conv1.bias", (128,)),
+        ("conv2.kernel", (128, 128, 3, 3)), ("conv2.bias", (128,)),
+        ("conv3.kernel", (128, 128, 3, 3)), ("conv3.bias", (128,)),
+        ("out.weight", (128, 4)), ("out.bias", (4,)),
+    ]
+    STUDENT_MANIFEST = [
+        ("trunk1.kernel", (128, 1, 3, 3)), ("trunk1.bias", (128,)),
+        ("trunk2.kernel", (128, 128, 3, 3)), ("trunk2.bias", (128,)),
+        ("trunk3.kernel", (128, 128, 3, 3)), ("trunk3.bias", (128,)),
+        ("scene1.kernel", (64, 128, 3, 3)), ("scene1.bias", (64,)),
+        ("scene2.kernel", (16, 64, 3, 3)), ("scene2.bias", (16,)),
+        ("scene_out.weight", (16, 4)), ("scene_out.bias", (4,)),
+        *(
+            (f"gru.{d}.{kind}_{gate}", shape)
+            for d in ("fwd", "bwd")
+            for kind, shape in (("w", (128, 32)), ("u", (32, 32)), ("b", (32,)))
+            for gate in ("update", "reset", "cand")
+        ),
+        ("event_hidden.weight", (64, 32)), ("event_hidden.bias", (32,)),
+        ("event_out.weight", (32, 5)), ("event_out.bias", (5,)),
+    ]
+
+    def test_parameter_manifests_pinned(self):
+        teacher = networks.init_teacher_params(4, seed=0)
+        student = networks.init_student_params(4, 5, seed=0)
+        assert [(n, t.shape) for n, t in teacher.items()] == self.TEACHER_MANIFEST
+        assert [(n, t.shape) for n, t in student.items()] == self.STUDENT_MANIFEST
+
     def test_parameter_count_deterministic(self):
         teacher = networks.init_teacher_params(4, seed=0)
         conv = 128 * 1 * 9 + 128 + 2 * (128 * 128 * 9 + 128)
