@@ -868,34 +868,47 @@ class TestBlasThreads:
         assert manifest["environment"]["OMP_NUM_THREADS"] == "1"
         assert manifest["environment"]["MKL_NUM_THREADS"] == "1"
 
-    # sha256 of (checkpoint, log) from 2 epochs on the fixture dataset, 8
-    # chunks of 50 frames per batch. Features and training run in fresh
+    # sha256 of (checkpoint, log) from 2 epochs on the fixture dataset's 8
+    # chunks of 50 frames, keyed by (mode, batch size): one batch of 8, or
+    # batches of 3, 3 and 2, so a change in how batches combine shows. Features and training run in fresh
     # processes, where the package pins one BLAS thread (pytest loads numpy
     # first, and the feature bits depend on the thread count). A change in
     # gradient summation order moves these bytes on the numpy/BLAS build
     # that the pinned report digest in TestEval assumes.
     TRAINING_SHA256 = {
-        "teacher": (
+        ("teacher", 8): (
             "44db368c29f3aa14c25ed6a3e39c68a9ceee2698def61f2c48ec8550cb2d06a0",
             "261473092ccce382424fb4eaae8c6fb2367fe236d37a27035754fba1c22a18fd",
         ),
-        "mtl_hard": (
+        ("mtl_hard", 8): (
             "1f95fc7b29fe58993125cf0e69923c0f0d6e65477775ca522f33ed96e7e74b0b",
             "657213ed73f6656f15a5d02f985880165d9b6b6c9f88370e360c0d8c575eeaa6",
         ),
-        "event_only": (
+        ("event_only", 8): (
             "fbc8cf502c451b157df75e5e77ee3d97896044e93881f54d761cfcd9eff6239d",
             "30b126ef78330a92747ecad78224120dfac0bb9e3160fe2c8924b3acd1372f85",
         ),
-        "mtl_soft": (
+        ("mtl_soft", 8): (
             "514614d3d05ab86777be8c9a15873198a206c916bf8cb24f13559eba43b60057",
             "10ff7913eb4c91a7bc87317f7e626c6c2baf4f48d4fab378b6227e0f36817cda",
         ),
+        ("teacher", 3): (
+            "462f83d018cfdef6a1af7dd5c42d6f500ab20cc9583330104c1cb9d8e82a6316",
+            "1cf9ca9bec3cd3b8e1621255708c3239302899fa1b63baf07e30d841673f4a57",
+        ),
+        ("mtl_hard", 3): (
+            "35387143f2c9b9c0f6435777cdbca0e09fd1bfe4826485d4b5d60d358cb1f58d",
+            "4edd01316ab612047529c748e1df1111bf634402f5f140c1902f1e30d4dd309b",
+        ),
     }
 
-    @pytest.mark.parametrize("mode", sorted(TRAINING_SHA256))
-    def test_training_bytes_pinned(self, fixture_dataset, tmp_path, mode):
-        doc = train_config_doc(fixture_dataset, tmp_path, mode, alpha=0.5)
+    @pytest.mark.parametrize(
+        "mode, batch_size",
+        sorted(TRAINING_SHA256),
+        ids=[m if b == 8 else f"{m}-batch{b}" for m, b in sorted(TRAINING_SHA256)],
+    )
+    def test_training_bytes_pinned(self, fixture_dataset, tmp_path, mode, batch_size):
+        doc = train_config_doc(fixture_dataset, tmp_path, mode, alpha=0.5, batch_size=batch_size)
         doc["paths"]["features_dir"] = str(tmp_path / "features")
         if mode == "mtl_soft":
             # a fixed target, 0.7 on the clip's scene and 0.1 on the others,
@@ -920,7 +933,7 @@ class TestBlasThreads:
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in (f"{mode}.ckpt", f"{mode}_log.jsonl")
         )
-        assert digests == self.TRAINING_SHA256[mode]
+        assert digests == self.TRAINING_SHA256[mode, batch_size]
 
     def test_a_value_the_user_set_wins(self):
         code = (
