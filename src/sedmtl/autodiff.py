@@ -12,7 +12,9 @@ final windows, a bidirectional GRU, the usual activations, and a temperature
 softmax. `grad_check` verifies any op against central finite differences.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -448,6 +450,8 @@ def _unpool_axis(g: np.ndarray, axis: int, n: int, mask: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # bidirectional GRU
 
+GRU_GATES = ("update", "reset", "cand")
+
 
 @dataclass
 class GRUCell:
@@ -472,12 +476,12 @@ class GRUCell:
     b_reset: Tensor
     b_cand: Tensor
 
+    def gates(self, kind: str) -> list:
+        """The "w", "u" or "b" tensor of each gate, in GRU_GATES order."""
+        return [getattr(self, f"{kind}_{gate}") for gate in GRU_GATES]
+
     def tensors(self):
-        return [
-            self.w_update, self.w_reset, self.w_cand,
-            self.u_update, self.u_reset, self.u_cand,
-            self.b_update, self.b_reset, self.b_cand,
-        ]
+        return self.gates("w") + self.gates("u") + self.gates("b")
 
 
 def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> Tensor:
@@ -533,8 +537,8 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         dh_out[:, 0] = g[..., :units]
         dh_out[:, 1] = g[::-1, :, units:]
         uu_t, ur_t, uc_t = (
-            np.stack([getattr(c, name).values for c in cells]).transpose(0, 2, 1)
-            for name in ("u_update", "u_reset", "u_cand")
+            np.stack([t.values for t in pair]).transpose(0, 2, 1)
+            for pair in zip(*(c.gates("u") for c in cells))
         )
         da = np.empty((n, 2, b, 3 * units))  # pre-activation grads: update | reset | cand
         carry = np.zeros((2, b, units))
@@ -557,29 +561,18 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         dx = []
         for d, cell in enumerate(cells):
             a = da[:, d].reshape(n * b, 3 * units)
-            a_u, a_r, a_c = a[:, :units], a[:, units : 2 * units], a[:, 2 * units :]
+            a_gates = [a[:, k * units : (k + 1) * units] for k in range(len(GRU_GATES))]
             hp = h_prev[:, d].reshape(n * b, units)
             rh = (gates[:, d, :, units:] * h_prev[:, d]).reshape(n * b, units)
-            grads = {
-                "w_update": rows[d].T @ a_u,
-                "w_reset": rows[d].T @ a_r,
-                "w_cand": rows[d].T @ a_c,
-                "u_update": hp.T @ a_u,
-                "u_reset": hp.T @ a_r,
-                "u_cand": rh.T @ a_c,
-                "b_update": a_u.sum(axis=0),
-                "b_reset": a_r.sum(axis=0),
-                "b_cand": a_c.sum(axis=0),
-            }
-            for name, gv in grads.items():
-                _accumulate(getattr(cell, name), gv)
-            dx.append(
-                (
-                    a_u @ cell.w_update.values.T
-                    + a_r @ cell.w_reset.values.T
-                    + a_c @ cell.w_cand.values.T
-                ).reshape(n, b, f)
-            )
+            # the inputs the gates multiply: x by each W, h by U_update and
+            # U_reset, reset * h by U_cand
+            grads = [v.T @ a_g for v, a_g in zip((rows[d],) * 3 + (hp, hp, rh), a_gates * 2)]
+            grads += [a_g.sum(axis=0) for a_g in a_gates]
+            for t, gv in zip(cell.tensors(), grads):
+                _accumulate(t, gv)
+            # (update + reset) + cand, each term made just before its sum
+            terms = (a_g @ w.values.T for a_g, w in zip(a_gates, cell.gates("w")))
+            dx.append(reduce(operator.add, terms).reshape(n, b, f))
         _accumulate(x, (dx[0] + dx[1][::-1]).reshape(xv.shape))
 
     return _record(out, backward)

@@ -2,16 +2,14 @@
 
 Both nets consume a 64-band log mel matrix, (bands, frames), and keep every
 conv-stack activation band-major, (channels, bands, frames), so the long
-frame axis is the contiguous one. Pooling sizes read as time x band:
+frame axis is the contiguous one. Each conv stack is one table of blocks,
+conv 3x3 -> maxpool (time x band) -> ReLU:
 
-  teacher:  3x [conv 3x3 (128 ch) -> maxpool 8x8 / 4x4 / 2x2 -> ReLU],
-            mean over residual time, dense -> C scene logits
-  student:  shared trunk 3x [conv 3x3 (128 ch) -> maxpool 1x8 / 1x4 / 1x2
-            -> ReLU] keeps all N frames and collapses the band axis;
-            scene head: 2x [conv 3x3 (64, 16 ch) -> maxpool 10x1 / 5x1 ->
-            ReLU], mean over residual time, dense -> C;
-            event head: BiGRU (32 units per direction) -> dense 32 (ReLU)
-            -> dense -> M logits per frame.
+  teacher:  TEACHER_CONVS, mean over residual time, dense -> C scene logits
+  student:  shared trunk TRUNK_CONVS keeps all N frames and collapses the
+            band axis; scene head: SCENE_CONVS, mean over residual time,
+            dense -> C; event head: BiGRU (32 units per direction) -> dense
+            32 (ReLU) -> dense -> M logits per frame.
 
 Pooling before the ReLU is exact: ReLU is monotone, so relu(maxpool(x)) ==
 maxpool(relu(x)) value for value, and the gradient reaches the same element
@@ -20,13 +18,12 @@ equal-length inputs (a training mini-batch of chunks, or clips at inference)
 runs the trunk and scene head per input and the BiGRU and event head once,
 time-major over the whole batch; inference skips the scene head.
 
-Untaped per-input forwards (the trunk of each distinct matrix, and the
-callers' per-clip teacher forwards) run on a pool of threads, one per core
-in the process's affinity mask, the caller included. Each thread issues the
-same single-threaded BLAS calls as a serial loop, so the bits do not change.
-Under a tape, with fewer than two inputs or cores, and in a forked child
-(a `cv` worker process) the loop runs serially on the calling thread.
-Callers bracket each threaded inference call with `_trimmed_heap`.
+Inference (`event_posteriors`, `teacher_logits`) runs its untaped per-input
+trunk or teacher forwards on a pool of threads, one per core in the process's
+affinity mask, the caller included. Each thread issues the same
+single-threaded BLAS calls as a serial loop, so the bits do not change. Under
+a tape, with fewer than two inputs or cores, and in a forked child (a `cv`
+worker process) the loop runs serially on the calling thread.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -43,17 +40,31 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRUCell, Tensor
+from .autodiff import GRU_GATES, GRUCell, Tensor
 from .errors import DataError, DimensionError
 
 N_BANDS = 64
-CONV_CHANNELS = 128
-TEACHER_POOLS = ((8, 8), (4, 4), (2, 2))
-TRUNK_POOLS = ((1, 8), (1, 4), (1, 2))
-SCENE_CHANNELS = (64, 16)
-SCENE_POOLS = ((10, 1), (5, 1))
+# Conv blocks in order: (layer, in channels, out channels, (time, band) pool).
+TEACHER_CONVS = (
+    ("conv1", 1, 128, (8, 8)),
+    ("conv2", 128, 128, (4, 4)),
+    ("conv3", 128, 128, (2, 2)),
+)
+TRUNK_CONVS = (
+    ("trunk1", 1, 128, (1, 8)),
+    ("trunk2", 128, 128, (1, 4)),
+    ("trunk3", 128, 128, (1, 2)),
+)
+SCENE_CONVS = (
+    ("scene1", 128, 64, (10, 1)),
+    ("scene2", 64, 16, (5, 1)),
+)
 GRU_UNITS = 32
 EVENT_HIDDEN = 32
+# Clips per BiGRU batch at inference: 8 already shares the step loop's
+# per-step overhead; 16 was barely faster but kept twice the trunk outputs and
+# recurrent state alive, and raised eval-many's peak RSS by ~10%.
+INFER_BATCH = 8
 
 CHECKPOINT_MAGIC = b"SDCK1"
 
@@ -178,58 +189,41 @@ def _glorot(rng, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
-def _add_conv(params: ModelParams, rng, name, c_in, c_out):
-    params.add(
-        f"{name}.kernel",
-        _glorot(rng, (c_out, c_in, 3, 3), fan_in=c_in * 9, fan_out=c_out * 9),
-    )
-    params.add(f"{name}.bias", np.zeros(c_out))
+def _add_convs(params: ModelParams, rng, convs):
+    for name, c_in, c_out, _ in convs:
+        kernel = _glorot(rng, (c_out, c_in, 3, 3), fan_in=c_in * 9, fan_out=c_out * 9)
+        params.add(f"{name}.kernel", kernel)
+        params.add(f"{name}.bias", np.zeros(c_out))
 
 def _add_dense(params: ModelParams, rng, name, n_in, n_out):
     params.add(f"{name}.weight", _glorot(rng, (n_in, n_out), n_in, n_out))
     params.add(f"{name}.bias", np.zeros(n_out))
 
 def _add_gru(params: ModelParams, rng, name, n_in, units):
-    for gate in ("update", "reset", "cand"):
-        params.add(f"{name}.w_{gate}", _glorot(rng, (n_in, units), n_in, units))
-    for gate in ("update", "reset", "cand"):
-        params.add(f"{name}.u_{gate}", _glorot(rng, (units, units), units, units))
-    for gate in ("update", "reset", "cand"):
+    for kind, rows in (("w", n_in), ("u", units)):
+        for gate in GRU_GATES:
+            params.add(f"{name}.{kind}_{gate}", _glorot(rng, (rows, units), rows, units))
+    for gate in GRU_GATES:
         params.add(f"{name}.b_{gate}", np.zeros(units))
 
 def _gru_cell(params: ModelParams, name) -> GRUCell:
-    return GRUCell(
-        **{
-            f"{kind}_{gate}": params[f"{name}.{kind}_{gate}"]
-            for kind in ("w", "u", "b")
-            for gate in ("update", "reset", "cand")
-        }
-    )
+    fields = [f"{kind}_{gate}" for kind in ("w", "u", "b") for gate in GRU_GATES]
+    return GRUCell(**{field: params[f"{name}.{field}"] for field in fields})
 
 def init_teacher_params(n_scenes: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     params = ModelParams()
-    c_in = 1
-    for i in range(3):
-        _add_conv(params, rng, f"conv{i + 1}", c_in, CONV_CHANNELS)
-        c_in = CONV_CHANNELS
-    _add_dense(params, rng, "out", CONV_CHANNELS, n_scenes)
+    _add_convs(params, rng, TEACHER_CONVS)
+    _add_dense(params, rng, "out", TEACHER_CONVS[-1][2], n_scenes)
     return params
 
 def init_student_params(n_scenes: int, n_events: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     params = ModelParams()
-    c_in = 1
-    for i in range(3):
-        _add_conv(params, rng, f"trunk{i + 1}", c_in, CONV_CHANNELS)
-        c_in = CONV_CHANNELS
-    c_in = CONV_CHANNELS
-    for i, c_out in enumerate(SCENE_CHANNELS):
-        _add_conv(params, rng, f"scene{i + 1}", c_in, c_out)
-        c_in = c_out
-    _add_dense(params, rng, "scene_out", SCENE_CHANNELS[-1], n_scenes)
-    _add_gru(params, rng, "gru.fwd", CONV_CHANNELS, GRU_UNITS)
-    _add_gru(params, rng, "gru.bwd", CONV_CHANNELS, GRU_UNITS)
+    _add_convs(params, rng, TRUNK_CONVS + SCENE_CONVS)
+    _add_dense(params, rng, "scene_out", SCENE_CONVS[-1][2], n_scenes)
+    _add_gru(params, rng, "gru.fwd", TRUNK_CONVS[-1][2], GRU_UNITS)
+    _add_gru(params, rng, "gru.bwd", TRUNK_CONVS[-1][2], GRU_UNITS)
     _add_dense(params, rng, "event_hidden", 2 * GRU_UNITS, EVENT_HIDDEN)
     _add_dense(params, rng, "event_out", EVENT_HIDDEN, n_events)
     return params
@@ -243,38 +237,28 @@ def _features_to_input(features: np.ndarray) -> Tensor:
     # (bands, frames) -> (1 channel, bands, frames); nothing needs its gradient
     return Tensor(data[None], constant=True)
 
-def _conv_block(x: Tensor, params: ModelParams, name, pool) -> Tensor:
-    conv = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
-    pooled = ad.maxpool2d(conv, pool[0], pool[1])
-    # Only the pool reads the conv output, and a tape needs only its .grad.
-    conv.values = None
-    return ad.relu(pooled)
+def _conv_stack(x: Tensor, params: ModelParams, convs) -> Tensor:
+    for name, _, _, pool in convs:
+        conv = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
+        x = ad.maxpool2d(conv, *pool)
+        # Only the pool reads the conv output, and a tape needs only its .grad.
+        conv.values = None
+        x = ad.relu(x)
+    return x
 
-def _collapse_to_vector(x: Tensor) -> Tensor:
-    # (C, 1, T') -> mean over residual time -> (C,)
-    c, b, t = x.shape
-    return ad.mean_axis(ad.reshape(x, (c, b * t)), 1)
+def _classify(x: Tensor, params: ModelParams, convs, out) -> Tensor:
+    """Conv stack -> mean over residual time -> dense layer `out` logits."""
+    x = _conv_stack(x, params, convs)
+    c, b, t = x.shape  # (C, 1, T')
+    pooled = ad.mean_axis(ad.reshape(x, (c, b * t)), 1)
+    return ad.dense(pooled, params[f"{out}.weight"], params[f"{out}.bias"])
 
 def teacher_forward(params: ModelParams, features) -> Tensor:
     """Scene logits (length C) for one clip."""
-    x = _features_to_input(features)
-    for i, pool in enumerate(TEACHER_POOLS):
-        x = _conv_block(x, params, f"conv{i + 1}", pool)
-    pooled = _collapse_to_vector(x)
-    return ad.dense(pooled, params["out.weight"], params["out.bias"])
+    return _classify(_features_to_input(features), params, TEACHER_CONVS, "out")
 
 def student_trunk(params: ModelParams, features) -> Tensor:
-    x = _features_to_input(features)
-    for i, pool in enumerate(TRUNK_POOLS):
-        x = _conv_block(x, params, f"trunk{i + 1}", pool)
-    return x  # (128, 1, N)
-
-def _scene_head(params: ModelParams, trunk: Tensor) -> Tensor:
-    scene = trunk
-    for i, pool in enumerate(SCENE_POOLS):
-        scene = _conv_block(scene, params, f"scene{i + 1}", pool)
-    scene_vec = _collapse_to_vector(scene)
-    return ad.dense(scene_vec, params["scene_out.weight"], params["scene_out.bias"])
+    return _conv_stack(_features_to_input(features), params, TRUNK_CONVS)  # (128, 1, N)
 
 def student_forward(params: ModelParams, features: list, scene: bool = True):
     """Event logits (B, M, N) and a list of B scene logit vectors for a list
@@ -290,7 +274,7 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
         zip(distinct, _thread_map(lambda f: student_trunk(params, f), distinct.values()))
     )
     trunks = [trunk_of[id(f)] for f in features]
-    scene_logits = [_scene_head(params, trunk) for trunk in trunks] if scene else None
+    scene_logits = [_classify(t, params, SCENE_CONVS, "scene_out") for t in trunks] if scene else None
 
     c, _, n = trunks[0].shape
     # (128, 1, N) per chunk -> time-major (N, B, 128)
@@ -301,6 +285,38 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     frame_logits = ad.dense(hidden, params["event_out.weight"], params["event_out.bias"])
     event_logits = ad.transpose(ad.reshape(frame_logits, (n, len(trunks), -1)), (1, 2, 0))
     return event_logits, scene_logits
+
+def event_posteriors(params: ModelParams, features) -> list:
+    """Event posteriors, one (M, N) array per feature matrix, in the order given.
+
+    Matrices of equal frame count share the BiGRU and event head in batches of
+    at most INFER_BATCH; the scene head, which no caller reads, is skipped. A
+    matrix alone in its batch is listed twice, so its trunk runs once: at B=1
+    the recurrent matmuls take a BLAS matrix-vector path with other rounding,
+    while at any B >= 2 a matrix's rows are the same bits, so its posteriors
+    never depend on which matrices share the call.
+    """
+    out = [None] * len(features)
+    groups = {}
+    for i, f in enumerate(features):
+        groups.setdefault(f.shape[-1], []).append(i)
+    with _trimmed_heap():
+        for members in groups.values():
+            for start in range(0, len(members), INFER_BATCH):
+                batch = members[start : start + INFER_BATCH]
+                mats = [features[i] for i in batch]
+                event_logits, _ = student_forward(
+                    params, mats * 2 if len(batch) == 1 else mats, scene=False
+                )
+                posteriors = ad.sigmoid(event_logits).values
+                for row, i in enumerate(batch):
+                    out[i] = posteriors[row]
+    return out
+
+def teacher_logits(params: ModelParams, features) -> list:
+    """Each feature matrix's scene logits, the forwards shared across threads."""
+    with _trimmed_heap():
+        return _thread_map(lambda f: teacher_forward(params, f).values, features)
 
 def save_checkpoint(path, params: ModelParams, meta: dict):
     """JSON header (meta + parameter manifest) followed by the value blob."""

@@ -357,16 +357,8 @@ def _fit(config, init, items, val_clips, run_batch, epoch_losses, validate) -> T
 # teacher
 
 
-def _teacher_logits(params: networks.ModelParams, clips) -> list:
-    """Each clip's scene logits, the clips' forwards shared across threads."""
-    with networks._trimmed_heap():
-        return networks._thread_map(
-            lambda clip: networks.teacher_forward(params, clip.features.data).values, clips
-        )
-
-
 def teacher_accuracy(params: networks.ModelParams, clips) -> float:
-    logits = _teacher_logits(params, clips)
+    logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
     correct = sum(int(np.argmax(x)) == clip.scene for x, clip in zip(logits, clips))
     return correct / len(clips)
 
@@ -398,7 +390,7 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
 
 def compute_soft_labels(params: networks.ModelParams, clips, temperature: float) -> dict:
     """Frozen-teacher soft label per clip: temperature softmax of its logits."""
-    logits = _teacher_logits(params, clips)
+    logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
     return {
         clip.clip_id: losses.distill_targets(x, temperature) for x, clip in zip(logits, clips)
     }
@@ -420,38 +412,10 @@ def load_soft_labels(path) -> dict:
 # student
 
 
-# Clips per BiGRU batch at inference: 8 already shares the step loop's
-# per-step overhead; 16 was barely faster but kept twice the trunk outputs and
-# recurrent state alive, and raised eval-many's peak RSS by ~10%.
-INFER_BATCH = 8
-
-
 def student_posteriors(params: networks.ModelParams, *clips) -> list:
-    """Event posteriors, one (M, N) array per clip, in the order given.
-
-    Clips of equal frame count share the BiGRU and event head in batches of
-    at most INFER_BATCH; the scene head, which no caller reads, is skipped. A
-    clip alone in its batch runs twice over: at B=1 the recurrent matmuls
-    take a BLAS matrix-vector path with other rounding, while at any B >= 2
-    a clip's rows are the same bits, so its posteriors never depend on which
-    clips share the call.
-    """
-    out = [None] * len(clips)
-    groups = {}
-    for i, clip in enumerate(clips):
-        groups.setdefault(clip.features.n_frames, []).append(i)
-    with networks._trimmed_heap():
-        for members in groups.values():
-            for start in range(0, len(members), INFER_BATCH):
-                batch = members[start : start + INFER_BATCH]
-                features = [clips[i].features.data for i in batch]
-                event_logits, _ = networks.student_forward(
-                    params, features * 2 if len(batch) == 1 else features, scene=False
-                )
-                posteriors = ad.sigmoid(event_logits).values
-                for row, i in enumerate(batch):
-                    out[i] = posteriors[row]
-    return out
+    """Event posteriors, one (M, N) array per clip, in the order given; see
+    `networks.event_posteriors` for how clips share batches."""
+    return networks.event_posteriors(params, [clip.features.data for clip in clips])
 
 
 def evaluate_student(

@@ -151,9 +151,7 @@ class TestStudentForward:
         # 500 frames -> pool 10 -> 50 -> pool 5 -> 10 positions before the mean
         params = networks.init_student_params(4, 25, seed=9)
         trunk = networks.student_trunk(params, random_features(500))
-        scene = trunk
-        for i, pool in enumerate(networks.SCENE_POOLS):
-            scene = networks._conv_block(scene, params, f"scene{i + 1}", pool)
+        scene = networks._conv_stack(trunk, params, networks.SCENE_CONVS)
         assert trunk.values.shape == (128, 1, 500)
         assert scene.values.shape == (16, 1, 10)
 
@@ -301,8 +299,9 @@ class TestConvBlock:
     def test_taped_block_releases_its_conv_output(self, monkeypatch):
         params = networks.init_student_params(4, 5, seed=17)
         x = ad.tensor(np.random.default_rng(6).normal(size=(128, 1, 30)))
+        block = networks.SCENE_CONVS[:1]
         kernel, bias = params["scene1.kernel"], params["scene1.bias"]
-        pool = networks.SCENE_POOLS[0]
+        pool = block[0][3]
         conv2d = ad.conv2d
         conv_values = []
 
@@ -313,7 +312,7 @@ class TestConvBlock:
 
         monkeypatch.setattr(ad, "conv2d", recording_conv2d)
         with ad.Tape() as tape:
-            loss = ad.sum_all(networks._conv_block(x, params, "scene1", pool))
+            loss = ad.sum_all(networks._conv_stack(x, params, block))
         gc.collect()
         assert len(conv_values) == 1 and conv_values[0]() is None
         tape.backward(loss)

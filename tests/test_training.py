@@ -411,7 +411,7 @@ class TestStudentPosteriors:
         target = clip_with_frames("target", 30, seed=0)
         (alone,) = training.student_posteriors(params, target)
         # equal-length clips that fill whole batches: the target is the lone tail
-        same = [clip_with_frames(f"c{i}", 30, seed=i + 1) for i in range(2 * training.INFER_BATCH)]
+        same = [clip_with_frames(f"c{i}", 30, seed=i + 1) for i in range(2 * networks.INFER_BATCH)]
         tail = training.student_posteriors(params, *same, target)[-1]
         mixed_in = [clip_with_frames("a", 22, 40), target, clip_with_frames("b", 30, 41),
                     clip_with_frames("c", 41, 42), clip_with_frames("d", 30, 43)]
