@@ -103,12 +103,9 @@ def cmd_ingest(args) -> int:
     ann_dir = Path(args.annotations)
     out_dir = Path(args.out)
     if not metadata_path.is_file():
-        _err(f"metadata file not found: {metadata_path}")
-        return 1
+        raise DataError(f"metadata file not found: {metadata_path}")
     if not ann_dir.is_dir():
-        _err(f"annotations directory not found: {ann_dir}")
-        return 1
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise DataError(f"annotations directory not found: {ann_dir}")
     metadata_text = metadata_path.read_text(encoding="utf-8")
 
     if args.vocabulary:
@@ -135,6 +132,7 @@ def cmd_ingest(args) -> int:
             "scene": record.scene,
             "fold": folds[record.clip_id],
         }
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir / "manifest.json", entries)
     vocabulary.save(out_dir / "vocabulary.json")
 
@@ -312,12 +310,16 @@ def _load_train_config(path):
 def cmd_train(args) -> int:
     clock = _clock()
     doc, config, paths = _load_train_config(args.config)
-    out_dir = Path(paths["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     vocabulary = Vocabulary.load(paths["vocabulary"])
     folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
     train_clips, val_clips, stats = training.standardize_split(examples, folds, config.fold)
     inputs += [args.config, paths["vocabulary"]]
+    soft_labels = None
+    if config.mode == "mtl_soft":
+        soft_labels = training.load_soft_labels(paths["soft_labels"])
+        inputs.append(paths["soft_labels"])
+    out_dir = Path(paths["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.mode == "teacher":
         result = training.train_teacher(
@@ -325,10 +327,6 @@ def cmd_train(args) -> int:
         )
         kind = "teacher"
     else:
-        soft_labels = None
-        if config.mode == "mtl_soft":
-            soft_labels = training.load_soft_labels(paths["soft_labels"])
-            inputs.append(paths["soft_labels"])
         result = training.train_student(
             train_clips, val_clips, config, soft_labels=soft_labels, n_scenes=vocabulary.n_scenes
         )
@@ -365,11 +363,11 @@ def cmd_train(args) -> int:
 
 def cmd_distill(args) -> int:
     clock = _clock()
+    if args.temperature <= 0:
+        raise ConfigError(f"temperature must be positive, got {args.temperature}")
     params, meta = networks.load_checkpoint(args.checkpoint)
     if meta.get("kind") != "teacher":
         raise DataError(f"{args.checkpoint} is not a teacher checkpoint")
-    if args.temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {args.temperature}")
     vocabulary = Vocabulary.load(args.vocabulary)
     _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
     folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)

@@ -841,6 +841,50 @@ class TestErrorBoundary:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_failed_load_leaves_no_output_directory(
+        self, fixture_dataset, tmp_path, capsys, command
+    ):
+        ds = fixture_dataset
+        out = tmp_path / "out"
+        if command == "ingest":
+            argv = [
+                "ingest",
+                "--metadata", str(ds["info"].metadata_path),
+                "--annotations", str(ds["info"].annotations_dir),
+                "--vocabulary", str(tmp_path / "missing.json"),
+                "--out", str(out),
+            ]
+            named = "missing.json"
+        else:
+            shutil.copytree(ds["features"], tmp_path / "features")
+            (tmp_path / "features" / "home_0.sdfc").unlink()
+            doc = train_config_doc(ds, out, "mtl_hard")
+            doc["paths"]["features_dir"] = str(tmp_path / "features")
+            (tmp_path / "train.json").write_text(json.dumps(doc))
+            argv = ["train", "--config", str(tmp_path / "train.json")]
+            named = "home_0.sdfc"
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        assert not out.exists()
+
+    def test_distill_checks_the_temperature_before_loading(self, fixture_dataset, tmp_path, capsys):
+        ds = fixture_dataset
+        code = cli.main([
+            "distill",
+            "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--manifest", str(ds["manifest"]),
+            "--vocabulary", str(ds["vocabulary"]),
+            "--features", str(ds["features"]),
+            "--temperature", "0",
+            "--out", str(tmp_path / "out" / "soft_labels.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: temperature must be positive, got 0.0\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestBlasThreads:
     VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
