@@ -673,6 +673,38 @@ class TestCrossValidation:
             assert err.startswith("error: invalid config")
             assert f"field '{field}' is set per run by {source}, not by the train block" in err
 
+    # sha256 of (cv_report.json, cv_table.txt) for all three modes on the
+    # fixture dataset, per policy. At 6 epochs and learning rate 0.01 the
+    # modes stop at different best epochs with different scores, so a change
+    # in training, calibration, pooled scores or per-event rows shows.
+    CV_SHA256 = {
+        "fixed": (
+            "e88ff420ef8d61c17c9e8e82ed0ab31804a63c9a617c9f9bd5a0e900ca3e261a",
+            "ce2c757ba1583d3020d06766541f326cb9a4493f29000bfb58e026dba0731bcf",
+        ),
+        "calibrated": (
+            "c0c233deb376d2affc735578d0e9852e427caa5ffdff7e5f881242c6de2322ed",
+            "54fa7c462359b91981e83e7605b748fbe4c1a7880e5f08d6226c9355d8c7ea45",
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(CV_SHA256))
+    def test_cv_bytes_pinned(self, fixture_dataset, tmp_path, monkeypatch, policy):
+        monkeypatch.setenv("SEDMTL_WORKERS", "1")
+        doc = cv_config_doc(
+            fixture_dataset, tmp_path / "cv",
+            alpha=0.5, learning_rate=1e-2, max_epochs=6, patience=6,
+        )
+        doc["cv"]["eval"] = {"policy": policy}
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / "cv" / name).read_bytes()).hexdigest()
+            for name in ("cv_report.json", "cv_table.txt")
+        )
+        assert digests == self.CV_SHA256[policy]
+
     def test_fixed_policy_forwards_validation_clips_once_per_epoch(
         self, fixture_dataset, tmp_path, monkeypatch
     ):
