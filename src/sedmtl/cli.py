@@ -363,8 +363,8 @@ def cmd_train(args) -> int:
 
 def cmd_distill(args) -> int:
     clock = _clock()
-    if args.temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {args.temperature}")
+    if not (np.isfinite(args.temperature) and args.temperature > 0):
+        raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
     params, meta = networks.load_checkpoint(args.checkpoint)
     if meta.get("kind") != "teacher":
         raise DataError(f"{args.checkpoint} is not a teacher checkpoint")

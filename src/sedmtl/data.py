@@ -161,6 +161,8 @@ def make_folds(records, n_folds: int = 4, seed: int = 0) -> dict:
     folds with a cursor that runs across groups, so both per-scene and total
     fold sizes differ by at most one.
     """
+    if n_folds < 1:
+        raise ArgumentError(f"folds must be >= 1, got {n_folds}")
     if len(records) < n_folds:
         raise ArgumentError(
             f"need at least {n_folds} clips for {n_folds} folds, got {len(records)}"

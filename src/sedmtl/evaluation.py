@@ -5,6 +5,11 @@ per-class binary median filter. Metrics follow the segment-based convention:
 a class counts as active in a 1 s segment iff any frame inside is active;
 per segment, substitutions S = min(FN, FP), deletions D = FN - S and
 insertions I = FP - S; the error rate is (sum S + D + I) / (sum Nref).
+
+`SegmentCounts` keeps each count once: per-class TP/FP/FN totals and one
+(S, D, I, Nref) row per segment, from which `totals` sums the rest. Every F1
+(overall, per class, per calibration threshold) is `f1_from_counts` and every
+error rate `er_from_counts`, elementwise over count arrays.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +18,6 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError
 
-DEFAULT_SEGMENT_S = 1.0
 DEFAULT_SMOOTH_WINDOW = 27
 # thresholds searched by calibration unless a caller passes its own grid
 CALIBRATION_GRID = tuple(g / 20 for g in range(1, 20))
@@ -72,32 +76,27 @@ def binarize(
 
 @dataclass
 class SegmentCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-    n_ref: int = 0
-    per_segment: list = field(default_factory=list)  # (S, D, I, Nref) rows
-    # per-class totals, (M,) integer arrays; 0 until counts with classes merge in
+    """Per-class (M,) TP/FP/FN totals, 0 until counts with classes merge in,
+    and one (S, D, I, Nref) row per segment."""
+
     class_tp: np.ndarray | int = 0
     class_fp: np.ndarray | int = 0
     class_fn: np.ndarray | int = 0
+    per_segment: list = field(default_factory=list)
+
+    @property
+    def totals(self) -> dict:
+        """tp, fp and fn summed over classes; s, d, i and n_ref over segments."""
+        classes = [int(np.sum(c)) for c in (self.class_tp, self.class_fp, self.class_fn)]
+        rows = np.array(self.per_segment, dtype=np.int64).reshape(-1, 4).sum(axis=0)
+        return dict(zip(("tp", "fp", "fn", "s", "d", "i", "n_ref"), classes + rows.tolist()))
 
     def merge(self, other: "SegmentCounts") -> "SegmentCounts":
-        """Add other's counts, per-class totals and per-segment rows into this
-        one; returns self.
+        """Add other's per-class totals and per-segment rows into this one;
+        returns self.
 
         Accumulates in place, so pooling k clips costs O(total rows), not O(k^2).
         """
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-        self.substitutions += other.substitutions
-        self.deletions += other.deletions
-        self.insertions += other.insertions
-        self.n_ref += other.n_ref
         self.per_segment.extend(other.per_segment)
         self.class_tp = self.class_tp + other.class_tp
         self.class_fp = self.class_fp + other.class_fp
@@ -105,36 +104,28 @@ class SegmentCounts:
         return self
 
 
-def _segment_activity(binary: np.ndarray, frames_per_segment: int) -> np.ndarray:
-    """(..., N) frame activity to (..., S) segment activity; the trailing
-    partial segment is included."""
+def _segment_activity(binary: np.ndarray, hop_s: float) -> np.ndarray:
+    """(..., N) frame activity to (..., S) activity in 1 s segments of frames
+    `hop_s` apart; the trailing partial segment is included."""
+    frames = max(1, int(round(1.0 / hop_s)))
     n = binary.shape[-1]
-    n_segments = -(-n // frames_per_segment)
+    n_segments = -(-n // frames)
     lead = [(0, 0)] * (binary.ndim - 1)
-    padded = np.pad(binary != 0, lead + [(0, n_segments * frames_per_segment - n)])
-    return padded.reshape(binary.shape[:-1] + (n_segments, frames_per_segment)).any(axis=-1)
+    padded = np.pad(binary != 0, lead + [(0, n_segments * frames - n)])
+    return padded.reshape(binary.shape[:-1] + (n_segments, frames)).any(axis=-1)
 
 
-def segment_counts(
-    reference: np.ndarray,
-    prediction: np.ndarray,
-    hop_s: float,
-    segment_s: float = DEFAULT_SEGMENT_S,
-) -> SegmentCounts:
-    """Count TP/FP/FN (in total and per class) and per-segment S/D/I/Nref on
-    (M, N) binary matrices.
-
-    The trailing partial segment is included.
-    """
+def segment_counts(reference: np.ndarray, prediction: np.ndarray, hop_s: float) -> SegmentCounts:
+    """Per-class TP/FP/FN and per-segment S/D/I/Nref of (M, N) binary
+    matrices whose frames are `hop_s` apart."""
     reference = np.asarray(reference)
     prediction = np.asarray(prediction)
     if reference.shape != prediction.shape:
         raise DimensionError(
             f"reference {reference.shape} and prediction {prediction.shape} differ"
         )
-    frames_per_segment = max(1, int(round(segment_s / hop_s)))
-    ref_seg = _segment_activity(reference, frames_per_segment)
-    pred_seg = _segment_activity(prediction, frames_per_segment)
+    ref_seg = _segment_activity(reference, hop_s)
+    pred_seg = _segment_activity(prediction, hop_s)
     hit, miss, false_alarm = ref_seg & pred_seg, ref_seg & ~pred_seg, ~ref_seg & pred_seg
 
     # per-segment class counts, shape (S,)
@@ -142,56 +133,51 @@ def segment_counts(
     subs = np.minimum(seg_fn, seg_fp)
     dels, ins, n_ref = seg_fn - subs, seg_fp - subs, ref_seg.sum(axis=0)
     return SegmentCounts(
-        tp=int(hit.sum()),
-        fp=int(seg_fp.sum()),
-        fn=int(seg_fn.sum()),
-        substitutions=int(subs.sum()),
-        deletions=int(dels.sum()),
-        insertions=int(ins.sum()),
-        n_ref=int(n_ref.sum()),
+        class_tp=hit.sum(axis=1), class_fp=false_alarm.sum(axis=1), class_fn=miss.sum(axis=1),
         per_segment=list(zip(subs.tolist(), dels.tolist(), ins.tolist(), n_ref.tolist())),
-        class_tp=hit.sum(axis=1),
-        class_fp=false_alarm.sum(axis=1),
-        class_fn=miss.sum(axis=1),
+    )
+
+
+def f1_from_counts(tp, fp, fn):
+    """Elementwise F1 in percent of TP/FP/FN count arrays, and where it is
+    defined (any activity); 0 where it is not."""
+    denom = 2 * np.asarray(tp) + fp + fn
+    return np.where(denom > 0, 100.0 * 2.0 * tp / np.maximum(denom, 1), 0.0), denom > 0
+
+
+def er_from_counts(errors, n_ref, insertions):
+    """Elementwise error rate errors / Nref of count arrays, and where it is
+    defined (a non-empty reference); the insertion count where it is not."""
+    n_ref = np.asarray(n_ref)
+    return np.where(n_ref > 0, errors / np.maximum(n_ref, 1), insertions), n_ref > 0
+
+
+def _overall(counts: SegmentCounts) -> tuple:
+    """(F1, F1 defined, ER, ER defined) over every class and segment."""
+    t = counts.totals
+    return (
+        *f1_from_counts(t["tp"], t["fp"], t["fn"]),
+        *er_from_counts(t["s"] + t["d"] + t["i"], t["n_ref"], t["i"]),
     )
 
 
 def f1_score(counts: SegmentCounts) -> float:
     """Segment-based F1 in percent; 0 when there is no activity at all."""
-    denom = 2 * counts.tp + counts.fp + counts.fn
-    if denom == 0:
-        return 0.0
-    return 100.0 * 2.0 * counts.tp / denom
-
-
-def f1_defined(counts: SegmentCounts) -> bool:
-    return 2 * counts.tp + counts.fp + counts.fn > 0
+    return float(_overall(counts)[0])
 
 
 def error_rate(counts: SegmentCounts) -> float:
     """Segment-based error rate; with an empty reference this degenerates to
-    the raw insertion count (flagged via er_defined).
-    """
-    errors = counts.substitutions + counts.deletions + counts.insertions
-    if counts.n_ref == 0:
-        return float(counts.insertions)
-    return errors / counts.n_ref
-
-
-def er_defined(counts: SegmentCounts) -> bool:
-    return counts.n_ref > 0
+    the raw insertion count (flagged in `report_dict`)."""
+    return float(_overall(counts)[2])
 
 
 def calibrate_thresholds(
-    pairs,
-    grid,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    hop_s: float = 0.02,
-    segment_s: float = DEFAULT_SEGMENT_S,
+    pairs, grid, hop_s: float, smooth_window: int = DEFAULT_SMOOTH_WINDOW
 ) -> np.ndarray:
     """Per-class thresholds maximizing class F1 over (posteriors, reference)
-    validation pairs of (classes, frames) arrays; ties resolve to the lower
-    threshold.
+    validation pairs of (classes, frames) arrays whose frames are `hop_s`
+    apart; ties resolve to the lower threshold.
 
     Each clip is thresholded at every grid point at once, giving a
     (thresholds, classes, frames) stack that is smoothed and reduced to
@@ -203,7 +189,6 @@ def calibrate_thresholds(
     pairs = list(pairs)
     if not pairs:
         raise ArgumentError("no validation pairs to calibrate on")
-    frames_per_segment = max(1, int(round(segment_s / hop_s)))
     n_classes = pairs[0][0].shape[0]
     tp = np.zeros((grid.size, n_classes), dtype=np.int64)
     fp = np.zeros_like(tp)
@@ -218,26 +203,20 @@ def calibrate_thresholds(
             )
         # (thresholds, classes, frames): every grid point at once
         pred = median_smooth(threshold_posteriors(posteriors[None], grid[:, None]), smooth_window)
-        pred_seg = _segment_activity(pred, frames_per_segment)  # (T, M, S)
-        ref_seg = _segment_activity(ref, frames_per_segment)  # (M, S)
+        pred_seg = _segment_activity(pred, hop_s)  # (T, M, S)
+        ref_seg = _segment_activity(ref, hop_s)  # (M, S)
         tp += (pred_seg & ref_seg).sum(axis=-1)
         fp += (pred_seg & ~ref_seg).sum(axis=-1)
         fn += (~pred_seg & ref_seg).sum(axis=-1)
-    # the same float expression as f1_score, on the same integer counts
-    denom = 2 * tp + fp + fn
-    f1 = np.where(denom > 0, 100.0 * 2.0 * tp / np.maximum(denom, 1), 0.0)
     # argmax takes the first maximum: the lowest threshold among ties
-    return grid[np.argmax(f1, axis=0)]
+    return grid[np.argmax(f1_from_counts(tp, fp, fn)[0], axis=0)]
 
 
 def report_dict(counts: SegmentCounts, per_event_rows: list) -> dict:
-    flags = []
-    if not f1_defined(counts):
-        flags.append(F1_UNDEFINED_FLAG)
-    if not er_defined(counts):
-        flags.append(ER_UNDEFINED_FLAG)
+    f1, f1_defined, er, er_defined = _overall(counts)
+    flags = [F1_UNDEFINED_FLAG] * (not f1_defined) + [ER_UNDEFINED_FLAG] * (not er_defined)
     return {
-        "overall": {"f1": f1_score(counts), "er": error_rate(counts), "flags": flags},
+        "overall": {"f1": float(f1), "er": float(er), "flags": flags},
         "per_event": per_event_rows,
     }
 

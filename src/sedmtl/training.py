@@ -118,12 +118,13 @@ class CvConfig:
 
 def _has_type(value, kind) -> bool:
     """Whether a JSON value has a field's annotated type: a float field takes
-    any number, a tuple field a list; a bool is never a number."""
+    any finite number, a tuple field a list; a bool is never a number."""
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_has_type(v, item) for v in value)
     scalar = (int, float) if kind is float else kind
-    return not isinstance(value, bool) and isinstance(value, scalar)
+    typed = not isinstance(value, bool) and isinstance(value, scalar)
+    return typed and (kind is not float or bool(np.isfinite(value)))
 
 
 def check_settings(cls, doc, section: str, problems: list, fixed: dict | None = None):
@@ -602,25 +603,16 @@ def _cv_single(payload):
 def pooled_per_event(counts: ev.SegmentCounts, event_names) -> list:
     """Per-class F1/ER rows from the pooled per-class totals of `counts`.
 
-    Within one class a segment has no substitutions, so the class's
-    deletions are its FN, insertions its FP and Nref its TP + FN.
+    Within one class a segment has no substitutions, so the class's errors
+    are its FN + FP, its insertions its FP and its Nref TP + FN.
     """
-    class_tp, class_fp, class_fn = (
-        counts.class_tp.tolist(), counts.class_fp.tolist(), counts.class_fn.tolist()
-    )
-    rows = []
-    for name, tp, fp, fn in zip(event_names, class_tp, class_fp, class_fn, strict=True):
-        one = ev.SegmentCounts(tp=tp, fp=fp, fn=fn, deletions=fn, insertions=fp, n_ref=tp + fn)
-        rows.append(
-            {
-                "event": name,
-                "f1": ev.f1_score(one),
-                "f1_defined": ev.f1_defined(one),
-                "er": ev.error_rate(one),
-                "er_defined": ev.er_defined(one),
-            }
-        )
-    return rows
+    tp, fp, fn = counts.class_tp, counts.class_fp, counts.class_fn
+    columns = (*ev.f1_from_counts(tp, fp, fn), *ev.er_from_counts(fn + fp, tp + fn, fp))
+    keys = ("event", "f1", "f1_defined", "er", "er_defined")
+    return [
+        dict(zip(keys, row))
+        for row in zip(event_names, *(c.tolist() for c in columns), strict=True)
+    ]
 
 
 def run_cross_validation(

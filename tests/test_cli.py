@@ -492,7 +492,14 @@ def cv_config_doc(ds, out_dir, **train_overrides):
 class TestCrossValidation:
     @pytest.mark.parametrize(
         "override, fragment",
-        [({"max_epoch": 3}, "unknown field 'max_epoch'"), ({"max_epochs": 0}, "max_epochs")],
+        [
+            ({"max_epoch": 3}, "unknown field 'max_epoch'"),
+            ({"max_epochs": 0}, "max_epochs"),
+            # Python's json reads Infinity and NaN, which are no JSON numbers
+            ({"learning_rate": float("inf")}, "field 'learning_rate' has wrong type, got inf"),
+            ({"alpha": float("inf")}, "field 'alpha' has wrong type, got inf"),
+            ({"temperature": float("nan")}, "field 'temperature' has wrong type, got nan"),
+        ],
     )
     def test_invalid_train_block_rejected(
         self, fixture_dataset, tmp_path, capsys, override, fragment
@@ -527,6 +534,8 @@ class TestCrossValidation:
             ({"treshold": 0.4}, "unknown field cv.eval.treshold"),
             ([["policy", "fixed"]], "cv.eval must be an object"),
             ({"event_names": ["a", "b", "c", "d", "e"]}, "unknown field cv.eval.event_names"),
+            ({"policy": "calibrated", "grid": [0.5, float("inf")]}, "cv.eval.grid has wrong type"),
+            ({"threshold": float("nan")}, "field cv.eval.threshold has wrong type, got nan"),
         ],
     )
     def test_invalid_eval_block_rejected_before_training(
@@ -903,18 +912,35 @@ class TestErrorBoundary:
 
     def test_distill_checks_the_temperature_before_loading(self, fixture_dataset, tmp_path, capsys):
         ds = fixture_dataset
+        for value, shown in [("0", "0.0"), ("nan", "nan"), ("inf", "inf")]:
+            code = cli.main([
+                "distill",
+                "--checkpoint", str(tmp_path / "missing.ckpt"),
+                "--manifest", str(ds["manifest"]),
+                "--vocabulary", str(ds["vocabulary"]),
+                "--features", str(ds["features"]),
+                "--temperature", value,
+                "--out", str(tmp_path / "out" / "soft_labels.json"),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == f"error: temperature must be a finite number > 0, got {shown}\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("folds", ["0", "-1"])
+    def test_ingest_rejects_fewer_than_one_fold(self, fixture_dataset, tmp_path, capsys, folds):
+        ds = fixture_dataset
         code = cli.main([
-            "distill",
-            "--checkpoint", str(tmp_path / "missing.ckpt"),
-            "--manifest", str(ds["manifest"]),
-            "--vocabulary", str(ds["vocabulary"]),
-            "--features", str(ds["features"]),
-            "--temperature", "0",
-            "--out", str(tmp_path / "out" / "soft_labels.json"),
+            "ingest",
+            "--metadata", str(ds["info"].metadata_path),
+            "--annotations", str(ds["info"].annotations_dir),
+            "--folds", folds,
+            "--out", str(tmp_path / "out"),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: temperature must be positive, got 0.0\n"
+        assert err == f"error: folds must be >= 1, got {folds}\n"
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

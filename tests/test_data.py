@@ -149,6 +149,11 @@ class TestMakeFolds:
         with pytest.raises(ArgumentError):
             data.make_folds(self.make_records(1, scenes=3), n_folds=4)
 
+    @pytest.mark.parametrize("n_folds", [0, -1])
+    def test_fewer_than_one_fold(self, n_folds):
+        with pytest.raises(ArgumentError, match=f"folds must be >= 1, got {n_folds}"):
+            data.make_folds(self.make_records(2, scenes=2), n_folds=n_folds)
+
     def test_partition_properties(self):
         records = self.make_records(7, scenes=3)
         split = data.make_folds(records, n_folds=4, seed=3)

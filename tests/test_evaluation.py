@@ -72,16 +72,17 @@ def brute_force_per_event(pairs, thresholds, smooth_window, event_names):
             pooled[m] = pooled[m].merge(
                 ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
             )
-    return [
-        {
+    rows = []
+    for name, counts in zip(event_names, pooled):
+        totals = counts.totals
+        rows.append({
             "event": name,
             "f1": ev.f1_score(counts),
-            "f1_defined": ev.f1_defined(counts),
+            "f1_defined": totals["tp"] + totals["fp"] + totals["fn"] > 0,
             "er": ev.error_rate(counts),
-            "er_defined": ev.er_defined(counts),
-        }
-        for name, counts in zip(event_names, pooled)
-    ]
+            "er_defined": totals["n_ref"] > 0,
+        })
+    return rows
 
 
 class TestBinarize:
@@ -139,8 +140,9 @@ class TestSegmentCounts:
         rng = np.random.default_rng(1)
         ref = (rng.random((4, 200)) < 0.2).astype(float)
         counts = ev.segment_counts(ref, ref, hop_s=0.02)
-        assert counts.fp == counts.fn == 0
-        assert counts.substitutions + counts.deletions + counts.insertions == 0
+        totals = counts.totals
+        assert totals["fp"] == totals["fn"] == 0
+        assert totals["s"] + totals["d"] + totals["i"] == 0
         assert ev.f1_score(counts) == 100.0
         assert ev.error_rate(counts) == 0.0
 
@@ -151,21 +153,17 @@ class TestSegmentCounts:
         pred = np.zeros((1, 150))
         ref[0, 0:100] = 1.0
         pred[0, 50:150] = 1.0
-        counts = ev.segment_counts(ref, pred, hop_s=0.02, segment_s=1.0)
-        assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
-        assert counts.substitutions == 0
-        assert counts.deletions == 1
-        assert counts.insertions == 1
-        assert counts.n_ref == 2
+        counts = ev.segment_counts(ref, pred, hop_s=0.02)
+        assert counts.totals == dict(tp=1, fp=1, fn=1, s=0, d=1, i=1, n_ref=2)
         assert ev.f1_score(counts) == 50.0
         assert ev.error_rate(counts) == 1.0
 
     def test_empty_everything(self):
         counts = ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 100)), hop_s=0.02)
         assert ev.f1_score(counts) == 0.0
-        assert not ev.f1_defined(counts)
         assert ev.error_rate(counts) == 0.0
-        assert not ev.er_defined(counts)
+        flags = ev.report_dict(counts, [])["overall"]["flags"]
+        assert flags == [ev.F1_UNDEFINED_FLAG, ev.ER_UNDEFINED_FLAG]
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -181,9 +179,10 @@ class TestSegmentCounts:
             for s, (subs, dels, ins, _) in enumerate(counts.per_segment):
                 fn_total += subs + dels
                 fp_total += subs + ins
-            assert fn_total == counts.fn
-            assert fp_total == counts.fp
-            assert counts.tp + counts.fn == counts.n_ref
+            totals = counts.totals
+            assert fn_total == totals["fn"]
+            assert fp_total == totals["fp"]
+            assert totals["tp"] + totals["fn"] == totals["n_ref"]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
@@ -193,15 +192,16 @@ class TestSegmentCounts:
             density = float(rng.uniform(0.05, 0.5))
             ref = (rng.random((m, n)) < density).astype(float)
             pred = (rng.random((m, n)) < density).astype(float)
-            counts = ev.segment_counts(ref, pred, hop_s=0.02, segment_s=1.0)
+            counts = ev.segment_counts(ref, pred, hop_s=0.02)
             oracle = brute_force_recount(ref, pred, 50)
-            assert (counts.tp, counts.fp, counts.fn) == (
+            totals = counts.totals
+            assert (totals["tp"], totals["fp"], totals["fn"]) == (
                 oracle["tp"], oracle["fp"], oracle["fn"],
             )
-            assert counts.substitutions == oracle["s"]
-            assert counts.deletions == oracle["d"]
-            assert counts.insertions == oracle["i"]
-            assert counts.n_ref == oracle["n_ref"]
+            assert totals["s"] == oracle["s"]
+            assert totals["d"] == oracle["d"]
+            assert totals["i"] == oracle["i"]
+            assert totals["n_ref"] == oracle["n_ref"]
             assert ev.f1_score(counts) == oracle["f1"]
             assert ev.error_rate(counts) == oracle["er"]
 
@@ -212,20 +212,20 @@ class TestSegmentCounts:
             ref = (rng.random((3, n)) < 0.3).astype(float)
             pred = (rng.random((3, n)) < 0.3).astype(float)
             # 5-frame segments, so that segments and classes differ
-            parts.append(ev.segment_counts(ref, pred, hop_s=0.02, segment_s=0.1))
+            parts.append(ev.segment_counts(ref, pred, hop_s=0.2))
         pooled = ev.SegmentCounts()
         for part in parts:
             pooled = pooled.merge(part)
         assert pooled.per_segment == [row for part in parts for row in part.per_segment]
-        for name in ("tp", "fp", "fn", "substitutions", "deletions", "insertions", "n_ref"):
-            assert getattr(pooled, name) == sum(getattr(part, name) for part in parts)
+        for name in ("tp", "fp", "fn", "s", "d", "i", "n_ref"):
+            assert pooled.totals[name] == sum(part.totals[name] for part in parts)
         for name in ("class_tp", "class_fp", "class_fn"):
             per_class = getattr(pooled, name)
             assert per_class.shape == (3,)
             assert np.array_equal(per_class, sum(getattr(part, name) for part in parts))
-        assert pooled.class_tp.sum() == pooled.tp
-        assert pooled.class_fp.sum() == pooled.fp
-        assert pooled.class_fn.sum() == pooled.fn
+        assert pooled.class_tp.sum() == pooled.totals["tp"]
+        assert pooled.class_fp.sum() == pooled.totals["fp"]
+        assert pooled.class_fn.sum() == pooled.totals["fn"]
 
     def test_invariant_to_class_permutation(self):
         rng = np.random.default_rng(4)
@@ -302,7 +302,7 @@ class TestCalibrateThresholds:
         rng = np.random.default_rng(6)
         post = rng.random((3, 200))
         ref = (rng.random((3, 200)) < 0.3).astype(float)
-        out = ev.calibrate_thresholds([(post, ref)], [0.5])
+        out = ev.calibrate_thresholds([(post, ref)], [0.5], hop_s=0.02)
         assert_allclose(out, 0.5)
 
     def test_deterministic(self):
@@ -310,8 +310,8 @@ class TestCalibrateThresholds:
         post = rng.random((2, 300))
         ref = (rng.random((2, 300)) < 0.2).astype(float)
         grid = [0.2, 0.4, 0.6, 0.8]
-        a = ev.calibrate_thresholds([(post, ref)], grid)
-        b = ev.calibrate_thresholds([(post, ref)], grid)
+        a = ev.calibrate_thresholds([(post, ref)], grid, hop_s=0.02)
+        b = ev.calibrate_thresholds([(post, ref)], grid, hop_s=0.02)
         assert np.array_equal(a, b)
 
     def test_recovers_constructed_optimum(self):
@@ -321,19 +321,19 @@ class TestCalibrateThresholds:
         for start in range(0, 400, 100):
             ref[0, start : start + 50] = 1.0
         post = np.where(ref > 0, 0.35, 0.25)
-        out = ev.calibrate_thresholds([(post, ref)], [0.1, 0.3, 0.5, 0.7])
+        out = ev.calibrate_thresholds([(post, ref)], [0.1, 0.3, 0.5, 0.7], hop_s=0.02)
         assert_allclose(out, [0.3])
 
     def test_ties_take_lower_threshold(self):
         # nothing active anywhere: every threshold scores the same
         post = np.zeros((1, 100))
         ref = np.zeros((1, 100))
-        out = ev.calibrate_thresholds([(post, ref)], [0.6, 0.2, 0.4])
+        out = ev.calibrate_thresholds([(post, ref)], [0.6, 0.2, 0.4], hop_s=0.02)
         assert_allclose(out, [0.2])
 
     def test_empty_grid(self):
         with pytest.raises(ArgumentError):
-            ev.calibrate_thresholds([(np.zeros((1, 10)), np.zeros((1, 10)))], [])
+            ev.calibrate_thresholds([(np.zeros((1, 10)), np.zeros((1, 10)))], [], hop_s=0.02)
 
     def test_matches_brute_force_reference(self):
         # rounded posteriors land exactly on grid points (ties); clip lengths
@@ -351,13 +351,10 @@ class TestCalibrateThresholds:
                 pairs.append((post, ref))
             grid = list(rng.permutation([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])[: int(rng.integers(1, 7))])
             window = int(rng.choice([1, 3, 27]))
-            segment_s = float(rng.choice([1.0, 0.3]))
-            out = ev.calibrate_thresholds(
-                pairs, grid, smooth_window=window, hop_s=0.02, segment_s=segment_s
-            )
-            expected = brute_force_calibrate(
-                pairs, grid, window, max(1, int(round(segment_s / 0.02)))
-            )
+            # 50- or 15-frame segments
+            hop_s = float(rng.choice([0.02, 1 / 15]))
+            out = ev.calibrate_thresholds(pairs, grid, hop_s=hop_s, smooth_window=window)
+            expected = brute_force_calibrate(pairs, grid, window, max(1, int(round(1 / hop_s))))
             assert np.array_equal(out, expected), (trial, out, expected)
 
     def test_out_of_range_posteriors_rejected(self):
@@ -366,8 +363,10 @@ class TestCalibrateThresholds:
             post = np.full((2, 10), 0.5)
             post[1, 3] = bad
             with pytest.raises(ArgumentError):
-                ev.calibrate_thresholds([(np.full((2, 10), 0.5), ref), (post, ref)], [0.5])
+                ev.calibrate_thresholds(
+                    [(np.full((2, 10), 0.5), ref), (post, ref)], [0.5], hop_s=0.02
+                )
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            ev.calibrate_thresholds([(np.zeros((2, 10)), np.zeros((2, 11)))], [0.5])
+            ev.calibrate_thresholds([(np.zeros((2, 10)), np.zeros((2, 11)))], [0.5], hop_s=0.02)
