@@ -6,6 +6,13 @@ execution order; `Tape.backward` replays them in exact reverse order, so two
 identical forward passes produce bit-identical gradients. Ops executed with
 no active tape run forward-only.
 
+The active tape belongs to the thread that entered it: each thread records
+onto at most one tape of its own. `_taped_map` uses that to run independent
+per-item subgraphs (one chunk's trunk, one clip's teacher loss) on threads,
+each on its own sub-tape, and joins them to the caller's tape as one record
+whose backward adds the items' parameter gradients in the order one serial
+tape would, so threading moves no bit.
+
 The op set is exactly what the networks and losses need: elementwise
 arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
 final windows, a bidirectional GRU, the usual activations, and a temperature
@@ -13,6 +20,7 @@ softmax. `grad_check` verifies any op against central finite differences.
 """
 
 import operator
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -20,6 +28,16 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError
 
+
+class _Recording(threading.local):
+    tape = None  # the tape this thread records onto
+
+
+_recording = _Recording()
+_open_tapes = []  # every thread's active tape, oldest first
+_open_lock = threading.Lock()
+# Some active tape while any thread records one, else None; a whole-process
+# view for observers outside the package. Ops read their own thread's tape.
 _ACTIVE_TAPE = None
 
 
@@ -61,7 +79,7 @@ class Tape:
     """Ordered record of executed primitives for one forward/backward cycle.
 
     Use as a context manager around the forward pass; at most one tape may be
-    active at a time. Records are (output tensor, backward closure) pairs in
+    active per thread. Records are (output tensor, backward closure) pairs in
     execution order, which is a topological order by construction.
     """
 
@@ -70,14 +88,20 @@ class Tape:
 
     def __enter__(self):
         global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
-            raise RuntimeError("another tape is already active")
-        _ACTIVE_TAPE = self
+        if _recording.tape is not None:
+            raise RuntimeError("another tape is already active on this thread")
+        _recording.tape = self
+        with _open_lock:
+            _open_tapes.append(self)
+            _ACTIVE_TAPE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
         global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _recording.tape = None
+        with _open_lock:
+            _open_tapes.remove(self)
+            _ACTIVE_TAPE = _open_tapes[-1] if _open_tapes else None
         return False
 
     def __len__(self):
@@ -97,6 +121,10 @@ class Tape:
                 f"backward needs a scalar loss, got shape {loss.values.shape}"
             )
         loss.grad = np.ones_like(loss.values)
+        self._replay()
+
+    def _replay(self):
+        # the backward pass from the output gradients already in place
         for out, backward_fn in reversed(self._records):
             if out.grad is not None:
                 backward_fn(out.grad)
@@ -104,8 +132,9 @@ class Tape:
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE._records.append((out, backward_fn))
+    tape = _recording.tape
+    if tape is not None:
+        tape._records.append((out, backward_fn))
     return out
 
 
@@ -117,6 +146,76 @@ def _accumulate(t: Tensor, g: np.ndarray):
 def zero_grads(tensors):
     for t in tensors:
         t.grad = None
+
+
+class _Outputs:
+    """Several tensors as the output of one tape record: the record runs
+    when any of them has a gradient, and is handed the list of theirs."""
+
+    __slots__ = ("tensors",)
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    @property
+    def grad(self):
+        grads = [t.grad for t in self.tensors]
+        return None if all(g is None for g in grads) else grads
+
+    @grad.setter
+    def grad(self, _):
+        for t in self.tensors:
+            t.grad = None
+
+
+def _taped_map(fn, items, params, thread_map, last_first: bool = True) -> list:
+    """[fn(params, item) for item in items], spread over threads by
+    `thread_map`, an order-keeping map such as `networks._thread_map`.
+
+    Under a tape each item records onto a sub-tape of its own, against shadow
+    leaves: new Tensors over the arrays of `params` (name -> Tensor), so each
+    item's parameter gradients stay its own. The outputs join the caller's
+    tape as one record. Its backward replays the sub-tapes through
+    `thread_map`, then adds each parameter's per-item gradients into it last
+    item first, the order in which one serial tape reaches the items; with
+    `last_first=False`, first item first, as one tape per item backwarded in
+    turn does. The sum starts from the first term, so when each item reaches
+    each parameter through one op the gradients equal the serial run's bit
+    for bit.
+    """
+    items = list(items)
+    if _recording.tape is None:
+        return thread_map(lambda item: fn(params, item), items)
+
+    def record(item):
+        shadows = {name: Tensor(t.values) for name, t in params.items()}
+        outer, _recording.tape = _recording.tape, None  # the caller's tape, on its thread
+        try:
+            with Tape() as tape:
+                out = fn(shadows, item)
+        finally:
+            _recording.tape = outer
+        return tape, shadows, out
+
+    runs = thread_map(record, items)
+
+    def replay(tape):
+        tape._replay()
+        tape._records.clear()  # the item's activations are no longer needed
+
+    def backward(grads):
+        reached = [i for i, g in enumerate(grads) if g is not None]
+        thread_map(lambda i: replay(runs[i][0]), reached)
+        order = reached[::-1] if last_first else reached
+        for name, leaf in params.items():
+            for i in order:
+                g = runs[i][1][name].grad
+                if g is not None:
+                    _accumulate(leaf, g)
+
+    outs = [out for _, _, out in runs]
+    _record(_Outputs(outs), backward)
+    return outs
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -397,7 +496,7 @@ def maxpool2d(x: Tensor, pool_frames: int, pool_bands: int) -> Tensor:
     xv = x.values
     if xv.ndim != 3:
         raise DimensionError(f"maxpool2d expects (C,bands,frames), got {xv.shape}")
-    taped = _ACTIVE_TAPE is not None
+    taped = _recording.tape is not None
     stages = []  # (axis, input length, routing mask) per stage that pools
     outv = xv
     for axis, size in ((1, pool_bands), (2, pool_frames)):

@@ -85,7 +85,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "inference_threads": networks.inference_threads(),
+            "threads": networks.threads(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
@@ -316,7 +316,7 @@ def cmd_train(args) -> int:
     inputs += [args.config, paths["vocabulary"]]
     soft_labels = None
     if config.mode == "mtl_soft":
-        soft_labels = training.load_soft_labels(paths["soft_labels"])
+        soft_labels = training.load_soft_labels(paths["soft_labels"], vocabulary.n_scenes)
         inputs.append(paths["soft_labels"])
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

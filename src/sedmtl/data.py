@@ -13,7 +13,7 @@ from pathlib import PurePosixPath
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError, VocabularyError
+from .errors import ArgumentError, DataError, ParseError, VocabularyError
 
 
 @dataclass
@@ -49,9 +49,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary of a JSON file {"scenes": [names], "events": [names]}."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(scenes=list(doc["scenes"]), events=list(doc["events"]))
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: a vocabulary must be a JSON object, got {type(doc).__name__}")
+        for key in ("scenes", "events"):
+            names = doc.get(key)
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise DataError(f"{path}: {key!r} must be a list of names, got {names!r}")
+        return cls(scenes=doc["scenes"], events=doc["events"])
 
 
 @dataclass

@@ -18,12 +18,14 @@ equal-length inputs (a training mini-batch of chunks, or clips at inference)
 runs the trunk and scene head per input and the BiGRU and event head once,
 time-major over the whole batch; inference skips the scene head.
 
-Inference (`event_posteriors`, `teacher_logits`) runs its untaped per-input
-trunk or teacher forwards on a pool of threads, one per core in the process's
-affinity mask, the caller included. Each thread issues the same
-single-threaded BLAS calls as a serial loop, so the bits do not change. Under
-a tape, with fewer than two inputs or cores, and in a forked child (a `cv`
-worker process) the loop runs serially on the calling thread.
+The per-input trunk and teacher forwards run on a pool of threads, one per
+core in the process's affinity mask, the caller included: untaped at
+inference (`event_posteriors`, `teacher_logits`), and in training each on a
+sub-tape of its own (`autodiff._taped_map`) whose parameter gradients are
+added in the serial tape's order. Each thread issues the same single-threaded
+BLAS calls as a serial loop, so the bits do not change. With fewer than two
+inputs or cores, and in a forked child (a `cv` worker process), the loop runs
+serially on the calling thread.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -107,24 +109,24 @@ def _trimmed_heap():
         if trim:
             trim(0)
 
-def inference_threads() -> int:
-    """Threads that share untaped per-input forwards in this process."""
+def threads() -> int:
+    """Threads that share per-input forwards and backwards in this process."""
     return _threads
 
 def _thread_map(fn, items) -> list:
     """[fn(item) for item in items], in input order, with the items split
     into contiguous shares: the caller runs the first, helper threads the
     rest. A failure raises the error of the first failing item in input
-    order, once every share has stopped. Serial under an active tape; `fn`
-    must not call `_thread_map` itself."""
+    order, once every share has stopped. `fn` must not call `_thread_map`
+    itself."""
     global _pool
     items = list(items)
-    threads = min(_threads, len(items))
-    if threads < 2 or ad._ACTIVE_TAPE is not None:
+    n = min(_threads, len(items))
+    if n < 2:
         return [fn(item) for item in items]
     if _pool is None:
-        _pool = ThreadPoolExecutor(_threads - 1, thread_name_prefix="sedmtl-infer")
-    bounds = [len(items) * k // threads for k in range(threads + 1)]
+        _pool = ThreadPoolExecutor(_threads - 1, thread_name_prefix="sedmtl")
+    bounds = [len(items) * k // n for k in range(n + 1)]
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     helpers = [
         _pool.submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]
@@ -267,12 +269,12 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     The convolutional trunk and scene head run per matrix, the BiGRU and the
     dense event head once over the whole batch. With `scene=False` the scene
     head is skipped and the scene logits are None. A matrix listed more than
-    once runs the trunk once.
+    once runs the trunk once. The trunks run on threads, under a tape each on
+    a sub-tape that joins the caller's as one record.
     """
     distinct = {id(f): f for f in features}
-    trunk_of = dict(
-        zip(distinct, _thread_map(lambda f: student_trunk(params, f), distinct.values()))
-    )
+    trunks = ad._taped_map(student_trunk, distinct.values(), params, _thread_map)
+    trunk_of = dict(zip(distinct, trunks))
     trunks = [trunk_of[id(f)] for f in features]
     scene_logits = [_classify(t, params, SCENE_CONVS, "scene_out") for t in trunks] if scene else None
 
@@ -334,10 +336,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    meta = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+    offset = len(CHECKPOINT_MAGIC) + 4
+    if len(blob) < offset:
+        raise DataError(f"{path}: checkpoint ends before its header length")
+    (header_len,) = struct.unpack_from("<I", blob, offset - 4)
+    if len(blob) < offset + header_len:
+        raise DataError(
+            f"{path}: checkpoint header of {header_len} bytes runs past the end of the file"
+        )
+    try:
+        meta = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: checkpoint header is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("params"), list):
+        raise DataError(f"{path}: checkpoint header has no 'params' list")
     offset += header_len
     params = ModelParams()
     manifest = meta.pop("params")

@@ -13,17 +13,19 @@ count: parameter init, batch order and the optimizer all draw from seeded
 generators, but a multi-threaded BLAS may split matrix products differently
 for another thread count. The package pins one thread unless the caller set
 another (see `sedmtl/__init__.py`), so checkpoints are bit-identical on any
-machine with the same numpy/BLAS build. Cross-validation fans runs out per
-(fold, seed), one process each. Inference (validation, soft labels,
-scoring) spreads its per-clip forwards over threads (see `networks`), each
-with the same one-thread BLAS calls, so that too leaves the bits unchanged.
+machine with the same numpy/BLAS build, whatever its core count.
+Cross-validation fans runs out per (fold, seed), one process each. Within a
+process, training steps and inference (validation, soft labels, scoring)
+spread their per-chunk and per-clip work over threads (see `networks`), each
+with the same one-thread BLAS calls, and training adds the per-item
+gradients in the serial order, so threading leaves the bits unchanged.
 
 Every mode runs one epoch loop, `_fit`: seeded mini-batches, batch-mean
 gradients, Adam, per-epoch validation, and early stopping that restores the
 best epoch. A loss or gradient that is not finite stops training before the
 optimizer step, naming the epoch, batch and parameter. The teacher records one
-tape per clip, as its clips may differ in length; the student one tape per
-mini-batch of equal-length chunks, taking the scene losses per chunk. A
+sub-tape per clip, as its clips may differ in length; the student one tape
+per mini-batch of equal-length chunks, taking the scene losses per chunk. A
 student's mode picks its scene term once; event_only, which has none, skips
 the scene head.
 """
@@ -369,14 +371,24 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
     if config.mode != "teacher":
         raise ConfigError(f"train_teacher needs mode 'teacher', got {config.mode!r}")
 
+    def clip_loss(params, clip):
+        logits = networks.teacher_forward(params, clip.features.data)
+        return losses.scene_hard_loss(logits, clip.scene)
+
     def run_batch(params, batch, totals, check):
-        for clip in batch:  # clips differ in length: one tape each
-            with ad.Tape() as tape:
-                logits = networks.teacher_forward(params, clip.features.data)
-                loss = losses.scene_hard_loss(logits, clip.scene)
-            check(loss)
-            tape.backward(loss)
-            totals["scene_hard"] += loss.item()
+        # Clips differ in length: each records a sub-tape of its own, on
+        # threads, and their gradients add clip 0 first, as one tape per clip
+        # backwarded in turn would.
+        with ad.Tape() as tape:
+            clip_losses = ad._taped_map(
+                clip_loss, batch, params, networks._thread_map, last_first=False
+            )
+            loss = functools.reduce(ad.add, clip_losses)
+        for each in clip_losses:
+            check(each)
+        tape.backward(loss)
+        for each in clip_losses:
+            totals["scene_hard"] += each.item()
 
     return _fit(
         config,
@@ -403,10 +415,29 @@ def save_soft_labels(path, labels: dict):
         fh.write("\n")
 
 
-def load_soft_labels(path) -> dict:
+def load_soft_labels(path, n_scenes: int) -> dict:
+    """The {clip: soft label} of a `save_soft_labels` file. Each label must be
+    a list of `n_scenes` finite, non-negative numbers that sums to 1 within
+    1e-9; the first one that is not names its clip in a DataError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return {k: np.asarray(v, dtype=np.float64) for k, v in doc.items()}
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: soft labels must be a JSON object of clip -> list")
+    labels = {}
+    for clip, entry in doc.items():
+        problem = None
+        if not isinstance(entry, list) or not all(_has_type(v, float) for v in entry):
+            problem = "is not a list of finite numbers"
+        elif len(entry) != n_scenes:
+            problem = f"has {len(entry)} entries for {n_scenes} scenes"
+        elif min(entry) < 0:
+            problem = "has a negative entry"
+        elif abs(sum(entry) - 1.0) > 1e-9:
+            problem = f"sums to {sum(entry)!r}, not 1"
+        if problem:
+            raise DataError(f"{path}: soft label of clip {clip!r} {problem}")
+        labels[clip] = np.asarray(entry, dtype=np.float64)
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import functools
 import gc
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
+from sedmtl import networks
 from sedmtl.errors import ArgumentError, DimensionError
 
 
@@ -563,3 +568,119 @@ class TestTapeSemantics:
                 )
             )
             assert np.all(np.isfinite(out.values))
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """The caller plus one helper thread, whatever this machine's core
+    count; yields the helper's pool."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(networks, "_threads", 2)
+    monkeypatch.setattr(networks, "_pool", pool)
+    yield pool
+    pool.shutdown()
+
+
+TRUNK_PARAMS = [f"trunk{k}.{kind}" for k in (1, 2, 3) for kind in ("kernel", "bias")]
+
+
+class TestTapedMap:
+    """Per-item sub-tapes on threads give the gradient bits of the serial tapes."""
+
+    @staticmethod
+    def grads(params):
+        return {name: t.grad.tobytes() for name, t in params.items() if t.grad is not None}
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 16])
+    def test_trunk_gradients_equal_one_serial_tape(self, two_threads, n_chunks):
+        params = networks.init_student_params(4, 3, seed=8)
+        rng = np.random.default_rng(n_chunks)
+        feats = [rng.normal(size=(64, 12)) for _ in range(n_chunks)]
+        weights = ad.tensor(rng.uniform(0.5, 1.5, size=(n_chunks, 128, 1, 12)))
+        found = []
+        for trunks in (
+            lambda: [networks.student_trunk(params, f) for f in feats],
+            lambda: ad._taped_map(networks.student_trunk, feats, params, networks._thread_map),
+        ):
+            ad.zero_grads(params.tensors())
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.mul(ad.stack(trunks()), weights))
+            tape.backward(loss)
+            found.append(self.grads(params))
+        assert sorted(found[1]) == sorted(TRUNK_PARAMS)
+        assert found[1] == found[0]
+
+    def test_first_item_first_equals_one_tape_per_item(self, two_threads):
+        params = networks.init_teacher_params(4, seed=3)
+        rng = np.random.default_rng(4)
+        feats = [rng.normal(size=(64, n)) for n in (30, 22, 41, 30, 17)]
+
+        def loss_of(p, f):
+            return ad.sum_all(networks.teacher_forward(p, f))
+
+        ad.zero_grads(params.tensors())
+        for f in feats:
+            with ad.Tape() as tape:
+                loss = loss_of(params, f)
+            tape.backward(loss)
+        serial = self.grads(params)
+        ad.zero_grads(params.tensors())
+        with ad.Tape() as tape:
+            losses = ad._taped_map(loss_of, feats, params, networks._thread_map, last_first=False)
+            loss = functools.reduce(ad.add, losses)
+        tape.backward(loss)
+        assert len(serial) == len(params.tensors())
+        assert self.grads(params) == serial
+
+    @pytest.mark.parametrize("bad, first", [((1, 3), 1), ((3,), 3)])
+    def test_failing_item_raises_its_error_and_leaves_no_tape(self, two_threads, bad, first):
+        params = networks.init_student_params(4, 3, seed=8)
+
+        def trunk(p, i):
+            if i in bad:  # items 0-1 run on the caller's thread, 2-3 on the helper
+                raise ValueError(f"item {i}")
+            return networks.student_trunk(p, np.ones((64, 8)))
+
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            with ad.Tape():
+                ad._taped_map(trunk, range(4), params, networks._thread_map)
+        assert ad._ACTIVE_TAPE is None
+
+        def record_one():
+            with ad.Tape() as tape:
+                ad.relu(ad.tensor([1.0]))
+            return len(tape)
+
+        assert record_one() == 1  # the caller's thread
+        assert two_threads.submit(record_one).result() == 1  # the helper's
+        assert ad._ACTIVE_TAPE is None
+
+
+def test_tapes_on_many_threads_keep_the_process_view_consistent():
+    # Each thread records onto its own tape; `_ACTIVE_TAPE` must name some
+    # open tape while any is open, and None once all have closed.
+    errors = []
+
+    def enter_and_exit():
+        try:
+            for _ in range(200):
+                with ad.Tape() as tape:
+                    ad.relu(ad.tensor([1.0]))
+                    assert ad._recording.tape is tape and len(tape) == 1
+                    assert ad._ACTIVE_TAPE is not None
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_exit) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert ad._ACTIVE_TAPE is None and ad._open_tapes == []

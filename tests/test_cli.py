@@ -5,11 +5,13 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sedmtl import autodiff as ad
 from sedmtl import cli, networks, training
 from sedmtl.data import read_manifest
 from sedmtl.features import compute_band_stats, read_feature_cache, write_feature_cache
@@ -185,7 +187,7 @@ class TestTrain:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "inference_threads": len(os.sched_getaffinity(0)),
+            "threads": len(os.sched_getaffinity(0)),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
@@ -468,6 +470,31 @@ class TestEval:
         assert err.startswith("error: invalid config")
         assert fragment in err
         assert not (tmp_path / "report").exists()
+
+
+def write_checkpoint(path, kind):
+    """A seeded 4-scene, 5-event teacher or student checkpoint with unit
+    band stats."""
+    params = (
+        networks.init_teacher_params(4, seed=0) if kind == "teacher"
+        else networks.init_student_params(4, 5, seed=0)
+    )
+    networks.save_checkpoint(path, params, {
+        "kind": kind, "n_scenes": 4, "n_events": 5,
+        "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
+    })
+
+
+def run_cli(*argv):
+    """`python -m sedmtl.cli *argv` in a fresh process, output captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "sedmtl.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def cv_config_doc(ds, out_dir, **train_overrides):
@@ -847,15 +874,7 @@ class TestErrorBoundary:
         self, fixture_dataset, tmp_path, command, missing
     ):
         ds = fixture_dataset
-        kind = "teacher" if command == "distill" else "student"
-        params = (
-            networks.init_teacher_params(4, seed=0) if kind == "teacher"
-            else networks.init_student_params(4, 5, seed=0)
-        )
-        networks.save_checkpoint(tmp_path / "model.ckpt", params, {
-            "kind": kind, "n_scenes": 4, "n_events": 5,
-            "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
-        })
+        write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
         flags = {
             "--checkpoint": str(tmp_path / "model.ckpt"),
             "--manifest": str(ds["manifest"]),
@@ -868,18 +887,72 @@ class TestErrorBoundary:
             flags["--fold"] = "0"
         flags["--out"] = str(tmp_path / "out")
         flags[missing] = str(tmp_path / "missing.json")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-m", "sedmtl.cli", command, *(x for f in flags.items() for x in f)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_cli(command, *(x for f in flags.items() for x in f))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "missing.json" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "distill", "eval", "cv"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[1, 2]", "a vocabulary must be a JSON object, got list"),
+            ('{"scenes": 3, "events": ["a"]}', "'scenes' must be a list of names, got 3"),
+        ],
+        ids=["list", "scenes-number"],
+    )
+    def test_malformed_vocabulary_is_one_error_line(
+        self, fixture_dataset, tmp_path, command, text, problem
+    ):
+        ds = fixture_dataset
+        vocabulary = tmp_path / "vocabulary.json"
+        vocabulary.write_text(text)
+        out = tmp_path / "out"
+        if command in ("train", "cv"):
+            config = (
+                train_config_doc(ds, out, "mtl_hard") if command == "train"
+                else cv_config_doc(ds, out)
+            )
+            config["paths"]["vocabulary"] = str(vocabulary)
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "config.json")]
+        else:
+            kind = "teacher" if command == "distill" else "student"
+            write_checkpoint(tmp_path / "model.ckpt", kind)
+            argv = [
+                "--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", str(ds["manifest"]),
+                "--vocabulary", str(vocabulary), "--features", str(ds["features"]),
+                "--out", str(out / "soft_labels.json" if command == "distill" else out),
+            ]
+            argv += ["--fold", "0"] if command == "eval" else []
+        proc = run_cli(command, *argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {vocabulary}: {problem}\n"
+        assert not out.exists()
+
+    def test_bad_soft_label_stops_train_before_training(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch
+    ):
+        ds = fixture_dataset
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train_student", no_training)
+        labels = {clip_id: [0.25] * 4 for clip_id in read_manifest(ds["manifest"])}
+        labels["home_1"] = [0.5, 0.5, float("nan"), 0.0]
+        (tmp_path / "soft.json").write_text(json.dumps(labels))
+        doc = train_config_doc(ds, tmp_path / "out", "mtl_soft")
+        doc["paths"]["soft_labels"] = str(tmp_path / "soft.json")
+        (tmp_path / "train.json").write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(tmp_path / "train.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'soft.json'}: soft label of clip 'home_1' "
+            "is not a list of finite numbers\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["ingest", "train"])
@@ -942,6 +1015,51 @@ class TestErrorBoundary:
         assert err == f"error: folds must be >= 1, got {folds}\n"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+def use_fixed_soft_labels(ds, doc, path):
+    """Point the `train` config `doc` at soft labels written to `path`: a
+    fixed target, 0.7 on the clip's scene and 0.1 on the others, so a run
+    does not depend on a teacher run. beta differs from alpha, so a run
+    weighted by the wrong one shows."""
+    labels = {}
+    for clip_id, entry in read_manifest(ds["manifest"]).items():
+        labels[clip_id] = [0.1] * 4
+        labels[clip_id][entry["scene"]] = 0.7
+    path.write_text(json.dumps(labels))
+    doc["paths"]["soft_labels"] = str(path)
+    doc["train"].update(beta=0.25, temperature=2.0)
+
+
+class TestTrainingThreads:
+    @pytest.mark.parametrize("batch_size", [3, 8])
+    @pytest.mark.parametrize("mode", ["teacher", "event_only", "mtl_hard", "mtl_soft"])
+    def test_one_and_two_threads_write_the_same_bytes(
+        self, fixture_dataset, tmp_path, monkeypatch, mode, batch_size
+    ):
+        taped_threads = set()
+        for name in ("student_trunk", "teacher_forward"):
+            original = getattr(networks, name)
+
+            def recording(*args, original=original):
+                if ad._recording.tape is not None:
+                    taped_threads.add(threading.get_ident())
+                return original(*args)
+
+            monkeypatch.setattr(networks, name, recording)
+        written = []
+        for threads in (1, 2):
+            monkeypatch.setattr(networks, "_threads", threads)
+            taped_threads.clear()
+            out = tmp_path / f"threads{threads}"
+            doc = train_config_doc(fixture_dataset, out, mode, alpha=0.5, batch_size=batch_size)
+            if mode == "mtl_soft":
+                use_fixed_soft_labels(fixture_dataset, doc, tmp_path / "soft_labels.json")
+            (tmp_path / "train.json").write_text(json.dumps(doc))
+            assert cli.main(["train", "--config", str(tmp_path / "train.json")]) == 0
+            assert len(taped_threads) == threads
+            written.append([(out / f"{mode}{end}").read_bytes() for end in (".ckpt", "_log.jsonl")])
+        assert written[0] == written[1]
 
 
 class TestBlasThreads:
@@ -1013,16 +1131,7 @@ class TestBlasThreads:
         doc = train_config_doc(fixture_dataset, tmp_path, mode, alpha=0.5, batch_size=batch_size)
         doc["paths"]["features_dir"] = str(tmp_path / "features")
         if mode == "mtl_soft":
-            # a fixed target, 0.7 on the clip's scene and 0.1 on the others,
-            # so the pin does not depend on a teacher run
-            labels = {}
-            for clip_id, entry in read_manifest(fixture_dataset["manifest"]).items():
-                labels[clip_id] = [0.1] * 4
-                labels[clip_id][entry["scene"]] = 0.7
-            doc["paths"]["soft_labels"] = str(tmp_path / "soft_labels.json")
-            (tmp_path / "soft_labels.json").write_text(json.dumps(labels))
-            # beta differs from alpha, so a run weighted by the wrong one shows
-            doc["train"].update(beta=0.25, temperature=2.0)
+            use_fixed_soft_labels(fixture_dataset, doc, tmp_path / "soft_labels.json")
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps(doc))
         features = ["--manifest", doc["paths"]["manifest"], "--out", str(tmp_path / "features")]

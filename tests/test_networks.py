@@ -1,5 +1,8 @@
+import contextlib
 import gc
 import hashlib
+import re
+import struct
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
 from sedmtl import losses, networks
-from sedmtl.errors import DimensionError
+from sedmtl.errors import DataError, DimensionError
 
 
 def random_features(n_frames, seed=0, scale=1.0):
@@ -242,7 +245,7 @@ class TestThreadMap:
         with pytest.raises(DimensionError, match=r"got shape \(32, 20\)"):
             networks.student_forward(params, feats, scene=False)
 
-    def test_taped_trunks_run_on_the_calling_thread(self, three_threads, monkeypatch):
+    def test_taped_trunks_run_on_every_thread(self, three_threads, monkeypatch):
         params = networks.init_student_params(4, 5, seed=10)
         trunk = networks.student_trunk
         threads = []
@@ -253,12 +256,11 @@ class TestThreadMap:
 
         monkeypatch.setattr(networks, "student_trunk", recording)
         feats = [random_features(20, seed=s) for s in range(5)]
-        with ad.Tape():
-            networks.student_forward(params, feats)
-        assert threads == [threading.get_ident()] * 5
-        threads.clear()
-        networks.student_forward(params, feats, scene=False)
-        assert len(threads) == 5 and len(set(threads)) > 1
+        for taped in (True, False):
+            threads.clear()
+            with ad.Tape() if taped else contextlib.nullcontext():
+                networks.student_forward(params, feats)
+            assert len(threads) == 5 and len(set(threads)) > 1
 
     def test_serial_with_one_thread(self, monkeypatch):
         monkeypatch.setattr(networks, "_threads", 1)
@@ -356,3 +358,29 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(Exception):
             networks.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda good: good[:7], "checkpoint ends before its header length"),
+            (lambda good: good[:200], r"checkpoint header of \d+ bytes runs past the end"),
+            (lambda good: good[:9] + b"\xff" + good[10:], "checkpoint header is not valid JSON: 'utf"),
+            (lambda good: good[:9] + b"]" + good[10:], "checkpoint header is not valid JSON: Exp"),
+            (lambda good: header(b'{"kind": "teacher"}'), "checkpoint header has no 'params' list"),
+            (lambda good: header(b'{"params": 3}'), "checkpoint header has no 'params' list"),
+            (lambda good: header(b"[1, 2]"), "checkpoint header has no 'params' list"),
+        ],
+        ids=["short", "cut-in-header", "not-utf8", "not-json", "no-params", "params-number", "list"],
+    )
+    def test_damaged_header_names_the_file(self, tmp_path, damage, problem):
+        path = tmp_path / "teacher.ckpt"
+        params = networks.init_teacher_params(4, seed=15)
+        networks.save_checkpoint(path, params, {"kind": "teacher"})
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {problem}"):
+            networks.load_checkpoint(path)
+
+
+def header(text: bytes) -> bytes:
+    """A checkpoint that is only the magic and the header `text`."""
+    return networks.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text

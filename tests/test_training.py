@@ -244,10 +244,41 @@ class TestSoftLabels:
             labels[f"clip{i}"] = v / v.sum()
         path = tmp_path / "soft.json"
         training.save_soft_labels(path, labels)
-        loaded = training.load_soft_labels(path)
+        loaded = training.load_soft_labels(path, 4)
         assert sorted(loaded) == sorted(labels)
         for k in labels:
             assert np.array_equal(loaded[k], labels[k])
+
+    @pytest.mark.parametrize(
+        "label, problem",
+        [
+            ([0.5, float("nan"), 0.5, 0.0], "is not a list of finite numbers"),
+            ([0.5, float("inf"), 0.5, 0.0], "is not a list of finite numbers"),
+            ([0.5, True, 0.5, 0.0], "is not a list of finite numbers"),
+            ({"home": 1.0}, "is not a list of finite numbers"),
+            ([0.25] * 5, "has 5 entries for 4 scenes"),
+            ([0.5, 0.6, -0.1, 0.0], "has a negative entry"),
+            ([0.25, 0.25, 0.25, 0.25 + 2e-9], r"sums to 1\.000000002, not 1"),
+        ],
+        ids=["nan", "inf", "bool", "object", "length", "negative", "sum"],
+    )
+    def test_load_rejects_a_bad_label(self, tmp_path, label, problem):
+        path = tmp_path / "soft.json"
+        path.write_text(json.dumps({"a": [0.25] * 4, "b": label}))
+        expected = f"^{re.escape(str(path))}: soft label of clip 'b' {problem}$"
+        with pytest.raises(DataError, match=expected):
+            training.load_soft_labels(path, 4)
+
+    def test_load_accepts_a_sum_within_1e_9(self, tmp_path):
+        path = tmp_path / "soft.json"
+        path.write_text(json.dumps({"a": [0.1, 0.1, 0.1, 0.7 + 5e-10]}))
+        assert training.load_soft_labels(path, 4)["a"][3] == 0.7 + 5e-10
+
+    def test_load_rejects_a_file_that_is_no_object(self, tmp_path):
+        path = tmp_path / "soft.json"
+        path.write_text("[[0.25, 0.25, 0.25, 0.25]]")
+        with pytest.raises(DataError, match="soft labels must be a JSON object"):
+            training.load_soft_labels(path, 4)
 
 
 class TestTrainStudent:
@@ -355,9 +386,9 @@ class TestNonFiniteLoss:
 class TestNonFiniteGradient:
     @pytest.mark.parametrize(
         "mode, name, poisoned_call",
-        # batch 2 starts at the 4th per-clip backward (teacher) or the 2nd
-        # per-batch backward (student) with batches of 3
-        [("teacher", "conv2.kernel", 4), ("event_only", "gru.fwd.u_cand", 2)],
+        # with batches of 3, batch 2 is the 2nd backward: the teacher's clips
+        # join one tape per batch as sub-tapes, the student's chunks one tape
+        [("teacher", "conv2.kernel", 2), ("event_only", "gru.fwd.u_cand", 2)],
     )
     def test_poisoned_gradient_stops_before_the_update(
         self, monkeypatch, mode, name, poisoned_call
