@@ -31,8 +31,9 @@ from .data import (
     make_folds,
     parse_event_annotations,
     parse_metadata,
+    read_json,
     read_manifest,
-    write_manifest,
+    write_json,
 )
 from .errors import ConfigError, DataError
 from .features import (
@@ -61,12 +62,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _clock():
     """A run's start: UTC wall-clock time for the record, monotonic for timing."""
     return datetime.now(timezone.utc).isoformat(), time.monotonic()
@@ -91,7 +86,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
             "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
         },
     }
-    _write_json(Path(out_dir) / "run_manifest.json", manifest)
+    write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +128,7 @@ def cmd_ingest(args) -> int:
             "fold": folds[record.clip_id],
         }
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir / "manifest.json", entries)
+    write_json(out_dir / "manifest.json", entries)
     vocabulary.save(out_dir / "vocabulary.json")
 
     scene_counts = {name: 0 for name in vocabulary.scenes}
@@ -177,10 +172,10 @@ def cmd_features(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_path = out_dir / "cache_index.json"
-    index = {}
-    if index_path.is_file():
-        with open(index_path, encoding="utf-8") as fh:
-            index = json.load(fh)
+    index = read_json(index_path, "a cache index") if index_path.is_file() else {}
+    for clip_id, digest in index.items():
+        if not isinstance(digest, str):
+            raise DataError(f"{index_path}: clip {clip_id!r} has digest {digest!r}, not a string")
 
     failures = 0
     for clip_id in sorted(entries):
@@ -208,7 +203,7 @@ def cmd_features(args) -> int:
         except (ValueError, DataError) as exc:
             _err(f"{clip_id}: {exc}")
             failures += 1
-    _write_json(index_path, index)
+    write_json(index_path, index)
     print(f"feature cache in {out_dir}: {len(entries) - failures} ok, {failures} failed")
     return 1 if failures else 0
 
@@ -226,6 +221,11 @@ def _load_examples(manifest_path, vocabulary, features_dir):
     clipped_total = 0
     for clip_id in sorted(entries):
         entry = entries[clip_id]
+        if not 0 <= entry["scene"] < vocabulary.n_scenes:
+            raise DataError(
+                f"{manifest_path}: clip {clip_id!r} has scene {entry['scene']}, "
+                f"outside 0..{vocabulary.n_scenes - 1}"
+            )
         cache_path = Path(features_dir) / f"{clip_id}.sdfc"
         if not cache_path.is_file():
             raise DataError(f"feature cache missing for clip {clip_id!r}: {cache_path}")
@@ -267,43 +267,35 @@ def _check_vocabulary(path, meta: dict, vocabulary: Vocabulary, *counts):
             )
 
 
-def _read_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("invalid config:\n  the top level must be a JSON object")
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # train
 
 
-def _config_paths(doc, problems) -> dict:
-    """The config's `paths` object; what is missing or absent goes to problems."""
+def _config_paths(doc, problems, *extra) -> dict:
+    """The config's `paths` object; each required key (the four below and
+    `extra`) that is absent, no string or, but for out_dir, no existing path
+    goes to problems."""
     paths = doc.get("paths")
     if not isinstance(paths, dict):
         problems.append("missing 'paths' object")
         paths = {}
-    for key in ("manifest", "vocabulary", "features_dir", "out_dir"):
+    for key in ("manifest", "vocabulary", "features_dir", "out_dir", *extra):
         if key not in paths:
             problems.append(f"paths.{key} is required")
+        elif not isinstance(paths[key], str):
+            problems.append(f"paths.{key} must be a string, got {paths[key]!r}")
         elif key != "out_dir" and not Path(paths[key]).exists():
             problems.append(f"paths.{key} does not exist: {paths[key]}")
     return paths
 
 
 def _load_train_config(path):
-    doc = _read_config(path)
+    doc = read_json(path, "a config")
     problems = []
-    paths = _config_paths(doc, problems)
     config = training.check_settings(training.TrainConfig, doc.get("train"), "train", problems)
-    if config is not None and config.mode == "mtl_soft":
-        if "soft_labels" not in paths:
-            problems.append("paths.soft_labels is required for mode mtl_soft")
-        elif not Path(paths["soft_labels"]).exists():
-            problems.append(f"paths.soft_labels does not exist: {paths['soft_labels']}")
-    training.fail_on(problems)
+    extra = ("soft_labels",) if config is not None and config.mode == "mtl_soft" else ()
+    paths = _config_paths(doc, problems, *extra)
+    training.fail_on(problems, path)
     return doc, config, paths
 
 
@@ -377,7 +369,7 @@ def cmd_distill(args) -> int:
     labels = training.compute_soft_labels(params, clips, args.temperature)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    training.save_soft_labels(out_path, labels)
+    write_json(out_path, {clip: list(label) for clip, label in labels.items()})
     inputs += [args.checkpoint, args.vocabulary]
     _write_run_manifest(
         out_path.parent, "distill",
@@ -419,7 +411,7 @@ def cmd_eval(args) -> int:
         "note": "per-event ER is class-restricted (no cross-class substitutions)",
     }
     report_path = out_dir / "report.json"
-    _write_json(report_path, report)
+    write_json(report_path, report)
     table_path = out_dir / "report.txt"
     table_path.write_text(ev.format_report_table(report), encoding="utf-8")
     inputs += [args.checkpoint, args.vocabulary]
@@ -452,7 +444,7 @@ def _workers_from_env() -> int:
 def cmd_cv(args) -> int:
     clock = _clock()
     workers = _workers_from_env()
-    doc = _read_config(args.config)
+    doc = read_json(args.config, "a config")
     problems = []
     paths = _config_paths(doc, problems)
     cv = training.check_settings(training.CvConfig, doc.get("cv", {}), "cv", problems)
@@ -460,7 +452,7 @@ def cmd_cv(args) -> int:
         training.TrainConfig, doc.get("train", {}), "train", problems,
         fixed=training.CV_RUN_FIELDS,
     )
-    training.fail_on(problems)
+    training.fail_on(problems, args.config)
     vocabulary = Vocabulary.load(paths["vocabulary"])
     folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
     out = training.run_cross_validation(examples, folds, train, cv, vocabulary, workers=workers)
@@ -468,7 +460,7 @@ def cmd_cv(args) -> int:
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "cv_report.json"
-    _write_json(report_path, out)
+    write_json(report_path, out)
     lines = [f"{'Method':<28} {'F-score':>8} {'ER':>7}  (runs)"]
     label = {
         "event_only": "CNN-BiGRU (event only)",

@@ -1,4 +1,5 @@
-"""TUT-style metadata ingestion, frame targets, folds and training chunks.
+"""TUT-style metadata ingestion, frame targets, folds, training chunks and
+the reading and writing of every JSON file.
 
 Metadata is one `audio_path TAB scene_name` line per clip; per-clip event
 annotations are `onset TAB offset TAB event_name` lines with times in
@@ -50,10 +51,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """The vocabulary of a JSON file {"scenes": [names], "events": [names]}."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: a vocabulary must be a JSON object, got {type(doc).__name__}")
+        doc = read_json(path, "a vocabulary")
         for key in ("scenes", "events"):
             names = doc.get(key)
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -220,13 +218,38 @@ def chunk_clips(features: np.ndarray, roll: np.ndarray, chunk_len: int = 500) ->
     return chunks
 
 
-def write_manifest(path, entries: dict):
-    """Persist clip_id -> {audio_path, annotation_path, scene, fold}."""
+def read_json(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`. A file that does not
+    parse, or holds no object, raises a DataError naming the file as `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path, doc: dict):
+    """`doc` as JSON indented by 2 with sorted keys and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """clip_id -> {audio_path, annotation_path, scene, fold} of a manifest;
+    the first entry of another shape names its clip in a DataError."""
+    entries = read_json(path, "a manifest")
+    kinds = {"audio_path": str, "annotation_path": str, "scene": int, "fold": int}
+    for clip_id, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: clip {clip_id!r} must be an object, got {entry!r}")
+        for key, kind in kinds.items():
+            value = entry.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise DataError(
+                    f"{path}: clip {clip_id!r} needs {key!r} of type {kind.__name__}, got {value!r}"
+                )
+    return entries

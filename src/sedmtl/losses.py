@@ -2,8 +2,8 @@
 
 Event detection uses a summed sigmoid cross-entropy over all (class, frame)
 cells; scene classification uses a softmax cross-entropy against either a
-one-hot label or a temperature-softened teacher distribution. The combined
-objectives weight the scene term by alpha (hard) or beta (soft).
+one-hot label or a temperature-softened teacher distribution. The joint
+objective weights the scene term by alpha (hard) or beta (soft).
 
 All ops are fused: forward passes use log-sum-exp / log1p stabilizations and
 backward passes use the exact closed-form gradients, recorded on the active
@@ -100,11 +100,7 @@ def _scene_cross_entropy(logits: Tensor, p: np.ndarray, temperature: float) -> T
     return _record(out, backward)
 
 
-def mtl_objective(event_term: Tensor, scene_term: Tensor, alpha: float) -> Tensor:
-    """Joint objective: event loss plus alpha times the hard scene loss."""
-    return ad.add(event_term, ad.scale(scene_term, alpha))
-
-
-def proposed_objective(event_term: Tensor, soft_scene_term: Tensor, beta: float) -> Tensor:
-    """Joint objective: event loss plus beta times the soft scene loss."""
-    return ad.add(event_term, ad.scale(soft_scene_term, beta))
+def joint_objective(event_term: Tensor, scene_term: Tensor, weight: float) -> Tensor:
+    """Event loss plus `weight` times a scene loss: alpha times the hard one
+    (MTL) or beta times the soft one (the proposed objective)."""
+    return ad.add(event_term, ad.scale(scene_term, weight))

@@ -32,7 +32,6 @@ the scene head.
 
 import collections
 import functools
-import json
 import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -42,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation as ev
 from . import losses, networks
-from .data import EventRoll, chunk_clips
+from .data import EventRoll, chunk_clips, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .features import BandStats, LogMelSpectrogram, compute_band_stats, standardize
 
@@ -173,10 +172,12 @@ def check_settings(cls, doc, section: str, problems: list, fixed: dict | None = 
     return None if len(problems) > found else cls(**values)
 
 
-def fail_on(problems: list):
-    """Raise one ConfigError that lists every problem, if there are any."""
+def fail_on(problems: list, path=None):
+    """Raise one ConfigError that lists every problem, if there are any, and
+    names the config file `path` when they come from one."""
     if problems:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
+        where = f" {path}" if path else ""
+        raise ConfigError(f"invalid config{where}:\n  " + "\n  ".join(problems))
 
 
 def parse_settings(cls, doc, section: str, fixed: dict | None = None):
@@ -409,22 +410,12 @@ def compute_soft_labels(params: networks.ModelParams, clips, temperature: float)
     }
 
 
-def save_soft_labels(path, labels: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: list(v) for k, v in sorted(labels.items())}, fh, indent=2)
-        fh.write("\n")
-
-
 def load_soft_labels(path, n_scenes: int) -> dict:
-    """The {clip: soft label} of a `save_soft_labels` file. Each label must be
-    a list of `n_scenes` finite, non-negative numbers that sums to 1 within
-    1e-9; the first one that is not names its clip in a DataError."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: soft labels must be a JSON object of clip -> list")
+    """The {clip: soft label} of a soft-label file. Each label must be a list
+    of `n_scenes` finite, non-negative numbers that sums to 1 within 1e-9;
+    the first one that is not names its clip in a DataError."""
     labels = {}
-    for clip, entry in doc.items():
+    for clip, entry in read_json(path, "soft labels").items():
         problem = None
         if not isinstance(entry, list) or not all(_has_type(v, float) for v in entry):
             problem = "is not a list of finite numbers"
@@ -495,18 +486,15 @@ def train_student(
         for clip in train_clips
         for chunk in chunk_clips(clip.features.data, clip.roll.data, config.chunk_len)
     ]
-    # the scene term's loss per chunk, its objective and its weight
+    # the scene term's loss per chunk and its weight
     scene_term = {
         "event_only": None,
-        "mtl_hard": (
-            lambda s, clip: losses.scene_hard_loss(s, clip.scene),
-            losses.mtl_objective, config.alpha,
-        ),
+        "mtl_hard": (lambda s, clip: losses.scene_hard_loss(s, clip.scene), config.alpha),
         "mtl_soft": (
             lambda s, clip: losses.soft_scene_loss(
                 s, soft_labels[clip.clip_id], config.temperature
             ),
-            losses.proposed_objective, config.beta,
+            config.beta,
         ),
     }[config.mode]
 
@@ -523,9 +511,9 @@ def train_student(
             )
             loss = event
             if scene_term is not None:
-                scene_loss, objective, weight = scene_term
+                scene_loss, weight = scene_term
                 terms = [scene_loss(s, clip) for s, (_, clip) in zip(scene_logits, batch)]
-                loss = objective(event, functools.reduce(ad.add, terms), weight)
+                loss = losses.joint_objective(event, functools.reduce(ad.add, terms), weight)
         check(loss)
         tape.backward(loss)
         totals["event"] += event.item()

@@ -140,13 +140,12 @@ class TestCriterion2DistillationIdentities:
             soft = losses.soft_scene_loss(ad.tensor(logits), np.eye(4)[idx], 1.0).values
             max_gap = max(max_gap, abs(float(hard) - float(soft)))
         e1 = ad.tensor(1.2345)
-        exact_beta = losses.proposed_objective(e1, ad.tensor(9.9), 0.0).values == e1.values
-        exact_alpha = losses.mtl_objective(e1, ad.tensor(9.9), 0.0).values == e1.values
+        # alpha = 0 (hard) and beta = 0 (soft) are the same joint objective
+        exact_zero = losses.joint_objective(e1, ad.tensor(9.9), 0.0).values == e1.values
         _report(
             "criterion 2 (distillation identities)",
-            max_gap <= 1e-12 and exact_beta and exact_alpha,
-            f"one-hot soft vs hard max gap {max_gap:.2e}; "
-            f"beta=0 exact {exact_beta}; alpha=0 exact {exact_alpha}",
+            max_gap <= 1e-12 and exact_zero,
+            f"one-hot soft vs hard max gap {max_gap:.2e}; alpha=beta=0 exact {exact_zero}",
         )
 
 

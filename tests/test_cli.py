@@ -168,8 +168,7 @@ class TestTrain:
         cfg.write_text("[1, 2]")
         assert cli.main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid config")
-        assert "JSON object" in err
+        assert err == f"error: {cfg}: a config must be a JSON object, got list\n"
 
     def test_teacher_then_student_pipeline(self, fixture_dataset, tmp_path):
         ds = fixture_dataset
@@ -544,8 +543,7 @@ class TestCrossValidation:
         cfg.write_text("[1, 2]")
         assert cli.main(["cv", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid config")
-        assert "JSON object" in err
+        assert err == f"error: {cfg}: a config must be a JSON object, got list\n"
 
     @pytest.mark.parametrize(
         "eval_block, fragment",
@@ -860,6 +858,37 @@ class TestRunManifestInputs:
             assert str(ds["manifest"]) in manifest["inputs"]
 
 
+# Malformed JSON inputs: (input kind, corruption, command, the error after
+# "error: "). {path} is the broken file; {eof} and {ff} are the JSON and
+# UTF-8 errors of the fixed "truncated" and "not-utf8" texts.
+MALFORMED_INPUTS = [
+    ("vocabulary", "truncated", "ingest", "{path}: a vocabulary is not valid JSON: {eof}"),
+    ("vocabulary", "not-utf8", "train", "{path}: a vocabulary is not valid JSON: {ff}"),
+    ("config", "truncated", "train", "{path}: a config is not valid JSON: {eof}"),
+    ("config", "not-utf8", "cv", "{path}: a config is not valid JSON: {ff}"),
+    ("config", "list", "train", "{path}: a config must be a JSON object, got list"),
+    ("config", "entry", "train",
+     "invalid config {path}:\n  paths.manifest must be a string, got 3"),
+    ("manifest", "truncated", "features", "{path}: a manifest is not valid JSON: {eof}"),
+    ("manifest", "not-utf8", "eval", "{path}: a manifest is not valid JSON: {ff}"),
+    ("manifest", "list", "distill", "{path}: a manifest must be a JSON object, got list"),
+    ("manifest", "entry", "features", "{path}: clip 'a' must be an object, got 1"),
+    ("manifest", "no-scene", "train",
+     "{path}: clip 'home_0' needs 'scene' of type int, got None"),
+    ("manifest", "scene-9", "train", "{path}: clip 'home_0' has scene 9, outside 0..3"),
+    ("soft labels", "truncated", "train", "{path}: soft labels is not valid JSON: {eof}"),
+    ("soft labels", "not-utf8", "train", "{path}: soft labels is not valid JSON: {ff}"),
+    ("soft labels", "list", "train", "{path}: soft labels must be a JSON object, got list"),
+    ("soft labels", "entry", "train",
+     "{path}: soft label of clip 'home_0' is not a list of finite numbers"),
+    ("cache index", "truncated", "features", "{path}: a cache index is not valid JSON: {eof}"),
+    ("cache index", "not-utf8", "features", "{path}: a cache index is not valid JSON: {ff}"),
+    ("cache index", "list", "features",
+     "{path}: a cache index must be a JSON object, got list"),
+    ("cache index", "entry", "features", "{path}: clip 'home_0' has digest 3, not a string"),
+]
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize(
         "command, missing",
@@ -894,43 +923,99 @@ class TestErrorBoundary:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["train", "distill", "eval", "cv"])
     @pytest.mark.parametrize(
-        "text, problem",
+        "kind, corruption, command, message",
         [
-            ("[1, 2]", "a vocabulary must be a JSON object, got list"),
-            ('{"scenes": 3, "events": ["a"]}', "'scenes' must be a list of names, got 3"),
+            *(
+                pytest.param("vocabulary", corrupt, command, message, id=f"{corrupt}-{command}")
+                for corrupt, message in [
+                    ("list", "{path}: a vocabulary must be a JSON object, got list"),
+                    ("scenes-number", "{path}: 'scenes' must be a list of names, got 3"),
+                ]
+                for command in ["train", "distill", "eval", "cv"]
+            ),
+            *(
+                pytest.param(*row, id="-".join(row[:3]).replace(" ", "-"))
+                for row in MALFORMED_INPUTS
+            ),
         ],
-        ids=["list", "scenes-number"],
     )
     def test_malformed_vocabulary_is_one_error_line(
-        self, fixture_dataset, tmp_path, command, text, problem
+        self, fixture_dataset, tmp_path, capsys, kind, corruption, command, message
     ):
+        """Every kind of JSON input, broken in each way, stops `command` with
+        one `error:` line that names the file, before any output is made."""
         ds = fixture_dataset
-        vocabulary = tmp_path / "vocabulary.json"
-        vocabulary.write_text(text)
         out = tmp_path / "out"
-        if command in ("train", "cv"):
-            config = (
-                train_config_doc(ds, out, "mtl_hard") if command == "train"
-                else cv_config_doc(ds, out)
-            )
-            config["paths"]["vocabulary"] = str(vocabulary)
-            (tmp_path / "config.json").write_text(json.dumps(config))
-            argv = ["--config", str(tmp_path / "config.json")]
+        files = {
+            "manifest": ds["manifest"], "vocabulary": ds["vocabulary"],
+            "config": tmp_path / "config.json", "soft labels": tmp_path / "soft_labels.json",
+        }
+        if kind == "cache index":  # it lives in the output directory of `features`
+            out.mkdir()
+            files[kind] = out / "cache_index.json"
         else:
-            kind = "teacher" if command == "distill" else "student"
-            write_checkpoint(tmp_path / "model.ckpt", kind)
+            files[kind] = tmp_path / "broken.json"
+        path = files[kind]
+        mode = "mtl_soft" if kind == "soft labels" else "mtl_hard"
+        config = train_config_doc(ds, out, mode) if command == "train" else cv_config_doc(ds, out)
+        config["paths"].update(
+            manifest=str(files["manifest"]), vocabulary=str(files["vocabulary"]),
+            soft_labels=str(files["soft labels"]),
+        )
+        (tmp_path / "config.json").write_text(json.dumps(config))
+
+        entries = read_manifest(ds["manifest"])
+        bad_entry = {
+            "vocabulary": {"scenes": 3, "events": ["a"]},
+            "config": dict(config, paths={**config["paths"], "manifest": 3}),
+            "manifest": {"a": 1},
+            "soft labels": {**{clip: [0.25] * 4 for clip in entries}, "home_0": "x"},
+            "cache index": {"home_0": 3},
+        }
+        if corruption == "no-scene":
+            del entries["home_0"]["scene"]
+        elif corruption == "scene-9":
+            entries["home_0"]["scene"] = 9
+        fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}
+        if corruption in fixed:
+            text = fixed[corruption]
+        else:
+            doc = entries if kind == "manifest" and corruption != "entry" else bad_entry[kind]
+            text = json.dumps(doc).encode()
+        path.write_bytes(text)
+
+        if command == "ingest":
             argv = [
-                "--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", str(ds["manifest"]),
-                "--vocabulary", str(vocabulary), "--features", str(ds["features"]),
+                "--metadata", str(ds["info"].metadata_path),
+                "--annotations", str(ds["info"].annotations_dir),
+                "--vocabulary", str(files["vocabulary"]), "--out", str(out),
+            ]
+        elif command == "features":
+            argv = ["--manifest", str(files["manifest"]), "--out", str(out)]
+        elif command in ("train", "cv"):
+            argv = ["--config", str(files["config"])]
+        else:
+            model = "teacher" if command == "distill" else "student"
+            write_checkpoint(tmp_path / "model.ckpt", model)
+            argv = [
+                "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--manifest", str(files["manifest"]), "--vocabulary", str(files["vocabulary"]),
+                "--features", str(ds["features"]),
                 "--out", str(out / "soft_labels.json" if command == "distill" else out),
             ]
             argv += ["--fold", "0"] if command == "eval" else []
-        proc = run_cli(command, *argv)
-        assert proc.returncode == 1
-        assert proc.stderr == f"error: {vocabulary}: {problem}\n"
-        assert not out.exists()
+        assert cli.main([command, *argv]) == 1
+        expected = message.format(
+            path=path,
+            eof="Expecting value: line 1 column 7 (char 6)",
+            ff="'utf-8' codec can't decode byte 0xff in position 7: invalid start byte",
+        )
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        if kind == "cache index":
+            assert list(out.iterdir()) == [path] and path.read_bytes() == text
+        else:
+            assert not out.exists()
 
     def test_bad_soft_label_stops_train_before_training(
         self, fixture_dataset, tmp_path, capsys, monkeypatch

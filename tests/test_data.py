@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import data, training
 from sedmtl.data import ClipRecord, EventRoll, Vocabulary
-from sedmtl.errors import ArgumentError, ParseError, VocabularyError
+from sedmtl.errors import ArgumentError, DataError, ParseError, VocabularyError
 
 VOCAB = Vocabulary(
     scenes=["home", "office", "city_center", "residential_area"],
@@ -219,5 +222,35 @@ class TestPersistence:
             "a": {"audio_path": "a.wav", "annotation_path": "a.ann", "scene": 0, "fold": 1}
         }
         path = tmp_path / "manifest.json"
-        data.write_manifest(path, entries)
+        data.write_json(path, entries)
         assert data.read_manifest(path) == entries
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            (["a.wav"], "must be an object, got ['a.wav']"),
+            ({"audio_path": "a.wav", "annotation_path": "a.ann", "fold": 1},
+             "needs 'scene' of type int, got None"),
+            ({"audio_path": "a.wav", "annotation_path": "a.ann", "scene": True, "fold": 1},
+             "needs 'scene' of type int, got True"),
+            ({"audio_path": 3, "annotation_path": "a.ann", "scene": 0, "fold": 1},
+             "needs 'audio_path' of type str, got 3"),
+            ({"audio_path": "a.wav", "annotation_path": "a.ann", "scene": 0, "fold": 1.0},
+             "needs 'fold' of type int, got 1.0"),
+        ],
+        ids=["list", "no-scene", "bool-scene", "number-path", "float-fold"],
+    )
+    def test_manifest_entry_of_another_shape_names_its_clip(self, tmp_path, entry, problem):
+        path = tmp_path / "manifest.json"
+        data.write_json(path, {"a": entry})
+        with pytest.raises(DataError) as info:
+            data.read_manifest(path)
+        assert str(info.value) == f"{path}: clip 'a' {problem}"
+
+    def test_only_data_reads_and_writes_json_files(self):
+        package = Path(data.__file__).parent
+        callers = [
+            p.name for p in sorted(package.glob("*.py"))
+            if re.search(r"json\.(load|dump)\(", p.read_text(encoding="utf-8"))
+        ]
+        assert callers == ["data.py"]

@@ -170,29 +170,28 @@ class TestSoftSceneLoss:
 
 
 class TestCombinedObjectives:
-    def test_mtl_alpha_zero(self):
-        e1, e2 = ad.tensor(1.25), ad.tensor(2.0)
-        assert losses.mtl_objective(e1, e2, 0.0).values == e1.values
-
-    def test_mtl_weighting_arithmetic(self):
-        e1, e2 = ad.tensor(1.0), ad.tensor(2.0)
-        assert_allclose(losses.mtl_objective(e1, e2, 0.0001).values, 1.0002)
-        assert_allclose(losses.mtl_objective(e1, e2, 1.0).values, 3.0)
-
-    def test_proposed_beta_zero(self):
-        e1, e3 = ad.tensor(0.75), ad.tensor(0.5)
-        assert losses.proposed_objective(e1, e3, 0.0).values == e1.values
-
-    def test_proposed_arithmetic(self):
-        out = losses.proposed_objective(ad.tensor(1.0), ad.tensor(0.5), 1.0)
-        assert_allclose(out.values, 1.5)
+    @pytest.mark.parametrize(
+        "event, scene, weight, expected",
+        [
+            (1.25, 2.0, 0.0, 1.25),
+            (1.0, 2.0, 0.0001, 1.0002),
+            (1.0, 2.0, 1.0, 3.0),
+            (0.75, 0.5, 0.0, 0.75),
+            (1.0, 0.5, 1.0, 1.5),
+        ],
+        ids=["alpha-zero", "alpha-small", "alpha-one", "beta-zero", "beta-one"],
+    )
+    def test_joint_objective_value(self, event, scene, weight, expected):
+        out = losses.joint_objective(ad.tensor(event), ad.tensor(scene), weight).values
+        if weight == 0.0:
+            assert out == event  # a zero weight leaves the event loss exactly
+        assert_allclose(out, expected)
 
     def test_linear_in_weight(self):
         e1, es = ad.tensor(1.0), ad.tensor(0.7)
-        for combine in (losses.mtl_objective, losses.proposed_objective):
-            vals = [combine(e1, es, w).values for w in (0.5, 1.0, 2.0)]
-            assert_allclose(vals[1] - vals[0], 0.35, atol=1e-12)
-            assert_allclose(vals[2] - vals[1], 0.7, atol=1e-12)
+        vals = [losses.joint_objective(e1, es, w).values for w in (0.5, 1.0, 2.0)]
+        assert_allclose(vals[1] - vals[0], 0.35, atol=1e-12)
+        assert_allclose(vals[2] - vals[1], 0.7, atol=1e-12)
 
     def test_objective_gradients_reach_both_terms(self):
         rng = np.random.default_rng(6)
@@ -202,7 +201,7 @@ class TestCombinedObjectives:
         with ad.Tape() as tape:
             e1 = losses.event_loss(event_logits, roll)
             e3 = losses.soft_scene_loss(scene_logits, np.full(4, 0.25), 1.0)
-            loss = losses.proposed_objective(e1, e3, 0.5)
+            loss = losses.joint_objective(e1, e3, 0.5)
         tape.backward(loss)
         assert event_logits.grad is not None and np.any(event_logits.grad != 0)
         assert scene_logits.grad is not None and np.any(scene_logits.grad != 0)

@@ -195,10 +195,10 @@ class TestStudentForward:
         ad.zero_grads(params.tensors())
         with ad.Tape() as tape:
             event_logits, scene_logits = networks.student_forward(params, [feats])
-            loss = losses.mtl_objective(
+            loss = losses.joint_objective(
                 losses.event_loss(event_logits, roll[None]),
                 losses.scene_hard_loss(scene_logits[0], 1),
-                alpha=1.0,
+                1.0,
             )
         tape.backward(loss)
         for name, t in params.items():

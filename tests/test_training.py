@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
 from sedmtl import losses, networks, training
-from sedmtl.data import EventRoll, Vocabulary
+from sedmtl.data import EventRoll, Vocabulary, write_json
 from sedmtl.errors import ConfigError, DataError, DimensionError
 from sedmtl.features import LogMelSpectrogram
 from sedmtl.training import AdamState, ClipExample, TrainConfig, parse_settings
@@ -243,7 +243,7 @@ class TestSoftLabels:
             v = rng.random(4)
             labels[f"clip{i}"] = v / v.sum()
         path = tmp_path / "soft.json"
-        training.save_soft_labels(path, labels)
+        write_json(path, {clip: list(label) for clip, label in labels.items()})
         loaded = training.load_soft_labels(path, 4)
         assert sorted(loaded) == sorted(labels)
         for k in labels:
@@ -559,7 +559,7 @@ class TestBatchedStudentStep:
                     losses.scene_hard_loss(s, c)
                     for s, c in zip(scene, scene_ids)
                 ]
-                loss = losses.mtl_objective(
+                loss = losses.joint_objective(
                     losses.event_loss(event, roll, mask), functools.reduce(ad.add, terms), 0.5
                 )
             tape.backward(loss)
