@@ -235,10 +235,8 @@ def _load_examples(manifest_path, vocabulary, features_dir):
             clip_id,
             vocabulary,
         )
-        roll = events_to_roll(
-            events, features.n_frames, features.hop_seconds, vocabulary.n_events
-        )
-        clipped_total += count_clipped_events(events, features.n_frames, features.hop_seconds)
+        roll = events_to_roll(events, features.n_frames, vocabulary.n_events)
+        clipped_total += count_clipped_events(events, features.n_frames)
         examples[clip_id] = ClipExample(
             clip_id=clip_id, features=features, scene=entry["scene"], roll=roll
         )

@@ -5,7 +5,7 @@ Metadata is one `audio_path TAB scene_name` line per clip; per-clip event
 annotations are `onset TAB offset TAB event_name` lines with times in
 seconds. Event activity is quantized to frames by the frame-center rule:
 class m is active in frame n iff some annotation of m satisfies
-onset <= (n + 0.5) * hop < offset.
+onset <= (n + 0.5) * HOP_S < offset.
 """
 
 import json
@@ -15,6 +15,7 @@ from pathlib import PurePosixPath
 import numpy as np
 
 from .errors import ArgumentError, DataError, ParseError, VocabularyError
+from .features import HOP_S
 
 
 @dataclass
@@ -66,12 +67,6 @@ class ClipRecord:
     scene: int
     events: list = field(default_factory=list)  # (onset_s, offset_s, event_idx)
     annotation_path: str = ""
-
-
-@dataclass
-class EventRoll:
-    data: np.ndarray  # (n_events, n_frames), entries 0.0 or 1.0
-    hop_seconds: float
 
 
 def clip_id_from_path(audio_path: str) -> str:
@@ -137,24 +132,21 @@ def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary) -> 
     return events
 
 
-def events_to_roll(
-    events, n_frames: int, hop_seconds: float, n_event_classes: int
-) -> EventRoll:
-    """Binary (M, N) activity matrix under the frame-center rule. Activity
-    past the last frame is clipped silently; see count_clipped_events.
+def events_to_roll(events, n_frames: int, n_event_classes: int) -> np.ndarray:
+    """Binary (M, N) activity matrix, entries 0.0 or 1.0, under the
+    frame-center rule. Activity past the last frame is clipped silently; see
+    count_clipped_events.
     """
-    if n_frames < 1 or hop_seconds <= 0.0:
-        raise ArgumentError(f"need n_frames >= 1 and hop > 0, got {n_frames}, {hop_seconds}")
-    data = np.zeros((n_event_classes, n_frames))
-    centers = (np.arange(n_frames) + 0.5) * hop_seconds
+    roll = np.zeros((n_event_classes, n_frames))
+    centers = (np.arange(n_frames) + 0.5) * HOP_S
     for onset, offset, cls in events:
-        data[cls, (onset <= centers) & (centers < offset)] = 1.0
-    return EventRoll(data=data, hop_seconds=hop_seconds)
+        roll[cls, (onset <= centers) & (centers < offset)] = 1.0
+    return roll
 
 
-def count_clipped_events(events, n_frames: int, hop_seconds: float) -> int:
+def count_clipped_events(events, n_frames: int) -> int:
     """How many annotations extend past the last frame center."""
-    clip_end = (n_frames - 1 + 0.5) * hop_seconds
+    clip_end = (n_frames - 1 + 0.5) * HOP_S
     return sum(1 for _, offset, _ in events if offset > clip_end)
 
 

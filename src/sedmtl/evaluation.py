@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
+from .features import HOP_S
 
 DEFAULT_SMOOTH_WINDOW = 27
+SEGMENT_FRAMES = round(1.0 / HOP_S)  # frames per 1 s segment
 # thresholds searched by calibration unless a caller passes its own grid
 CALIBRATION_GRID = tuple(g / 20 for g in range(1, 20))
 F1_UNDEFINED_FLAG = "f1_undefined_no_activity"
@@ -104,28 +106,27 @@ class SegmentCounts:
         return self
 
 
-def _segment_activity(binary: np.ndarray, hop_s: float) -> np.ndarray:
-    """(..., N) frame activity to (..., S) activity in 1 s segments of frames
-    `hop_s` apart; the trailing partial segment is included."""
-    frames = max(1, int(round(1.0 / hop_s)))
+def _segment_activity(binary: np.ndarray) -> np.ndarray:
+    """(..., N) frame activity to (..., S) activity in 1 s segments; the
+    trailing partial segment is included."""
     n = binary.shape[-1]
-    n_segments = -(-n // frames)
+    n_segments = -(-n // SEGMENT_FRAMES)
     lead = [(0, 0)] * (binary.ndim - 1)
-    padded = np.pad(binary != 0, lead + [(0, n_segments * frames - n)])
-    return padded.reshape(binary.shape[:-1] + (n_segments, frames)).any(axis=-1)
+    padded = np.pad(binary != 0, lead + [(0, n_segments * SEGMENT_FRAMES - n)])
+    return padded.reshape(binary.shape[:-1] + (n_segments, SEGMENT_FRAMES)).any(axis=-1)
 
 
-def segment_counts(reference: np.ndarray, prediction: np.ndarray, hop_s: float) -> SegmentCounts:
+def segment_counts(reference: np.ndarray, prediction: np.ndarray) -> SegmentCounts:
     """Per-class TP/FP/FN and per-segment S/D/I/Nref of (M, N) binary
-    matrices whose frames are `hop_s` apart."""
+    matrices."""
     reference = np.asarray(reference)
     prediction = np.asarray(prediction)
     if reference.shape != prediction.shape:
         raise DimensionError(
             f"reference {reference.shape} and prediction {prediction.shape} differ"
         )
-    ref_seg = _segment_activity(reference, hop_s)
-    pred_seg = _segment_activity(prediction, hop_s)
+    ref_seg = _segment_activity(reference)
+    pred_seg = _segment_activity(prediction)
     hit, miss, false_alarm = ref_seg & pred_seg, ref_seg & ~pred_seg, ~ref_seg & pred_seg
 
     # per-segment class counts, shape (S,)
@@ -172,12 +173,10 @@ def error_rate(counts: SegmentCounts) -> float:
     return float(_overall(counts)[2])
 
 
-def calibrate_thresholds(
-    pairs, grid, hop_s: float, smooth_window: int = DEFAULT_SMOOTH_WINDOW
-) -> np.ndarray:
+def calibrate_thresholds(pairs, grid, smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
     """Per-class thresholds maximizing class F1 over (posteriors, reference)
-    validation pairs of (classes, frames) arrays whose frames are `hop_s`
-    apart; ties resolve to the lower threshold.
+    validation pairs of (classes, frames) arrays; ties resolve to the lower
+    threshold.
 
     Each clip is thresholded at every grid point at once, giving a
     (thresholds, classes, frames) stack that is smoothed and reduced to
@@ -203,8 +202,8 @@ def calibrate_thresholds(
             )
         # (thresholds, classes, frames): every grid point at once
         pred = median_smooth(threshold_posteriors(posteriors[None], grid[:, None]), smooth_window)
-        pred_seg = _segment_activity(pred, hop_s)  # (T, M, S)
-        ref_seg = _segment_activity(ref, hop_s)  # (M, S)
+        pred_seg = _segment_activity(pred)  # (T, M, S)
+        ref_seg = _segment_activity(ref)  # (M, S)
         tp += (pred_seg & ref_seg).sum(axis=-1)
         fp += (pred_seg & ~ref_seg).sum(axis=-1)
         fn += (~pred_seg & ref_seg).sum(axis=-1)

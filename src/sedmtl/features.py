@@ -1,10 +1,13 @@
 """Log mel-band energy extraction from mono waveforms.
 
-The chain is: 40 ms Hamming-windowed frames with 50% overlap, power spectrum
-on the next power-of-two FFT grid, a 64-band triangular mel filterbank
-(peak-normalized rows), then natural log with a 1e-10 floor. All arithmetic
-is float64 and deterministic, so cached features are reproducible
+The chain is: 40 ms Hamming-windowed frames every 20 ms, power spectrum on
+the next power-of-two FFT grid, a 64-band triangular mel filterbank from 0 Hz
+to Nyquist (peak-normalized rows), then natural log with a 1e-10 floor. All
+arithmetic is float64 and deterministic, so cached features are reproducible
 byte-for-byte.
+
+The frame grid (`FRAME_LEN_S`, `HOP_S`) and the band count (`N_MEL_BANDS`)
+are declared here once; every other module reads them from here.
 """
 
 import struct
@@ -36,15 +39,8 @@ class Waveform:
 
 
 @dataclass
-class MelFilterbank:
-    weights: np.ndarray  # (n_bands, fft_bins // 2 + 1)
-    band_edges_hz: np.ndarray  # n_bands + 2 edge frequencies
-
-
-@dataclass
 class LogMelSpectrogram:
-    data: np.ndarray  # (n_bands, n_frames)
-    hop_seconds: float
+    data: np.ndarray  # (N_MEL_BANDS, n_frames), frames HOP_S apart
     clip_id: str = ""
 
     @property
@@ -73,16 +69,14 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=rate)
 
 
-def frame_signal(
-    waveform: Waveform, frame_len_s: float = FRAME_LEN_S, hop_s: float = HOP_S
-) -> np.ndarray:
-    """Split into Hamming-windowed frames of frame_len_s every hop_s seconds.
+def frame_signal(waveform: Waveform) -> np.ndarray:
+    """Split into Hamming-windowed frames of FRAME_LEN_S every HOP_S seconds.
 
     Trailing samples that do not fill a frame are dropped. Returns an
     (n_frames, frame_samples) array.
     """
-    frame_len = int(round(frame_len_s * waveform.sample_rate))
-    hop = int(round(hop_s * waveform.sample_rate))
+    frame_len = int(round(FRAME_LEN_S * waveform.sample_rate))
+    hop = int(round(HOP_S * waveform.sample_rate))
     n_samples = waveform.samples.size
     if n_samples < frame_len:
         raise ArgumentError(
@@ -123,28 +117,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def build_mel_filterbank(
-    sample_rate: int,
-    fft_bins: int,
-    n_bands: int = N_MEL_BANDS,
-    fmin: float = 0.0,
-    fmax: float | None = None,
-) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel scale, each
-    row peak-normalized to 1.
+def build_mel_filterbank(sample_rate: int, fft_bins: int) -> np.ndarray:
+    """(N_MEL_BANDS, fft_bins // 2 + 1) weights of triangular filters whose
+    edges are equally spaced on the mel scale from 0 Hz to Nyquist, each row
+    peak-normalized to 1.
     """
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    if n_bands < 1:
-        raise ArgumentError(f"need at least one band, got {n_bands}")
-    if not 0.0 <= fmin < fmax <= sample_rate / 2.0:
-        raise ArgumentError(
-            f"invalid frequency range [{fmin}, {fmax}] at {sample_rate} Hz"
-        )
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bands + 2))
+    edges_hz = mel_to_hz(
+        np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), N_MEL_BANDS + 2)
+    )
     bin_hz = np.arange(fft_bins // 2 + 1) * (sample_rate / fft_bins)
-    weights = np.zeros((n_bands, bin_hz.size))
-    for b in range(n_bands):
+    weights = np.zeros((N_MEL_BANDS, bin_hz.size))
+    for b in range(N_MEL_BANDS):
         left, center, right = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
@@ -152,28 +135,20 @@ def build_mel_filterbank(
         peak = tri.max()
         if peak <= 0.0:
             raise ArgumentError(
-                f"mel band {b} spans no FFT bin; increase fft_bins or lower n_bands"
+                f"mel band {b} spans no FFT bin; increase fft_bins"
             )
         weights[b] = tri / peak
-    return MelFilterbank(weights=weights, band_edges_hz=edges_hz)
+    return weights
 
 
-def log_mel_energy(
-    waveform: Waveform,
-    n_bands: int = N_MEL_BANDS,
-    frame_len_s: float = FRAME_LEN_S,
-    hop_s: float = HOP_S,
-    clip_id: str = "",
-) -> LogMelSpectrogram:
-    """Full feature chain; returns an (n_bands, n_frames) log energy matrix."""
-    frames = frame_signal(waveform, frame_len_s, hop_s)
+def log_mel_energy(waveform: Waveform, clip_id: str = "") -> LogMelSpectrogram:
+    """Full feature chain; returns an (N_MEL_BANDS, n_frames) log energy matrix."""
+    frames = frame_signal(waveform)
     fft_bins = _next_pow2(frames.shape[1])
-    bank = build_mel_filterbank(waveform.sample_rate, fft_bins, n_bands)
+    weights = build_mel_filterbank(waveform.sample_rate, fft_bins)
     spectra = power_spectrum(frames, fft_bins)  # (n_frames, bins)
-    mel_energy = spectra @ bank.weights.T
-    return LogMelSpectrogram(
-        data=np.log(mel_energy.T + LOG_FLOOR), hop_seconds=hop_s, clip_id=clip_id
-    )
+    mel_energy = spectra @ weights.T
+    return LogMelSpectrogram(data=np.log(mel_energy.T + LOG_FLOOR), clip_id=clip_id)
 
 
 @dataclass
@@ -197,23 +172,22 @@ def standardize(features: LogMelSpectrogram, stats: BandStats) -> LogMelSpectrog
         bad = int(np.argmin(stats.std))
         raise ArgumentError(f"band {bad} has non-positive std {stats.std[bad]}")
     data = (features.data - stats.mean[:, None]) / stats.std[:, None]
-    return LogMelSpectrogram(
-        data=data, hop_seconds=features.hop_seconds, clip_id=features.clip_id
-    )
+    return LogMelSpectrogram(data=data, clip_id=features.clip_id)
 
 
 def write_feature_cache(path, features: LogMelSpectrogram):
-    """Binary cache: magic, u16 version, u32 D, u32 N, f64 hop, then D*N
-    little-endian f64 values row-major.
+    """Binary cache: magic, u16 version, u32 D, u32 N, f64 hop (HOP_S), then
+    D*N little-endian f64 values row-major.
     """
     d, n = features.data.shape
-    header = CACHE_MAGIC + struct.pack("<HIId", CACHE_VERSION, d, n, features.hop_seconds)
+    header = CACHE_MAGIC + struct.pack("<HIId", CACHE_VERSION, d, n, HOP_S)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(features.data, dtype="<f8").tobytes())
 
 
 def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
+    """The features of a cache file, whose hop must be HOP_S."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head_len = len(CACHE_MAGIC) + struct.calcsize("<HIId")
@@ -222,10 +196,12 @@ def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
     version, d, n, hop = struct.unpack("<HIId", blob[4:head_len])
     if version != CACHE_VERSION:
         raise DataError(f"{path}: unsupported cache version {version}")
+    if hop != HOP_S:
+        raise DataError(f"{path}: frame hop is {hop} s, expected {HOP_S} s")
     payload = blob[head_len:]
     if len(payload) != d * n * 8:
         raise DataError(
             f"{path}: payload holds {len(payload)} bytes, expected {d * n * 8}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(d, n).astype(np.float64)
-    return LogMelSpectrogram(data=data, hop_seconds=hop, clip_id=clip_id)
+    return LogMelSpectrogram(data=data, clip_id=clip_id)

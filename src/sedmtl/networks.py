@@ -44,8 +44,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRU_GATES, GRUCell, Tensor
 from .errors import DataError, DimensionError
+from .features import N_MEL_BANDS as N_BANDS
 
-N_BANDS = 64
 # Conv blocks in order: (layer, in channels, out channels, (time, band) pool).
 TEACHER_CONVS = (
     ("conv1", 1, 128, (8, 8)),

@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation as ev
 from . import losses, networks
-from .data import EventRoll, chunk_clips, read_json
+from .data import chunk_clips, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .features import BandStats, LogMelSpectrogram, compute_band_stats, standardize
 
@@ -242,7 +242,7 @@ class ClipExample:
     clip_id: str
     features: LogMelSpectrogram
     scene: int
-    roll: EventRoll
+    roll: np.ndarray  # (n_events, n_frames), see data.events_to_roll
 
 
 def split_ids(assignment: dict, fold: int):
@@ -455,7 +455,7 @@ def evaluate_student(
     counts = ev.SegmentCounts()
     for posteriors, roll in pairs:
         pred = ev.binarize(posteriors, thresholds, smooth_window)
-        counts = counts.merge(ev.segment_counts(roll.data, pred, roll.hop_seconds))
+        counts = counts.merge(ev.segment_counts(roll, pred))
     return {
         "f1": ev.f1_score(counts),
         "er": ev.error_rate(counts),
@@ -484,7 +484,7 @@ def train_student(
     items = [  # (chunk, clip) pairs; the chunk inherits its clip's scene target
         (chunk, clip)
         for clip in train_clips
-        for chunk in chunk_clips(clip.features.data, clip.roll.data, config.chunk_len)
+        for chunk in chunk_clips(clip.features.data, clip.roll, config.chunk_len)
     ]
     # the scene term's loss per chunk and its weight
     scene_term = {
@@ -570,8 +570,8 @@ def score_student(
     thresholds = cfg.threshold
     if calibrated:
         thresholds = ev.calibrate_thresholds(
-            [(posteriors[c.clip_id], c.roll.data) for c in calibration_clips], cfg.grid,
-            smooth_window=cfg.smooth_window, hop_s=calibration_clips[0].roll.hop_seconds,
+            [(posteriors[c.clip_id], c.roll) for c in calibration_clips], cfg.grid,
+            smooth_window=cfg.smooth_window,
         )
     scores = evaluate_student(
         [(posteriors[c.clip_id], c.roll) for c in val_clips], thresholds, cfg.smooth_window

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import data, training
-from sedmtl.data import ClipRecord, EventRoll, Vocabulary
+from sedmtl.data import ClipRecord, Vocabulary
 from sedmtl.errors import ArgumentError, DataError, ParseError, VocabularyError
+from sedmtl.features import HOP_S
 
 VOCAB = Vocabulary(
     scenes=["home", "office", "city_center", "residential_area"],
@@ -15,16 +16,15 @@ VOCAB = Vocabulary(
 )
 
 
-def roll_to_intervals(roll: EventRoll) -> list:
+def roll_to_intervals(roll: np.ndarray) -> list:
     """Maximal runs of active frames mapped back to (onset, offset, class)."""
     intervals = []
-    hop = roll.hop_seconds
-    for cls in range(roll.data.shape[0]):
-        padded = np.concatenate([[0.0], roll.data[cls], [0.0]])
+    for cls in range(roll.shape[0]):
+        padded = np.concatenate([[0.0], roll[cls], [0.0]])
         starts = np.flatnonzero((padded[1:-1] == 1.0) & (padded[:-2] == 0.0))
         ends = np.flatnonzero((padded[1:-1] == 1.0) & (padded[2:] == 0.0))
         for n0, n1 in zip(starts, ends):
-            intervals.append((n0 * hop, (n1 + 1) * hop, cls))
+            intervals.append((n0 * HOP_S, (n1 + 1) * HOP_S, cls))
     intervals.sort(key=lambda e: (e[0], e[2]))
     return intervals
 
@@ -79,31 +79,31 @@ class TestParseEventAnnotations:
 
 class TestEventsToRoll:
     def test_no_events(self):
-        roll = data.events_to_roll([], 10, 0.02, 5)
-        assert roll.data.shape == (5, 10)
-        assert not roll.data.any()
+        roll = data.events_to_roll([], 10, 5)
+        assert roll.shape == (5, 10)
+        assert not roll.any()
 
     def test_frame_center_rule(self):
         # centers at 0.01, 0.03, 0.05; offset 0.05 excludes frame 2
-        roll = data.events_to_roll([(0.0, 0.05, 0)], 3, 0.02, 1)
-        assert_allclose(roll.data[0], [1.0, 1.0, 0.0])
+        roll = data.events_to_roll([(0.0, 0.05, 0)], 3, 1)
+        assert_allclose(roll[0], [1.0, 1.0, 0.0])
 
     def test_polyphonic_overlap(self):
-        roll = data.events_to_roll([(0.0, 0.1, 0), (0.04, 0.2, 1)], 10, 0.02, 2)
-        overlap = roll.data[:, 2:4]
+        roll = data.events_to_roll([(0.0, 0.1, 0), (0.04, 0.2, 1)], 10, 2)
+        overlap = roll[:, 2:4]
         assert overlap.all()
 
     def test_entries_binary(self):
-        roll = data.events_to_roll([(0.0, 0.1, 0), (0.02, 0.08, 0)], 10, 0.02, 2)
-        assert set(np.unique(roll.data)) <= {0.0, 1.0}
+        roll = data.events_to_roll([(0.0, 0.1, 0), (0.02, 0.08, 0)], 10, 2)
+        assert set(np.unique(roll)) <= {0.0, 1.0}
 
     def test_clipped_event_counter(self):
         events = [(0.0, 0.05, 0), (0.1, 5.0, 0)]
-        assert data.count_clipped_events(events, 10, 0.02) == 1
+        assert data.count_clipped_events(events, 10) == 1
 
     def test_round_trip_within_one_hop(self):
         rng = np.random.default_rng(0)
-        hop = 0.02
+        hop = HOP_S
         for _ in range(50):
             n = int(rng.integers(50, 300))
             clip_len = n * hop
@@ -117,7 +117,7 @@ class TestEventsToRoll:
                     break
                 events.append((onset, onset + duration, cls))
                 cursor = onset + duration + 2 * hop  # keep runs separated
-            roll = data.events_to_roll(events, n, hop, 3)
+            roll = data.events_to_roll(events, n, 3)
             recovered = roll_to_intervals(roll)
             assert len(recovered) == len(events)
             for (a0, a1, c0), (b0, b1, c1) in zip(sorted(events), recovered):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import evaluation as ev, training
-from sedmtl.data import EventRoll
 from sedmtl.errors import ArgumentError, DimensionError
 
 
@@ -70,7 +69,7 @@ def brute_force_per_event(pairs, thresholds, smooth_window, event_names):
         pred = ev.binarize(posteriors, thresholds, smooth_window)
         for m in range(len(event_names)):
             pooled[m] = pooled[m].merge(
-                ev.segment_counts(roll.data[m : m + 1], pred[m : m + 1], roll.hop_seconds)
+                ev.segment_counts(roll[m : m + 1], pred[m : m + 1])
             )
     rows = []
     for name, counts in zip(event_names, pooled):
@@ -139,7 +138,7 @@ class TestSegmentCounts:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(1)
         ref = (rng.random((4, 200)) < 0.2).astype(float)
-        counts = ev.segment_counts(ref, ref, hop_s=0.02)
+        counts = ev.segment_counts(ref, ref)
         totals = counts.totals
         assert totals["fp"] == totals["fn"] == 0
         assert totals["s"] + totals["d"] + totals["i"] == 0
@@ -153,13 +152,13 @@ class TestSegmentCounts:
         pred = np.zeros((1, 150))
         ref[0, 0:100] = 1.0
         pred[0, 50:150] = 1.0
-        counts = ev.segment_counts(ref, pred, hop_s=0.02)
+        counts = ev.segment_counts(ref, pred)
         assert counts.totals == dict(tp=1, fp=1, fn=1, s=0, d=1, i=1, n_ref=2)
         assert ev.f1_score(counts) == 50.0
         assert ev.error_rate(counts) == 1.0
 
     def test_empty_everything(self):
-        counts = ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 100)), hop_s=0.02)
+        counts = ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 100)))
         assert ev.f1_score(counts) == 0.0
         assert ev.error_rate(counts) == 0.0
         flags = ev.report_dict(counts, [])["overall"]["flags"]
@@ -167,14 +166,14 @@ class TestSegmentCounts:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 99)), hop_s=0.02)
+            ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 99)))
 
     def test_er_decomposition_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             ref = (rng.random((3, 130)) < 0.25).astype(float)
             pred = (rng.random((3, 130)) < 0.25).astype(float)
-            counts = ev.segment_counts(ref, pred, hop_s=0.02)
+            counts = ev.segment_counts(ref, pred)
             fn_total = fp_total = 0
             for s, (subs, dels, ins, _) in enumerate(counts.per_segment):
                 fn_total += subs + dels
@@ -192,7 +191,7 @@ class TestSegmentCounts:
             density = float(rng.uniform(0.05, 0.5))
             ref = (rng.random((m, n)) < density).astype(float)
             pred = (rng.random((m, n)) < density).astype(float)
-            counts = ev.segment_counts(ref, pred, hop_s=0.02)
+            counts = ev.segment_counts(ref, pred)
             oracle = brute_force_recount(ref, pred, 50)
             totals = counts.totals
             assert (totals["tp"], totals["fp"], totals["fn"]) == (
@@ -208,11 +207,12 @@ class TestSegmentCounts:
     def test_merge_pools_counts_and_keeps_rows_in_order(self):
         rng = np.random.default_rng(8)
         parts = []
-        for n in (120, 49, 200):
+        # 6, 1 and 11 segments of 50 frames, the last one partial in each, so
+        # that segments and classes differ
+        for n in (260, 49, 520):
             ref = (rng.random((3, n)) < 0.3).astype(float)
             pred = (rng.random((3, n)) < 0.3).astype(float)
-            # 5-frame segments, so that segments and classes differ
-            parts.append(ev.segment_counts(ref, pred, hop_s=0.2))
+            parts.append(ev.segment_counts(ref, pred))
         pooled = ev.SegmentCounts()
         for part in parts:
             pooled = pooled.merge(part)
@@ -231,9 +231,9 @@ class TestSegmentCounts:
         rng = np.random.default_rng(4)
         ref = (rng.random((5, 200)) < 0.2).astype(float)
         pred = (rng.random((5, 200)) < 0.2).astype(float)
-        base = ev.segment_counts(ref, pred, hop_s=0.02)
+        base = ev.segment_counts(ref, pred)
         perm = rng.permutation(5)
-        shuffled = ev.segment_counts(ref[perm], pred[perm], hop_s=0.02)
+        shuffled = ev.segment_counts(ref[perm], pred[perm])
         assert ev.f1_score(base) == ev.f1_score(shuffled)
         assert ev.error_rate(base) == ev.error_rate(shuffled)
 
@@ -245,7 +245,7 @@ class TestPerEventReport:
         ref[0, 10:60] = 1.0
         pred[0, 10:60] = 1.0
         rows = training.pooled_per_event(
-            ev.segment_counts(ref, pred, hop_s=0.02), ["present", "absent"]
+            ev.segment_counts(ref, pred), ["present", "absent"]
         )
         assert rows[0]["f1"] == 100.0 and rows[0]["f1_defined"]
         assert rows[1]["f1"] == 0.0 and not rows[1]["f1_defined"]
@@ -255,7 +255,7 @@ class TestPerEventReport:
         rng = np.random.default_rng(5)
         ref = (rng.random((1, 300)) < 0.3).astype(float)
         pred = (rng.random((1, 300)) < 0.3).astype(float)
-        counts = ev.segment_counts(ref, pred, hop_s=0.02)
+        counts = ev.segment_counts(ref, pred)
         rows = training.pooled_per_event(counts, ["only"])
         assert rows[0]["f1"] == ev.f1_score(counts)
         assert rows[0]["er"] == ev.error_rate(counts)
@@ -263,7 +263,7 @@ class TestPerEventReport:
     def test_report_formatting(self):
         ref = np.zeros((1, 100))
         pred = np.zeros((1, 100))
-        counts = ev.segment_counts(ref, pred, hop_s=0.02)
+        counts = ev.segment_counts(ref, pred)
         rows = training.pooled_per_event(counts, ["quiet"])
         report = ev.report_dict(counts, rows)
         assert ev.F1_UNDEFINED_FLAG in report["overall"]["flags"]
@@ -286,7 +286,7 @@ class TestPerEventReport:
                 ref = np.repeat(rng.random((m, -(-n // 10))) < 0.4, 10, axis=1)[:, :n]
                 ref[rng.random(m) < 0.3] = False
                 post[rng.random(m) < 0.2] = 0.0
-                pairs.append((post, EventRoll(data=ref.astype(np.float64), hop_seconds=0.02)))
+                pairs.append((post, ref.astype(np.float64)))
             if trial % 3:
                 thresholds = float(rng.choice([0.3, 0.5, 0.7]))
             else:
@@ -302,7 +302,7 @@ class TestCalibrateThresholds:
         rng = np.random.default_rng(6)
         post = rng.random((3, 200))
         ref = (rng.random((3, 200)) < 0.3).astype(float)
-        out = ev.calibrate_thresholds([(post, ref)], [0.5], hop_s=0.02)
+        out = ev.calibrate_thresholds([(post, ref)], [0.5])
         assert_allclose(out, 0.5)
 
     def test_deterministic(self):
@@ -310,8 +310,8 @@ class TestCalibrateThresholds:
         post = rng.random((2, 300))
         ref = (rng.random((2, 300)) < 0.2).astype(float)
         grid = [0.2, 0.4, 0.6, 0.8]
-        a = ev.calibrate_thresholds([(post, ref)], grid, hop_s=0.02)
-        b = ev.calibrate_thresholds([(post, ref)], grid, hop_s=0.02)
+        a = ev.calibrate_thresholds([(post, ref)], grid)
+        b = ev.calibrate_thresholds([(post, ref)], grid)
         assert np.array_equal(a, b)
 
     def test_recovers_constructed_optimum(self):
@@ -321,29 +321,30 @@ class TestCalibrateThresholds:
         for start in range(0, 400, 100):
             ref[0, start : start + 50] = 1.0
         post = np.where(ref > 0, 0.35, 0.25)
-        out = ev.calibrate_thresholds([(post, ref)], [0.1, 0.3, 0.5, 0.7], hop_s=0.02)
+        out = ev.calibrate_thresholds([(post, ref)], [0.1, 0.3, 0.5, 0.7])
         assert_allclose(out, [0.3])
 
     def test_ties_take_lower_threshold(self):
         # nothing active anywhere: every threshold scores the same
         post = np.zeros((1, 100))
         ref = np.zeros((1, 100))
-        out = ev.calibrate_thresholds([(post, ref)], [0.6, 0.2, 0.4], hop_s=0.02)
+        out = ev.calibrate_thresholds([(post, ref)], [0.6, 0.2, 0.4])
         assert_allclose(out, [0.2])
 
     def test_empty_grid(self):
         with pytest.raises(ArgumentError):
-            ev.calibrate_thresholds([(np.zeros((1, 10)), np.zeros((1, 10)))], [], hop_s=0.02)
+            ev.calibrate_thresholds([(np.zeros((1, 10)), np.zeros((1, 10)))], [])
 
     def test_matches_brute_force_reference(self):
-        # rounded posteriors land exactly on grid points (ties); clip lengths
-        # leave partial last segments; grids arrive unsorted
+        # rounded posteriors land exactly on grid points (ties); clips of up
+        # to four 50-frame segments leave partial last segments; grids arrive
+        # unsorted
         rng = np.random.default_rng(9)
         for trial in range(40):
             m = int(rng.integers(1, 4))
             pairs = []
             for _ in range(int(rng.integers(1, 4))):
-                n = int(rng.integers(1, 130))
+                n = int(rng.integers(1, 180))
                 post = rng.random((m, n))
                 if trial % 2:
                     post = np.round(post, 1)
@@ -351,10 +352,8 @@ class TestCalibrateThresholds:
                 pairs.append((post, ref))
             grid = list(rng.permutation([0.1, 0.2, 0.3, 0.5, 0.7, 0.9])[: int(rng.integers(1, 7))])
             window = int(rng.choice([1, 3, 27]))
-            # 50- or 15-frame segments
-            hop_s = float(rng.choice([0.02, 1 / 15]))
-            out = ev.calibrate_thresholds(pairs, grid, hop_s=hop_s, smooth_window=window)
-            expected = brute_force_calibrate(pairs, grid, window, max(1, int(round(1 / hop_s))))
+            out = ev.calibrate_thresholds(pairs, grid, smooth_window=window)
+            expected = brute_force_calibrate(pairs, grid, window, 50)
             assert np.array_equal(out, expected), (trial, out, expected)
 
     def test_out_of_range_posteriors_rejected(self):
@@ -363,10 +362,8 @@ class TestCalibrateThresholds:
             post = np.full((2, 10), 0.5)
             post[1, 3] = bad
             with pytest.raises(ArgumentError):
-                ev.calibrate_thresholds(
-                    [(np.full((2, 10), 0.5), ref), (post, ref)], [0.5], hop_s=0.02
-                )
+                ev.calibrate_thresholds([(np.full((2, 10), 0.5), ref), (post, ref)], [0.5])
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            ev.calibrate_thresholds([(np.zeros((2, 10)), np.zeros((2, 11)))], [0.5], hop_s=0.02)
+            ev.calibrate_thresholds([(np.zeros((2, 10)), np.zeros((2, 11)))], [0.5])

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
 from sedmtl import losses, networks, training
-from sedmtl.data import EventRoll, Vocabulary, write_json
+from sedmtl.data import Vocabulary, write_json
 from sedmtl.errors import ConfigError, DataError, DimensionError
 from sedmtl.features import LogMelSpectrogram
 from sedmtl.training import AdamState, ClipExample, TrainConfig, parse_settings
@@ -40,9 +40,9 @@ def synthetic_scene_examples(n_frames=20, clips_per_scene=2, n_scenes=4, n_event
             clip_id = f"s{scene}k{k}"
             examples[clip_id] = ClipExample(
                 clip_id=clip_id,
-                features=LogMelSpectrogram(data=data, hop_seconds=0.02, clip_id=clip_id),
+                features=LogMelSpectrogram(data=data, clip_id=clip_id),
                 scene=scene,
-                roll=EventRoll(data=roll, hop_seconds=0.02),
+                roll=roll,
             )
     return examples
 
@@ -427,9 +427,9 @@ def clip_with_frames(clip_id, n_frames, seed, n_events=3):
     rng = np.random.default_rng(seed)
     return ClipExample(
         clip_id=clip_id,
-        features=LogMelSpectrogram(data=rng.normal(size=(64, n_frames)), hop_seconds=0.02),
+        features=LogMelSpectrogram(data=rng.normal(size=(64, n_frames))),
         scene=0,
-        roll=EventRoll(data=np.zeros((n_events, n_frames)), hop_seconds=0.02),
+        roll=np.zeros((n_events, n_frames)),
     )
 
 
