@@ -16,7 +16,8 @@ tape would, so threading moves no bit.
 The op set is exactly what the networks and losses need: elementwise
 arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
 final windows, a bidirectional GRU, the usual activations, and a temperature
-softmax. `grad_check` verifies any op against central finite differences.
+softmax. `mul` and `sum_all` serve the finite-difference gradient checks in
+the tests, which build their losses from them.
 """
 
 import operator
@@ -675,66 +676,3 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         _accumulate(x, (dx[0] + dx[1][::-1]).reshape(xv.shape))
 
     return _record(out, backward)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-@dataclass
-class GradCheckReport:
-    """Max relative error per input and overall, from one finite-difference run.
-
-    The relative error of an input is max|analytic - numeric| normalized by
-    the larger of the two gradients' max magnitudes (floored at 1e-12), which
-    keeps the measure meaningful when individual entries are near zero.
-    """
-
-    per_input: list[float]
-    max_rel_err: float
-
-
-def grad_check(fn, inputs, eps: float = 1e-5, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients of a scalar reduction of fn(*inputs) against
-    central finite differences over every element of every input.
-
-    The reduction is a fixed pseudorandom weighted sum (seeded), which avoids
-    blind spots where a plain sum has zero gradient (e.g. softmax outputs).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ArgumentError(f"eps must be in [1e-7, 1e-3], got {eps}")
-    inputs = list(inputs)
-    for t in inputs:
-        t.values = np.ascontiguousarray(t.values)  # flat views must alias
-    probe = fn(*inputs)
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.5, 1.5, size=probe.values.shape)
-
-    def objective_value(out_values: np.ndarray) -> float:
-        return float((out_values * weights).sum())
-
-    zero_grads(inputs)
-    with Tape() as tape:
-        out = fn(*inputs)
-        loss = sum_all(mul(out, tensor(weights)))
-    tape.backward(loss)
-    analytic = [
-        np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in inputs
-    ]
-
-    per_input = []
-    for t, a in zip(inputs, analytic):
-        numeric = np.zeros_like(t.values)
-        flat = t.values.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = objective_value(fn(*inputs).values)
-            flat[i] = orig - eps
-            down = objective_value(fn(*inputs).values)
-            flat[i] = orig
-            nflat[i] = (up - down) / (2.0 * eps)
-        denom = max(np.abs(a).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
-        per_input.append(float(np.abs(a - numeric).max(initial=0.0) / denom))
-    return GradCheckReport(per_input=per_input, max_rel_err=max(per_input))

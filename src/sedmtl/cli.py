@@ -35,7 +35,7 @@ from .data import (
     read_manifest,
     write_json,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .features import (
     BandStats,
     log_mel_energy,
@@ -230,17 +230,19 @@ def _load_examples(manifest_path, vocabulary, features_dir):
         if not cache_path.is_file():
             raise DataError(f"feature cache missing for clip {clip_id!r}: {cache_path}")
         features = read_feature_cache(cache_path, clip_id)
-        events = parse_event_annotations(
-            Path(entry["annotation_path"]).read_text(encoding="utf-8"),
-            clip_id,
-            vocabulary,
-        )
+        ann_path = entry["annotation_path"]
+        try:
+            events = parse_event_annotations(
+                Path(ann_path).read_text(encoding="utf-8"), clip_id, vocabulary
+            )
+        except ParseError as exc:
+            raise DataError(f"{ann_path}: {exc}") from None
         roll = events_to_roll(events, features.n_frames, vocabulary.n_events)
         clipped_total += count_clipped_events(events, features.n_frames)
         examples[clip_id] = ClipExample(
             clip_id=clip_id, features=features, scene=entry["scene"], roll=roll
         )
-        inputs += [cache_path, entry["annotation_path"]]
+        inputs += [cache_path, ann_path]
     if clipped_total:
         _note(f"note: {clipped_total} annotations extend past their clip end")
     return {c: e["fold"] for c, e in entries.items()}, examples, inputs

@@ -38,12 +38,6 @@ class Vocabulary:
     def n_events(self) -> int:
         return len(self.events)
 
-    def event_index(self, name: str) -> int:
-        try:
-            return self.events.index(name)
-        except ValueError:
-            raise VocabularyError(f"unknown event name {name!r}") from None
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"scenes": self.scenes, "events": self.events}, fh, indent=2)
@@ -107,7 +101,8 @@ def parse_metadata(text: str, vocabulary: Vocabulary) -> list[ClipRecord]:
 def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary) -> list:
     """Parse `onset TAB offset TAB event_name` lines, sorted by onset.
 
-    Overlapping events are legal (polyphony).
+    Overlapping events are legal (polyphony). A malformed line or an event
+    outside the vocabulary raises a ParseError naming the clip and the line.
     """
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,7 +122,9 @@ def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary) -> 
             raise ParseError(
                 f"{clip_id}: need 0 <= onset < offset, got {onset} .. {offset}", lineno
             )
-        events.append((onset, offset, vocabulary.event_index(parts[2])))
+        if parts[2] not in vocabulary.events:
+            raise ParseError(f"{clip_id}: unknown event name {parts[2]!r}", lineno)
+        events.append((onset, offset, vocabulary.events.index(parts[2])))
     events.sort(key=lambda e: e[0])
     return events
 
@@ -231,8 +228,8 @@ def write_json(path, doc: dict):
 
 
 def read_manifest(path) -> dict:
-    """clip_id -> {audio_path, annotation_path, scene, fold} of a manifest;
-    the first entry of another shape names its clip in a DataError."""
+    """clip_id -> {audio_path, annotation_path, scene, fold >= 0} of a
+    manifest; the first entry of another shape names its clip in a DataError."""
     entries = read_json(path, "a manifest")
     kinds = {"audio_path": str, "annotation_path": str, "scene": int, "fold": int}
     for clip_id, entry in entries.items():
@@ -244,4 +241,6 @@ def read_manifest(path) -> dict:
                 raise DataError(
                     f"{path}: clip {clip_id!r} needs {key!r} of type {kind.__name__}, got {value!r}"
                 )
+        if entry["fold"] < 0:
+            raise DataError(f"{path}: clip {clip_id!r} has fold {entry['fold']}, not >= 0")
     return entries

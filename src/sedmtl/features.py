@@ -187,7 +187,8 @@ def write_feature_cache(path, features: LogMelSpectrogram):
 
 
 def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
-    """The features of a cache file, whose hop must be HOP_S."""
+    """The features of a cache file; one DataError naming the file when its
+    header does not hold N_MEL_BANDS bands, at least one frame and HOP_S."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head_len = len(CACHE_MAGIC) + struct.calcsize("<HIId")
@@ -196,8 +197,11 @@ def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
     version, d, n, hop = struct.unpack("<HIId", blob[4:head_len])
     if version != CACHE_VERSION:
         raise DataError(f"{path}: unsupported cache version {version}")
-    if hop != HOP_S:
-        raise DataError(f"{path}: frame hop is {hop} s, expected {HOP_S} s")
+    if d != N_MEL_BANDS or n < 1 or hop != HOP_S:  # the hop is written as HOP_S exactly
+        raise DataError(
+            f"{path}: cache holds {d} bands, {n} frames and a {hop} s hop; expected "
+            f"{N_MEL_BANDS} bands, at least 1 frame and a {HOP_S} s hop"
+        )
     payload = blob[head_len:]
     if len(payload) != d * n * 8:
         raise DataError(

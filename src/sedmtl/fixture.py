@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Vocabulary
+from .data import ClipRecord, Vocabulary
 
 SCENES = ["home", "office", "city_center", "residential_area"]
 EVENTS = ["dishes", "keyboard_typing", "car", "bird_singing", "people_talking"]
@@ -29,19 +29,10 @@ NOISE_AMP = 0.004
 
 
 @dataclass
-class FixtureClip:
-    clip_id: str
-    scene: int
-    events: list  # (onset_s, offset_s, event_idx)
-    audio_path: str
-    annotation_path: str
-
-
-@dataclass
 class FixtureInfo:
     root: Path
     vocabulary: Vocabulary
-    clips: list
+    clips: list  # ClipRecord per clip
     metadata_path: Path
     annotations_dir: Path
     sample_rate: int
@@ -109,7 +100,7 @@ def generate_fixture(
                     fh.write(f"{onset:.3f}\t{offset:.3f}\t{EVENTS[cls]}\n")
             meta_lines.append(f"audio/{clip_id}.wav\t{scene_name}")
             clips.append(
-                FixtureClip(
+                ClipRecord(
                     clip_id=clip_id,
                     scene=scene,
                     events=events,

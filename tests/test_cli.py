@@ -3,6 +3,7 @@ import json
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -14,7 +15,13 @@ import pytest
 from sedmtl import autodiff as ad
 from sedmtl import cli, networks, training
 from sedmtl.data import read_manifest
-from sedmtl.features import compute_band_stats, read_feature_cache, write_feature_cache
+from sedmtl.features import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    compute_band_stats,
+    read_feature_cache,
+    write_feature_cache,
+)
 from sedmtl.fixture import generate_fixture
 
 
@@ -858,7 +865,9 @@ class TestRunManifestInputs:
             assert str(ds["manifest"]) in manifest["inputs"]
 
 
-# Malformed JSON inputs: (input kind, corruption, command, the error after
+# (bands, frames, hop) in the header of each broken feature cache
+CACHE_HEADERS = {"63-bands": (63, 49, 0.02), "0-frames": (64, 0, 0.02), "hop-0.01": (64, 49, 0.01)}
+# Malformed inputs: (input kind, corruption, command, the error after
 # "error: "). {path} is the broken file; {eof} and {ff} are the JSON and
 # UTF-8 errors of the fixed "truncated" and "not-utf8" texts.
 MALFORMED_INPUTS = [
@@ -876,6 +885,7 @@ MALFORMED_INPUTS = [
     ("manifest", "no-scene", "train",
      "{path}: clip 'home_0' needs 'scene' of type int, got None"),
     ("manifest", "scene-9", "train", "{path}: clip 'home_0' has scene 9, outside 0..3"),
+    ("manifest", "fold--3", "train", "{path}: clip 'home_0' has fold -3, not >= 0"),
     ("soft labels", "truncated", "train", "{path}: soft labels is not valid JSON: {eof}"),
     ("soft labels", "not-utf8", "train", "{path}: soft labels is not valid JSON: {ff}"),
     ("soft labels", "list", "train", "{path}: soft labels must be a JSON object, got list"),
@@ -886,6 +896,14 @@ MALFORMED_INPUTS = [
     ("cache index", "list", "features",
      "{path}: a cache index must be a JSON object, got list"),
     ("cache index", "entry", "features", "{path}: clip 'home_0' has digest 3, not a string"),
+    *(
+        ("feature cache", corruption, "train",
+         f"{{path}}: cache holds {bands} bands, {frames} frames and a {hop} s hop; "
+         "expected 64 bands, at least 1 frame and a 0.02 s hop")
+        for corruption, (bands, frames, hop) in CACHE_HEADERS.items()
+    ),
+    ("annotation", "unknown-event", "train",
+     "{path}: line 2: home_0: unknown event name 'thunder'"),
 ]
 
 
@@ -943,17 +961,27 @@ class TestErrorBoundary:
     def test_malformed_vocabulary_is_one_error_line(
         self, fixture_dataset, tmp_path, capsys, kind, corruption, command, message
     ):
-        """Every kind of JSON input, broken in each way, stops `command` with
+        """Every kind of input file, broken in each way, stops `command` with
         one `error:` line that names the file, before any output is made."""
         ds = fixture_dataset
         out = tmp_path / "out"
         files = {
             "manifest": ds["manifest"], "vocabulary": ds["vocabulary"],
             "config": tmp_path / "config.json", "soft labels": tmp_path / "soft_labels.json",
+            "features": ds["features"],
         }
+        entries = read_manifest(ds["manifest"])
         if kind == "cache index":  # it lives in the output directory of `features`
             out.mkdir()
             files[kind] = out / "cache_index.json"
+        elif kind == "feature cache":  # home_0's cache in a copy of the caches
+            files["features"] = shutil.copytree(ds["features"], tmp_path / "features")
+            files[kind] = files["features"] / "home_0.sdfc"
+        elif kind == "annotation":  # home_0's annotation file, named by a manifest copy
+            files[kind] = tmp_path / "home_0.txt"
+            entries["home_0"]["annotation_path"] = str(files[kind])
+            files["manifest"] = tmp_path / "manifest.json"
+            files["manifest"].write_text(json.dumps(entries))
         else:
             files[kind] = tmp_path / "broken.json"
         path = files[kind]
@@ -961,11 +989,10 @@ class TestErrorBoundary:
         config = train_config_doc(ds, out, mode) if command == "train" else cv_config_doc(ds, out)
         config["paths"].update(
             manifest=str(files["manifest"]), vocabulary=str(files["vocabulary"]),
-            soft_labels=str(files["soft labels"]),
+            soft_labels=str(files["soft labels"]), features_dir=str(files["features"]),
         )
         (tmp_path / "config.json").write_text(json.dumps(config))
 
-        entries = read_manifest(ds["manifest"])
         bad_entry = {
             "vocabulary": {"scenes": 3, "events": ["a"]},
             "config": dict(config, paths={**config["paths"], "manifest": 3}),
@@ -977,9 +1004,18 @@ class TestErrorBoundary:
             del entries["home_0"]["scene"]
         elif corruption == "scene-9":
             entries["home_0"]["scene"] = 9
+        elif corruption == "fold--3":
+            entries["home_0"]["fold"] = -3
         fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}
         if corruption in fixed:
             text = fixed[corruption]
+        elif kind == "feature cache":  # a whole payload behind the broken header
+            bands, frames, hop = CACHE_HEADERS[corruption]
+            data = read_feature_cache(path).data[:bands, :frames]
+            text = CACHE_MAGIC + struct.pack("<HIId", CACHE_VERSION, bands, frames, hop)
+            text += data.astype("<f8").tobytes()
+        elif kind == "annotation":
+            text = b"0.1\t0.4\tdishes\n0.5\t0.9\tthunder\n"
         else:
             doc = entries if kind == "manifest" and corruption != "entry" else bad_entry[kind]
             text = json.dumps(doc).encode()
@@ -1001,7 +1037,7 @@ class TestErrorBoundary:
             argv = [
                 "--checkpoint", str(tmp_path / "model.ckpt"),
                 "--manifest", str(files["manifest"]), "--vocabulary", str(files["vocabulary"]),
-                "--features", str(ds["features"]),
+                "--features", str(files["features"]),
                 "--out", str(out / "soft_labels.json" if command == "distill" else out),
             ]
             argv += ["--fold", "0"] if command == "eval" else []

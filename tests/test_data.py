@@ -73,8 +73,9 @@ class TestParseEventAnnotations:
             data.parse_event_annotations("2.0\t1.0\tcar\n", "c1", VOCAB)
 
     def test_unknown_event(self):
-        with pytest.raises(VocabularyError, match="thunder"):
-            data.parse_event_annotations("0.0\t1.0\tthunder\n", "c1", VOCAB)
+        text = "0.5\t2.0\tcar\n0.0\t1.0\tthunder\n"
+        with pytest.raises(ParseError, match="^line 2: c1: unknown event name 'thunder'$"):
+            data.parse_event_annotations(text, "c1", VOCAB)
 
 
 class TestEventsToRoll:

@@ -1,4 +1,6 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from sedmtl import features as feat
 from sedmtl.errors import ArgumentError, DataError
+
+PACKAGE = Path(feat.__file__).parent
 
 
 def make_waveform(seconds, sample_rate=44100, value=0.0):
@@ -221,3 +225,27 @@ class TestCacheAndWav:
             wf.writeframes(np.repeat(samples, 2).tobytes())
         with pytest.raises(DataError, match="mono"):
             feat.read_wav(stereo)
+
+
+class TestFrameGrid:
+    def test_declared_once_in_features(self):
+        """No function of the package takes a hop* parameter, and only
+        features.py assigns the frame grid and the band count (networks
+        imports N_BANDS from there)."""
+        constants = {"HOP_S", "FRAME_LEN_S", "N_MEL_BANDS", "N_BANDS"}
+        hop_params, assigners = [], set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                    hop_params += [
+                        f"{path.name}:{node.lineno} {p.arg}"
+                        for p in params
+                        if p is not None and p.arg.startswith("hop")
+                    ]
+                elif isinstance(getattr(node, "ctx", None), ast.Store):
+                    if getattr(node, "id", getattr(node, "attr", None)) in constants:
+                        assigners.add(path.name)
+        assert hop_params == []
+        assert assigners == {"features.py"}
