@@ -135,7 +135,8 @@ def build_mel_filterbank(sample_rate: int, fft_bins: int) -> np.ndarray:
         peak = tri.max()
         if peak <= 0.0:
             raise ArgumentError(
-                f"mel band {b} spans no FFT bin; increase fft_bins"
+                f"mel band {b} spans no FFT bin at {sample_rate} Hz; "
+                f"{N_MEL_BANDS} bands need audio at a higher sample rate"
             )
         weights[b] = tri / peak
     return weights

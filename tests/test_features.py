@@ -110,6 +110,11 @@ class TestMelFilterbank:
                 assert (np.diff(row[: peak + 1]) >= 0).all()
                 assert (np.diff(row[peak:]) <= 0).all()
 
+    def test_too_low_a_sample_rate_is_rejected(self):
+        # at 1 kHz the lowest bands are narrower than one 15.6 Hz FFT bin
+        with pytest.raises(ArgumentError, match="mel band 0 spans no FFT bin at 1000 Hz"):
+            feat.log_mel_energy(make_waveform(0.5, sample_rate=1000))
+
 
 class TestLogMelEnergy:
     def test_silence(self):
