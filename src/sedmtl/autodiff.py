@@ -16,8 +16,7 @@ tape would, so threading moves no bit.
 The op set is exactly what the networks and losses need: elementwise
 arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
 final windows, a bidirectional GRU, the usual activations, and a temperature
-softmax. `mul` and `sum_all` serve the finite-difference gradient checks in
-the tests, which build their losses from them.
+softmax.
 """
 
 import operator
@@ -243,16 +242,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.values * b.values)
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.values.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
-
-    return _record(out, backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (no gradient for the constant)."""
     c = float(c)
@@ -273,7 +262,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, backward)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
+def stack(tensors, axis: int) -> Tensor:
     """Join equal-shape tensors along a new axis."""
     out = Tensor(np.stack([t.values for t in tensors], axis=axis))
 
@@ -284,21 +273,12 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _record(out, backward)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     out = Tensor(np.transpose(a.values, axes))
-    inverse = None if axes is None else np.argsort(axes)
+    inverse = np.argsort(axes)
 
     def backward(g):
         _accumulate(a, np.transpose(g, inverse))
-
-    return _record(out, backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum())
-
-    def backward(g):
-        _accumulate(a, np.full_like(a.values, float(g)))
 
     return _record(out, backward)
 
@@ -587,20 +567,16 @@ class GRUCell:
 def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> Tensor:
     """Run a GRU left-to-right and right-to-left over a time-major sequence
     and return the per-frame concatenation of the two states. x is (N, B, F),
-    a batch of B sequences, giving (N, B, 2*units); a 2-D (N, F) x is a batch
-    of one and gives (N, 2*units). Initial states are zero.
+    a batch of B sequences, giving (N, B, 2*units). Initial states are zero.
 
     Both directions advance in one time loop over a stacked (2, B, units)
     state: step t feeds frame t to the forward cell and frame N-1-t to the
     backward cell, and the update and reset gates share one recurrent matmul
     against [U_update | U_reset].
     """
-    xv = x.values
-    if xv.ndim not in (2, 3) or xv.shape[0] < 1:
-        raise ArgumentError(
-            f"bigru expects a non-empty (N,F) or (N,B,F) sequence, got {xv.shape}"
-        )
-    seq = xv[:, None, :] if xv.ndim == 2 else xv
+    seq = x.values
+    if seq.ndim != 3 or seq.shape[0] < 1:
+        raise ArgumentError(f"bigru expects a non-empty (N,B,F) sequence, got {seq.shape}")
     n, b, f = seq.shape
     cells = (forward_cell, backward_cell)
     units = forward_cell.u_update.values.shape[0]
@@ -628,11 +604,9 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         c = np.tanh(proj[t, ..., 2 * units :] + np.matmul(r * h, u_cand))
         h = z * h + (1.0 - z) * c
         gates[t], cand[t], hs[t] = zr, c, h
-    outv = np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
-    out = Tensor(outv.reshape(xv.shape[:-1] + (2 * units,)))
+    out = Tensor(np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1))
 
     def backward(g):
-        g = g.reshape(n, b, 2 * units)
         dh_out = np.empty((n, 2, b, units))
         dh_out[:, 0] = g[..., :units]
         dh_out[:, 1] = g[::-1, :, units:]
@@ -673,6 +647,6 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
             # (update + reset) + cand, each term made just before its sum
             terms = (a_g @ w.values.T for a_g, w in zip(a_gates, cell.gates("w")))
             dx.append(reduce(operator.add, terms).reshape(n, b, f))
-        _accumulate(x, (dx[0] + dx[1][::-1]).reshape(xv.shape))
+        _accumulate(x, dx[0] + dx[1][::-1])
 
     return _record(out, backward)

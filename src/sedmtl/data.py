@@ -147,7 +147,7 @@ def count_clipped_events(events, n_frames: int) -> int:
     return sum(1 for _, offset, _ in events if offset > clip_end)
 
 
-def make_folds(records, n_folds: int = 4, seed: int = 0) -> dict:
+def make_folds(records, n_folds: int, seed: int) -> dict:
     """Scene-stratified {clip_id: fold} assignment, deterministic for a given
     seed.
 
@@ -183,7 +183,7 @@ class Chunk:
     mask: np.ndarray  # (chunk_len,), 1.0 on valid frames
 
 
-def chunk_clips(features: np.ndarray, roll: np.ndarray, chunk_len: int = 500) -> list:
+def chunk_clips(features: np.ndarray, roll: np.ndarray, chunk_len: int) -> list:
     """Cut a clip's (bands, frames) features and (events, frames) roll into
     consecutive fixed-length chunks; the final chunk is zero-padded and its
     mask marks the padded frames invalid.
@@ -229,8 +229,11 @@ def write_json(path, doc: dict):
 
 def read_manifest(path) -> dict:
     """clip_id -> {audio_path, annotation_path, scene, fold >= 0} of a
-    manifest; the first entry of another shape names its clip in a DataError."""
+    manifest of at least one clip; the first entry of another shape names its
+    clip in a DataError."""
     entries = read_json(path, "a manifest")
+    if not entries:
+        raise DataError(f"{path}: a manifest holds no clips")
     kinds = {"audio_path": str, "annotation_path": str, "scene": int, "fold": int}
     for clip_id, entry in entries.items():
         if not isinstance(entry, dict):

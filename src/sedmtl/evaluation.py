@@ -8,7 +8,7 @@ insertions I = FP - S; the error rate is (sum S + D + I) / (sum Nref).
 
 `SegmentCounts` keeps each count once: per-class TP/FP/FN totals and one
 (S, D, I, Nref) row per segment, from which `totals` sums the rest. Every F1
-(overall, per class, per calibration threshold) is `f1_from_counts` and every
+(`overall`, per class, per calibration threshold) is `f1_from_counts` and every
 error rate `er_from_counts`, elementwise over count arrays.
 """
 
@@ -153,24 +153,14 @@ def er_from_counts(errors, n_ref, insertions):
     return np.where(n_ref > 0, errors / np.maximum(n_ref, 1), insertions), n_ref > 0
 
 
-def _overall(counts: SegmentCounts) -> tuple:
-    """(F1, F1 defined, ER, ER defined) over every class and segment."""
+def overall(counts: SegmentCounts) -> tuple:
+    """(F1 in percent, F1 defined, ER, ER defined) over every class and
+    segment. F1 is 0 when there is no activity at all; with an empty
+    reference the ER degenerates to the raw insertion count."""
     t = counts.totals
-    return (
-        *f1_from_counts(t["tp"], t["fp"], t["fn"]),
-        *er_from_counts(t["s"] + t["d"] + t["i"], t["n_ref"], t["i"]),
-    )
-
-
-def f1_score(counts: SegmentCounts) -> float:
-    """Segment-based F1 in percent; 0 when there is no activity at all."""
-    return float(_overall(counts)[0])
-
-
-def error_rate(counts: SegmentCounts) -> float:
-    """Segment-based error rate; with an empty reference this degenerates to
-    the raw insertion count (flagged in `report_dict`)."""
-    return float(_overall(counts)[2])
+    f1, f1_defined = f1_from_counts(t["tp"], t["fp"], t["fn"])
+    er, er_defined = er_from_counts(t["s"] + t["d"] + t["i"], t["n_ref"], t["i"])
+    return float(f1), bool(f1_defined), float(er), bool(er_defined)
 
 
 def calibrate_thresholds(pairs, grid, smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
@@ -212,10 +202,10 @@ def calibrate_thresholds(pairs, grid, smooth_window: int = DEFAULT_SMOOTH_WINDOW
 
 
 def report_dict(counts: SegmentCounts, per_event_rows: list) -> dict:
-    f1, f1_defined, er, er_defined = _overall(counts)
+    f1, f1_defined, er, er_defined = overall(counts)
     flags = [F1_UNDEFINED_FLAG] * (not f1_defined) + [ER_UNDEFINED_FLAG] * (not er_defined)
     return {
-        "overall": {"f1": float(f1), "er": float(er), "flags": flags},
+        "overall": {"f1": f1, "er": er, "flags": flags},
         "per_event": per_event_rows,
     }
 

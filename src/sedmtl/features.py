@@ -96,15 +96,10 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def power_spectrum(frame: np.ndarray, fft_bins: int | None = None) -> np.ndarray:
-    """Squared magnitude of the positive-frequency DFT half.
-
-    The frame is zero-padded to fft_bins (default: next power of two at or
-    above the frame length).
-    """
+def power_spectrum(frame: np.ndarray, fft_bins: int) -> np.ndarray:
+    """Squared magnitude of the positive-frequency DFT half of the frame (or
+    each row of a frame matrix), zero-padded to fft_bins."""
     frame = np.asarray(frame, dtype=np.float64)
-    if fft_bins is None:
-        fft_bins = _next_pow2(frame.size)
     spectrum = np.fft.rfft(frame, n=fft_bins)
     return (spectrum.real**2 + spectrum.imag**2)
 

@@ -30,13 +30,10 @@ NOISE_AMP = 0.004
 
 @dataclass
 class FixtureInfo:
-    root: Path
     vocabulary: Vocabulary
     clips: list  # ClipRecord per clip
     metadata_path: Path
     annotations_dir: Path
-    sample_rate: int
-    clip_seconds: float
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int):
@@ -112,12 +109,9 @@ def generate_fixture(
     metadata_path = root / "meta.tsv"
     metadata_path.write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
     return FixtureInfo(
-        root=root,
         vocabulary=Vocabulary(scenes=list(SCENES), events=list(EVENTS)),
         clips=clips,
         metadata_path=metadata_path,
         annotations_dir=ann_dir,
-        sample_rate=sample_rate,
-        clip_seconds=clip_seconds,
     )
 

@@ -17,23 +17,21 @@ from .autodiff import Tensor, _accumulate, _record, _sigmoid_values
 from .errors import ArgumentError, DimensionError
 
 
-def event_loss(logits: Tensor, roll: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Summed sigmoid cross-entropy between (M, N) event logits and a binary
-    activity roll, restricted to frames where mask (N,) is nonzero. A batch
-    of B chunks passes (B, M, N) logits and rolls with a (B, N) mask.
+def event_loss(logits: Tensor, roll: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Summed sigmoid cross-entropy between a batch of B chunks' (B, M, N)
+    event logits and binary activity rolls, restricted to frames where the
+    (B, N) mask is nonzero.
 
     Computed in the logit form max(y,0) - y*z + log(1 + exp(-|y|)), which is
     exact and never overflows.
     """
     y = logits.values
     roll = np.asarray(roll, dtype=np.float64)
-    if y.ndim not in (2, 3) or roll.shape != y.shape:
+    if y.ndim != 3 or roll.shape != y.shape:
         raise DimensionError(
-            f"event roll shape {roll.shape} does not match logits {y.shape}"
+            f"event roll shape {roll.shape} does not match (B, M, N) logits {y.shape}"
         )
-    frames = y.shape[:-2] + y.shape[-1:]
-    if mask is None:
-        mask = np.ones(frames)
+    frames = (y.shape[0], y.shape[2])
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != frames:
         raise DimensionError(

@@ -192,6 +192,10 @@ def parse_settings(cls, doc, section: str, fixed: dict | None = None):
 # optimizer
 
 
+# Adam's moment decay rates and the floor under its denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """First/second moment buffers plus the shared step counter."""
 
@@ -200,15 +204,7 @@ class AdamState:
         self.moments: dict[str, tuple] = {}
 
 
-def adam_step(
-    params: networks.ModelParams,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(params: networks.ModelParams, grads: dict, state: AdamState, lr: float):
     """Bias-corrected adaptive-moment update, in place."""
     state.step += 1
     t = state.step
@@ -223,11 +219,11 @@ def adam_step(
         m, v = state.moments.get(
             name, (np.zeros_like(tensor.values), np.zeros_like(tensor.values))
         )
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        tensor.values = tensor.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        tensor.values = tensor.values - lr * m_hat / (np.sqrt(v_hat) + _EPS)
         state.moments[name] = (m, v)
 
 
@@ -248,9 +244,11 @@ class ClipExample:
 def split_ids(assignment: dict, fold: int):
     """Sorted (train, validation) clip ids of a {clip: fold} assignment.
 
-    Fold -1 puts every clip on both sides.
+    Fold -1 puts every clip on both sides; a fold below -1 is an error.
     """
-    if fold < 0:
+    if fold < -1:
+        raise DataError(f"fold {fold} is not -1 (every clip) or a fold >= 0")
+    if fold == -1:
         train = val = sorted(assignment)
     else:
         train = sorted(c for c, f in assignment.items() if f != fold)
@@ -456,11 +454,8 @@ def evaluate_student(
     for posteriors, roll in pairs:
         pred = ev.binarize(posteriors, thresholds, smooth_window)
         counts = counts.merge(ev.segment_counts(roll, pred))
-    return {
-        "f1": ev.f1_score(counts),
-        "er": ev.error_rate(counts),
-        "counts": counts,
-    }
+    f1, _, er, _ = ev.overall(counts)
+    return {"f1": f1, "er": er, "counts": counts}
 
 
 def train_student(

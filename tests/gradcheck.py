@@ -2,15 +2,23 @@
 
 `grad_check(fn, inputs)` compares the tape's gradients of a weighted sum of
 `fn(*inputs)` with central differences over every input element; the
-autodiff, loss and acceptance tests assert on its report.
+autodiff, loss and acceptance tests assert on its report. `weighted_sum`
+is the scalar loss those tests build from an op's output.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from sedmtl.autodiff import Tape, mul, sum_all, tensor, zero_grads
+from sedmtl.autodiff import Tape, Tensor, matmul, reshape, tensor, zero_grads
 from sedmtl.errors import ArgumentError
+
+
+def weighted_sum(out: Tensor, weights=None) -> Tensor:
+    """sum(out * weights) as a (1, 1) tensor, one weight per element of out
+    (all ones by default); d/d(out) is the weights, exactly."""
+    w = np.ones(out.size) if weights is None else np.asarray(weights, dtype=np.float64)
+    return matmul(reshape(out, (1, -1)), tensor(w.reshape(-1, 1)))
 
 
 @dataclass
@@ -48,7 +56,7 @@ def grad_check(fn, inputs, eps: float = 1e-5, seed: int = 0) -> GradCheckReport:
     zero_grads(inputs)
     with Tape() as tape:
         out = fn(*inputs)
-        loss = sum_all(mul(out, tensor(weights)))
+        loss = weighted_sum(out, weights)
     tape.backward(loss)
     analytic = [
         np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in inputs

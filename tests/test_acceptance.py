@@ -67,7 +67,7 @@ class TestCriterion1GradientSuite:
         def bigru_case(rng):
             fwd = _random_gru_cell(rng, 2, 2)
             bwd = _random_gru_cell(rng, 2, 2)
-            x = ad.tensor(rng.normal(size=(3, 2)))
+            x = ad.tensor(rng.normal(size=(3, 1, 2)))  # (N, B, F)
             inputs = [x] + fwd.tensors() + bwd.tensors()
             return (lambda xt, *rest: ad.bigru_forward(xt, fwd, bwd)), inputs
 
@@ -88,12 +88,12 @@ class TestCriterion1GradientSuite:
             )
 
         def event_loss_case(rng):
-            roll = (rng.random((3, 4)) < 0.5).astype(float)
-            mask = np.ones(4)
-            mask[int(rng.integers(0, 4))] = 0.0
+            roll = (rng.random((1, 3, 4)) < 0.5).astype(float)  # (B, M, N)
+            mask = np.ones((1, 4))
+            mask[0, int(rng.integers(0, 4))] = 0.0
             return (
                 lambda t: losses.event_loss(t, roll, mask),
-                [ad.tensor(rng.normal(size=(3, 4)))],
+                [ad.tensor(rng.normal(size=(1, 3, 4)))],
             )
 
         def hard_loss_case(rng):
@@ -192,15 +192,14 @@ class TestCriterion4MetricsOracle:
                 and totals["d"] == oracle["d"]
                 and totals["i"] == oracle["i"]
                 and totals["n_ref"] == oracle["n_ref"]
-                and ev.f1_score(counts) == oracle["f1"]
-                and ev.error_rate(counts) == oracle["er"]
+                and ev.overall(counts)[::2] == (oracle["f1"], oracle["er"])
             )
         ref = np.zeros((1, 150))
         pred = np.zeros((1, 150))
         ref[0, 0:100] = 1.0
         pred[0, 50:150] = 1.0
         counts = ev.segment_counts(ref, pred)
-        hand = ev.f1_score(counts) == 50.0 and ev.error_rate(counts) == 1.0
+        hand = ev.overall(counts)[::2] == (50.0, 1.0)
         _report(
             "criterion 4 (metrics oracle)",
             agree and hand,

@@ -386,7 +386,7 @@ class TestEval:
             "--fold", "-1",
             "--out", str(tmp_path / "report"),
         ]) == 1
-        assert "empty split" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {manifest}: a manifest holds no clips\n"
 
     # sha256 of report.json for the checkpoint below on the fixture dataset;
     # scoring from cached posteriors must not change a byte of it
@@ -869,7 +869,8 @@ class TestRunManifestInputs:
 CACHE_HEADERS = {"63-bands": (63, 49, 0.02), "0-frames": (64, 0, 0.02), "hop-0.01": (64, 49, 0.01)}
 # Malformed inputs: (input kind, corruption, command, the error after
 # "error: "). {path} is the broken file; {eof} and {ff} are the JSON and
-# UTF-8 errors of the fixed "truncated" and "not-utf8" texts.
+# UTF-8 errors of the fixed "truncated" and "not-utf8" texts. The "fold flag"
+# is no file: its corruption is the value `eval --fold` gets.
 MALFORMED_INPUTS = [
     ("vocabulary", "truncated", "ingest", "{path}: a vocabulary is not valid JSON: {eof}"),
     ("vocabulary", "not-utf8", "train", "{path}: a vocabulary is not valid JSON: {ff}"),
@@ -886,6 +887,7 @@ MALFORMED_INPUTS = [
      "{path}: clip 'home_0' needs 'scene' of type int, got None"),
     ("manifest", "scene-9", "train", "{path}: clip 'home_0' has scene 9, outside 0..3"),
     ("manifest", "fold--3", "train", "{path}: clip 'home_0' has fold -3, not >= 0"),
+    ("manifest", "empty", "cv", "{path}: a manifest holds no clips"),
     ("soft labels", "truncated", "train", "{path}: soft labels is not valid JSON: {eof}"),
     ("soft labels", "not-utf8", "train", "{path}: soft labels is not valid JSON: {ff}"),
     ("soft labels", "list", "train", "{path}: soft labels must be a JSON object, got list"),
@@ -904,6 +906,7 @@ MALFORMED_INPUTS = [
     ),
     ("annotation", "unknown-event", "train",
      "{path}: line 2: home_0: unknown event name 'thunder'"),
+    ("fold flag", "-7", "eval", "fold -7 is not -1 (every clip) or a fold >= 0"),
 ]
 
 
@@ -1006,8 +1009,12 @@ class TestErrorBoundary:
             entries["home_0"]["scene"] = 9
         elif corruption == "fold--3":
             entries["home_0"]["fold"] = -3
+        elif corruption == "empty":
+            entries.clear()
         fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}
-        if corruption in fixed:
+        if kind == "fold flag":
+            text = None
+        elif corruption in fixed:
             text = fixed[corruption]
         elif kind == "feature cache":  # a whole payload behind the broken header
             bands, frames, hop = CACHE_HEADERS[corruption]
@@ -1019,7 +1026,8 @@ class TestErrorBoundary:
         else:
             doc = entries if kind == "manifest" and corruption != "entry" else bad_entry[kind]
             text = json.dumps(doc).encode()
-        path.write_bytes(text)
+        if text is not None:
+            path.write_bytes(text)
 
         if command == "ingest":
             argv = [
@@ -1040,7 +1048,8 @@ class TestErrorBoundary:
                 "--features", str(files["features"]),
                 "--out", str(out / "soft_labels.json" if command == "distill" else out),
             ]
-            argv += ["--fold", "0"] if command == "eval" else []
+            fold = corruption if kind == "fold flag" else "0"
+            argv += ["--fold", fold] if command == "eval" else []
         assert cli.main([command, *argv]) == 1
         expected = message.format(
             path=path,

@@ -151,12 +151,12 @@ class TestMakeFolds:
 
     def test_too_few_clips(self):
         with pytest.raises(ArgumentError):
-            data.make_folds(self.make_records(1, scenes=3), n_folds=4)
+            data.make_folds(self.make_records(1, scenes=3), n_folds=4, seed=0)
 
     @pytest.mark.parametrize("n_folds", [0, -1])
     def test_fewer_than_one_fold(self, n_folds):
         with pytest.raises(ArgumentError, match=f"folds must be >= 1, got {n_folds}"):
-            data.make_folds(self.make_records(2, scenes=2), n_folds=n_folds)
+            data.make_folds(self.make_records(2, scenes=2), n_folds=n_folds, seed=0)
 
     def test_partition_properties(self):
         records = self.make_records(7, scenes=3)

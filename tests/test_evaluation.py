@@ -76,9 +76,9 @@ def brute_force_per_event(pairs, thresholds, smooth_window, event_names):
         totals = counts.totals
         rows.append({
             "event": name,
-            "f1": ev.f1_score(counts),
+            "f1": ev.overall(counts)[0],
             "f1_defined": totals["tp"] + totals["fp"] + totals["fn"] > 0,
-            "er": ev.error_rate(counts),
+            "er": ev.overall(counts)[2],
             "er_defined": totals["n_ref"] > 0,
         })
     return rows
@@ -142,8 +142,7 @@ class TestSegmentCounts:
         totals = counts.totals
         assert totals["fp"] == totals["fn"] == 0
         assert totals["s"] + totals["d"] + totals["i"] == 0
-        assert ev.f1_score(counts) == 100.0
-        assert ev.error_rate(counts) == 0.0
+        assert ev.overall(counts) == (100.0, True, 0.0, True)
 
     def test_hand_counted_case(self):
         # 1 class, 3 one-second segments at 50 frames each:
@@ -154,13 +153,11 @@ class TestSegmentCounts:
         pred[0, 50:150] = 1.0
         counts = ev.segment_counts(ref, pred)
         assert counts.totals == dict(tp=1, fp=1, fn=1, s=0, d=1, i=1, n_ref=2)
-        assert ev.f1_score(counts) == 50.0
-        assert ev.error_rate(counts) == 1.0
+        assert ev.overall(counts) == (50.0, True, 1.0, True)
 
     def test_empty_everything(self):
         counts = ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 100)))
-        assert ev.f1_score(counts) == 0.0
-        assert ev.error_rate(counts) == 0.0
+        assert ev.overall(counts) == (0.0, False, 0.0, False)
         flags = ev.report_dict(counts, [])["overall"]["flags"]
         assert flags == [ev.F1_UNDEFINED_FLAG, ev.ER_UNDEFINED_FLAG]
 
@@ -201,8 +198,7 @@ class TestSegmentCounts:
             assert totals["d"] == oracle["d"]
             assert totals["i"] == oracle["i"]
             assert totals["n_ref"] == oracle["n_ref"]
-            assert ev.f1_score(counts) == oracle["f1"]
-            assert ev.error_rate(counts) == oracle["er"]
+            assert ev.overall(counts)[::2] == (oracle["f1"], oracle["er"])
 
     def test_merge_pools_counts_and_keeps_rows_in_order(self):
         rng = np.random.default_rng(8)
@@ -234,8 +230,7 @@ class TestSegmentCounts:
         base = ev.segment_counts(ref, pred)
         perm = rng.permutation(5)
         shuffled = ev.segment_counts(ref[perm], pred[perm])
-        assert ev.f1_score(base) == ev.f1_score(shuffled)
-        assert ev.error_rate(base) == ev.error_rate(shuffled)
+        assert ev.overall(base) == ev.overall(shuffled)
 
 
 class TestPerEventReport:
@@ -257,8 +252,7 @@ class TestPerEventReport:
         pred = (rng.random((1, 300)) < 0.3).astype(float)
         counts = ev.segment_counts(ref, pred)
         rows = training.pooled_per_event(counts, ["only"])
-        assert rows[0]["f1"] == ev.f1_score(counts)
-        assert rows[0]["er"] == ev.error_rate(counts)
+        assert (rows[0]["f1"], rows[0]["er"]) == ev.overall(counts)[::2]
 
     def test_report_formatting(self):
         ref = np.zeros((1, 100))

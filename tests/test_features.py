@@ -10,6 +10,7 @@ from sedmtl import features as feat
 from sedmtl.errors import ArgumentError, DataError
 
 PACKAGE = Path(feat.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_waveform(seconds, sample_rate=44100, value=0.0):
@@ -49,7 +50,7 @@ class TestFrameSignal:
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
-        assert_allclose(feat.power_spectrum(np.zeros(640)), 0.0)
+        assert_allclose(feat.power_spectrum(np.zeros(640), 1024), 0.0)
 
     def test_sinusoid_energy_concentration(self):
         # Windowed sinusoid at an FFT bin center: the Hamming main lobe keeps
@@ -254,3 +255,42 @@ class TestFrameGrid:
                         assigners.add(path.name)
         assert hop_params == []
         assert assigners == {"features.py"}
+
+
+class TestPublicNames:
+    def test_every_public_name_is_used_outside_the_tests(self):
+        """Every public top-level function and class of the package is used
+        by the package or by perfbench, not only by tests. A use is a name
+        resolved through the imports of its file, read anywhere but in the
+        body of the definition it names, or a "module.name" span string of
+        perfbench."""
+        modules = {p.stem for p in PACKAGE.glob("*.py")}
+        public, used = set(), set()
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+            here = path.stem if path.parent == PACKAGE else None
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            top = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            if here:
+                public |= {f"{here}.{name}" for name in top if not name.startswith("_")}
+            names = {name: f"{here}.{name}" for name in top} if here else {}
+            for node in ast.walk(tree):  # local name -> "module" or "module.name"
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sedmtl"
+                                                         or node.module.startswith("sedmtl.")):
+                    source = (node.module or "").removeprefix("sedmtl").lstrip(".")
+                    for a in node.names:
+                        names[a.asname or a.name] = f"{source}.{a.name}" if source else a.name
+            for owner in tree.body:
+                skip = names.get(getattr(owner, "name", None)) if here else None
+                for node in ast.walk(owner):
+                    if isinstance(node, ast.Name):
+                        found = names.get(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                        module = names.get(node.value.id)
+                        found = f"{module}.{node.attr}" if module in modules else None
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        found = ".".join(node.value.split(".")[:2]) if not here else None
+                    else:
+                        continue
+                    if found != skip:
+                        used.add(found)
+        assert sorted(public - used) == []

@@ -13,39 +13,41 @@ from gradcheck import grad_check
 
 class TestEventLoss:
     def test_zero_logits_single_cell(self):
-        out = losses.event_loss(ad.tensor([[0.0]]), np.array([[1.0]]))
+        out = losses.event_loss(ad.tensor([[[0.0]]]), np.array([[[1.0]]]), np.ones((1, 1)))
         assert_allclose(out.values, math.log(2.0), atol=1e-12)
-        out = losses.event_loss(ad.tensor([[0.0]]), np.array([[0.0]]))
+        out = losses.event_loss(ad.tensor([[[0.0]]]), np.array([[[0.0]]]), np.ones((1, 1)))
         assert_allclose(out.values, math.log(2.0), atol=1e-12)
 
     def test_confident_positive(self):
         # s(y) = 0.9 for the active cell: loss is -ln 0.9
         y = math.log(0.9 / 0.1)
-        out = losses.event_loss(ad.tensor([[y]]), np.array([[1.0]]))
+        out = losses.event_loss(ad.tensor([[[y]]]), np.array([[[1.0]]]), np.ones((1, 1)))
         assert_allclose(out.values, -math.log(0.9), atol=1e-12)
 
     def test_masked_frames_contribute_nothing(self):
         rng = np.random.default_rng(0)
-        logits = rng.normal(size=(3, 5))
-        roll = (rng.random((3, 5)) < 0.4).astype(float)
-        mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        logits = rng.normal(size=(1, 3, 5))
+        roll = (rng.random((1, 3, 5)) < 0.4).astype(float)
+        mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
         base = losses.event_loss(ad.tensor(logits), roll, mask).values
         perturbed = logits.copy()
-        perturbed[:, 3:] = 100.0
+        perturbed[..., 3:] = 100.0
         after = losses.event_loss(ad.tensor(perturbed), roll, mask).values
         assert base == after
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            losses.event_loss(ad.tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+            losses.event_loss(ad.tensor(np.zeros((1, 2, 3))), np.zeros((1, 3, 2)), np.ones((1, 3)))
         with pytest.raises(DimensionError):
-            losses.event_loss(ad.tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros(4))
+            losses.event_loss(ad.tensor(np.zeros((1, 2, 3))), np.zeros((1, 2, 3)), np.zeros((1, 4)))
+        with pytest.raises(DimensionError):  # no batch axis
+            losses.event_loss(ad.tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.ones(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        logits = ad.tensor(rng.normal(size=(3, 4)))
-        roll = (rng.random((3, 4)) < 0.5).astype(float)
-        mask = np.array([1.0, 1.0, 0.0, 1.0])
+        logits = ad.tensor(rng.normal(size=(1, 3, 4)))
+        roll = (rng.random((1, 3, 4)) < 0.5).astype(float)
+        mask = np.array([[1.0, 1.0, 0.0, 1.0]])
         report = grad_check(lambda t: losses.event_loss(t, roll, mask), [logits])
         assert report.max_rel_err < 1e-6
 
@@ -55,7 +57,10 @@ class TestEventLoss:
         roll = (rng.random((2, 3, 5)) < 0.5).astype(float)
         mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0, 0.0]])
         batched = losses.event_loss(ad.tensor(logits), roll, mask).item()
-        chunks = [losses.event_loss(ad.tensor(logits[i]), roll[i], mask[i]) for i in range(2)]
+        chunks = [
+            losses.event_loss(ad.tensor(logits[i : i + 1]), roll[i : i + 1], mask[i : i + 1])
+            for i in range(2)
+        ]
         assert_allclose(batched, chunks[0].item() + chunks[1].item(), rtol=1e-14)
         with pytest.raises(DimensionError):
             losses.event_loss(ad.tensor(logits), roll, mask[0])
@@ -197,11 +202,11 @@ class TestCombinedObjectives:
 
     def test_objective_gradients_reach_both_terms(self):
         rng = np.random.default_rng(6)
-        event_logits = ad.tensor(rng.normal(size=(2, 3)))
+        event_logits = ad.tensor(rng.normal(size=(1, 2, 3)))
         scene_logits = ad.tensor(rng.normal(size=4))
-        roll = np.zeros((2, 3))
+        roll = np.zeros((1, 2, 3))
         with ad.Tape() as tape:
-            e1 = losses.event_loss(event_logits, roll)
+            e1 = losses.event_loss(event_logits, roll, np.ones((1, 3)))
             e3 = losses.soft_scene_loss(scene_logits, np.full(4, 0.25), 1.0)
             loss = losses.joint_objective(e1, e3, 0.5)
         tape.backward(loss)

@@ -15,6 +15,8 @@ from sedmtl import autodiff as ad
 from sedmtl import losses, networks
 from sedmtl.errors import DataError, DimensionError
 
+from gradcheck import weighted_sum
+
 
 def random_features(n_frames, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -196,7 +198,7 @@ class TestStudentForward:
         with ad.Tape() as tape:
             event_logits, scene_logits = networks.student_forward(params, [feats])
             loss = losses.joint_objective(
-                losses.event_loss(event_logits, roll[None]),
+                losses.event_loss(event_logits, roll[None], np.ones((1, 25))),
                 losses.scene_hard_loss(scene_logits[0], 1),
                 1.0,
             )
@@ -314,7 +316,7 @@ class TestConvBlock:
 
         monkeypatch.setattr(ad, "conv2d", recording_conv2d)
         with ad.Tape() as tape:
-            loss = ad.sum_all(networks._conv_stack(x, params, block))
+            loss = weighted_sum(networks._conv_stack(x, params, block))
         gc.collect()
         assert len(conv_values) == 1 and conv_values[0]() is None
         tape.backward(loss)
@@ -323,7 +325,7 @@ class TestConvBlock:
         # the same block with the conv output kept alive gives the same bits
         ad.zero_grads([x, kernel, bias])
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.relu(ad.maxpool2d(conv2d(x, kernel, bias), *pool)))
+            loss = weighted_sum(ad.relu(ad.maxpool2d(conv2d(x, kernel, bias), *pool)))
         tape.backward(loss)
         assert released == [t.grad.tobytes() for t in (x, kernel, bias)]
 
