@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -252,19 +253,52 @@ def _stats_to_meta(stats: BandStats) -> dict:
     return {"mean": list(stats.mean), "std": list(stats.std)}
 
 
-def _stats_from_meta(doc: dict) -> BandStats:
-    return BandStats(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
+# The class counts each kind of network is built for, and its initialiser.
+_NETWORKS = {
+    "teacher": (("n_scenes",), networks.init_teacher_params),
+    "student": (("n_scenes", "n_events"), networks.init_student_params),
+}
 
 
-def _check_vocabulary(path, meta: dict, vocabulary: Vocabulary, *counts):
-    """Stop before any features load when the checkpoint's class counts
-    (`n_scenes`, `n_events`) are not the vocabulary's."""
+def _load_model(args, kind):
+    """(parameters, band stats, vocabulary) of `args.checkpoint`, checked
+    before any features load: its kind, its class counts against
+    `args.vocabulary`, its band stats, and its parameter names and shapes
+    against those of a `kind` network built for the vocabulary."""
+    path = args.checkpoint
+    params, meta = networks.load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path} is not a {kind} checkpoint")
+    vocabulary = Vocabulary.load(args.vocabulary)
+    counts, init = _NETWORKS[kind]
     for count in counts:
         if meta.get(count) != getattr(vocabulary, count):
             raise DataError(
                 f"{path} has {count} {meta.get(count)}, "
                 f"but the vocabulary has {getattr(vocabulary, count)}"
             )
+    doc = meta.get("band_stats")
+    mean, std = (doc.get(key) if isinstance(doc, dict) else None for key in ("mean", "std"))
+    finite = all(
+        isinstance(row, list) and len(row) == networks.N_BANDS
+        and all(type(v) in (int, float) and np.isfinite(v) for v in row)
+        for row in (mean, std)
+    )
+    if not (finite and min(std) > 0):
+        raise DataError(
+            f"{path}: checkpoint band_stats must hold {networks.N_BANDS} finite means "
+            f"and {networks.N_BANDS} finite stds > 0"
+        )
+    found = [[name, list(t.shape)] for name, t in params.items()]
+    built = init(*(getattr(vocabulary, count) for count in counts), seed=0)
+    declared = [[name, list(t.shape)] for name, t in built.items()]
+    for i, (got, want) in enumerate(zip_longest(found, declared, fillvalue="nothing")):
+        if got != want:
+            raise DataError(
+                f"{path}: checkpoint params[{i}] is {got}, but a {kind} for this "
+                f"vocabulary has {want}"
+            )
+    return params, BandStats(mean=np.asarray(mean), std=np.asarray(std)), vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +391,9 @@ def cmd_distill(args) -> int:
     clock = _clock()
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
-    params, meta = networks.load_checkpoint(args.checkpoint)
-    if meta.get("kind") != "teacher":
-        raise DataError(f"{args.checkpoint} is not a teacher checkpoint")
-    vocabulary = Vocabulary.load(args.vocabulary)
-    _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes")
+    params, stats, vocabulary = _load_model(args, "teacher")
     folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
-    clips, _, _ = training.standardize_split(
-        examples, folds, -1, _stats_from_meta(meta["band_stats"])
-    )
+    clips, _, _ = training.standardize_split(examples, folds, -1, stats)
     labels = training.compute_soft_labels(params, clips, args.temperature)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -388,15 +416,9 @@ def cmd_eval(args) -> int:
     clock = _clock()
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
-    params, meta = networks.load_checkpoint(args.checkpoint)
-    if meta.get("kind") != "student":
-        raise DataError(f"{args.checkpoint} is not a student checkpoint")
-    vocabulary = Vocabulary.load(args.vocabulary)
-    _check_vocabulary(args.checkpoint, meta, vocabulary, "n_scenes", "n_events")
+    params, stats, vocabulary = _load_model(args, "student")
     folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
-    train_clips, val_clips, _ = training.standardize_split(
-        examples, folds, args.fold, _stats_from_meta(meta["band_stats"])
-    )
+    train_clips, val_clips, _ = training.standardize_split(examples, folds, args.fold, stats)
     scores = training.score_student(params, settings, train_clips, val_clips, vocabulary.events)
 
     out_dir = Path(args.out)

@@ -45,8 +45,6 @@ def median_smooth(binary: np.ndarray, window: int = DEFAULT_SMOOTH_WINDOW) -> np
     """
     if window < 1 or window % 2 == 0:
         raise ArgumentError(f"window must be odd and >= 1, got {window}")
-    if window == 1:
-        return np.array(binary, dtype=np.float64)
     binary = np.asarray(binary, dtype=np.float64)
     pad = window // 2
     lead = [(0, 0)] * (binary.ndim - 1)

@@ -32,9 +32,8 @@ recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
 JSON header plus one little-endian float64 blob in declared parameter order.
 """
 
-import contextlib
-import ctypes
 import json
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -86,28 +85,6 @@ def _serial_after_fork():
     _threads, _pool = 1, None
 
 os.register_at_fork(after_in_child=_serial_after_fork)
-
-try:  # glibc: malloc_trim(0) hands every malloc arena's free pages to the OS
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):  # another C library
-    _malloc_trim = None
-
-@contextlib.contextmanager
-def _trimmed_heap():
-    """Hand free heap pages back to the OS before and after a threaded
-    inference call. Each helper thread allocates from its own malloc arena,
-    and glibc keeps an arena's freed transients resident: untrimmed, the
-    helper's would stack on the later training peak, and the caller's free
-    pages from earlier stages on the call's own peak."""
-    trim = _malloc_trim if _threads > 1 else None
-    if trim:
-        trim(0)
-    try:
-        yield
-    finally:
-        if trim:
-            trim(0)
 
 def threads() -> int:
     """Threads that share per-input forwards and backwards in this process."""
@@ -167,18 +144,6 @@ class ModelParams:
             for t in self._params.values()
         ]
         return b"".join(parts)
-
-    def load_blob(self, blob: bytes):
-        offset = 0
-        for name, t in self._params.items():
-            nbytes = t.size * 8
-            chunk = blob[offset : offset + nbytes]
-            if len(chunk) != nbytes:
-                raise DataError(f"checkpoint blob too short at parameter {name!r}")
-            t.values = np.frombuffer(chunk, dtype="<f8").reshape(t.shape).copy()
-            offset += nbytes
-        if offset != len(blob):
-            raise DataError(f"checkpoint blob has {len(blob) - offset} trailing bytes")
 
     def copy_values(self) -> dict:
         return {name: t.values.copy() for name, t in self._params.items()}
@@ -302,23 +267,21 @@ def event_posteriors(params: ModelParams, features) -> list:
     groups = {}
     for i, f in enumerate(features):
         groups.setdefault(f.shape[-1], []).append(i)
-    with _trimmed_heap():
-        for members in groups.values():
-            for start in range(0, len(members), INFER_BATCH):
-                batch = members[start : start + INFER_BATCH]
-                mats = [features[i] for i in batch]
-                event_logits, _ = student_forward(
-                    params, mats * 2 if len(batch) == 1 else mats, scene=False
-                )
-                posteriors = ad.sigmoid(event_logits).values
-                for row, i in enumerate(batch):
-                    out[i] = posteriors[row]
+    for members in groups.values():
+        for start in range(0, len(members), INFER_BATCH):
+            batch = members[start : start + INFER_BATCH]
+            mats = [features[i] for i in batch]
+            event_logits, _ = student_forward(
+                params, mats * 2 if len(batch) == 1 else mats, scene=False
+            )
+            posteriors = ad.sigmoid(event_logits).values
+            for row, i in enumerate(batch):
+                out[i] = posteriors[row]
     return out
 
 def teacher_logits(params: ModelParams, features) -> list:
     """Each feature matrix's scene logits, the forwards shared across threads."""
-    with _trimmed_heap():
-        return _thread_map(lambda f: teacher_forward(params, f).values, features)
+    return _thread_map(lambda f: teacher_forward(params, f).values, features)
 
 def save_checkpoint(path, params: ModelParams, meta: dict):
     """JSON header (meta + parameter manifest) followed by the value blob."""
@@ -351,9 +314,23 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if not isinstance(meta, dict) or not isinstance(meta.get("params"), list):
         raise DataError(f"{path}: checkpoint header has no 'params' list")
     offset += header_len
-    params = ModelParams()
     manifest = meta.pop("params")
-    for name, shape in manifest:
-        params.add(name, np.zeros(shape))
-    params.load_blob(blob[offset:])
+    for i, entry in enumerate(manifest):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+        ):
+            raise DataError(f"{path}: checkpoint params[{i}] is {entry!r}, not a [name, shape] pair")
+    if len({name for name, _ in manifest}) != len(manifest):
+        raise DataError(f"{path}: checkpoint names a parameter more than once")
+    sizes = [math.prod(shape) for _, shape in manifest]
+    if 8 * sum(sizes) != len(blob) - offset:
+        raise DataError(
+            f"{path}: checkpoint parameters hold {sum(sizes)} values, "
+            f"but {len(blob) - offset} bytes follow the header"
+        )
+    params = ModelParams()
+    for (name, shape), size in zip(manifest, sizes):
+        params.add(name, np.frombuffer(blob, "<f8", size, offset).reshape(shape).copy())
+        offset += 8 * size
     return params, meta

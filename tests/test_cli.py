@@ -491,6 +491,16 @@ def write_checkpoint(path, kind):
     })
 
 
+def edit_checkpoint_header(blob, edit):
+    """Checkpoint bytes `blob` with `edit` applied to their parsed JSON header."""
+    start = len(networks.CHECKPOINT_MAGIC) + 4
+    (size,) = struct.unpack_from("<I", blob, start - 4)
+    header = json.loads(blob[start : start + size])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[: start - 4] + struct.pack("<I", len(text)) + text + blob[start + size :]
+
+
 def run_cli(*argv):
     """`python -m sedmtl.cli *argv` in a fresh process, output captured."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -867,6 +877,16 @@ class TestRunManifestInputs:
 
 # (bands, frames, hop) in the header of each broken feature cache
 CACHE_HEADERS = {"63-bands": (63, 49, 0.02), "0-frames": (64, 0, 0.02), "hop-0.01": (64, 49, 0.01)}
+# Edits of a write_checkpoint header, in place.
+CHECKPOINT_HEADERS = {
+    "no-band-stats": lambda h: h.pop("band_stats"),
+    "3-bands": lambda h: h["band_stats"].update(mean=[0.0] * 3, std=[1.0] * 3),
+    "nan-std": lambda h: h["band_stats"]["std"].__setitem__(5, float("nan")),
+    "params-entry": lambda h: h["params"].__setitem__(1, 3),
+    "param-name": lambda h: h["params"][0].__setitem__(0, "conv1.kernel"),
+    "param-shape": lambda h: h["params"][0].__setitem__(1, [128, 1, 9, 1]),
+}
+BAND_STATS = "{path}: checkpoint band_stats must hold 64 finite means and 64 finite stds > 0"
 # Malformed inputs: (input kind, corruption, command, the error after
 # "error: "). {path} is the broken file; {eof} and {ff} are the JSON and
 # UTF-8 errors of the fixed "truncated" and "not-utf8" texts. The "fold flag"
@@ -907,6 +927,16 @@ MALFORMED_INPUTS = [
     ("annotation", "unknown-event", "train",
      "{path}: line 2: home_0: unknown event name 'thunder'"),
     ("fold flag", "-7", "eval", "fold -7 is not -1 (every clip) or a fold >= 0"),
+    ("checkpoint", "no-band-stats", "eval", BAND_STATS),
+    ("checkpoint", "3-bands", "distill", BAND_STATS),
+    ("checkpoint", "nan-std", "eval", BAND_STATS),
+    ("checkpoint", "params-entry", "eval", "{path}: checkpoint params[1] is 3, not a [name, shape] pair"),
+    ("checkpoint", "param-name", "eval",
+     "{path}: checkpoint params[0] is ['conv1.kernel', [128, 1, 3, 3]], "
+     "but a student for this vocabulary has ['trunk1.kernel', [128, 1, 3, 3]]"),
+    ("checkpoint", "param-shape", "distill",
+     "{path}: checkpoint params[0] is ['conv1.kernel', [128, 1, 9, 1]], "
+     "but a teacher for this vocabulary has ['conv1.kernel', [128, 1, 3, 3]]"),
 ]
 
 
@@ -977,6 +1007,8 @@ class TestErrorBoundary:
         if kind == "cache index":  # it lives in the output directory of `features`
             out.mkdir()
             files[kind] = out / "cache_index.json"
+        elif kind == "checkpoint":  # the model `distill` or `eval` reads
+            files[kind] = tmp_path / "model.ckpt"
         elif kind == "feature cache":  # home_0's cache in a copy of the caches
             files["features"] = shutil.copytree(ds["features"], tmp_path / "features")
             files[kind] = files["features"] / "home_0.sdfc"
@@ -1011,6 +1043,8 @@ class TestErrorBoundary:
             entries["home_0"]["fold"] = -3
         elif corruption == "empty":
             entries.clear()
+        if command in ("distill", "eval"):
+            write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
         fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}
         if kind == "fold flag":
             text = None
@@ -1023,6 +1057,8 @@ class TestErrorBoundary:
             text += data.astype("<f8").tobytes()
         elif kind == "annotation":
             text = b"0.1\t0.4\tdishes\n0.5\t0.9\tthunder\n"
+        elif kind == "checkpoint":
+            text = edit_checkpoint_header(path.read_bytes(), CHECKPOINT_HEADERS[corruption])
         else:
             doc = entries if kind == "manifest" and corruption != "entry" else bad_entry[kind]
             text = json.dumps(doc).encode()
@@ -1040,8 +1076,6 @@ class TestErrorBoundary:
         elif command in ("train", "cv"):
             argv = ["--config", str(files["config"])]
         else:
-            model = "teacher" if command == "distill" else "student"
-            write_checkpoint(tmp_path / "model.ckpt", model)
             argv = [
                 "--checkpoint", str(tmp_path / "model.ckpt"),
                 "--manifest", str(files["manifest"]), "--vocabulary", str(files["vocabulary"]),

@@ -104,8 +104,14 @@ class TestBinarize:
     def test_long_activation_survives_median(self):
         post = np.zeros((1, 80))
         post[0, 20:60] = 0.99
+        post[0, 70] = 0.99
         out = ev.binarize(post, 0.5)
         assert out[0, 25:55].all()
+        # window 1 filters nothing: every thresholded frame comes back as is
+        for shape in ((5, 1), (3, 7), (2, 4, 50), (1, 0)):
+            binary = (np.random.default_rng(7).random(shape) < 0.5).astype(np.float64)
+            assert np.array_equal(ev.median_smooth(binary, 1), binary)
+        assert np.array_equal(ev.binarize(post, 0.5, 1), (post > 0.5).astype(np.float64))
 
     def test_out_of_range_posterior(self):
         with pytest.raises(ArgumentError):

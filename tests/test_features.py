@@ -1,5 +1,6 @@
 import ast
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +295,21 @@ class TestPublicNames:
                     if found != skip:
                         used.add(found)
         assert sorted(public - used) == []
+
+    def test_imports_are_the_package_numpy_or_the_standard_library(self):
+        """numpy is the one runtime dependency (pyproject's only one): every
+        import of the package is relative, numpy or a standard library module."""
+        foreign = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                foreign += [
+                    f"{path.name}:{node.lineno} {m}" for m in modules
+                    if m.split(".")[0] not in {"numpy", *sys.stdlib_module_names}
+                ]
+        assert foreign == []

@@ -371,8 +371,19 @@ class TestCheckpoint:
             (lambda good: header(b'{"kind": "teacher"}'), "checkpoint header has no 'params' list"),
             (lambda good: header(b'{"params": 3}'), "checkpoint header has no 'params' list"),
             (lambda good: header(b"[1, 2]"), "checkpoint header has no 'params' list"),
+            (lambda good: header(b'{"params": [["a", [1]], 1]}'),
+             r"checkpoint params\[1\] is 1, not a \[name, shape\] pair"),
+            (lambda good: header(b'{"params": [["a", [-1]]]}'),
+             r"checkpoint params\[0\] is \['a', \[-1\]\], not a \[name, shape\] pair"),
+            (lambda good: header(b'{"params": [["a", []], ["a", [2]]]}'),
+             "checkpoint names a parameter more than once"),
+            (lambda good: good[:-8],
+             "checkpoint parameters hold 296964 values, but 2375704 bytes follow the header"),
+            (lambda good: good + bytes(8),
+             "checkpoint parameters hold 296964 values, but 2375720 bytes follow the header"),
         ],
-        ids=["short", "cut-in-header", "not-utf8", "not-json", "no-params", "params-number", "list"],
+        ids=["short", "cut-in-header", "not-utf8", "not-json", "no-params", "params-number", "list",
+             "params-entry", "negative-size", "duplicate-name", "cut-in-blob", "trailing-bytes"],
     )
     def test_damaged_header_names_the_file(self, tmp_path, damage, problem):
         path = tmp_path / "teacher.ckpt"

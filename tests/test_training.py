@@ -530,17 +530,6 @@ class TestInferenceThreads:
         assert all(pooled[c].tobytes() == serial[c].tobytes() for c in serial)
         assert accuracy == training.teacher_accuracy(params, clips)
 
-    def test_each_threaded_call_trims_the_heap_before_and_after(self, monkeypatch, two_threads):
-        trims = []
-        monkeypatch.setattr(networks, "_malloc_trim", trims.append)
-        clips = mixed_length_clips()[:3]
-        training.student_posteriors(networks.init_student_params(4, 3, seed=21), *clips)
-        training.compute_soft_labels(networks.init_teacher_params(4, seed=3), clips, 1.0)
-        assert trims == [0] * 4
-        monkeypatch.setattr(networks, "_threads", 1)  # serial: the allocator is left alone
-        training.student_posteriors(networks.init_student_params(4, 3, seed=21), *clips)
-        assert trims == [0] * 4
-
 
 class TestBatchedStudentStep:
     def test_one_tape_matches_the_per_chunk_sum(self):
