@@ -143,11 +143,6 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 class _Outputs:
     """Several tensors as the output of one tape record: the record runs
     when any of them has a gradient, and is handed the list of theirs."""

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, evaluation as ev, networks, training
 from .data import (
     Vocabulary,
+    clip_id_from_path,
     count_clipped_events,
     events_to_roll,
     make_folds,
@@ -149,18 +150,20 @@ def cmd_ingest(args) -> int:
 
 
 def _derive_vocabulary(metadata_text: str, ann_dir: Path) -> Vocabulary:
-    scenes = set()
+    """The sorted scene names of the metadata lines and event names of their
+    clips' annotation files; other files in `ann_dir` are not read."""
+    scenes, events = set(), set()
     for line in metadata_text.splitlines():
-        if line.strip():
-            parts = line.split("\t")
-            if len(parts) == 2:
-                scenes.add(parts[1])
-    events = set()
-    for ann_path in sorted(ann_dir.glob("*.txt")):
-        for line in ann_path.read_text(encoding="utf-8").splitlines():
-            parts = line.split("\t")
-            if len(parts) == 3:
-                events.add(parts[2])
+        parts = line.split("\t")
+        if len(parts) != 2:
+            continue
+        scenes.add(parts[1])
+        ann_path = ann_dir / f"{clip_id_from_path(parts[0])}.txt"
+        if ann_path.is_file():  # a missing one is reported by `cmd_ingest`
+            for event_line in ann_path.read_text(encoding="utf-8").splitlines():
+                fields = event_line.split("\t")
+                if len(fields) == 3:
+                    events.add(fields[2])
     return Vocabulary(scenes=sorted(scenes), events=sorted(events))
 
 

@@ -25,11 +25,6 @@ class Vocabulary:
     scenes: list[str]
     events: list[str]
 
-    def __post_init__(self):
-        for kind, names in (("scene", self.scenes), ("event", self.events)):
-            if len(set(names)) != len(names):
-                raise ArgumentError(f"duplicate {kind} names in vocabulary")
-
     @property
     def n_scenes(self) -> int:
         return len(self.scenes)
@@ -45,12 +40,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """The vocabulary of a JSON file {"scenes": [names], "events": [names]}."""
+        """The vocabulary of a JSON file {"scenes": [names], "events": [names]},
+        each list naming each class once."""
         doc = read_json(path, "a vocabulary")
         for key in ("scenes", "events"):
             names = doc.get(key)
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise DataError(f"{path}: {key!r} must be a list of names, got {names!r}")
+            repeated = [n for i, n in enumerate(names) if n in names[:i]]
+            if repeated:
+                raise DataError(f"{path}: {key!r} names {repeated[0]!r} more than once")
         return cls(scenes=doc["scenes"], events=doc["events"])
 
 

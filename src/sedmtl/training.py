@@ -20,19 +20,19 @@ spread their per-chunk and per-clip work over threads (see `networks`), each
 with the same one-thread BLAS calls, and training adds the per-item
 gradients in the serial order, so threading leaves the bits unchanged.
 
-Every mode runs one epoch loop, `_fit`: seeded mini-batches, batch-mean
-gradients, Adam, per-epoch validation, and early stopping that restores the
-best epoch. A loss or gradient that is not finite stops training before the
-optimizer step, naming the epoch, batch and parameter. The teacher records one
-sub-tape per clip, as its clips may differ in length; the student one tape
-per mini-batch of equal-length chunks, taking the scene losses per chunk. A
-student's mode picks its scene term once; event_only, which has none, skips
-the scene head.
+Every mode runs one epoch loop, `_fit`: seeded mini-batches, each one step
+on one tape, batch-mean gradients, Adam, per-epoch validation, and early
+stopping that restores the best epoch. Each trainer supplies only its batch
+loss; `_fit` records it, and a loss or gradient that is not finite stops
+training before the optimizer step, naming the epoch, batch and parameter.
+The teacher's batch loss sums one sub-tape per clip, as its clips may differ
+in length; the student's covers its mini-batch of equal-length chunks at
+once, taking the scene losses per chunk. A student's mode picks its scene
+term once; event_only, which has none, skips the scene head.
 """
 
 import collections
 import functools
-import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
@@ -283,15 +283,15 @@ class TrainResult:
     val_posteriors: list | None = None  # students: the best epoch's, per val clip
 
 
-def _fit(config, init, items, val_clips, run_batch, epoch_losses, validate) -> TrainResult:
+def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> TrainResult:
     """The epoch loop of every mode, early-stopping on `validate(params)`,
     which returns (metric name, value, extra metrics, validation posteriors).
 
     `init()` builds the parameters once both folds are known to be non-empty.
-    Per mini-batch, `run_batch(params, batch, totals, check)` records its
-    tapes, hands each loss to `check` before its backward, and adds its
-    losses into the epoch's `totals`, which `epoch_losses(totals)` turns into
-    the log record.
+    Each mini-batch is one step on one tape: `batch_loss(params, batch,
+    totals)` records the batch's forward, adds its loss terms into the
+    epoch's `totals` and returns the batch's summed loss; `epoch_losses(totals)`
+    turns the totals into the log record.
     """
     kind = "teacher" if config.mode == "teacher" else "student"
     if not items:
@@ -302,11 +302,6 @@ def _fit(config, init, items, val_clips, run_batch, epoch_losses, validate) -> T
     state = AdamState()
     rng = np.random.default_rng(config.seed)
     stop = f"{config.mode} training stopped"
-
-    def check(loss):
-        if not np.isfinite(loss.item()):
-            raise DataError(f"{stop}: loss is {loss.item()} at epoch {epoch}, batch {number}")
-
     log = []
     best_metric = -np.inf
     best_epoch = -1
@@ -319,20 +314,24 @@ def _fit(config, init, items, val_clips, run_batch, epoch_losses, validate) -> T
         for start in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[start : start + config.batch_size]]
             number = start // config.batch_size + 1
-            ad.zero_grads(params.tensors())
-            run_batch(params, batch, totals, check)
-            grads = {}  # batch means
+            with ad.Tape() as tape:
+                loss = batch_loss(params, batch, totals)
+            if not np.isfinite(loss.item()):
+                raise DataError(f"{stop}: loss is {loss.item()} at epoch {epoch}, batch {number}")
+            tape.backward(loss)
+            del tape  # its records hold the step's activations
+            grads = {}  # batch means, each gradient cleared as it is read
             for name, t in params.items():
-                if t.grad is None:
+                g, t.grad = t.grad, None
+                if g is None:
                     continue
-                if not np.isfinite(t.grad).all():
+                if not np.isfinite(g).all():
                     raise DataError(
                         f"{stop}: gradient of {name} is not finite "
                         f"at epoch {epoch}, batch {number}"
                     )
-                grads[name] = t.grad / len(batch)
+                grads[name] = g / len(batch)
             adam_step(params, grads, state, config.learning_rate)
-        ad.zero_grads(params.tensors())
         metric_name, metric, extra, posteriors = validate(params)
         log.append(
             {
@@ -374,27 +373,23 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
         logits = networks.teacher_forward(params, clip.features.data)
         return losses.scene_hard_loss(logits, clip.scene)
 
-    def run_batch(params, batch, totals, check):
+    def batch_loss(params, batch, totals):
         # Clips differ in length: each records a sub-tape of its own, on
         # threads, and their gradients add clip 0 first, as one tape per clip
         # backwarded in turn would.
-        with ad.Tape() as tape:
-            clip_losses = ad._taped_map(
-                clip_loss, batch, params, networks._thread_map, last_first=False
-            )
-            loss = functools.reduce(ad.add, clip_losses)
-        for each in clip_losses:
-            check(each)
-        tape.backward(loss)
+        clip_losses = ad._taped_map(
+            clip_loss, batch, params, networks._thread_map, last_first=False
+        )
         for each in clip_losses:
             totals["scene_hard"] += each.item()
+        return functools.reduce(ad.add, clip_losses)
 
     return _fit(
         config,
         lambda: networks.init_teacher_params(n_scenes, config.seed),
         train_clips,
         val_clips,
-        run_batch,
+        batch_loss,
         lambda totals: {"scene_hard": totals["scene_hard"] / len(train_clips)},
         lambda params: ("scene_accuracy", teacher_accuracy(params, val_clips), {}, None),
     )
@@ -493,27 +488,25 @@ def train_student(
         ),
     }[config.mode]
 
-    def run_batch(params, batch, totals, check):
+    def batch_loss(params, batch, totals):
         chunks = [chunk for chunk, _ in batch]
-        with ad.Tape() as tape:  # one tape for the whole mini-batch
-            event_logits, scene_logits = networks.student_forward(
-                params, [chunk.features for chunk in chunks], scene=scene_term is not None
-            )
-            event = losses.event_loss(
-                event_logits,
-                np.stack([chunk.roll for chunk in chunks]),
-                np.stack([chunk.mask for chunk in chunks]),
-            )
-            loss = event
-            if scene_term is not None:
-                scene_loss, weight = scene_term
-                terms = [scene_loss(s, clip) for s, (_, clip) in zip(scene_logits, batch)]
-                loss = losses.joint_objective(event, functools.reduce(ad.add, terms), weight)
-        check(loss)
-        tape.backward(loss)
+        event_logits, scene_logits = networks.student_forward(
+            params, [chunk.features for chunk in chunks], scene=scene_term is not None
+        )
+        event = losses.event_loss(
+            event_logits,
+            np.stack([chunk.roll for chunk in chunks]),
+            np.stack([chunk.mask for chunk in chunks]),
+        )
+        loss = event
+        if scene_term is not None:
+            scene_loss, weight = scene_term
+            terms = [scene_loss(s, clip) for s, (_, clip) in zip(scene_logits, batch)]
+            loss = losses.joint_objective(event, functools.reduce(ad.add, terms), weight)
         totals["event"] += event.item()
         totals["scene"] += loss.item() - event.item()
         totals["units"] += sum(chunk.roll.shape[0] * int(chunk.mask.sum()) for chunk in chunks)
+        return loss
 
     def epoch_losses(totals):
         return {
@@ -533,7 +526,7 @@ def train_student(
         lambda: networks.init_student_params(n_scenes, items[0][0].roll.shape[0], config.seed),
         items,
         val_clips,
-        run_batch,
+        batch_loss,
         epoch_losses,
         validate,
     )
@@ -644,7 +637,8 @@ def run_cross_validation(
     sets its own mode, seed and fold. The `vocabulary` sizes the scene heads
     and names the per-event rows.
 
-    At most min(workers, runs, CPU count) worker processes run at once.
+    At most min(workers, runs, `networks.threads()`) worker processes run at
+    once: no more than the cores this process may run on.
     """
     present = set(folds.values())
     last = max(present)
@@ -660,7 +654,7 @@ def run_cross_validation(
         for seed in cv.seeds:
             configs = [replace(base, mode=mode, seed=seed, fold=fold) for mode in run_modes]
             jobs.append((examples, folds, configs, fold, cv.eval, vocabulary))
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), networks.threads())
     if workers > 1:
         import multiprocessing
 

@@ -10,8 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sedmtl.autodiff import Tape, Tensor, matmul, reshape, tensor, zero_grads
+from sedmtl.autodiff import Tape, Tensor, matmul, reshape, tensor
 from sedmtl.errors import ArgumentError
+
+
+def zero_grads(tensors):
+    """Drop the gradients of `tensors`, so the next backward starts from none."""
+    for t in tensors:
+        t.grad = None
 
 
 def weighted_sum(out: Tensor, weights=None) -> Tensor:

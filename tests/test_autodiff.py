@@ -13,7 +13,7 @@ from sedmtl import autodiff as ad
 from sedmtl import networks
 from sedmtl.errors import ArgumentError, DimensionError
 
-from gradcheck import grad_check, weighted_sum
+from gradcheck import grad_check, weighted_sum, zero_grads
 
 
 def brute_force_conv2d(x, kernel, bias):
@@ -596,7 +596,7 @@ class TestTapedMap:
             lambda: [networks.student_trunk(params, f) for f in feats],
             lambda: ad._taped_map(networks.student_trunk, feats, params, networks._thread_map),
         ):
-            ad.zero_grads(params.tensors())
+            zero_grads(params.tensors())
             with ad.Tape() as tape:
                 loss = weighted_sum(ad.stack(trunks(), axis=0), weights)
             tape.backward(loss)
@@ -612,13 +612,13 @@ class TestTapedMap:
         def loss_of(p, f):
             return weighted_sum(networks.teacher_forward(p, f))
 
-        ad.zero_grads(params.tensors())
+        zero_grads(params.tensors())
         for f in feats:
             with ad.Tape() as tape:
                 loss = loss_of(params, f)
             tape.backward(loss)
         serial = self.grads(params)
-        ad.zero_grads(params.tensors())
+        zero_grads(params.tensors())
         with ad.Tape() as tape:
             losses = ad._taped_map(loss_of, feats, params, networks._thread_map, last_first=False)
             loss = functools.reduce(ad.add, losses)

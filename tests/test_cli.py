@@ -113,6 +113,21 @@ class TestIngest:
         assert code == 1
         assert info.clips[2].clip_id in capsys.readouterr().err
 
+    def test_vocabulary_reads_only_the_clips_annotation_files(self, tmp_path, capsys):
+        info = generate_fixture(tmp_path / "data", clip_seconds=1.0, clips_per_scene=1)
+        (info.annotations_dir / "stray.txt").write_text("0.1\t0.5\tthunder\n")
+        out = tmp_path / "out"
+        code = cli.main([
+            "ingest",
+            "--metadata", str(info.metadata_path),
+            "--annotations", str(info.annotations_dir),
+            "--out", str(out),
+        ])
+        assert code == 0
+        vocab = json.loads((out / "vocabulary.json").read_text(encoding="utf-8"))
+        assert "thunder" not in vocab["events"]
+        assert "thunder" not in capsys.readouterr().out
+
     def test_rerun_identical_manifest(self, fixture_dataset, tmp_path):
         args = [
             "ingest",
@@ -660,6 +675,26 @@ class TestCrossValidation:
         assert capsys.readouterr().err.startswith("error: SEDMTL_WORKERS must be an integer >= 1")
         assert not (tmp_path / "cv").exists()
 
+    def test_worker_processes_capped_by_the_affinity_mask(
+        self, fixture_dataset, tmp_path, monkeypatch
+    ):
+        # one core in this process's affinity mask: SEDMTL_WORKERS=2 must not
+        # fork two processes onto it, whatever os.cpu_count() says
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was made")
+
+        monkeypatch.setattr(networks, "_threads", 1)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setenv("SEDMTL_WORKERS", "2")
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
+        doc["cv"]["modes"] = ["event_only"]
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["cv", "--config", str(cfg)]) == 0
+        assert (tmp_path / "cv" / "cv_report.json").is_file()
+
     def test_cv_emits_row_per_mode(self, fixture_dataset, tmp_path, capsys):
         doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
         cfg = tmp_path / "cv.json"
@@ -894,6 +929,7 @@ BAND_STATS = "{path}: checkpoint band_stats must hold 64 finite means and 64 fin
 MALFORMED_INPUTS = [
     ("vocabulary", "truncated", "ingest", "{path}: a vocabulary is not valid JSON: {eof}"),
     ("vocabulary", "not-utf8", "train", "{path}: a vocabulary is not valid JSON: {ff}"),
+    ("vocabulary", "repeated-event", "ingest", "{path}: 'events' names 'car' more than once"),
     ("config", "truncated", "train", "{path}: a config is not valid JSON: {eof}"),
     ("config", "not-utf8", "cv", "{path}: a config is not valid JSON: {ff}"),
     ("config", "list", "train", "{path}: a config must be a JSON object, got list"),
@@ -982,6 +1018,7 @@ class TestErrorBoundary:
                 for corrupt, message in [
                     ("list", "{path}: a vocabulary must be a JSON object, got list"),
                     ("scenes-number", "{path}: 'scenes' must be a list of names, got 3"),
+                    ("repeated-event", "{path}: 'events' names 'car' more than once"),
                 ]
                 for command in ["train", "distill", "eval", "cv"]
             ),
@@ -1043,6 +1080,9 @@ class TestErrorBoundary:
             entries["home_0"]["fold"] = -3
         elif corruption == "empty":
             entries.clear()
+        elif corruption == "repeated-event":
+            vocabulary = json.loads(ds["vocabulary"].read_text(encoding="utf-8"))
+            bad_entry[kind] = dict(vocabulary, events=[*vocabulary["events"], "car"])
         if command in ("distill", "eval"):
             write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
         fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -47,9 +48,11 @@ class TestParseMetadata:
         with pytest.raises(ParseError, match="line 2"):
             data.parse_metadata("a.wav\thome\nbroken-line\n", VOCAB)
 
-    def test_duplicate_vocab_names_rejected(self):
-        with pytest.raises(ArgumentError):
-            Vocabulary(scenes=["home", "home"], events=["car"])
+    def test_duplicate_vocab_names_rejected(self, tmp_path):
+        path = tmp_path / "vocabulary.json"
+        path.write_text(json.dumps({"scenes": ["home", "home"], "events": ["car"]}))
+        with pytest.raises(DataError, match=r"'scenes' names 'home' more than once$"):
+            Vocabulary.load(path)
 
 
 class TestParseEventAnnotations:

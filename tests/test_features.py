@@ -296,6 +296,20 @@ class TestPublicNames:
                         used.add(found)
         assert sorted(public - used) == []
 
+    def test_tapes_open_only_in_the_fit_loop_and_taped_map(self):
+        """Training records each mini-batch on one tape, opened by
+        `training._fit`; the only other tapes are `autodiff._taped_map`'s
+        per-item sub-tapes. Lists each `Tape(` call by its top-level owner."""
+        owners = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for owner in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(owner):
+                    if isinstance(node, ast.Call) and "Tape" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        owners.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+        assert owners == ["autodiff._taped_map", "training._fit"]
+
     def test_imports_are_the_package_numpy_or_the_standard_library(self):
         """numpy is the one runtime dependency (pyproject's only one): every
         import of the package is relative, numpy or a standard library module."""

@@ -15,7 +15,7 @@ from sedmtl import autodiff as ad
 from sedmtl import losses, networks
 from sedmtl.errors import DataError, DimensionError
 
-from gradcheck import weighted_sum
+from gradcheck import weighted_sum, zero_grads
 
 
 def random_features(n_frames, seed=0, scale=1.0):
@@ -194,7 +194,7 @@ class TestStudentForward:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(64, 25))
         roll = (rng.random((4, 25)) < 0.5).astype(float)
-        ad.zero_grads(params.tensors())
+        zero_grads(params.tensors())
         with ad.Tape() as tape:
             event_logits, scene_logits = networks.student_forward(params, [feats])
             loss = losses.joint_objective(
@@ -323,7 +323,7 @@ class TestConvBlock:
         released = [t.grad.tobytes() for t in (x, kernel, bias)]
 
         # the same block with the conv output kept alive gives the same bits
-        ad.zero_grads([x, kernel, bias])
+        zero_grads([x, kernel, bias])
         with ad.Tape() as tape:
             loss = weighted_sum(ad.relu(ad.maxpool2d(conv2d(x, kernel, bias), *pool)))
         tape.backward(loss)
