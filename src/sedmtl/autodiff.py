@@ -13,10 +13,11 @@ each on its own sub-tape, and joins them to the caller's tape as one record
 whose backward adds the items' parameter gradients in the order one serial
 tape would, so threading moves no bit.
 
-The op set is exactly what the networks and losses need: elementwise
+The op set is exactly what a training step records: elementwise
 arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
-final windows, a bidirectional GRU, the usual activations, and a temperature
-softmax.
+final windows, a bidirectional GRU and relu. Steps that are never
+differentiated, the posterior sigmoid and the teacher's temperature softmax,
+run in plain numpy (`_sigmoid_values`, `losses.distill_targets`).
 """
 
 import operator
@@ -68,11 +69,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
-
-
-def tensor(values) -> Tensor:
-    """Wrap raw values in a leaf Tensor."""
-    return Tensor(values)
 
 
 class Tape:
@@ -306,40 +302,6 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # are the two usual stable forms (NaN takes the second and stays NaN).
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_values(a.values)
-    out = Tensor(s)
-
-    def backward(g):
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _record(out, backward)
-
-
-def softmax_temperature(logits: Tensor, temperature: float) -> Tensor:
-    """Temperature softmax over a 1-D logit vector.
-
-    Computes exp(x_c / T) / sum_i exp(x_i / T), stabilized by subtracting the
-    max of x / T before exponentiation.
-    """
-    if temperature <= 0.0:
-        raise ArgumentError(f"temperature must be positive, got {temperature}")
-    if logits.values.ndim != 1 or logits.values.size == 0:
-        raise ArgumentError(
-            f"softmax expects a non-empty vector, got shape {logits.values.shape}"
-        )
-    u = logits.values / temperature
-    u = u - u.max()
-    e = np.exp(u)
-    p = e / e.sum()
-    out = Tensor(p)
-
-    def backward(g):
-        _accumulate(logits, (p * (g - np.dot(g, p))) / temperature)
-
-    return _record(out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .data import (
     read_manifest,
     write_json,
 )
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, VocabularyError
 from .features import (
     BandStats,
     log_mel_energy,
@@ -103,21 +103,18 @@ def cmd_ingest(args) -> int:
         raise DataError(f"metadata file not found: {metadata_path}")
     if not ann_dir.is_dir():
         raise DataError(f"annotations directory not found: {ann_dir}")
-    metadata_text = metadata_path.read_text(encoding="utf-8")
 
     if args.vocabulary:
         vocabulary = Vocabulary.load(args.vocabulary)
     else:
-        vocabulary = _derive_vocabulary(metadata_text, ann_dir)
-    records = parse_metadata(metadata_text, vocabulary)
+        vocabulary = _derive_vocabulary(metadata_path, ann_dir)
+    records = _parse_file(metadata_path, parse_metadata, vocabulary)
     for record in records:
         ann_path = ann_dir / f"{record.clip_id}.txt"
         if not ann_path.is_file():
             raise DataError(f"annotation file missing for clip {record.clip_id!r}: {ann_path}")
         record.annotation_path = str(ann_path)
-        record.events = parse_event_annotations(
-            ann_path.read_text(encoding="utf-8"), record.clip_id, vocabulary
-        )
+        record.events = _parse_file(ann_path, parse_event_annotations, record.clip_id, vocabulary)
     folds = make_folds(records, n_folds=args.folds, seed=args.seed)
 
     audio_root = metadata_path.parent
@@ -131,7 +128,7 @@ def cmd_ingest(args) -> int:
         }
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "manifest.json", entries)
-    vocabulary.save(out_dir / "vocabulary.json")
+    write_json(out_dir / "vocabulary.json", asdict(vocabulary))
 
     scene_counts = {name: 0 for name in vocabulary.scenes}
     event_counts = {name: 0 for name in vocabulary.events}
@@ -149,11 +146,21 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _derive_vocabulary(metadata_text: str, ann_dir: Path) -> Vocabulary:
+def _parse_file(path, parse, *args):
+    """parse(the text of the UTF-8 file at `path`, *args); a line it cannot
+    parse, or a name outside the vocabulary, raises a DataError naming the
+    file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
+    except (ParseError, VocabularyError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _derive_vocabulary(metadata_path: Path, ann_dir: Path) -> Vocabulary:
     """The sorted scene names of the metadata lines and event names of their
     clips' annotation files; other files in `ann_dir` are not read."""
     scenes, events = set(), set()
-    for line in metadata_text.splitlines():
+    for line in metadata_path.read_text(encoding="utf-8").splitlines():
         parts = line.split("\t")
         if len(parts) != 2:
             continue
@@ -235,12 +242,7 @@ def _load_examples(manifest_path, vocabulary, features_dir):
             raise DataError(f"feature cache missing for clip {clip_id!r}: {cache_path}")
         features = read_feature_cache(cache_path, clip_id)
         ann_path = entry["annotation_path"]
-        try:
-            events = parse_event_annotations(
-                Path(ann_path).read_text(encoding="utf-8"), clip_id, vocabulary
-            )
-        except ParseError as exc:
-            raise DataError(f"{ann_path}: {exc}") from None
+        events = _parse_file(ann_path, parse_event_annotations, clip_id, vocabulary)
         roll = events_to_roll(events, features.n_frames, vocabulary.n_events)
         clipped_total += count_clipped_events(events, features.n_frames)
         examples[clip_id] = ClipExample(

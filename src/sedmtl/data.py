@@ -33,11 +33,6 @@ class Vocabulary:
     def n_events(self) -> int:
         return len(self.events)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"scenes": self.scenes, "events": self.events}, fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """The vocabulary of a JSON file {"scenes": [names], "events": [names]},

@@ -64,12 +64,21 @@ def scene_hard_loss(logits: Tensor, scene: int) -> Tensor:
 
 
 def distill_targets(teacher_logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Teacher soft label: temperature softmax of the teacher's logits.
+    """Teacher soft label: the temperature softmax of a non-empty logit
+    vector, exp(x_c / T) / sum_i exp(x_i / T), with the max of x / T
+    subtracted before exponentiation.
 
-    Pure numpy on purpose; gradients never flow into the teacher.
+    Plain numpy, never taped: gradients do not flow into the teacher.
     """
-    p = ad.softmax_temperature(ad.tensor(teacher_logits), temperature)
-    return p.values
+    if temperature <= 0.0:
+        raise ArgumentError(f"temperature must be positive, got {temperature}")
+    x = np.asarray(teacher_logits, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ArgumentError(f"softmax expects a non-empty vector, got shape {x.shape}")
+    u = x / temperature
+    u = u - u.max()
+    e = np.exp(u)
+    return e / e.sum()
 
 
 def soft_scene_loss(logits: Tensor, soft_target: np.ndarray, temperature: float) -> Tensor:

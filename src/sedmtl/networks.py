@@ -125,15 +125,12 @@ class ModelParams:
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = ad.tensor(values)
+        t = Tensor(values)
         self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def tensors(self):
-        return list(self._params.values())
 
     def items(self):
         return self._params.items()
@@ -274,7 +271,7 @@ def event_posteriors(params: ModelParams, features) -> list:
             event_logits, _ = student_forward(
                 params, mats * 2 if len(batch) == 1 else mats, scene=False
             )
-            posteriors = ad.sigmoid(event_logits).values
+            posteriors = ad._sigmoid_values(event_logits.values)
             for row, i in enumerate(batch):
                 out[i] = posteriors[row]
     return out

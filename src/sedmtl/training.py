@@ -216,9 +216,10 @@ def adam_step(params: networks.ModelParams, grads: dict, state: AdamState, lr: f
             raise DimensionError(
                 f"gradient for {name!r} has shape {g.shape}, expected {tensor.values.shape}"
             )
-        m, v = state.moments.get(
-            name, (np.zeros_like(tensor.values), np.zeros_like(tensor.values))
-        )
+        if name in state.moments:
+            m, v = state.moments[name]
+        else:
+            m, v = np.zeros_like(tensor.values), np.zeros_like(tensor.values)
         m = _BETA1 * m + (1.0 - _BETA1) * g
         v = _BETA2 * v + (1.0 - _BETA2) * g * g
         m_hat = m / (1.0 - _BETA1**t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sedmtl.autodiff import Tape, Tensor, matmul, reshape, tensor
+from sedmtl.autodiff import Tape, Tensor, matmul, reshape
 from sedmtl.errors import ArgumentError
 
 
@@ -24,7 +24,7 @@ def weighted_sum(out: Tensor, weights=None) -> Tensor:
     """sum(out * weights) as a (1, 1) tensor, one weight per element of out
     (all ones by default); d/d(out) is the weights, exactly."""
     w = np.ones(out.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    return matmul(reshape(out, (1, -1)), tensor(w.reshape(-1, 1)))
+    return matmul(reshape(out, (1, -1)), Tensor(w.reshape(-1, 1)))
 
 
 @dataclass

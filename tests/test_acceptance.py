@@ -27,7 +27,7 @@ def _report(criterion: str, ok: bool, detail: str):
 
 def _random_gru_cell(rng, n_in, units):
     def w(shape):
-        return ad.tensor(rng.uniform(-0.5, 0.5, size=shape))
+        return ad.Tensor(rng.uniform(-0.5, 0.5, size=shape))
 
     return ad.GRUCell(
         w_update=w((n_in, units)), w_reset=w((n_in, units)), w_cand=w((n_in, units)),
@@ -54,38 +54,28 @@ class TestCriterion1GradientSuite:
             worst[name] = (max(errs), tol)
 
         def conv_case(rng):
-            x = ad.tensor(rng.normal(size=(2, 4, 5)))
-            k = ad.tensor(rng.normal(size=(3, 2, 3, 3)))
-            b = ad.tensor(rng.normal(size=3))
+            x = ad.Tensor(rng.normal(size=(2, 4, 5)))
+            k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
+            b = ad.Tensor(rng.normal(size=3))
             return ad.conv2d, [x, k, b]
 
         def pool_case(rng):
             vals = rng.permutation(np.linspace(-1.0, 1.0, 2 * 5 * 6)).reshape(2, 5, 6)
             ph, pw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            return (lambda t: ad.maxpool2d(t, ph, pw)), [ad.tensor(vals)]
+            return (lambda t: ad.maxpool2d(t, ph, pw)), [ad.Tensor(vals)]
 
         def bigru_case(rng):
             fwd = _random_gru_cell(rng, 2, 2)
             bwd = _random_gru_cell(rng, 2, 2)
-            x = ad.tensor(rng.normal(size=(3, 1, 2)))  # (N, B, F)
+            x = ad.Tensor(rng.normal(size=(3, 1, 2)))  # (N, B, F)
             inputs = [x] + fwd.tensors() + bwd.tensors()
             return (lambda xt, *rest: ad.bigru_forward(xt, fwd, bwd)), inputs
 
         def dense_case(rng):
-            x = ad.tensor(rng.normal(size=(3, 4)))
-            w = ad.tensor(rng.normal(size=(4, 2)))
-            b = ad.tensor(rng.normal(size=2))
+            x = ad.Tensor(rng.normal(size=(3, 4)))
+            w = ad.Tensor(rng.normal(size=(4, 2)))
+            b = ad.Tensor(rng.normal(size=2))
             return ad.dense, [x, w, b]
-
-        def sigmoid_case(rng):
-            return ad.sigmoid, [ad.tensor(rng.normal(scale=2.0, size=6))]
-
-        def softmax_case(rng):
-            temperature = float(rng.choice([0.5, 1.0, 2.0]))
-            return (
-                lambda t: ad.softmax_temperature(t, temperature),
-                [ad.tensor(rng.normal(scale=2.0, size=5))],
-            )
 
         def event_loss_case(rng):
             roll = (rng.random((1, 3, 4)) < 0.5).astype(float)  # (B, M, N)
@@ -93,14 +83,14 @@ class TestCriterion1GradientSuite:
             mask[0, int(rng.integers(0, 4))] = 0.0
             return (
                 lambda t: losses.event_loss(t, roll, mask),
-                [ad.tensor(rng.normal(size=(1, 3, 4)))],
+                [ad.Tensor(rng.normal(size=(1, 3, 4)))],
             )
 
         def hard_loss_case(rng):
             scene = int(rng.integers(0, 4))
             return (
                 lambda t: losses.scene_hard_loss(t, scene),
-                [ad.tensor(rng.normal(scale=2.0, size=4))],
+                [ad.Tensor(rng.normal(scale=2.0, size=4))],
             )
 
         def soft_loss_case(rng):
@@ -109,15 +99,13 @@ class TestCriterion1GradientSuite:
             temperature = float(rng.choice([0.5, 1.0, 2.0]))
             return (
                 lambda t: losses.soft_scene_loss(t, p, temperature),
-                [ad.tensor(rng.normal(scale=2.0, size=4))],
+                [ad.Tensor(rng.normal(scale=2.0, size=4))],
             )
 
         run("conv2d", 1e-6, conv_case)
         run("maxpool2d", 1e-6, pool_case)
         run("bigru", 1e-4, bigru_case)
         run("dense", 1e-6, dense_case)
-        run("sigmoid", 1e-6, sigmoid_case)
-        run("softmax_temperature", 1e-6, softmax_case)
         run("event_loss", 1e-6, event_loss_case)
         run("scene_hard_loss", 1e-6, hard_loss_case)
         run("soft_scene_loss", 1e-6, soft_loss_case)
@@ -138,12 +126,12 @@ class TestCriterion2DistillationIdentities:
         for _ in range(100):
             logits = rng.normal(scale=3.0, size=4)
             idx = int(rng.integers(0, 4))
-            hard = losses.scene_hard_loss(ad.tensor(logits), idx).values
-            soft = losses.soft_scene_loss(ad.tensor(logits), np.eye(4)[idx], 1.0).values
+            hard = losses.scene_hard_loss(ad.Tensor(logits), idx).values
+            soft = losses.soft_scene_loss(ad.Tensor(logits), np.eye(4)[idx], 1.0).values
             max_gap = max(max_gap, abs(float(hard) - float(soft)))
-        e1 = ad.tensor(1.2345)
+        e1 = ad.Tensor(1.2345)
         # alpha = 0 (hard) and beta = 0 (soft) are the same joint objective
-        exact_zero = losses.joint_objective(e1, ad.tensor(9.9), 0.0).values == e1.values
+        exact_zero = losses.joint_objective(e1, ad.Tensor(9.9), 0.0).values == e1.values
         _report(
             "criterion 2 (distillation identities)",
             max_gap <= 1e-12 and exact_zero,
@@ -156,13 +144,13 @@ class TestCriterion3TemperatureBehavior:
         rng = np.random.default_rng(7)
         monotone = True
         for _ in range(100):
-            logits = ad.tensor(rng.normal(scale=4.0, size=6))
+            logits = rng.normal(scale=4.0, size=6)
             entropies = []
             for temperature in (0.5, 1.0, 2.0, 4.0, 8.0):
-                p = ad.softmax_temperature(logits, temperature).values
+                p = losses.distill_targets(logits, temperature)
                 entropies.append(float(-(p * np.log(p + 1e-300)).sum()))
             monotone &= all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
-        p = ad.softmax_temperature(ad.tensor(rng.normal(scale=3.0, size=5)), 1000.0).values
+        p = losses.distill_targets(rng.normal(scale=3.0, size=5), 1000.0)
         limit_gap = float(np.abs(p - 0.2).max())
         _report(
             "criterion 3 (temperature behavior)",

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
-from sedmtl import networks
+from sedmtl import losses, networks
 from sedmtl.errors import ArgumentError, DimensionError
 
 from gradcheck import grad_check, weighted_sum, zero_grads
@@ -74,10 +74,10 @@ def brute_force_maxpool2d_grad(x, pool_h, pool_w, g):
 
 def random_gru_cell(rng, n_in, units, scale=0.5):
     def w(r, c):
-        return ad.tensor(rng.uniform(-scale, scale, size=(r, c)))
+        return ad.Tensor(rng.uniform(-scale, scale, size=(r, c)))
 
     def b(c):
-        return ad.tensor(rng.uniform(-scale, scale, size=c))
+        return ad.Tensor(rng.uniform(-scale, scale, size=c))
 
     return ad.GRUCell(
         w_update=w(n_in, units), w_reset=w(n_in, units), w_cand=w(n_in, units),
@@ -88,28 +88,28 @@ def random_gru_cell(rng, n_in, units, scale=0.5):
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(ad.tensor([[1.0, 0.0], [0.0, 1.0]]), ad.tensor([[3.0], [4.0]]))
+        out = ad.matmul(ad.Tensor([[1.0, 0.0], [0.0, 1.0]]), ad.Tensor([[3.0], [4.0]]))
         assert_allclose(out.values, [[3.0], [4.0]])
 
     def test_hand_arithmetic(self):
-        out = ad.matmul(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]))
+        out = ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]))
         assert_allclose(out.values, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 2))))
+            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        a = ad.tensor(rng.normal(size=(3, 4)))
-        b = ad.tensor(rng.normal(size=(4, 2)))
+        a = ad.Tensor(rng.normal(size=(3, 4)))
+        b = ad.Tensor(rng.normal(size=(4, 2)))
         report = grad_check(ad.matmul, [a, b])
         assert report.max_rel_err < 1e-6
 
     def test_backward_formula(self):
         rng = np.random.default_rng(1)
-        a = ad.tensor(rng.normal(size=(2, 3)))
-        b = ad.tensor(rng.normal(size=(3, 2)))
+        a = ad.Tensor(rng.normal(size=(2, 3)))
+        b = ad.Tensor(rng.normal(size=(3, 2)))
         with ad.Tape() as tape:
             loss = weighted_sum(ad.matmul(a, b))
         tape.backward(loss)
@@ -120,18 +120,18 @@ class TestMatmul:
 
 class TestConv2d:
     def test_zero_kernel_gives_constant_bias(self):
-        x = ad.tensor(np.random.default_rng(2).normal(size=(2, 4, 5)))
-        k = ad.tensor(np.zeros((3, 2, 3, 3)))
-        b = ad.tensor([1.0, -2.0, 0.5])
+        x = ad.Tensor(np.random.default_rng(2).normal(size=(2, 4, 5)))
+        k = ad.Tensor(np.zeros((3, 2, 3, 3)))
+        b = ad.Tensor([1.0, -2.0, 0.5])
         out = ad.conv2d(x, k, b)
         for c, v in enumerate([1.0, -2.0, 0.5]):
             assert_allclose(out.values[c], v)
 
     def test_identity_kernel(self):
-        x = ad.tensor(np.random.default_rng(3).normal(size=(1, 5, 6)))
+        x = ad.Tensor(np.random.default_rng(3).normal(size=(1, 5, 6)))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = ad.conv2d(x, ad.tensor(k), ad.tensor([0.0]))
+        out = ad.conv2d(x, ad.Tensor(k), ad.Tensor([0.0]))
         assert_allclose(out.values, x.values)
 
     def test_matches_brute_force_oracle(self):
@@ -139,24 +139,24 @@ class TestConv2d:
         x = rng.normal(size=(1, 4, 4))
         k = rng.normal(size=(2, 1, 3, 3))
         b = rng.normal(size=2)
-        out = ad.conv2d(ad.tensor(x.transpose(0, 2, 1)), ad.tensor(k), ad.tensor(b))
+        out = ad.conv2d(ad.Tensor(x.transpose(0, 2, 1)), ad.Tensor(k), ad.Tensor(b))
         expected = brute_force_conv2d(x, k, b).transpose(0, 2, 1)
         assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError, match="channel mismatch"):
             ad.conv2d(
-                ad.tensor(np.zeros((2, 4, 4))),
-                ad.tensor(np.zeros((1, 3, 3, 3))),
-                ad.tensor(np.zeros(1)),
+                ad.Tensor(np.zeros((2, 4, 4))),
+                ad.Tensor(np.zeros((1, 3, 3, 3))),
+                ad.Tensor(np.zeros(1)),
             )
 
     def test_non_3x3_kernel_rejected(self):
         with pytest.raises(ArgumentError, match="3x3"):
             ad.conv2d(
-                ad.tensor(np.zeros((1, 4, 4))),
-                ad.tensor(np.zeros((1, 1, 5, 5))),
-                ad.tensor(np.zeros(1)),
+                ad.Tensor(np.zeros((1, 4, 4))),
+                ad.Tensor(np.zeros((1, 1, 5, 5))),
+                ad.Tensor(np.zeros(1)),
             )
 
     @pytest.mark.parametrize(
@@ -166,9 +166,9 @@ class TestConv2d:
     def test_backward_matches_brute_force(self, c_in, h, w, c_out):
         rng = np.random.default_rng(100 + 7 * c_in + h + 3 * w)
         xv = rng.normal(size=(c_in, h, w))
-        x = ad.tensor(xv.transpose(0, 2, 1))
-        k = ad.tensor(rng.normal(size=(c_out, c_in, 3, 3)))
-        b = ad.tensor(rng.normal(size=c_out))
+        x = ad.Tensor(xv.transpose(0, 2, 1))
+        k = ad.Tensor(rng.normal(size=(c_out, c_in, 3, 3)))
+        b = ad.Tensor(rng.normal(size=c_out))
         g = rng.normal(size=(c_out, h, w))
         with ad.Tape() as tape:
             loss = weighted_sum(ad.conv2d(x, k, b), g.transpose(0, 2, 1))
@@ -182,8 +182,8 @@ class TestConv2d:
         rng = np.random.default_rng(19)
         xv = rng.normal(size=(2, 4, 5))
         x = ad.Tensor(xv.transpose(0, 2, 1), constant=True)
-        k = ad.tensor(rng.normal(size=(3, 2, 3, 3)))
-        b = ad.tensor(rng.normal(size=3))
+        k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = ad.Tensor(rng.normal(size=3))
         with ad.Tape() as tape:
             loss = weighted_sum(ad.conv2d(x, k, b))
         tape.backward(loss)
@@ -194,42 +194,42 @@ class TestConv2d:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        x = ad.tensor(rng.normal(size=(2, 4, 5)))
-        k = ad.tensor(rng.normal(size=(3, 2, 3, 3)))
-        b = ad.tensor(rng.normal(size=3))
+        x = ad.Tensor(rng.normal(size=(2, 4, 5)))
+        k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = ad.Tensor(rng.normal(size=3))
         report = grad_check(ad.conv2d, [x, k, b])
         assert report.max_rel_err < 1e-6
 
 
 class TestMaxPool2d:
     def test_pool_1x1_is_identity(self):
-        x = ad.tensor(np.random.default_rng(6).normal(size=(2, 3, 4)))
+        x = ad.Tensor(np.random.default_rng(6).normal(size=(2, 3, 4)))
         out = ad.maxpool2d(x, 1, 1)
         assert_allclose(out.values, x.values)
 
     def test_2x2(self):
-        out = ad.maxpool2d(ad.tensor([[[1.0, 2.0], [3.0, 4.0]]]), 2, 2)
+        out = ad.maxpool2d(ad.Tensor([[[1.0, 2.0], [3.0, 4.0]]]), 2, 2)
         assert_allclose(out.values, [[[4.0]]])
 
     def test_band_axis_64_to_1(self):
         # 64 bands pooled by 8, then 4, then 2 collapse to a single band.
-        x = ad.tensor(np.random.default_rng(7).normal(size=(1, 5, 64)).transpose(0, 2, 1))
+        x = ad.Tensor(np.random.default_rng(7).normal(size=(1, 5, 64)).transpose(0, 2, 1))
         out = ad.maxpool2d(ad.maxpool2d(ad.maxpool2d(x, 1, 8), 1, 4), 1, 2)
         assert out.values.shape == (1, 1, 5)
 
     def test_partial_final_window(self):
-        x = ad.tensor(np.arange(5.0).reshape(1, 1, 5).transpose(0, 2, 1))
+        x = ad.Tensor(np.arange(5.0).reshape(1, 1, 5).transpose(0, 2, 1))
         out = ad.maxpool2d(x, 1, 2)
         assert_allclose(out.values, np.transpose([[[1.0, 3.0, 4.0]]], (0, 2, 1)))
 
     def test_invalid_pool_dims(self):
         with pytest.raises(ArgumentError):
-            ad.maxpool2d(ad.tensor(np.zeros((1, 2, 2))), 0, 1)
+            ad.maxpool2d(ad.Tensor(np.zeros((1, 2, 2))), 0, 1)
 
     def test_gradient_routes_to_first_max_on_ties(self):
         # (bands, frames): the first frame-major maximum is (band 1, frame 0),
         # the first band-major one (band 0, frame 1)
-        x = ad.tensor([[[1.0, 2.0], [2.0, 0.0]]])
+        x = ad.Tensor([[[1.0, 2.0], [2.0, 0.0]]])
         with ad.Tape() as tape:
             loss = weighted_sum(ad.maxpool2d(x, 2, 2))
         tape.backward(loss)
@@ -241,7 +241,7 @@ class TestMaxPool2d:
         rng = np.random.default_rng(9)
         for _ in range(20):
             vals = rng.integers(0, 3, size=(2, 5, 7)).astype(float)
-            x = ad.tensor(vals.transpose(0, 2, 1))
+            x = ad.Tensor(vals.transpose(0, 2, 1))
             g = rng.normal(size=(2, 3, 3))
             with ad.Tape() as tape:
                 pooled = ad.maxpool2d(x, 2, 3)
@@ -264,7 +264,7 @@ class TestMaxPool2d:
             vals = rng.integers(0, 3, size=shape).astype(float)
         if values == "nan":
             vals.reshape(-1)[rng.choice(vals.size, 6, replace=False)] = np.nan
-        x = ad.tensor(vals.transpose(0, 2, 1))
+        x = ad.Tensor(vals.transpose(0, 2, 1))
         with ad.Tape() as tape:
             pooled = ad.maxpool2d(x, *pool)
             g = rng.normal(size=pooled.shape)
@@ -274,7 +274,7 @@ class TestMaxPool2d:
         assert np.array_equal(x.grad, expected.transpose(0, 2, 1))
 
     def test_taped_pool_does_not_keep_its_input(self):
-        x = ad.tensor(np.random.default_rng(21).normal(size=(2, 6, 16)).transpose(0, 2, 1))
+        x = ad.Tensor(np.random.default_rng(21).normal(size=(2, 6, 16)).transpose(0, 2, 1))
         alive = weakref.ref(x.values)
         with ad.Tape() as tape:
             loss = weighted_sum(ad.maxpool2d(x, 2, 8))
@@ -286,7 +286,7 @@ class TestMaxPool2d:
         assert x.grad.sum() == 2 * 3 * 2  # one routed 1.0 per window
 
     def test_forward_identical_with_and_without_tape(self):
-        x = ad.tensor(np.random.default_rng(10).normal(size=(3, 9, 10)))
+        x = ad.Tensor(np.random.default_rng(10).normal(size=(3, 9, 10)))
         bare = ad.maxpool2d(x, 2, 4).values
         with ad.Tape():
             taped = ad.maxpool2d(x, 2, 4).values
@@ -297,7 +297,7 @@ class TestMaxPool2d:
         nan_at = [(0, 0, 0), (0, 2, 4), (1, 1, 5), (1, 4, 6)]  # first, middle, last, partial
         for idx in nan_at:
             vals[idx] = np.nan
-        out = ad.maxpool2d(ad.tensor(vals.transpose(0, 2, 1)), 2, 3).values.transpose(0, 2, 1)
+        out = ad.maxpool2d(ad.Tensor(vals.transpose(0, 2, 1)), 2, 3).values.transpose(0, 2, 1)
         expected = {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 2, 2)}
         for idx in np.ndindex(out.shape):
             assert np.isnan(out[idx]) == (idx in expected)
@@ -306,81 +306,73 @@ class TestMaxPool2d:
         # Well-separated values so the finite-difference step cannot flip windows.
         rng = np.random.default_rng(8)
         vals = rng.permutation(np.linspace(-1.0, 1.0, 2 * 5 * 7)).reshape(2, 5, 7)
-        x = ad.tensor(vals)
+        x = ad.Tensor(vals)
         report = grad_check(lambda t: ad.maxpool2d(t, 2, 3), [x])
         assert report.max_rel_err < 1e-6
 
 
 class TestSigmoid:
+    """`_sigmoid_values`, the GRU gates' and the event posteriors' sigmoid."""
+
     def test_zero(self):
-        assert_allclose(ad.sigmoid(ad.tensor([0.0])).values, [0.5])
+        assert_allclose(ad._sigmoid_values(np.array([0.0])), [0.5])
 
     def test_saturation_no_overflow(self):
-        out = ad.sigmoid(ad.tensor([1e4])).values
+        out = ad._sigmoid_values(np.array([1e4]))
         assert 1.0 - 1e-9 < out[0] <= 1.0
-        out = ad.sigmoid(ad.tensor([-1e4])).values
+        out = ad._sigmoid_values(np.array([-1e4]))
         assert 0.0 <= out[0] < 1e-9
 
     def test_value_at_one(self):
-        assert_allclose(ad.sigmoid(ad.tensor([1.0])).values, [0.7310585786300049])
-
-    def test_gradient_at_zero(self):
-        report = grad_check(ad.sigmoid, [ad.tensor([0.0])], eps=1e-5)
-        assert report.max_rel_err < 1e-8
+        assert_allclose(ad._sigmoid_values(np.array([1.0])), [0.7310585786300049])
 
 
 class TestSoftmaxTemperature:
+    """`losses.distill_targets`, the teacher's temperature softmax."""
+
     def test_uniform(self):
         for temperature in (0.5, 1.0, 3.0):
-            out = ad.softmax_temperature(ad.tensor([0.0, 0.0, 0.0]), temperature)
-            assert_allclose(out.values, np.full(3, 1.0 / 3.0))
+            out = losses.distill_targets(np.zeros(3), temperature)
+            assert_allclose(out, np.full(3, 1.0 / 3.0))
 
     def test_two_logits_t1(self):
-        out = ad.softmax_temperature(ad.tensor([1.0, 2.0]), 1.0)
-        assert_allclose(out.values, [0.2689414213699951, 0.7310585786300049], atol=1e-12)
+        out = losses.distill_targets(np.array([1.0, 2.0]), 1.0)
+        assert_allclose(out, [0.2689414213699951, 0.7310585786300049], atol=1e-12)
 
     def test_two_logits_t2(self):
-        out = ad.softmax_temperature(ad.tensor([1.0, 2.0]), 2.0)
-        assert_allclose(out.values, [0.3775406687981454, 0.6224593312018546], atol=1e-12)
+        out = losses.distill_targets(np.array([1.0, 2.0]), 2.0)
+        assert_allclose(out, [0.3775406687981454, 0.6224593312018546], atol=1e-12)
 
     def test_invalid_temperature(self):
-        with pytest.raises(ArgumentError):
-            ad.softmax_temperature(ad.tensor([1.0]), 0.0)
+        with pytest.raises(ArgumentError, match="temperature must be positive, got 0.0"):
+            losses.distill_targets(np.array([1.0]), 0.0)
 
     def test_empty_vector(self):
-        with pytest.raises(ArgumentError):
-            ad.softmax_temperature(ad.tensor(np.zeros(0)), 1.0)
+        with pytest.raises(ArgumentError, match=r"non-empty vector, got shape \(0,\)"):
+            losses.distill_targets(np.zeros(0), 1.0)
 
     def test_sums_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             logits = rng.normal(scale=3.0, size=rng.integers(2, 8))
             temperature = float(rng.uniform(0.3, 5.0))
-            p = ad.softmax_temperature(ad.tensor(logits), temperature).values
+            p = losses.distill_targets(logits, temperature)
             assert np.all(p >= 0.0)
             assert abs(p.sum() - 1.0) < 1e-12
-            shifted = ad.softmax_temperature(
-                ad.tensor(logits + 17.5), temperature
-            ).values
+            shifted = losses.distill_targets(logits + 17.5, temperature)
             assert np.abs(p - shifted).max() < 1e-12
 
     def test_entropy_nondecreasing_in_temperature(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            logits = ad.tensor(rng.normal(scale=4.0, size=6))
+            logits = rng.normal(scale=4.0, size=6)
             entropies = []
             for temperature in (0.5, 1.0, 2.0, 4.0, 8.0):
-                p = ad.softmax_temperature(logits, temperature).values
+                p = losses.distill_targets(logits, temperature)
                 entropies.append(float(-(p * np.log(p + 1e-300)).sum()))
             assert all(
                 b >= a - 1e-12 for a, b in zip(entropies, entropies[1:])
             )
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        logits = ad.tensor(rng.normal(size=5))
-        report = grad_check(lambda t: ad.softmax_temperature(t, 2.0), [logits])
-        assert report.max_rel_err < 1e-6
 
 
 class TestBiGRU:
@@ -388,7 +380,7 @@ class TestBiGRU:
         rng = np.random.default_rng(12)
         cell_f = random_gru_cell(rng, 3, 2, scale=0.0)
         cell_b = random_gru_cell(rng, 3, 2, scale=0.0)
-        out = ad.bigru_forward(ad.tensor(np.zeros((4, 1, 3))), cell_f, cell_b)
+        out = ad.bigru_forward(ad.Tensor(np.zeros((4, 1, 3))), cell_f, cell_b)
         assert_allclose(out.values, np.zeros((4, 1, 4)))
 
     def test_single_frame_is_concat_of_single_steps(self):
@@ -396,7 +388,7 @@ class TestBiGRU:
         cell_f = random_gru_cell(rng, 3, 2)
         cell_b = random_gru_cell(rng, 3, 2)
         x = rng.normal(size=(1, 3))
-        out = ad.bigru_forward(ad.tensor(x[:, None]), cell_f, cell_b).values[:, 0]
+        out = ad.bigru_forward(ad.Tensor(x[:, None]), cell_f, cell_b).values[:, 0]
 
         def one_step(cell, xt):
             z = 1.0 / (1.0 + np.exp(-(xt @ cell.w_update.values + cell.b_update.values)))
@@ -410,15 +402,15 @@ class TestBiGRU:
         rng = np.random.default_rng(14)
         cell = random_gru_cell(rng, 3, 2)
         with pytest.raises(ArgumentError):
-            ad.bigru_forward(ad.tensor(np.zeros((0, 1, 3))), cell, cell)
+            ad.bigru_forward(ad.Tensor(np.zeros((0, 1, 3))), cell, cell)
         with pytest.raises(ArgumentError):  # no batch axis
-            ad.bigru_forward(ad.tensor(np.zeros((4, 3))), cell, cell)
+            ad.bigru_forward(ad.Tensor(np.zeros((4, 3))), cell, cell)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         cell_f = random_gru_cell(rng, 2, 2)
         cell_b = random_gru_cell(rng, 2, 2)
-        x = ad.tensor(rng.normal(size=(3, 1, 2)))  # a batch of one
+        x = ad.Tensor(rng.normal(size=(3, 1, 2)))  # a batch of one
         inputs = [x] + cell_f.tensors() + cell_b.tensors()
 
         def fn(xt, *weights):
@@ -431,7 +423,7 @@ class TestBiGRU:
         rng = np.random.default_rng(23)
         cell_f = random_gru_cell(rng, 2, 2)
         cell_b = random_gru_cell(rng, 2, 2)
-        x = ad.tensor(rng.normal(size=(3, 2, 2)))  # (N, B, F)
+        x = ad.Tensor(rng.normal(size=(3, 2, 2)))  # (N, B, F)
         inputs = [x] + cell_f.tensors() + cell_b.tensors()
 
         def fn(xt, *weights):
@@ -445,36 +437,36 @@ class TestBiGRU:
         cell_f = random_gru_cell(rng, 3, 4)
         cell_b = random_gru_cell(rng, 3, 4)
         x = rng.normal(size=(6, 3, 3))
-        batched = ad.bigru_forward(ad.tensor(x), cell_f, cell_b).values
+        batched = ad.bigru_forward(ad.Tensor(x), cell_f, cell_b).values
         assert batched.shape == (6, 3, 8)
         for i in range(3):
-            single = ad.bigru_forward(ad.tensor(x[:, i : i + 1]), cell_f, cell_b).values
+            single = ad.bigru_forward(ad.Tensor(x[:, i : i + 1]), cell_f, cell_b).values
             assert_allclose(batched[:, i : i + 1], single, rtol=0, atol=1e-13)
 
 
 class TestStack:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
-        a = ad.tensor(rng.normal(size=(3, 2)))
-        b = ad.tensor(rng.normal(size=(3, 2)))
+        a = ad.Tensor(rng.normal(size=(3, 2)))
+        b = ad.Tensor(rng.normal(size=(3, 2)))
         report = grad_check(lambda s, t: ad.stack([s, t], axis=1), [a, b])
         assert report.max_rel_err < 1e-6
 
 
 class TestDense:
     def test_vector_and_matrix_inputs(self):
-        w = ad.tensor([[1.0, 0.0], [0.0, 2.0]])
-        b = ad.tensor([1.0, 1.0])
-        out = ad.dense(ad.tensor([3.0, 4.0]), w, b)
+        w = ad.Tensor([[1.0, 0.0], [0.0, 2.0]])
+        b = ad.Tensor([1.0, 1.0])
+        out = ad.dense(ad.Tensor([3.0, 4.0]), w, b)
         assert_allclose(out.values, [4.0, 9.0])
-        out = ad.dense(ad.tensor([[3.0, 4.0], [1.0, 1.0]]), w, b)
+        out = ad.dense(ad.Tensor([[3.0, 4.0], [1.0, 1.0]]), w, b)
         assert_allclose(out.values, [[4.0, 9.0], [2.0, 3.0]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
-        x = ad.tensor(rng.normal(size=(4, 3)))
-        w = ad.tensor(rng.normal(size=(3, 2)))
-        b = ad.tensor(rng.normal(size=2))
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        w = ad.Tensor(rng.normal(size=(3, 2)))
+        b = ad.Tensor(rng.normal(size=2))
         report = grad_check(ad.dense, [x, w, b])
         assert report.max_rel_err < 1e-6
 
@@ -484,16 +476,16 @@ class TestGradCheckSuite:
 
     def test_eps_domain(self):
         with pytest.raises(ArgumentError):
-            grad_check(ad.sigmoid, [ad.tensor([0.0])], eps=1e-2)
+            grad_check(ad.relu, [ad.Tensor([1.0])], eps=1e-2)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_composed_ops(self, trial):
         rng = np.random.default_rng(100 + trial)
         h = int(rng.integers(2, 5))
         w = int(rng.integers(2, 5))
-        x = ad.tensor(rng.normal(size=(2, h, w)))
-        k = ad.tensor(rng.normal(size=(2, 2, 3, 3)) * 0.5)
-        b = ad.tensor(rng.normal(size=2))
+        x = ad.Tensor(rng.normal(size=(2, h, w)))
+        k = ad.Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.5)
+        b = ad.Tensor(rng.normal(size=2))
 
         def fn(xt, kt, bt):
             y = ad.relu(ad.conv2d(xt, kt, bt))
@@ -510,9 +502,9 @@ class TestTapeSemantics:
         wv = rng.normal(size=(4, 2))
 
         def run():
-            x, w = ad.tensor(xv), ad.tensor(wv)
+            x, w = ad.Tensor(xv), ad.Tensor(wv)
             with ad.Tape() as tape:
-                out = ad.sigmoid(ad.matmul(x, w))
+                out = ad.relu(ad.matmul(x, w))
                 loss = ad.matmul(ad.reshape(out, (1, -1)), ad.reshape(out, (-1, 1)))
             tape.backward(loss)
             return x.grad.copy(), w.grad.copy()
@@ -523,8 +515,8 @@ class TestTapeSemantics:
         assert np.array_equal(gw1, gw2)
 
     def test_untouched_branch_gets_no_gradient(self):
-        x = ad.tensor([1.0, 2.0])
-        y = ad.tensor([3.0, 4.0])
+        x = ad.Tensor([1.0, 2.0])
+        y = ad.Tensor([3.0, 4.0])
         with ad.Tape() as tape:
             used = weighted_sum(x, x.values)
             weighted_sum(y)  # recorded but not part of the loss
@@ -540,7 +532,7 @@ class TestTapeSemantics:
                     pass
 
     def test_backward_needs_scalar(self):
-        x = ad.tensor([1.0, 2.0])
+        x = ad.Tensor([1.0, 2.0])
         with ad.Tape() as tape:
             out = ad.add(x, x)
         with pytest.raises(ArgumentError):
@@ -549,13 +541,13 @@ class TestTapeSemantics:
     def test_forward_values_always_finite(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
-            x = ad.tensor(rng.uniform(-10, 10, size=(2, 4, 4)))
-            out = ad.sigmoid(
+            x = ad.Tensor(rng.uniform(-10, 10, size=(2, 4, 4)))
+            out = ad.relu(
                 ad.maxpool2d(
                     ad.conv2d(
                         x,
-                        ad.tensor(rng.normal(size=(3, 2, 3, 3))),
-                        ad.tensor(rng.normal(size=3)),
+                        ad.Tensor(rng.normal(size=(3, 2, 3, 3))),
+                        ad.Tensor(rng.normal(size=3)),
                     ),
                     2,
                     2,
@@ -596,7 +588,7 @@ class TestTapedMap:
             lambda: [networks.student_trunk(params, f) for f in feats],
             lambda: ad._taped_map(networks.student_trunk, feats, params, networks._thread_map),
         ):
-            zero_grads(params.tensors())
+            zero_grads(t for _, t in params.items())
             with ad.Tape() as tape:
                 loss = weighted_sum(ad.stack(trunks(), axis=0), weights)
             tape.backward(loss)
@@ -612,18 +604,18 @@ class TestTapedMap:
         def loss_of(p, f):
             return weighted_sum(networks.teacher_forward(p, f))
 
-        zero_grads(params.tensors())
+        zero_grads(t for _, t in params.items())
         for f in feats:
             with ad.Tape() as tape:
                 loss = loss_of(params, f)
             tape.backward(loss)
         serial = self.grads(params)
-        zero_grads(params.tensors())
+        zero_grads(t for _, t in params.items())
         with ad.Tape() as tape:
             losses = ad._taped_map(loss_of, feats, params, networks._thread_map, last_first=False)
             loss = functools.reduce(ad.add, losses)
         tape.backward(loss)
-        assert len(serial) == len(params.tensors())
+        assert len(serial) == len(params.items())
         assert self.grads(params) == serial
 
     @pytest.mark.parametrize("bad, first", [((1, 3), 1), ((3,), 3)])
@@ -642,7 +634,7 @@ class TestTapedMap:
 
         def record_one():
             with ad.Tape() as tape:
-                ad.relu(ad.tensor([1.0]))
+                ad.relu(ad.Tensor([1.0]))
             return len(tape)
 
         assert record_one() == 1  # the caller's thread
@@ -659,7 +651,7 @@ def test_tapes_on_many_threads_keep_the_process_view_consistent():
         try:
             for _ in range(200):
                 with ad.Tape() as tape:
-                    ad.relu(ad.tensor([1.0]))
+                    ad.relu(ad.Tensor([1.0]))
                     assert ad._recording.tape is tape and len(tape) == 1
                     assert ad._ACTIVE_TAPE is not None
         except AssertionError as exc:

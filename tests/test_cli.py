@@ -962,6 +962,11 @@ MALFORMED_INPUTS = [
     ),
     ("annotation", "unknown-event", "train",
      "{path}: line 2: home_0: unknown event name 'thunder'"),
+    ("annotation", "no-event", "ingest",
+     "{path}: line 3: home_0: expected 'onset<TAB>offset<TAB>event', got '0.1\\t0.5'"),
+    ("metadata", "no-scene", "ingest",
+     "{path}: line 9: expected 'audio_path<TAB>scene', got 'audio/extra_0.wav'"),
+    ("metadata", "unknown-scene", "ingest", "{path}: unknown scene names: 'beach'"),
     ("fold flag", "-7", "eval", "fold -7 is not -1 (every clip) or a fold >= 0"),
     ("checkpoint", "no-band-stats", "eval", BAND_STATS),
     ("checkpoint", "3-bands", "distill", BAND_STATS),
@@ -1038,7 +1043,8 @@ class TestErrorBoundary:
         files = {
             "manifest": ds["manifest"], "vocabulary": ds["vocabulary"],
             "config": tmp_path / "config.json", "soft labels": tmp_path / "soft_labels.json",
-            "features": ds["features"],
+            "features": ds["features"], "metadata": ds["info"].metadata_path,
+            "annotations": ds["info"].annotations_dir,
         }
         entries = read_manifest(ds["manifest"])
         if kind == "cache index":  # it lives in the output directory of `features`
@@ -1049,11 +1055,16 @@ class TestErrorBoundary:
         elif kind == "feature cache":  # home_0's cache in a copy of the caches
             files["features"] = shutil.copytree(ds["features"], tmp_path / "features")
             files[kind] = files["features"] / "home_0.sdfc"
+        elif kind == "annotation" and command == "ingest":  # home_0's, in a directory copy
+            files["annotations"] = shutil.copytree(files["annotations"], tmp_path / "annotations")
+            files[kind] = files["annotations"] / "home_0.txt"
         elif kind == "annotation":  # home_0's annotation file, named by a manifest copy
             files[kind] = tmp_path / "home_0.txt"
             entries["home_0"]["annotation_path"] = str(files[kind])
             files["manifest"] = tmp_path / "manifest.json"
             files["manifest"].write_text(json.dumps(entries))
+        elif kind == "metadata":
+            files[kind] = tmp_path / "meta.tsv"
         else:
             files[kind] = tmp_path / "broken.json"
         path = files[kind]
@@ -1096,7 +1107,13 @@ class TestErrorBoundary:
             text = CACHE_MAGIC + struct.pack("<HIId", CACHE_VERSION, bands, frames, hop)
             text += data.astype("<f8").tobytes()
         elif kind == "annotation":
-            text = b"0.1\t0.4\tdishes\n0.5\t0.9\tthunder\n"
+            text = b"0.1\t0.4\tdishes\n" + {
+                "unknown-event": b"0.5\t0.9\tthunder\n", "no-event": b"0.5\t0.9\tcar\n0.1\t0.5\n",
+            }[corruption]
+        elif kind == "metadata":  # one line more
+            text = ds["info"].metadata_path.read_bytes() + {
+                "no-scene": b"audio/extra_0.wav\n", "unknown-scene": b"audio/beach_0.wav\tbeach\n",
+            }[corruption]
         elif kind == "checkpoint":
             text = edit_checkpoint_header(path.read_bytes(), CHECKPOINT_HEADERS[corruption])
         else:
@@ -1107,8 +1124,8 @@ class TestErrorBoundary:
 
         if command == "ingest":
             argv = [
-                "--metadata", str(ds["info"].metadata_path),
-                "--annotations", str(ds["info"].annotations_dir),
+                "--metadata", str(files["metadata"]),
+                "--annotations", str(files["annotations"]),
                 "--vocabulary", str(files["vocabulary"]), "--out", str(out),
             ]
         elif command == "features":

@@ -216,7 +216,7 @@ class TestChunkClips:
 class TestPersistence:
     def test_vocabulary_round_trip(self, tmp_path):
         path = tmp_path / "vocab.json"
-        VOCAB.save(path)
+        data.write_json(path, {"scenes": VOCAB.scenes, "events": VOCAB.events})
         loaded = Vocabulary.load(path)
         assert loaded.scenes == VOCAB.scenes
         assert loaded.events == VOCAB.events

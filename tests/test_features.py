@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import struct
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sedmtl import autodiff as ad
 from sedmtl import features as feat
+from sedmtl import training
 from sedmtl.errors import ArgumentError, DataError
 
 PACKAGE = Path(feat.__file__).parent
@@ -309,6 +312,45 @@ class TestPublicNames:
                     ):
                         owners.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
         assert owners == ["autodiff._taped_map", "training._fit"]
+
+    def test_every_recording_op_is_recorded_by_training(self, monkeypatch):
+        """autodiff keeps only the ops a training step records: one epoch of
+        `train_teacher` and of an `mtl_soft` `train_student` on tiny clips
+        records each public autodiff function that calls `_record` onto a
+        tape at least once."""
+        tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+        recording = {
+            owner.name
+            for owner in tree.body
+            if isinstance(owner, ast.FunctionDef) and not owner.name.startswith("_")
+            and any(getattr(node, "id", None) == "_record" for node in ast.walk(owner))
+        }
+        recorded = set()
+        record = ad._record
+
+        def noting_the_op(out, backward_fn):
+            if ad._recording.tape is not None:
+                recorded.add(sys._getframe(1).f_code.co_name)
+            return record(out, backward_fn)
+
+        monkeypatch.setattr(ad, "_record", noting_the_op)
+        rng = np.random.default_rng(0)
+        clips = [
+            training.ClipExample(
+                clip_id=f"c{k}",
+                features=feat.LogMelSpectrogram(data=rng.normal(size=(64, 12)), clip_id=f"c{k}"),
+                scene=k % 2,
+                roll=(rng.random((2, 12)) < 0.5).astype(float),
+            )
+            for k in range(4)
+        ]
+        config = training.TrainConfig(mode="teacher", max_epochs=1, batch_size=2, chunk_len=8)
+        teacher = training.train_teacher(clips, clips, config, n_scenes=2)
+        labels = training.compute_soft_labels(teacher.params, clips, temperature=2.0)
+        student = dataclasses.replace(config, mode="mtl_soft", beta=0.5)
+        training.train_student(clips, clips, student, n_scenes=2, soft_labels=labels)
+        assert "conv2d" in recording
+        assert sorted(recording - recorded) == []
 
     def test_imports_are_the_package_numpy_or_the_standard_library(self):
         """numpy is the one runtime dependency (pyproject's only one): every

@@ -36,7 +36,7 @@ class TestInit:
         b = networks.init_teacher_params(4, seed=2)
         assert any(
             not np.array_equal(ta.values, tb.values)
-            for ta, tb in zip(a.tensors(), b.tensors())
+            for (_, ta), (_, tb) in zip(a.items(), b.items())
         )
 
     def test_weights_within_fan_based_limit(self):
@@ -89,7 +89,7 @@ class TestInit:
     def test_parameter_count_deterministic(self):
         teacher = networks.init_teacher_params(4, seed=0)
         conv = 128 * 1 * 9 + 128 + 2 * (128 * 128 * 9 + 128)
-        assert sum(t.size for t in teacher.tensors()) == conv + 128 * 4 + 4
+        assert sum(t.size for _, t in teacher.items()) == conv + 128 * 4 + 4
 
 
 class TestTeacherForward:
@@ -165,7 +165,7 @@ class TestStudentForward:
         event_logits, _ = networks.student_forward(params, [np.zeros((64, 20))])
         assert_allclose(event_logits.values, 0.0, atol=1e-12)
         assert_allclose(
-            ad.sigmoid(event_logits).values, 0.5, atol=1e-12
+            networks.event_posteriors(params, [np.zeros((64, 20))])[0], 0.5, atol=1e-12
         )
 
     def test_outputs_finite_for_bounded_inputs(self):
@@ -194,7 +194,7 @@ class TestStudentForward:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(64, 25))
         roll = (rng.random((4, 25)) < 0.5).astype(float)
-        zero_grads(params.tensors())
+        zero_grads(t for _, t in params.items())
         with ad.Tape() as tape:
             event_logits, scene_logits = networks.student_forward(params, [feats])
             loss = losses.joint_objective(
@@ -302,7 +302,7 @@ class TestForwardBits:
 class TestConvBlock:
     def test_taped_block_releases_its_conv_output(self, monkeypatch):
         params = networks.init_student_params(4, 5, seed=17)
-        x = ad.tensor(np.random.default_rng(6).normal(size=(128, 1, 30)))
+        x = ad.Tensor(np.random.default_rng(6).normal(size=(128, 1, 30)))
         block = networks.SCENE_CONVS[:1]
         kernel, bias = params["scene1.kernel"], params["scene1.bias"]
         pool = block[0][3]
@@ -339,7 +339,7 @@ class TestCheckpoint:
         loaded, loaded_meta = networks.load_checkpoint(path)
         assert loaded_meta == meta
         assert [n for n, _ in loaded.items()] == [n for n, _ in params.items()]
-        for a, b in zip(params.tensors(), loaded.tensors()):
+        for (_, a), (_, b) in zip(params.items(), loaded.items()):
             assert np.array_equal(a.values, b.values)
         digest = hashlib.sha256(params.blob()).hexdigest()
         assert hashlib.sha256(loaded.blob()).hexdigest() == digest

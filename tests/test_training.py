@@ -170,6 +170,13 @@ class TestAdam:
         training.adam_step(params, {}, state, lr=0.1)
         assert np.array_equal(params["w"].values, before)
 
+    def test_zero_moments_are_made_only_at_the_first_step(self, monkeypatch):
+        params, state = self.params_and_state()
+        training.adam_step(params, {"w": np.ones(3)}, state, lr=0.1)
+        monkeypatch.setattr(np, "zeros_like", lambda a: pytest.fail("zero moments made again"))
+        training.adam_step(params, {"w": np.ones(3)}, state, lr=0.1)
+        assert state.step == 2
+
 
 class TestTrainTeacher:
     def test_overfits_separable_scenes(self):
@@ -543,7 +550,7 @@ class TestBatchedStudentStep:
         scenes = [0, 3, 1]
 
         def grads(feature_list, roll, mask, scene_ids):
-            zero_grads(params.tensors())
+            zero_grads(t for _, t in params.items())
             with ad.Tape() as tape:
                 event, scene = networks.student_forward(params, feature_list)
                 terms = [
