@@ -7,11 +7,8 @@ identical forward passes produce bit-identical gradients. Ops executed with
 no active tape run forward-only.
 
 The active tape belongs to the thread that entered it: each thread records
-onto at most one tape of its own. `_taped_map` uses that to run independent
-per-item subgraphs (one chunk's trunk, one clip's teacher loss) on threads,
-each on its own sub-tape, and joins them to the caller's tape as one record
-whose backward adds the items' parameter gradients in the order one serial
-tape would, so threading moves no bit.
+onto at most one tape of its own. That lets `networks` record per-item
+subgraphs on threads, each onto a sub-tape of its own.
 
 The op set is exactly what a training step records: elementwise
 arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
@@ -139,76 +136,6 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
-class _Outputs:
-    """Several tensors as the output of one tape record: the record runs
-    when any of them has a gradient, and is handed the list of theirs."""
-
-    __slots__ = ("tensors",)
-
-    def __init__(self, tensors):
-        self.tensors = tensors
-
-    @property
-    def grad(self):
-        grads = [t.grad for t in self.tensors]
-        return None if all(g is None for g in grads) else grads
-
-    @grad.setter
-    def grad(self, _):
-        for t in self.tensors:
-            t.grad = None
-
-
-def _taped_map(fn, items, params, thread_map, last_first: bool = True) -> list:
-    """[fn(params, item) for item in items], spread over threads by
-    `thread_map`, an order-keeping map such as `networks._thread_map`.
-
-    Under a tape each item records onto a sub-tape of its own, against shadow
-    leaves: new Tensors over the arrays of `params` (name -> Tensor), so each
-    item's parameter gradients stay its own. The outputs join the caller's
-    tape as one record. Its backward replays the sub-tapes through
-    `thread_map`, then adds each parameter's per-item gradients into it last
-    item first, the order in which one serial tape reaches the items; with
-    `last_first=False`, first item first, as one tape per item backwarded in
-    turn does. The sum starts from the first term, so when each item reaches
-    each parameter through one op the gradients equal the serial run's bit
-    for bit.
-    """
-    items = list(items)
-    if _recording.tape is None:
-        return thread_map(lambda item: fn(params, item), items)
-
-    def record(item):
-        shadows = {name: Tensor(t.values) for name, t in params.items()}
-        outer, _recording.tape = _recording.tape, None  # the caller's tape, on its thread
-        try:
-            with Tape() as tape:
-                out = fn(shadows, item)
-        finally:
-            _recording.tape = outer
-        return tape, shadows, out
-
-    runs = thread_map(record, items)
-
-    def replay(tape):
-        tape._replay()
-        tape._records.clear()  # the item's activations are no longer needed
-
-    def backward(grads):
-        reached = [i for i, g in enumerate(grads) if g is not None]
-        thread_map(lambda i: replay(runs[i][0]), reached)
-        order = reached[::-1] if last_first else reached
-        for name, leaf in params.items():
-            for i in order:
-                g = runs[i][1][name].grad
-                if g is not None:
-                    _accumulate(leaf, g)
-
-    outs = [out for _, _, out in runs]
-    _record(_Outputs(outs), backward)
-    return outs
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -323,9 +250,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight + bias; x may be a vector or a (rows, F) matrix."""
-    if x.values.ndim == 1:
-        return reshape(add(matmul(reshape(x, (1, -1)), weight), bias), (-1,))
+    """Affine map x @ weight + bias of a (rows, F) matrix x."""
     return add(matmul(x, weight), bias)
 
 

@@ -147,12 +147,12 @@ def cmd_ingest(args) -> int:
 
 
 def _parse_file(path, parse, *args):
-    """parse(the text of the UTF-8 file at `path`, *args); a line it cannot
-    parse, or a name outside the vocabulary, raises a DataError naming the
-    file."""
+    """parse(the text of the UTF-8 file at `path`, *args); bytes that are not
+    UTF-8, a line it cannot parse, or a name outside the vocabulary raise a
+    DataError naming the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"), *args)
-    except (ParseError, VocabularyError) as exc:
+    except (UnicodeDecodeError, ParseError, VocabularyError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -160,14 +160,14 @@ def _derive_vocabulary(metadata_path: Path, ann_dir: Path) -> Vocabulary:
     """The sorted scene names of the metadata lines and event names of their
     clips' annotation files; other files in `ann_dir` are not read."""
     scenes, events = set(), set()
-    for line in metadata_path.read_text(encoding="utf-8").splitlines():
+    for line in _parse_file(metadata_path, str.splitlines):
         parts = line.split("\t")
         if len(parts) != 2:
             continue
         scenes.add(parts[1])
         ann_path = ann_dir / f"{clip_id_from_path(parts[0])}.txt"
         if ann_path.is_file():  # a missing one is reported by `cmd_ingest`
-            for event_line in ann_path.read_text(encoding="utf-8").splitlines():
+            for event_line in _parse_file(ann_path, str.splitlines):
                 fields = event_line.split("\t")
                 if len(fields) == 3:
                     events.add(fields[2])

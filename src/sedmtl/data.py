@@ -64,11 +64,13 @@ def clip_id_from_path(audio_path: str) -> str:
 def parse_metadata(text: str, vocabulary: Vocabulary) -> list[ClipRecord]:
     """Parse `audio_path TAB scene_name` lines into clip stubs.
 
-    Malformed lines raise immediately with their line number; unknown scene
-    names are collected and reported together.
+    Malformed lines, and a line whose clip (its file stem) an earlier line
+    names, raise immediately with their line number; unknown scene names
+    are collected and reported together.
     """
     records = []
     unknown = []
+    first_line = {}  # clip id -> the line that named it
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -76,16 +78,16 @@ def parse_metadata(text: str, vocabulary: Vocabulary) -> list[ClipRecord]:
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(f"expected 'audio_path<TAB>scene', got {line!r}", lineno)
         audio_path, scene_name = parts
+        clip_id = clip_id_from_path(audio_path)
+        if clip_id in first_line:
+            raise ParseError(
+                f"clip {clip_id!r} of {audio_path!r} repeats line {first_line[clip_id]}", lineno
+            )
+        first_line[clip_id] = lineno
         if scene_name not in vocabulary.scenes:
             unknown.append(scene_name)
             continue
-        records.append(
-            ClipRecord(
-                clip_id=clip_id_from_path(audio_path),
-                audio_path=audio_path,
-                scene=vocabulary.scenes.index(scene_name),
-            )
-        )
+        records.append(ClipRecord(clip_id, audio_path, vocabulary.scenes.index(scene_name)))
     if unknown:
         names = ", ".join(repr(n) for n in sorted(set(unknown)))
         raise VocabularyError(f"unknown scene names: {names}")

@@ -18,14 +18,14 @@ equal-length inputs (a training mini-batch of chunks, or clips at inference)
 runs the trunk and scene head per input and the BiGRU and event head once,
 time-major over the whole batch; inference skips the scene head.
 
-The per-input trunk and teacher forwards run on a pool of threads, one per
-core in the process's affinity mask, the caller included: untaped at
-inference (`event_posteriors`, `teacher_logits`), and in training each on a
-sub-tape of its own (`autodiff._taped_map`) whose parameter gradients are
-added in the serial tape's order. Each thread issues the same single-threaded
-BLAS calls as a serial loop, so the bits do not change. With fewer than two
-inputs or cores, and in a forked child (a `cv` worker process), the loop runs
-serially on the calling thread.
+The per-input trunk and teacher forwards (`student_forward`,
+`teacher_logits`) run on a pool of threads, one per core in the process's
+affinity mask, the caller included (`_thread_map`): untaped at inference,
+and in training each on a sub-tape of its own (`_taped_map`) whose parameter
+gradients are added in the serial tapes' order. Each thread issues the same
+single-threaded BLAS calls as a serial loop, so the bits do not change. With
+fewer than two inputs or cores, and in a forked child (a `cv` worker
+process), the loop runs serially on the calling thread.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -115,6 +115,74 @@ def _thread_map(fn, items) -> list:
     for helper in helpers:
         results += helper.result()
     return results
+
+class _Outputs:
+    """Several tensors as the output of one tape record: the record runs
+    when any of them has a gradient, and is handed the list of theirs."""
+
+    __slots__ = ("tensors",)
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    @property
+    def grad(self):
+        grads = [t.grad for t in self.tensors]
+        return None if all(g is None for g in grads) else grads
+
+    @grad.setter
+    def grad(self, _):
+        for t in self.tensors:
+            t.grad = None
+
+def _taped_map(fn, items, params, last_first: bool = True) -> list:
+    """[fn(params, item) for item in items], spread over threads by
+    `_thread_map`.
+
+    Under a tape each item records onto a sub-tape of its own, against shadow
+    leaves: new Tensors over the arrays of `params` (name -> Tensor), so each
+    item's parameter gradients stay its own. The outputs join the caller's
+    tape as one record. Its backward replays the sub-tapes on threads, then
+    adds each parameter's per-item gradients into it last item first, the
+    order in which one serial tape reaches the items; with
+    `last_first=False`, first item first, as one tape per item backwarded in
+    turn does. The sum starts from the first term, so when each item reaches
+    each parameter through one op the gradients equal the serial run's bit
+    for bit.
+    """
+    items = list(items)
+    if ad._recording.tape is None:
+        return _thread_map(lambda item: fn(params, item), items)
+
+    def record(item):
+        shadows = {name: Tensor(t.values) for name, t in params.items()}
+        outer, ad._recording.tape = ad._recording.tape, None  # the caller's tape, on its thread
+        try:
+            with ad.Tape() as tape:
+                out = fn(shadows, item)
+        finally:
+            ad._recording.tape = outer
+        return tape, shadows, out
+
+    runs = _thread_map(record, items)
+
+    def replay(tape):
+        tape._replay()
+        tape._records.clear()  # the item's activations are no longer needed
+
+    def backward(grads):
+        reached = [i for i, g in enumerate(grads) if g is not None]
+        _thread_map(lambda i: replay(runs[i][0]), reached)
+        order = reached[::-1] if last_first else reached
+        for name, leaf in params.items():
+            for i in order:
+                g = runs[i][1][name].grad
+                if g is not None:
+                    ad._accumulate(leaf, g)
+
+    outs = [out for _, _, out in runs]
+    ad._record(_Outputs(outs), backward)
+    return outs
 
 class ModelParams:
     """Named parameter collection with a stable declaration order."""
@@ -214,8 +282,8 @@ def _classify(x: Tensor, params: ModelParams, convs, out) -> Tensor:
     """Conv stack -> mean over residual time -> dense layer `out` logits."""
     x = _conv_stack(x, params, convs)
     c, b, t = x.shape  # (C, 1, T')
-    pooled = ad.mean_axis(ad.reshape(x, (c, b * t)), 1)
-    return ad.dense(pooled, params[f"{out}.weight"], params[f"{out}.bias"])
+    pooled = ad.mean_axis(ad.reshape(x, (1, c, b * t)), 2)  # one (1, C) row
+    return ad.reshape(ad.dense(pooled, params[f"{out}.weight"], params[f"{out}.bias"]), (-1,))
 
 def teacher_forward(params: ModelParams, features) -> Tensor:
     """Scene logits (length C) for one clip."""
@@ -235,7 +303,7 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     a sub-tape that joins the caller's as one record.
     """
     distinct = {id(f): f for f in features}
-    trunks = ad._taped_map(student_trunk, distinct.values(), params, _thread_map)
+    trunks = _taped_map(student_trunk, distinct.values(), params)
     trunk_of = dict(zip(distinct, trunks))
     trunks = [trunk_of[id(f)] for f in features]
     scene_logits = [_classify(t, params, SCENE_CONVS, "scene_out") for t in trunks] if scene else None
@@ -277,8 +345,11 @@ def event_posteriors(params: ModelParams, features) -> list:
     return out
 
 def teacher_logits(params: ModelParams, features) -> list:
-    """Each feature matrix's scene logits, the forwards shared across threads."""
-    return _thread_map(lambda f: teacher_forward(params, f).values, features)
+    """Each feature matrix's scene logits, a Tensor each, the forwards shared
+    across threads. Under a tape each forward records onto a sub-tape of its
+    own, and the parameter gradients add first clip first, as one tape per
+    clip (the clips may differ in length) backwarded in turn would."""
+    return _taped_map(teacher_forward, features, params, last_first=False)
 
 def save_checkpoint(path, params: ModelParams, meta: dict):
     """JSON header (meta + parameter manifest) followed by the value blob."""

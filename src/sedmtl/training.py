@@ -25,10 +25,11 @@ on one tape, batch-mean gradients, Adam, per-epoch validation, and early
 stopping that restores the best epoch. Each trainer supplies only its batch
 loss; `_fit` records it, and a loss or gradient that is not finite stops
 training before the optimizer step, naming the epoch, batch and parameter.
-The teacher's batch loss sums one sub-tape per clip, as its clips may differ
-in length; the student's covers its mini-batch of equal-length chunks at
-once, taking the scene losses per chunk. A student's mode picks its scene
-term once; event_only, which has none, skips the scene head.
+The teacher's batch loss sums one hard scene loss per clip over
+`networks.teacher_logits`, as its clips may differ in length; the student's
+covers its mini-batch of equal-length chunks at once, taking the scene
+losses per chunk. A student's mode picks its scene term once; event_only,
+which has none, skips the scene head.
 """
 
 import collections
@@ -361,7 +362,7 @@ def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> 
 
 def teacher_accuracy(params: networks.ModelParams, clips) -> float:
     logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
-    correct = sum(int(np.argmax(x)) == clip.scene for x, clip in zip(logits, clips))
+    correct = sum(int(np.argmax(x.values)) == clip.scene for x, clip in zip(logits, clips))
     return correct / len(clips)
 
 
@@ -370,17 +371,9 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
     if config.mode != "teacher":
         raise ConfigError(f"train_teacher needs mode 'teacher', got {config.mode!r}")
 
-    def clip_loss(params, clip):
-        logits = networks.teacher_forward(params, clip.features.data)
-        return losses.scene_hard_loss(logits, clip.scene)
-
     def batch_loss(params, batch, totals):
-        # Clips differ in length: each records a sub-tape of its own, on
-        # threads, and their gradients add clip 0 first, as one tape per clip
-        # backwarded in turn would.
-        clip_losses = ad._taped_map(
-            clip_loss, batch, params, networks._thread_map, last_first=False
-        )
+        logits = networks.teacher_logits(params, [clip.features.data for clip in batch])
+        clip_losses = [losses.scene_hard_loss(x, clip.scene) for x, clip in zip(logits, batch)]
         for each in clip_losses:
             totals["scene_hard"] += each.item()
         return functools.reduce(ad.add, clip_losses)
@@ -400,7 +393,8 @@ def compute_soft_labels(params: networks.ModelParams, clips, temperature: float)
     """Frozen-teacher soft label per clip: temperature softmax of its logits."""
     logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
     return {
-        clip.clip_id: losses.distill_targets(x, temperature) for x, clip in zip(logits, clips)
+        clip.clip_id: losses.distill_targets(x.values, temperature)
+        for x, clip in zip(logits, clips)
     }
 
 

@@ -3,15 +3,31 @@
 `grad_check(fn, inputs)` compares the tape's gradients of a weighted sum of
 `fn(*inputs)` with central differences over every input element; the
 autodiff, loss and acceptance tests assert on its report. `weighted_sum`
-is the scalar loss those tests build from an op's output.
+is the scalar loss those tests build from an op's output, and
+`recording_ops` names the ops whose gradients need checking.
 """
 
+import ast
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from sedmtl import autodiff
 from sedmtl.autodiff import Tape, Tensor, matmul, reshape
 from sedmtl.errors import ArgumentError
+
+
+def recording_ops() -> set:
+    """The names of the public `sedmtl.autodiff` functions whose body calls
+    `_record`: every op a tape records."""
+    tree = ast.parse(Path(autodiff.__file__).read_text(encoding="utf-8"))
+    return {
+        owner.name
+        for owner in tree.body
+        if isinstance(owner, ast.FunctionDef) and not owner.name.startswith("_")
+        and any(getattr(node, "id", None) == "_record" for node in ast.walk(owner))
+    }
 
 
 def zero_grads(tensors):

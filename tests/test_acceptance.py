@@ -17,7 +17,7 @@ from sedmtl import autodiff as ad
 from sedmtl import cli, evaluation as ev, losses, training
 from sedmtl.fixture import generate_fixture
 
-from gradcheck import grad_check
+from gradcheck import grad_check, recording_ops
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -38,7 +38,8 @@ def _random_gru_cell(rng, n_in, units):
 
 class TestCriterion1GradientSuite:
     """Every primitive and every loss against central finite differences,
-    100 random trials each, rel err < 1e-4 recurrent / 1e-6 otherwise."""
+    100 random trials each, rel err < 1e-4 recurrent / 1e-6 otherwise. Each
+    op a tape records has a row of its own name."""
 
     def test_gradient_suite(self):
         start = time.monotonic()
@@ -71,6 +72,40 @@ class TestCriterion1GradientSuite:
             inputs = [x] + fwd.tensors() + bwd.tensors()
             return (lambda xt, *rest: ad.bigru_forward(xt, fwd, bwd)), inputs
 
+        def add_case(rng):
+            shape = [(3, 4), (4,), (1, 4), (3, 1)][int(rng.integers(0, 4))]  # broadcast b
+            return ad.add, [ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=shape))]
+
+        def scale_case(rng):
+            c = float(rng.normal(scale=2.0))
+            return (lambda t: ad.scale(t, c)), [ad.Tensor(rng.normal(size=(3, 4)))]
+
+        def reshape_case(rng):
+            shape = [(12,), (2, 6), (4, 3, 1)][int(rng.integers(0, 3))]
+            return (lambda t: ad.reshape(t, shape)), [ad.Tensor(rng.normal(size=(3, 4)))]
+
+        def stack_case(rng):
+            axis = int(rng.integers(0, 3))
+            inputs = [ad.Tensor(rng.normal(size=(3, 2))) for _ in range(3)]
+            return (lambda *ts: ad.stack(ts, axis=axis)), inputs
+
+        def transpose_case(rng):
+            axes = tuple(int(a) for a in rng.permutation(3))
+            return (lambda t: ad.transpose(t, axes)), [ad.Tensor(rng.normal(size=(2, 3, 4)))]
+
+        def mean_axis_case(rng):
+            axis = int(rng.integers(0, 3))
+            return (lambda t: ad.mean_axis(t, axis)), [ad.Tensor(rng.normal(size=(3, 4, 2)))]
+
+        def relu_case(rng):
+            # at least 0.1 from the kink at 0, where no finite difference holds
+            x = rng.uniform(0.1, 2.0, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4))
+            return ad.relu, [ad.Tensor(x)]
+
+        def matmul_case(rng):
+            a = ad.Tensor(rng.normal(size=(3, 4)))
+            return ad.matmul, [a, ad.Tensor(rng.normal(size=(4, 2)))]
+
         def dense_case(rng):
             x = ad.Tensor(rng.normal(size=(3, 4)))
             w = ad.Tensor(rng.normal(size=(4, 2)))
@@ -102,9 +137,17 @@ class TestCriterion1GradientSuite:
                 [ad.Tensor(rng.normal(scale=2.0, size=4))],
             )
 
+        run("add", 1e-6, add_case)
+        run("scale", 1e-6, scale_case)
+        run("reshape", 1e-6, reshape_case)
+        run("stack", 1e-6, stack_case)
+        run("transpose", 1e-6, transpose_case)
+        run("mean_axis", 1e-6, mean_axis_case)
+        run("relu", 1e-6, relu_case)
+        run("matmul", 1e-6, matmul_case)
         run("conv2d", 1e-6, conv_case)
         run("maxpool2d", 1e-6, pool_case)
-        run("bigru", 1e-4, bigru_case)
+        run("bigru_forward", 1e-4, bigru_case)
         run("dense", 1e-6, dense_case)
         run("event_loss", 1e-6, event_loss_case)
         run("scene_hard_loss", 1e-6, hard_loss_case)
@@ -112,11 +155,14 @@ class TestCriterion1GradientSuite:
 
         elapsed = time.monotonic() - start
         failures = {k: v for k, (v, tol) in worst.items() if v >= tol}
+        missing = sorted(recording_ops() - worst.keys())
         detail = (
             ", ".join(f"{k}={v:.2e}" for k, (v, _) in sorted(worst.items()))
+            + (f"; no row for {', '.join(missing)}" if missing else "")
             + f"; runtime {elapsed:.1f}s"
         )
-        _report("criterion 1 (gradient suite)", not failures and elapsed < 120.0, detail)
+        ok = not failures and not missing and elapsed < 120.0
+        _report("criterion 1 (gradient suite)", ok, detail)
 
 
 class TestCriterion2DistillationIdentities:

@@ -964,9 +964,14 @@ MALFORMED_INPUTS = [
      "{path}: line 2: home_0: unknown event name 'thunder'"),
     ("annotation", "no-event", "ingest",
      "{path}: line 3: home_0: expected 'onset<TAB>offset<TAB>event', got '0.1\\t0.5'"),
+    ("annotation", "not-utf8", "ingest", "{path}: {ff}"),
+    ("annotation", "not-utf8", "train", "{path}: {ff}"),
     ("metadata", "no-scene", "ingest",
      "{path}: line 9: expected 'audio_path<TAB>scene', got 'audio/extra_0.wav'"),
     ("metadata", "unknown-scene", "ingest", "{path}: unknown scene names: 'beach'"),
+    ("metadata", "repeated-clip", "ingest",
+     "{path}: line 9: clip 'home_0' of 'audio2/home_0.wav' repeats line 1"),
+    ("metadata", "not-utf8", "ingest", "{path}: {ff}"),
     ("fold flag", "-7", "eval", "fold -7 is not -1 (every clip) or a fold >= 0"),
     ("checkpoint", "no-band-stats", "eval", BAND_STATS),
     ("checkpoint", "3-bands", "distill", BAND_STATS),
@@ -1113,6 +1118,7 @@ class TestErrorBoundary:
         elif kind == "metadata":  # one line more
             text = ds["info"].metadata_path.read_bytes() + {
                 "no-scene": b"audio/extra_0.wav\n", "unknown-scene": b"audio/beach_0.wav\tbeach\n",
+                "repeated-clip": b"audio2/home_0.wav\toffice\n",
             }[corruption]
         elif kind == "checkpoint":
             text = edit_checkpoint_header(path.read_bytes(), CHECKPOINT_HEADERS[corruption])
@@ -1152,6 +1158,27 @@ class TestErrorBoundary:
             assert list(out.iterdir()) == [path] and path.read_bytes() == text
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["metadata", "annotation"])
+    def test_ingest_names_a_file_that_is_not_utf8_when_it_derives_the_vocabulary(
+        self, fixture_dataset, tmp_path, capsys, kind
+    ):
+        """With no --vocabulary, `ingest` reads the metadata and annotation
+        files for their names first; a byte that is not UTF-8 names its file."""
+        info = fixture_dataset["info"]
+        metadata = Path(shutil.copy(info.metadata_path, tmp_path / "meta.tsv"))
+        annotations = shutil.copytree(info.annotations_dir, tmp_path / "annotations")
+        path = metadata if kind == "metadata" else annotations / "home_0.txt"
+        text = path.read_bytes()
+        path.write_bytes(text + b"\xff\n")
+        out = tmp_path / "out"
+        argv = ["--metadata", str(metadata), "--annotations", str(annotations), "--out", str(out)]
+        assert cli.main(["ingest", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: "
+            "invalid start byte\n"
+        )
+        assert not out.exists()
 
     def test_bad_soft_label_stops_train_before_training(
         self, fixture_dataset, tmp_path, capsys, monkeypatch

@@ -13,6 +13,8 @@ from sedmtl import features as feat
 from sedmtl import training
 from sedmtl.errors import ArgumentError, DataError
 
+from gradcheck import recording_ops
+
 PACKAGE = Path(feat.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -301,7 +303,7 @@ class TestPublicNames:
 
     def test_tapes_open_only_in_the_fit_loop_and_taped_map(self):
         """Training records each mini-batch on one tape, opened by
-        `training._fit`; the only other tapes are `autodiff._taped_map`'s
+        `training._fit`; the only other tapes are `networks._taped_map`'s
         per-item sub-tapes. Lists each `Tape(` call by its top-level owner."""
         owners = []
         for path in sorted(PACKAGE.glob("*.py")):
@@ -311,20 +313,27 @@ class TestPublicNames:
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)
                     ):
                         owners.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
-        assert owners == ["autodiff._taped_map", "training._fit"]
+        assert owners == ["networks._taped_map", "training._fit"]
+
+    def test_threads_and_sub_tapes_are_named_in_networks_alone(self):
+        """`networks` owns the thread pool and the per-item sub-tapes that
+        run on it: no other module names `_thread_map` or `_taped_map`."""
+        named = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.stem == "networks":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                for field in ("id", "attr", "name"):
+                    if getattr(node, field, None) in ("_thread_map", "_taped_map"):
+                        named.append(f"{path.name}:{node.lineno} {getattr(node, field)}")
+        assert named == []
 
     def test_every_recording_op_is_recorded_by_training(self, monkeypatch):
         """autodiff keeps only the ops a training step records: one epoch of
         `train_teacher` and of an `mtl_soft` `train_student` on tiny clips
         records each public autodiff function that calls `_record` onto a
         tape at least once."""
-        tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
-        recording = {
-            owner.name
-            for owner in tree.body
-            if isinstance(owner, ast.FunctionDef) and not owner.name.startswith("_")
-            and any(getattr(node, "id", None) == "_record" for node in ast.walk(owner))
-        }
+        recording = recording_ops()
         recorded = set()
         record = ad._record
 

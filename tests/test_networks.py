@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import re
@@ -268,6 +269,92 @@ class TestThreadMap:
         monkeypatch.setattr(networks, "_threads", 1)
         threads = networks._thread_map(lambda _: threading.get_ident(), range(4))
         assert threads == [threading.get_ident()] * 4
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """The caller plus one helper thread, whatever this machine's core
+    count; yields the helper's pool."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(networks, "_threads", 2)
+    monkeypatch.setattr(networks, "_pool", pool)
+    yield pool
+    pool.shutdown()
+
+
+TRUNK_PARAMS = [f"trunk{k}.{kind}" for k in (1, 2, 3) for kind in ("kernel", "bias")]
+
+
+class TestTapedMap:
+    """Per-item sub-tapes on threads give the gradient bits of the serial tapes."""
+
+    @staticmethod
+    def grads(params):
+        return {name: t.grad.tobytes() for name, t in params.items() if t.grad is not None}
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 16])
+    def test_trunk_gradients_equal_one_serial_tape(self, two_threads, n_chunks):
+        params = networks.init_student_params(4, 3, seed=8)
+        rng = np.random.default_rng(n_chunks)
+        feats = [rng.normal(size=(64, 12)) for _ in range(n_chunks)]
+        weights = rng.uniform(0.5, 1.5, size=(n_chunks, 128, 1, 12))
+        found = []
+        for trunks in (
+            lambda: [networks.student_trunk(params, f) for f in feats],
+            lambda: networks._taped_map(networks.student_trunk, feats, params),
+        ):
+            zero_grads(t for _, t in params.items())
+            with ad.Tape() as tape:
+                loss = weighted_sum(ad.stack(trunks(), axis=0), weights)
+            tape.backward(loss)
+            found.append(self.grads(params))
+        assert sorted(found[1]) == sorted(TRUNK_PARAMS)
+        assert found[1] == found[0]
+
+    def test_first_item_first_equals_one_tape_per_item(self, two_threads):
+        params = networks.init_teacher_params(4, seed=3)
+        rng = np.random.default_rng(4)
+        feats = [rng.normal(size=(64, n)) for n in (30, 22, 41, 30, 17)]
+
+        def loss_of(p, f):
+            return weighted_sum(networks.teacher_forward(p, f))
+
+        zero_grads(t for _, t in params.items())
+        for f in feats:
+            with ad.Tape() as tape:
+                loss = loss_of(params, f)
+            tape.backward(loss)
+        serial = self.grads(params)
+        zero_grads(t for _, t in params.items())
+        with ad.Tape() as tape:
+            losses = networks._taped_map(loss_of, feats, params, last_first=False)
+            loss = functools.reduce(ad.add, losses)
+        tape.backward(loss)
+        assert len(serial) == len(params.items())
+        assert self.grads(params) == serial
+
+    @pytest.mark.parametrize("bad, first", [((1, 3), 1), ((3,), 3)])
+    def test_failing_item_raises_its_error_and_leaves_no_tape(self, two_threads, bad, first):
+        params = networks.init_student_params(4, 3, seed=8)
+
+        def trunk(p, i):
+            if i in bad:  # items 0-1 run on the caller's thread, 2-3 on the helper
+                raise ValueError(f"item {i}")
+            return networks.student_trunk(p, np.ones((64, 8)))
+
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            with ad.Tape():
+                networks._taped_map(trunk, range(4), params)
+        assert ad._ACTIVE_TAPE is None
+
+        def record_one():
+            with ad.Tape() as tape:
+                ad.relu(ad.Tensor([1.0]))
+            return len(tape)
+
+        assert record_one() == 1  # the caller's thread
+        assert two_threads.submit(record_one).result() == 1  # the helper's
+        assert ad._ACTIVE_TAPE is None
 
 
 class TestForwardBits:
