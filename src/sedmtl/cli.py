@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation as ev, networks, training
+from . import __version__, evaluation as ev, networks, parallel, training
 from .data import (
     Vocabulary,
     clip_id_from_path,
@@ -82,7 +82,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "threads": networks.threads(),
+            "threads": parallel.threads(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
@@ -104,17 +104,20 @@ def cmd_ingest(args) -> int:
     if not ann_dir.is_dir():
         raise DataError(f"annotations directory not found: {ann_dir}")
 
+    texts = {}  # path -> text of each file read so far: none is read twice
     if args.vocabulary:
         vocabulary = Vocabulary.load(args.vocabulary)
     else:
-        vocabulary = _derive_vocabulary(metadata_path, ann_dir)
-    records = _parse_file(metadata_path, parse_metadata, vocabulary)
+        vocabulary = _derive_vocabulary(metadata_path, ann_dir, texts)
+    records = _parse_file(metadata_path, parse_metadata, vocabulary, text=texts.get(metadata_path))
     for record in records:
         ann_path = ann_dir / f"{record.clip_id}.txt"
         if not ann_path.is_file():
             raise DataError(f"annotation file missing for clip {record.clip_id!r}: {ann_path}")
         record.annotation_path = str(ann_path)
-        record.events = _parse_file(ann_path, parse_event_annotations, record.clip_id, vocabulary)
+        record.events = _parse_file(
+            ann_path, parse_event_annotations, record.clip_id, vocabulary, text=texts.get(ann_path)
+        )
     folds = make_folds(records, n_folds=args.folds, seed=args.seed)
 
     audio_root = metadata_path.parent
@@ -146,28 +149,33 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_file(path, parse, *args):
-    """parse(the text of the UTF-8 file at `path`, *args); bytes that are not
-    UTF-8, a line it cannot parse, or a name outside the vocabulary raise a
-    DataError naming the file."""
+def _parse_file(path, parse, *args, text=None):
+    """parse(`text`, *args), reading `text` from the UTF-8 file at `path`
+    when it is None; bytes that are not UTF-8, a line it cannot parse, or a
+    name outside the vocabulary raise a DataError naming the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        if text is None:
+            text = Path(path).read_text(encoding="utf-8")
+        return parse(text, *args)
     except (UnicodeDecodeError, ParseError, VocabularyError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _derive_vocabulary(metadata_path: Path, ann_dir: Path) -> Vocabulary:
+def _derive_vocabulary(metadata_path: Path, ann_dir: Path, texts: dict) -> Vocabulary:
     """The sorted scene names of the metadata lines and event names of their
-    clips' annotation files; other files in `ann_dir` are not read."""
+    clips' annotation files, keeping each file's text in `texts` (path ->
+    text); other files in `ann_dir` are not read."""
     scenes, events = set(), set()
-    for line in _parse_file(metadata_path, str.splitlines):
+    texts[metadata_path] = _parse_file(metadata_path, str)
+    for line in texts[metadata_path].splitlines():
         parts = line.split("\t")
         if len(parts) != 2:
             continue
         scenes.add(parts[1])
         ann_path = ann_dir / f"{clip_id_from_path(parts[0])}.txt"
-        if ann_path.is_file():  # a missing one is reported by `cmd_ingest`
-            for event_line in _parse_file(ann_path, str.splitlines):
+        if ann_path not in texts and ann_path.is_file():  # a missing one is reported later
+            texts[ann_path] = _parse_file(ann_path, str)
+            for event_line in texts[ann_path].splitlines():
                 fields = event_line.split("\t")
                 if len(fields) == 3:
                     events.add(fields[2])
@@ -179,6 +187,8 @@ def _derive_vocabulary(metadata_path: Path, ann_dir: Path) -> Vocabulary:
 
 
 def cmd_features(args) -> int:
+    """Extract each manifest clip's features on the thread pool, then report
+    and index the clips in sorted order: the output is the serial loop's."""
     entries = read_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,35 +198,48 @@ def cmd_features(args) -> int:
         if not isinstance(digest, str):
             raise DataError(f"{index_path}: clip {clip_id!r} has digest {digest!r}, not a string")
 
+    def extract(clip_id):
+        audio_path, cache_path = entries[clip_id]["audio_path"], out_dir / f"{clip_id}.sdfc"
+        try:
+            return _extract_clip(clip_id, audio_path, cache_path, index.get(clip_id))
+        except Exception as exc:  # raised below, after the lines of the clips before it
+            return exc
+
+    clip_ids = sorted(entries)
     failures = 0
-    for clip_id in sorted(entries):
-        audio_path = entries[clip_id]["audio_path"]
-        cache_path = out_dir / f"{clip_id}.sdfc"
-        try:
-            digest = _sha256_file(audio_path)
-        except OSError as exc:
-            _err(f"{clip_id}: cannot read audio: {exc}")
-            failures += 1
-            continue
-        if index.get(clip_id) == digest and cache_path.is_file():
-            try:
-                read_feature_cache(cache_path, clip_id)
-                _note(f"{clip_id}: skipped (up to date)")
-                continue
-            except DataError:
-                pass  # corrupted cache: fall through and re-extract
-        try:
-            waveform = read_wav(audio_path)
-            features = log_mel_energy(waveform, clip_id=clip_id)
-            write_feature_cache(cache_path, features)
+    for clip_id, result in zip(clip_ids, parallel._thread_map(extract, clip_ids)):
+        if isinstance(result, Exception):
+            raise result
+        digest, message, failed = result
+        (_err if failed else _note)(message)
+        failures += failed
+        if digest is not None:
             index[clip_id] = digest
-            _note(f"{clip_id}: extracted ({features.data.shape[1]} frames)")
-        except (ValueError, DataError) as exc:
-            _err(f"{clip_id}: {exc}")
-            failures += 1
     write_json(index_path, index)
     print(f"feature cache in {out_dir}: {len(entries) - failures} ok, {failures} failed")
     return 1 if failures else 0
+
+
+def _extract_clip(clip_id, audio_path, cache_path, indexed_digest):
+    """One clip of `cmd_features`: (the audio's digest when its cache was
+    written, else None; the clip's stderr line; whether it failed). A cache
+    that `indexed_digest` shows up to date and that reads back is kept."""
+    try:
+        digest = _sha256_file(audio_path)
+    except OSError as exc:
+        return None, f"{clip_id}: cannot read audio: {exc}", True
+    if indexed_digest == digest and cache_path.is_file():
+        try:
+            read_feature_cache(cache_path, clip_id)
+            return None, f"{clip_id}: skipped (up to date)", False
+        except DataError:
+            pass  # corrupted cache: fall through and re-extract
+    try:
+        features = log_mel_energy(read_wav(audio_path), clip_id=clip_id)
+        write_feature_cache(cache_path, features)
+    except (ValueError, DataError) as exc:
+        return None, f"{clip_id}: {exc}", True
+    return digest, f"{clip_id}: extracted ({features.n_frames} frames)", False
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ The frame grid (`FRAME_LEN_S`, `HOP_S`) and the band count (`N_MEL_BANDS`)
 are declared here once; every other module reads them from here.
 """
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass
@@ -83,10 +84,9 @@ def frame_signal(waveform: Waveform) -> np.ndarray:
             f"input of {n_samples} samples is shorter than one frame "
             f"({frame_len} samples at {waveform.sample_rate} Hz)"
         )
-    n_frames = 1 + (n_samples - frame_len) // hop
-    window = np.hamming(frame_len)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return waveform.samples[idx] * window
+    # one row per hop: 1 + (n_samples - frame_len) // hop frames
+    windows = np.lib.stride_tricks.sliding_window_view(waveform.samples, frame_len)[::hop]
+    return windows * np.hamming(frame_len)
 
 
 def _next_pow2(n: int) -> int:
@@ -112,10 +112,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache
 def build_mel_filterbank(sample_rate: int, fft_bins: int) -> np.ndarray:
     """(N_MEL_BANDS, fft_bins // 2 + 1) weights of triangular filters whose
     edges are equally spaced on the mel scale from 0 Hz to Nyquist, each row
-    peak-normalized to 1.
+    peak-normalized to 1. Built once per (sample_rate, fft_bins): every call
+    with those arguments returns the same read-only array.
     """
     edges_hz = mel_to_hz(
         np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), N_MEL_BANDS + 2)
@@ -134,6 +136,7 @@ def build_mel_filterbank(sample_rate: int, fft_bins: int) -> np.ndarray:
                 f"{N_MEL_BANDS} bands need audio at a higher sample rate"
             )
         weights[b] = tri / peak
+    weights.flags.writeable = False
     return weights
 
 

@@ -19,13 +19,11 @@ runs the trunk and scene head per input and the BiGRU and event head once,
 time-major over the whole batch; inference skips the scene head.
 
 The per-input trunk and teacher forwards (`student_forward`,
-`teacher_logits`) run on a pool of threads, one per core in the process's
-affinity mask, the caller included (`_thread_map`): untaped at inference,
-and in training each on a sub-tape of its own (`_taped_map`) whose parameter
-gradients are added in the serial tapes' order. Each thread issues the same
-single-threaded BLAS calls as a serial loop, so the bits do not change. With
-fewer than two inputs or cores, and in a forked child (a `cv` worker
-process), the loop runs serially on the calling thread.
+`teacher_logits`) run on the process's thread pool (`parallel._thread_map`):
+untaped at inference, and in training each on a sub-tape of its own
+(`_taped_map`) whose parameter gradients are added in the serial tapes'
+order. Each thread issues the same single-threaded BLAS calls as a serial
+loop, so the bits do not change.
 
 Weights use fan-based uniform (Glorot) init, biases start at zero, and the
 recurrent matrices use the same plain scaled-uniform draw. Checkpoints are a
@@ -34,9 +32,7 @@ JSON header plus one little-endian float64 blob in declared parameter order.
 
 import json
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -44,6 +40,7 @@ from . import autodiff as ad
 from .autodiff import GRU_GATES, GRUCell, Tensor
 from .errors import DataError, DimensionError
 from .features import N_MEL_BANDS as N_BANDS
+from .parallel import _thread_map
 
 # Conv blocks in order: (layer, in channels, out channels, (time, band) pool).
 TEACHER_CONVS = (
@@ -68,53 +65,6 @@ EVENT_HIDDEN = 32
 INFER_BATCH = 8
 
 CHECKPOINT_MAGIC = b"SDCK1"
-
-def _affinity_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-_threads = _affinity_cores()
-_pool = None  # ThreadPoolExecutor of _threads - 1 helpers, made on first use
-
-def _serial_after_fork():
-    # The child inherits the pool object but none of its threads; its
-    # parallelism is the process pool that forked it.
-    global _threads, _pool
-    _threads, _pool = 1, None
-
-os.register_at_fork(after_in_child=_serial_after_fork)
-
-def threads() -> int:
-    """Threads that share per-input forwards and backwards in this process."""
-    return _threads
-
-def _thread_map(fn, items) -> list:
-    """[fn(item) for item in items], in input order, with the items split
-    into contiguous shares: the caller runs the first, helper threads the
-    rest. A failure raises the error of the first failing item in input
-    order, once every share has stopped. `fn` must not call `_thread_map`
-    itself."""
-    global _pool
-    items = list(items)
-    n = min(_threads, len(items))
-    if n < 2:
-        return [fn(item) for item in items]
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_threads - 1, thread_name_prefix="sedmtl")
-    bounds = [len(items) * k // n for k in range(n + 1)]
-    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    helpers = [
-        _pool.submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]
-    ]
-    try:
-        results = [fn(item) for item in shares[0]]
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        results += helper.result()
-    return results
 
 class _Outputs:
     """Several tensors as the output of one tape record: the record runs

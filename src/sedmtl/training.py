@@ -41,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluation as ev
-from . import losses, networks
+from . import losses, networks, parallel
 from .data import chunk_clips, read_json
 from .errors import ConfigError, DataError, DimensionError
 from .features import BandStats, LogMelSpectrogram, compute_band_stats, standardize
@@ -632,7 +632,7 @@ def run_cross_validation(
     sets its own mode, seed and fold. The `vocabulary` sizes the scene heads
     and names the per-event rows.
 
-    At most min(workers, runs, `networks.threads()`) worker processes run at
+    At most min(workers, runs, `parallel.threads()`) worker processes run at
     once: no more than the cores this process may run on.
     """
     present = set(folds.values())
@@ -649,7 +649,7 @@ def run_cross_validation(
         for seed in cv.seeds:
             configs = [replace(base, mode=mode, seed=seed, fold=fold) for mode in run_modes]
             jobs.append((examples, folds, configs, fold, cv.eval, vocabulary))
-    workers = min(workers, len(jobs), networks.threads())
+    workers = min(workers, len(jobs), parallel.threads())
     if workers > 1:
         import multiprocessing
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from sedmtl import autodiff as ad
-from sedmtl import cli, networks, training
-from sedmtl.data import read_manifest
+from sedmtl import cli, networks, parallel, training
+from sedmtl.data import read_manifest, write_json
 from sedmtl.features import (
     CACHE_MAGIC,
     CACHE_VERSION,
@@ -128,6 +129,29 @@ class TestIngest:
         assert "thunder" not in vocab["events"]
         assert "thunder" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("given_vocabulary", [False, True])
+    def test_each_text_input_is_read_once(
+        self, fixture_dataset, tmp_path, monkeypatch, given_vocabulary
+    ):
+        """The names of a derived vocabulary come from the texts that are then
+        parsed: the metadata and each annotation file are read once."""
+        reads = collections.Counter()
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads[str(path)] += 1
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        info = fixture_dataset["info"]
+        argv = ["ingest", "--metadata", str(info.metadata_path),
+                "--annotations", str(info.annotations_dir), "--out", str(tmp_path / "out")]
+        if given_vocabulary:
+            argv += ["--vocabulary", str(fixture_dataset["vocabulary"])]
+        assert cli.main(argv) == 0
+        texts = [info.metadata_path] + [info.annotations_dir / f"{c.clip_id}.txt" for c in info.clips]
+        assert reads == {str(path): 1 for path in texts}
+
     def test_rerun_identical_manifest(self, fixture_dataset, tmp_path):
         args = [
             "ingest",
@@ -174,6 +198,54 @@ class TestFeatures:
         err = capsys.readouterr().err
         assert "office_0: extracted" in err
         assert cache.read_bytes() == good
+
+
+    def test_one_and_two_threads_write_the_same_bytes(
+        self, fixture_dataset, tmp_path, monkeypatch, capsys
+    ):
+        """On the pool, `features` writes the serial loop's caches, index,
+        stdout, stderr and exit code, with one clip whose WAV does not read;
+        a rerun skips every other clip as up to date."""
+        entries = read_manifest(fixture_dataset["manifest"])
+        bad = sorted(entries)[3]
+        entries[bad]["audio_path"] = str(tmp_path / "bad.wav")
+        (tmp_path / "bad.wav").write_bytes(b"RIFF, but not a wave file")
+        write_json(tmp_path / "manifest.json", entries)
+        argv = ["features", "--manifest", str(tmp_path / "manifest.json"),
+                "--out", str(tmp_path / "features")]
+        extracting = set()
+        log_mel_energy = cli.log_mel_energy
+
+        def recording(*args, **kwargs):
+            extracting.add(threading.get_ident())
+            return log_mel_energy(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "log_mel_energy", recording)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(parallel, "_threads", threads)
+            shutil.rmtree(tmp_path / "features", ignore_errors=True)
+            extracting.clear()
+            first = (cli.main(argv), capsys.readouterr())
+            assert len(extracting) == threads
+            rerun = (cli.main(argv), capsys.readouterr())
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / "features").iterdir())}
+            runs.append((first, rerun, files))
+        assert runs[0] == runs[1]
+        (code, (out, err)), (rerun_code, (_, rerun_err)), files = runs[0]
+        good = [clip for clip in sorted(entries) if clip != bad]
+        assert code == rerun_code == 1
+        assert out == f"feature cache in {tmp_path / 'features'}: 7 ok, 1 failed\n"
+        assert err.splitlines() == [
+            f"error: {bad}: {tmp_path / 'bad.wav'}: not a readable RIFF/WAVE file"
+            " (not a WAVE file)" if clip == bad
+            else f"{clip}: extracted (49 frames)"
+            for clip in sorted(entries)
+        ]
+        assert [line for line in rerun_err.splitlines() if "skipped" in line] == [
+            f"{clip}: skipped (up to date)" for clip in good
+        ]
+        assert sorted(files) == sorted([f"{clip}.sdfc" for clip in good] + ["cache_index.json"])
 
 
 class TestTrain:
@@ -685,7 +757,7 @@ class TestCrossValidation:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was made")
 
-        monkeypatch.setattr(networks, "_threads", 1)
+        monkeypatch.setattr(parallel, "_threads", 1)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setenv("SEDMTL_WORKERS", "2")
         doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
@@ -1297,7 +1369,7 @@ class TestTrainingThreads:
             monkeypatch.setattr(networks, name, recording)
         written = []
         for threads in (1, 2):
-            monkeypatch.setattr(networks, "_threads", threads)
+            monkeypatch.setattr(parallel, "_threads", threads)
             taped_threads.clear()
             out = tmp_path / f"threads{threads}"
             doc = train_config_doc(fixture_dataset, out, mode, alpha=0.5, batch_size=batch_size)

@@ -53,6 +53,19 @@ class TestFrameSignal:
         frames = feat.frame_signal(w)
         assert_allclose(frames[0], np.hamming(1764))
 
+    @pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000])
+    def test_strided_frames_equal_an_index_gather(self, sample_rate):
+        """The window view multiplies the very samples the index gather of
+        every frame's sample offsets picks, so the frames are equal bit for bit."""
+        rng = np.random.default_rng(sample_rate)
+        frame_len = int(round(feat.FRAME_LEN_S * sample_rate))
+        hop = int(round(feat.HOP_S * sample_rate))
+        for n in (frame_len, frame_len + hop - 1, frame_len + hop, 3 * sample_rate + 7):
+            w = feat.Waveform(samples=rng.uniform(-1, 1, n), sample_rate=sample_rate)
+            n_frames = 1 + (n - frame_len) // hop
+            idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
+            assert np.array_equal(feat.frame_signal(w), w.samples[idx] * np.hamming(frame_len))
+
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
@@ -121,6 +134,16 @@ class TestMelFilterbank:
         # at 1 kHz the lowest bands are narrower than one 15.6 Hz FFT bin
         with pytest.raises(ArgumentError, match="mel band 0 spans no FFT bin at 1000 Hz"):
             feat.log_mel_energy(make_waveform(0.5, sample_rate=1000))
+
+    def test_built_once_per_rate_and_size_and_read_only(self):
+        weights = feat.build_mel_filterbank(16000, 1024)
+        assert feat.build_mel_filterbank(16000, 1024) is weights
+        assert feat.build_mel_filterbank(16000, 2048) is not weights
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 2.0
+        for _ in range(2):  # a rejected rate is not cached: it fails every time
+            with pytest.raises(ArgumentError, match="mel band 0 spans no FFT bin at 1000 Hz"):
+                feat.build_mel_filterbank(1000, 64)
 
 
 class TestLogMelEnergy:
@@ -315,18 +338,21 @@ class TestPublicNames:
                         owners.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
         assert owners == ["networks._taped_map", "training._fit"]
 
-    def test_threads_and_sub_tapes_are_named_in_networks_alone(self):
-        """`networks` owns the thread pool and the per-item sub-tapes that
-        run on it: no other module names `_thread_map` or `_taped_map`."""
-        named = []
+    def test_one_module_builds_the_pool_and_networks_alone_names_sub_tapes(self):
+        """One thread pool, one owner: only `parallel` builds a
+        `ThreadPoolExecutor` or registers a fork hook, each once, and only
+        `networks` names `_taped_map`, the per-item sub-tapes run on it."""
+        calls, named = [], set()
         for path in sorted(PACKAGE.glob("*.py")):
-            if path.stem == "networks":
-                continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                for field in ("id", "attr", "name"):
-                    if getattr(node, field, None) in ("_thread_map", "_taped_map"):
-                        named.append(f"{path.name}:{node.lineno} {getattr(node, field)}")
-        assert named == []
+                if isinstance(node, ast.Call):
+                    func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if func in ("ThreadPoolExecutor", "register_at_fork"):
+                        calls.append(f"{path.stem}.{func}")
+                if "_taped_map" in (getattr(node, field, None) for field in ("id", "attr", "name")):
+                    named.add(path.stem)
+        assert sorted(calls) == ["parallel.ThreadPoolExecutor", "parallel.register_at_fork"]
+        assert named == {"networks"}
 
     def test_every_recording_op_is_recorded_by_training(self, monkeypatch):
         """autodiff keeps only the ops a training step records: one epoch of

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
-from sedmtl import losses, networks
+from sedmtl import losses, networks, parallel
 from sedmtl.errors import DataError, DimensionError
 
 from gradcheck import weighted_sum, zero_grads
@@ -213,8 +213,8 @@ class TestStudentForward:
 def three_threads(monkeypatch):
     """The caller plus two helper threads, whatever this machine's core count."""
     pool = ThreadPoolExecutor(2)
-    monkeypatch.setattr(networks, "_threads", 3)
-    monkeypatch.setattr(networks, "_pool", pool)
+    monkeypatch.setattr(parallel, "_threads", 3)
+    monkeypatch.setattr(parallel, "_pool", pool)
     yield
     pool.shutdown()
 
@@ -227,7 +227,7 @@ class TestThreadMap:
             threads.add(threading.get_ident())
             return x * x
 
-        assert networks._thread_map(square, range(7)) == [x * x for x in range(7)]
+        assert parallel._thread_map(square, range(7)) == [x * x for x in range(7)]
         assert len(threads) > 1
 
     @pytest.mark.parametrize("bad, first", [((4, 6, 8), 4), ((1, 5, 7), 1), ((8,), 8)])
@@ -238,8 +238,8 @@ class TestThreadMap:
             return x
 
         with pytest.raises(ValueError, match=f"^item {first}$"):
-            networks._thread_map(fail_on_bad, range(9))
-        assert networks._thread_map(fail_on_bad, [0, 2, 3]) == [0, 2, 3]
+            parallel._thread_map(fail_on_bad, range(9))
+        assert parallel._thread_map(fail_on_bad, [0, 2, 3]) == [0, 2, 3]
 
     def test_bad_clip_in_a_helper_share_raises_its_own_error(self, three_threads):
         params = networks.init_student_params(4, 5, seed=10)
@@ -266,8 +266,8 @@ class TestThreadMap:
             assert len(threads) == 5 and len(set(threads)) > 1
 
     def test_serial_with_one_thread(self, monkeypatch):
-        monkeypatch.setattr(networks, "_threads", 1)
-        threads = networks._thread_map(lambda _: threading.get_ident(), range(4))
+        monkeypatch.setattr(parallel, "_threads", 1)
+        threads = parallel._thread_map(lambda _: threading.get_ident(), range(4))
         assert threads == [threading.get_ident()] * 4
 
 
@@ -276,8 +276,8 @@ def two_threads(monkeypatch):
     """The caller plus one helper thread, whatever this machine's core
     count; yields the helper's pool."""
     pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(networks, "_threads", 2)
-    monkeypatch.setattr(networks, "_pool", pool)
+    monkeypatch.setattr(parallel, "_threads", 2)
+    monkeypatch.setattr(parallel, "_pool", pool)
     yield pool
     pool.shutdown()
 

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import autodiff as ad
-from sedmtl import losses, networks, training
+from sedmtl import losses, networks, parallel, training
 from sedmtl.data import Vocabulary, write_json
 from sedmtl.errors import ConfigError, DataError, DimensionError
 from sedmtl.features import LogMelSpectrogram
@@ -511,7 +511,7 @@ class TestInferenceThreads:
 
     @pytest.fixture
     def two_threads(self, monkeypatch):
-        monkeypatch.setattr(networks, "_threads", 2)
+        monkeypatch.setattr(parallel, "_threads", 2)
 
     def test_student_posteriors(self, monkeypatch, two_threads):
         params = networks.init_student_params(4, 3, seed=21)
@@ -519,7 +519,7 @@ class TestInferenceThreads:
         threads = recording_threads(monkeypatch, networks, "student_trunk")
         pooled = training.student_posteriors(params, *clips)
         assert len(set(threads)) == 2
-        monkeypatch.setattr(networks, "_threads", 1)
+        monkeypatch.setattr(parallel, "_threads", 1)
         serial = training.student_posteriors(params, *clips)
         for a, b in zip(pooled, serial, strict=True):
             assert a.tobytes() == b.tobytes()
@@ -533,7 +533,7 @@ class TestInferenceThreads:
         pooled = training.compute_soft_labels(params, clips, 2.0)
         accuracy = training.teacher_accuracy(params, clips)
         assert len(set(threads)) == 2
-        monkeypatch.setattr(networks, "_threads", 1)
+        monkeypatch.setattr(parallel, "_threads", 1)
         serial = training.compute_soft_labels(params, clips, 2.0)
         assert list(pooled) == list(serial) == [c.clip_id for c in clips]
         assert all(pooled[c].tobytes() == serial[c].tobytes() for c in serial)
@@ -671,10 +671,10 @@ class TestCrossValidation:
         code = f"""
 import json, sys
 sys.path.insert(0, {str(tests)!r})
-from sedmtl import networks, training
+from sedmtl import networks, parallel, training
 from test_training import VOCABULARY, clip_with_frames, cv_settings, synthetic_scene_examples
 
-networks._threads = 2
+parallel._threads = 2
 params = networks.init_student_params(4, 3, seed=0)
 training.student_posteriors(params, *[clip_with_frames(f"c{{i}}", 20, i) for i in range(4)])
 examples = synthetic_scene_examples(clips_per_scene=1)
@@ -722,7 +722,7 @@ print(json.dumps([json.dumps(r, sort_keys=True, default=str) for r in runs]))
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        monkeypatch.setattr(networks, "threads", lambda: 3)  # cores this process may use
+        monkeypatch.setattr(parallel, "threads", lambda: 3)  # cores this process may use
         examples = synthetic_scene_examples(clips_per_scene=1)
         split = {c: i % 2 for i, c in enumerate(sorted(examples))}
         for seeds in ([0, 1], [0]):  # 4 runs, then 2
