@@ -11,8 +11,9 @@ onto at most one tape of its own. That lets `networks` record per-item
 subgraphs on threads, each onto a sub-tape of its own.
 
 The op set is exactly what a training step records: elementwise
-arithmetic, matmul, same-padded 3x3 convolution, max pooling with partial
-final windows, a bidirectional GRU and relu. Steps that are never
+arithmetic, matmul, same-padded 3x3 convolution with its layer's pooling
+(a one-channel input's a block of output channels at a time), max pooling
+with partial final windows, a bidirectional GRU and relu. Steps that are never
 differentiated, the posterior sigmoid and the teacher's temperature softmax,
 run in plain numpy (`_sigmoid_values`, `losses.distill_targets`).
 """
@@ -258,19 +259,40 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # convolution and pooling
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded 3x3 cross-correlation over band-major activations.
+# Output bytes per block of a one-channel conv's rows. Each block's bias add
+# and pooling should find the block still in cache, but every block reads the
+# whole im2col matrix (9 times the input) again. On a Xeon with 2 MB of L2 per
+# core, 4 MB blocks ran the paper-sized student and teacher steps faster than
+# 2 MB blocks, and keep a 50-frame chunk's 3.3 MB map one block.
+_MAP_BUDGET = 4 << 20
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, pool=(1, 1)) -> Tensor:
+    """Same-padded 3x3 cross-correlation over band-major activations, max
+    pooled over windows of `pool` = (pool_frames, pool_bands).
 
     x is (Cin, bands, frames), kernel (Cout, Cin, 3 frame taps, 3 band taps),
-    bias (Cout,); the output is (Cout, bands, frames) with one ring of zero
-    padding. The frame axis is the contiguous one, so each tap copy moves
+    bias (Cout,); the unpooled map is (Cout, bands, frames) with one ring of
+    zero padding. The frame axis is the contiguous one, so each tap copy moves
     whole runs of frames. The im2col matrix is built channel-major,
     (Cin*9, bands*frames) with rows in (cin, frame tap, band tap) order, so
     the forward GEMM `kmat @ cols` lands directly in the (Cout, bands*frames)
     output layout and the input gradient comes back as
     (Cin, 3, 3, bands, frames): one contiguous plane per tap.
 
-    The backward pass rebuilds the im2col matrix from the input instead of
+    A multi-channel map is pooled by `maxpool2d`, and its values are dropped
+    once pooled: the tape keeps only the pool's routing masks. A one-channel
+    input (a network's first layer, whose map is 128 times the input) is
+    computed, biased and pooled one block of output channels at a time, each
+    block about `_MAP_BUDGET` bytes, so the full map is never built. Row
+    blocks of the forward GEMM give the full product's bits as long as no
+    block is a single row (a matrix-vector product rounds differently), so
+    the split is even and every block has at least 2 rows. Under a tape the
+    blocks' routing masks are joined into the whole map's, so the backward
+    is maxpool2d's, then the conv's: one full map gradient and one weight
+    gradient GEMM, whose row blocks would not be exact.
+
+    The conv's backward rebuilds the im2col matrix from the input instead of
     keeping it (Cin*9 times the input's size) alive on the tape, and skips
     the input gradient when x is a constant.
     """
@@ -290,14 +312,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"conv2d bias shape {bias.values.shape} does not match {c_out} channels"
         )
+    pool_frames, pool_bands = pool
+    _check_pool(pool_frames, pool_bands)
     _, n_bands, n_frames = xv.shape
     kmat = kv.reshape(c_out, c_in * 9)
-    outv = kmat @ _im2col(xv)
-    outv += bias.values[:, None]
-    out = Tensor(outv.reshape(c_out, n_bands, n_frames))
+    cols = _im2col(xv)
 
-    def backward(g):
-        g2 = g.reshape(c_out, n_bands * n_frames)
+    def conv_backward(g2):
+        # g2: the (Cout, bands*frames) gradient of the unpooled map
         _accumulate(kernel, (g2 @ _im2col(xv).T).reshape(kv.shape))
         _accumulate(bias, g2.sum(axis=1))
         if x.constant:
@@ -308,7 +330,48 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             dx[src] += dcols[:, i, j][dst]
         _accumulate(x, dx)
 
-    return _record(out, backward)
+    if c_in > 1 or pool_frames == pool_bands == 1:
+        outv = kmat @ cols
+        del cols
+        outv += bias.values[:, None]
+        conv = _record(
+            Tensor(outv.reshape(c_out, n_bands, n_frames)),
+            lambda g: conv_backward(g.reshape(c_out, n_bands * n_frames)),
+        )
+        if pool_frames == pool_bands == 1:
+            return conv
+        out = maxpool2d(conv, pool_frames, pool_bands)
+        conv.values = None  # only the pool read it, and a tape needs only its .grad
+        return out
+
+    taped = _recording.tape is not None
+    outv = np.empty((c_out, -(-n_bands // pool_bands), -(-n_frames // pool_frames)))
+    per_block = []  # each block's pooling stages
+    for rows in _row_blocks(c_out, 8 * n_bands * n_frames):
+        block = kmat[rows] @ cols
+        block += bias.values[rows, None]
+        pooled, stages = _pool(block.reshape(-1, n_bands, n_frames), pool_frames, pool_bands, taped)
+        outv[rows] = pooled
+        per_block.append(stages)
+    del cols, block
+    # the whole map's stages, as maxpool2d keeps them: the blocks' masks joined
+    stages = [
+        (axis, n, np.concatenate([b[i][2] for b in per_block]) if taped else None)
+        for i, (axis, n, _) in enumerate(stages)
+    ]
+
+    def backward(g):
+        conv_backward(_unpool(g, stages).reshape(c_out, n_bands * n_frames))
+
+    return _record(Tensor(outv), backward)
+
+
+def _row_blocks(c_out: int, row_bytes: int) -> list:
+    """Row slices of a (c_out, ...) map whose rows hold `row_bytes` each: an
+    even split into the fewest blocks of about `_MAP_BUDGET` bytes, with
+    never fewer than 2 rows in a block (one block if c_out is 1)."""
+    n = max(1, min(-(-c_out * row_bytes // _MAP_BUDGET), c_out // 2))
+    return [slice(c_out * k // n, c_out * (k + 1) // n) for k in range(n)]
 
 
 def _im2col(xv: np.ndarray) -> np.ndarray:
@@ -354,27 +417,41 @@ def maxpool2d(x: Tensor, pool_frames: int, pool_bands: int) -> Tensor:
     Under a tape each stage keeps only a bool mask of those elements, never
     the pooled input.
     """
-    if pool_frames < 1 or pool_bands < 1:
-        raise ArgumentError(f"pool dims must be >= 1, got {pool_frames}x{pool_bands}")
+    _check_pool(pool_frames, pool_bands)
     xv = x.values
     if xv.ndim != 3:
         raise DimensionError(f"maxpool2d expects (C,bands,frames), got {xv.shape}")
-    taped = _recording.tape is not None
-    stages = []  # (axis, input length, routing mask) per stage that pools
-    outv = xv
-    for axis, size in ((1, pool_bands), (2, pool_frames)):
-        if size > 1:
-            n = outv.shape[axis]
-            outv, mask = _pool_axis(outv, axis, size, taped)
-            stages.append((axis, n, mask))
+    outv, stages = _pool(xv, pool_frames, pool_bands, _recording.tape is not None)
     out = Tensor(outv if stages else xv.copy())
 
     def backward(g):
-        for axis, n, mask in reversed(stages):
-            g = _unpool_axis(g, axis, n, mask)
-        _accumulate(x, g)
+        _accumulate(x, _unpool(g, stages))
 
     return _record(out, backward)
+
+
+def _check_pool(pool_frames: int, pool_bands: int):
+    if pool_frames < 1 or pool_bands < 1:
+        raise ArgumentError(f"pool dims must be >= 1, got {pool_frames}x{pool_bands}")
+
+
+def _pool(v: np.ndarray, pool_frames: int, pool_bands: int, taped: bool):
+    """(pooled v, stages): band windows, then frame windows, with an
+    (axis, input length, routing mask) stage for each axis that pools."""
+    stages = []
+    for axis, size in ((1, pool_bands), (2, pool_frames)):
+        if size > 1:
+            n = v.shape[axis]
+            v, mask = _pool_axis(v, axis, size, taped)
+            stages.append((axis, n, mask))
+    return v, stages
+
+
+def _unpool(g: np.ndarray, stages) -> np.ndarray:
+    """Gradient of `_pool` from that of its output, through its stages."""
+    for axis, n, mask in reversed(stages):
+        g = _unpool_axis(g, axis, n, mask)
+    return g
 
 
 def _pool_axis(v: np.ndarray, axis: int, size: int, taped: bool):

@@ -291,8 +291,9 @@ _NETWORKS = {
 def _load_model(args, kind):
     """(parameters, band stats, vocabulary) of `args.checkpoint`, checked
     before any features load: its kind, its class counts against
-    `args.vocabulary`, its band stats, and its parameter names and shapes
-    against those of a `kind` network built for the vocabulary."""
+    `args.vocabulary`, its band stats, its parameter names and shapes
+    against those of a `kind` network built for the vocabulary, and its
+    parameter values, which must be finite."""
     path = args.checkpoint
     params, meta = networks.load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -326,6 +327,10 @@ def _load_model(args, kind):
                 f"{path}: checkpoint params[{i}] is {got}, but a {kind} for this "
                 f"vocabulary has {want}"
             )
+    for name, t in params.items():
+        bad = t.values[~np.isfinite(t.values)]
+        if bad.size:
+            raise DataError(f"{path}: checkpoint parameter {name} holds {bad[0]}, not a finite number")
     return params, BandStats(mean=np.asarray(mean), std=np.asarray(std)), vocabulary
 
 

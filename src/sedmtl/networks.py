@@ -3,7 +3,8 @@
 Both nets consume a 64-band log mel matrix, (bands, frames), and keep every
 conv-stack activation band-major, (channels, bands, frames), so the long
 frame axis is the contiguous one. Each conv stack is one table of blocks,
-conv 3x3 -> maxpool (time x band) -> ReLU:
+conv 3x3 -> maxpool (time x band) -> ReLU, the conv and its pool one
+`ad.conv2d` call (which never builds a one-channel first layer's full map):
 
   teacher:  TEACHER_CONVS, mean over residual time, dense -> C scene logits
   student:  shared trunk TRUNK_CONVS keeps all N frames and collapses the
@@ -221,11 +222,7 @@ def _features_to_input(features: np.ndarray) -> Tensor:
 
 def _conv_stack(x: Tensor, params: ModelParams, convs) -> Tensor:
     for name, _, _, pool in convs:
-        conv = ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"])
-        x = ad.maxpool2d(conv, *pool)
-        # Only the pool reads the conv output, and a tape needs only its .grad.
-        conv.values = None
-        x = ad.relu(x)
+        x = ad.relu(ad.conv2d(x, params[f"{name}.kernel"], params[f"{name}.bias"], pool))
     return x
 
 def _classify(x: Tensor, params: ModelParams, convs, out) -> Tensor:

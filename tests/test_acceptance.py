@@ -41,7 +41,9 @@ class TestCriterion1GradientSuite:
     100 random trials each, rel err < 1e-4 recurrent / 1e-6 otherwise. Each
     op a tape records has a row of its own name."""
 
-    def test_gradient_suite(self):
+    def test_gradient_suite(self, monkeypatch):
+        # one-channel pooled convs run in blocks of 2 output channels
+        monkeypatch.setattr(ad, "_MAP_BUDGET", 1)
         start = time.monotonic()
         worst = {}
 
@@ -59,6 +61,15 @@ class TestCriterion1GradientSuite:
             k = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
             b = ad.Tensor(rng.normal(size=3))
             return ad.conv2d, [x, k, b]
+
+        def pooled_conv_case(rng):
+            # one input channel (the blocked first layer) or two
+            c_in = int(rng.integers(1, 3))
+            x = ad.Tensor(rng.normal(size=(c_in, 4, 5)))
+            k = ad.Tensor(rng.normal(size=(5, c_in, 3, 3)))
+            b = ad.Tensor(rng.normal(size=5))
+            pool = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            return (lambda *ts: ad.conv2d(*ts, pool)), [x, k, b]
 
         def pool_case(rng):
             vals = rng.permutation(np.linspace(-1.0, 1.0, 2 * 5 * 6)).reshape(2, 5, 6)
@@ -146,6 +157,7 @@ class TestCriterion1GradientSuite:
         run("relu", 1e-6, relu_case)
         run("matmul", 1e-6, matmul_case)
         run("conv2d", 1e-6, conv_case)
+        run("conv2d pooled", 1e-6, pooled_conv_case)
         run("maxpool2d", 1e-6, pool_case)
         run("bigru_forward", 1e-4, bigru_case)
         run("dense", 1e-6, dense_case)

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from sedmtl import autodiff as ad
 from sedmtl import losses
 from sedmtl.errors import ArgumentError, DimensionError
 
-from gradcheck import grad_check, weighted_sum
+from gradcheck import grad_check, weighted_sum, zero_grads
 
 
 def brute_force_conv2d(x, kernel, bias):
@@ -307,6 +308,105 @@ class TestMaxPool2d:
         x = ad.Tensor(vals)
         report = grad_check(lambda t: ad.maxpool2d(t, 2, 3), [x])
         assert report.max_rel_err < 1e-6
+
+
+class TestPooledConv:
+    """conv2d with its layer's pool: a one-channel input runs in blocks of
+    output channels, and its values, routing and gradients are the bits of
+    maxpool2d over the unpooled conv."""
+
+    @staticmethod
+    def bits(x, kernel, bias, pool, blocked, g):
+        zero_grads([x, kernel, bias])
+        with ad.Tape() as tape:
+            if blocked:
+                out = ad.conv2d(x, kernel, bias, pool)
+            else:  # the reference: the unpooled conv, pooled on its own
+                out = ad.maxpool2d(ad.conv2d(x, kernel, bias), *pool)
+            loss = weighted_sum(out, g)
+        tape.backward(loss)
+        return [t.tobytes() for t in (out.values, x.grad, kernel.grad, bias.grad)]
+
+    def check(self, monkeypatch, x, kernel, bias, pool, n_blocks):
+        """The blocked layer split into n_blocks equals the reference bit for bit."""
+        c_out = kernel.shape[0]
+        row_bytes = 8 * x.shape[1] * x.shape[2]
+        monkeypatch.setattr(ad, "_MAP_BUDGET", -(-c_out * row_bytes // n_blocks))
+        blocks = ad._row_blocks(c_out, row_bytes)
+        assert len(blocks) == n_blocks
+        assert len({b.stop - b.start for b in blocks}) == 2  # one of them short
+        out_shape = (c_out, -(-x.shape[1] // pool[1]), -(-x.shape[2] // pool[0]))
+        g = np.random.default_rng(x.shape[2]).uniform(0.5, 1.5, size=out_shape)
+        blocked = self.bits(x, kernel, bias, pool, True, g)
+        assert blocked == self.bits(x, kernel, bias, pool, False, g)
+
+    @pytest.mark.parametrize("pool", [(1, 8), (8, 8)])
+    def test_every_frame_count_to_520(self, monkeypatch, pool):
+        # 16 channels in 3, 5, 6 or 7 blocks: every block size from 2 to 6 rows
+        rng = np.random.default_rng(40)
+        kernel = ad.Tensor(rng.normal(size=(16, 1, 3, 3)))
+        bias = ad.Tensor(rng.normal(size=16))
+        for n_frames in range(1, 521):
+            x = ad.Tensor(rng.normal(size=(1, 64, n_frames)))
+            self.check(monkeypatch, x, kernel, bias, pool, (3, 5, 6, 7)[n_frames % 4])
+
+    @pytest.mark.parametrize("pool", [(1, 8), (8, 8)])
+    @pytest.mark.parametrize("n_frames", [249, 499, 500, 3000])
+    def test_first_layer_shapes(self, monkeypatch, pool, n_frames):
+        rng = np.random.default_rng(n_frames)
+        kernel = ad.Tensor(rng.normal(size=(128, 1, 3, 3)))
+        bias = ad.Tensor(rng.normal(size=128))
+        x = ad.Tensor(rng.normal(size=(1, 64, n_frames)))
+        self.check(monkeypatch, x, kernel, bias, pool, 3)
+
+    @pytest.mark.parametrize("pool", [(1, 8), (8, 8)])
+    def test_routing_on_exact_ties_and_nan(self, monkeypatch, pool):
+        # integer inputs and kernels tie within most windows; the gradient of
+        # x shows where each window routed
+        rng = np.random.default_rng(41)
+        kernel = ad.Tensor(rng.integers(-1, 2, size=(16, 1, 3, 3)).astype(float))
+        bias = ad.Tensor(rng.integers(-2, 3, size=16).astype(float))
+        for n_frames in (7, 20, 61):
+            x = ad.Tensor(rng.integers(0, 3, size=(1, 64, n_frames)).astype(float))
+            self.check(monkeypatch, x, kernel, bias, pool, 5)
+            x.values[0, 9, n_frames // 2] = np.nan
+            self.check(monkeypatch, x, kernel, bias, pool, 5)
+
+    def test_blocks_have_two_rows_or_more_and_a_small_map_is_one(self):
+        for row_bytes in (1, 25_600, 100_000, 256_000, 2 << 20, 10 << 20):
+            for c_out in (1, 2, 3, 16, 127, 128):
+                blocks = ad._row_blocks(c_out, row_bytes)
+                sizes = [b.stop - b.start for b in blocks]
+                assert [b.start for b in blocks] == [0, *np.cumsum(sizes)[:-1]]
+                assert sum(sizes) == c_out
+                assert min(sizes) >= min(2, c_out)
+                if c_out * row_bytes <= ad._MAP_BUDGET:
+                    assert len(blocks) == 1
+        # the paper's 500-frame chunk: 8 blocks of 16 channels, about 4 MB each; a
+        # 50-frame chunk's map is one block
+        assert {b.stop - b.start for b in ad._row_blocks(128, 8 * 64 * 500)} == {16}
+        assert len(ad._row_blocks(128, 8 * 64 * 50)) == 1
+
+    def test_untaped_layer_never_builds_the_full_map(self):
+        # 3000 frames: the unpooled map would be 128 x 64 x 3000 floats (196 MB)
+        rng = np.random.default_rng(42)
+        x = ad.Tensor(rng.normal(size=(1, 64, 3000)), constant=True)
+        kernel = ad.Tensor(rng.normal(size=(128, 1, 3, 3)))
+        bias = ad.Tensor(rng.normal(size=128))
+        full_map = 8 * 128 * 64 * 3000
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, kernel, bias, (1, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (128, 8, 3000)
+        assert peak < full_map / 3
+
+    def test_pool_dims_are_checked(self):
+        x = ad.Tensor(np.zeros((1, 4, 4)))
+        with pytest.raises(ArgumentError):
+            ad.conv2d(x, ad.Tensor(np.zeros((2, 1, 3, 3))), ad.Tensor(np.zeros(2)), (0, 2))
 
 
 class TestSigmoid:

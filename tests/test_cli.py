@@ -993,6 +993,12 @@ CHECKPOINT_HEADERS = {
     "param-name": lambda h: h["params"][0].__setitem__(0, "conv1.kernel"),
     "param-shape": lambda h: h["params"][0].__setitem__(1, [128, 1, 9, 1]),
 }
+# A value written into the first entry of one write_checkpoint parameter.
+CHECKPOINT_VALUES = {
+    "nan-bias": ("event_out.bias", float("nan")),
+    "inf-kernel": ("trunk1.kernel", float("inf")),
+    "inf-teacher": ("conv1.kernel", float("-inf")),
+}
 BAND_STATS = "{path}: checkpoint band_stats must hold 64 finite means and 64 finite stds > 0"
 # Malformed inputs: (input kind, corruption, command, the error after
 # "error: "). {path} is the broken file; {eof} and {ff} are the JSON and
@@ -1055,6 +1061,12 @@ MALFORMED_INPUTS = [
     ("checkpoint", "param-shape", "distill",
      "{path}: checkpoint params[0] is ['conv1.kernel', [128, 1, 9, 1]], "
      "but a teacher for this vocabulary has ['conv1.kernel', [128, 1, 3, 3]]"),
+    ("checkpoint", "nan-bias", "eval",
+     "{path}: checkpoint parameter event_out.bias holds nan, not a finite number"),
+    ("checkpoint", "inf-kernel", "eval",
+     "{path}: checkpoint parameter trunk1.kernel holds inf, not a finite number"),
+    ("checkpoint", "inf-teacher", "distill",
+     "{path}: checkpoint parameter conv1.kernel holds -inf, not a finite number"),
 ]
 
 
@@ -1192,6 +1204,12 @@ class TestErrorBoundary:
                 "no-scene": b"audio/extra_0.wav\n", "unknown-scene": b"audio/beach_0.wav\tbeach\n",
                 "repeated-clip": b"audio2/home_0.wav\toffice\n",
             }[corruption]
+        elif kind == "checkpoint" and corruption in CHECKPOINT_VALUES:
+            name, value = CHECKPOINT_VALUES[corruption]
+            params, meta = networks.load_checkpoint(path)
+            params[name].values.flat[0] = value
+            networks.save_checkpoint(path, params, meta)
+            text = path.read_bytes()
         elif kind == "checkpoint":
             text = edit_checkpoint_header(path.read_bytes(), CHECKPOINT_HEADERS[corruption])
         else:

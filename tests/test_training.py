@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import functools
@@ -474,9 +475,9 @@ class TestStudentPosteriors:
         conv2d = ad.conv2d
         kernels = []
 
-        def recording_conv2d(x, kernel, bias):
+        def recording_conv2d(x, kernel, bias, pool):
             kernels.append(kernel)
-            return conv2d(x, kernel, bias)
+            return conv2d(x, kernel, bias, pool)
 
         monkeypatch.setattr(ad, "conv2d", recording_conv2d)
         clips = [clip_with_frames(f"c{i}", 20, seed=i) for i in range(3)]
@@ -571,6 +572,82 @@ class TestBatchedStudentStep:
         for name, g in batched.items():
             total = per_chunk[0][name] + per_chunk[1][name] + per_chunk[2][name]
             assert np.abs(g - total).max() <= 1e-10 * np.abs(total).max(), name
+
+
+def batch_loss_of(monkeypatch, train, *args, **kwargs):
+    """(parameters, items, batch loss) that `train` would hand its fit loop."""
+    monkeypatch.setattr(
+        training, "_fit", lambda config, init, items, val, batch_loss, *rest: (init(), items, batch_loss)
+    )
+    return train(*args, **kwargs)
+
+
+def finite_difference_errors(params, batch, batch_loss, eps=1e-6, per_param=4, seed=0):
+    """{parameter: error} of one batch loss's taped gradient against central
+    differences at a seeded sample of each parameter's entries. The error is
+    the largest difference at the sample over the largest analytic gradient
+    entry of that parameter (floored at 1e-12)."""
+    with ad.Tape() as tape:
+        loss = batch_loss(params, batch, collections.defaultdict(int))
+    tape.backward(loss)
+    rng = np.random.default_rng(seed)
+    errors = {}
+    for name, t in params.items():
+        analytic, t.grad = (np.zeros_like(t.values) if t.grad is None else t.grad), None
+        flat = t.values.reshape(-1)
+        assert np.shares_memory(flat, t.values)
+        worst = 0.0
+        for i in rng.choice(flat.size, size=min(per_param, flat.size), replace=False):
+            orig = flat[i]
+            sides = []
+            for value in (orig + eps, orig - eps):
+                flat[i] = value
+                sides.append(batch_loss(params, batch, collections.defaultdict(int)).item())
+            flat[i] = orig
+            numeric = (sides[0] - sides[1]) / (2 * eps)
+            worst = max(worst, abs(analytic.reshape(-1)[i] - numeric))
+        errors[name] = worst / max(np.abs(analytic).max(), 1e-12)
+    return errors
+
+
+class TestWholeStepThroughThreads:
+    """One training batch loss, its items recorded on sub-tapes on two
+    threads, has the gradient of central differences in every parameter."""
+
+    @pytest.fixture
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_threads", 2)
+
+    @pytest.mark.parametrize("mode", training.STUDENT_MODES)
+    def test_student_batch(self, monkeypatch, two_threads, mode):
+        clips = [clip_with_frames(f"c{i}", 12, seed=50 + i) for i in range(3)]
+        for i, clip in enumerate(clips):
+            clip.scene = i
+            clip.roll[i % 3, 2:9] = 1.0
+        labels = {c.clip_id: np.array([0.5, 0.2, 0.2, 0.1]) for c in clips}
+        config = quick_config(mode, alpha=0.7, beta=0.7, temperature=2.0, chunk_len=12)
+        params, items, batch_loss = batch_loss_of(
+            monkeypatch, training.train_student, clips, clips, config, 4, soft_labels=labels
+        )
+        assert len(items) == 3
+        threads = recording_threads(monkeypatch, networks, "student_trunk")
+        errors = finite_difference_errors(params, items, batch_loss)
+        assert len(set(threads)) == 2
+        assert {"trunk1.kernel", "trunk1.bias", "scene1.kernel"} <= errors.keys()
+        assert max(errors.values()) < 1e-4, errors
+
+    def test_teacher_batch_of_clips_of_different_lengths(self, monkeypatch, two_threads):
+        clips = [clip_with_frames(f"c{i}", n, seed=60 + i) for i, n in enumerate((12, 17, 23))]
+        for i, clip in enumerate(clips):
+            clip.scene = i
+        params, items, batch_loss = batch_loss_of(
+            monkeypatch, training.train_teacher, clips, clips, quick_config("teacher"), 4
+        )
+        threads = recording_threads(monkeypatch, networks, "teacher_forward")
+        errors = finite_difference_errors(params, items, batch_loss)
+        assert len(set(threads)) == 2
+        assert {"conv1.kernel", "conv1.bias", "out.weight"} <= errors.keys()
+        assert max(errors.values()) < 1e-4, errors
 
 
 class TestSplitIds:
