@@ -6,6 +6,12 @@ outputs, the package version, and wall-clock metadata. Wall-clock data lives
 only in the run manifest, so logs, checkpoints and reports are bit-identical
 across reruns with the same config and seed.
 
+`train` also writes `<mode>.val_outputs` beside its checkpoint: the best
+epoch's output for each validation clip. `eval` and `distill` take a clip's
+output from there instead of forwarding it again when the entry was made
+from the same checkpoint bytes, feature cache bytes, numpy version, BLAS
+thread variables and package sources; anything else is forwarded.
+
 Human-readable summaries go to stdout, diagnostics to stderr; machine
 readable results live in files. Exit code 0 means no errors.
 """
@@ -47,6 +53,9 @@ from .features import (
 )
 from .training import ClipExample
 
+# the variables that set the BLAS thread count, and so the rounding of its products
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _err(message: str):
     print(f"error: {message}", file=sys.stderr)
@@ -69,26 +78,97 @@ def _clock():
     return datetime.now(timezone.utc).isoformat(), time.monotonic()
 
 
-def _write_run_manifest(out_dir, command, config_doc, inputs, outputs, clock):
+def _digests(paths) -> dict:
+    """{path: sha256} of each file."""
+    return {str(p): _sha256_file(p) for p in paths}
+
+
+def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dict, clock):
+    """`run_manifest.json` in `out_dir`; `inputs` and `outputs` map each
+    file read or written to its sha256, each computed once by the command."""
     elapsed = time.monotonic() - clock[1]
     manifest = {
         "command": command,
         "config": config_doc,
         "version": __version__,
-        "inputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in inputs)},
-        "outputs": {str(p): _sha256_file(p) for p in sorted(str(x) for x in outputs)},
+        "inputs": dict(sorted(inputs.items())),
+        "outputs": dict(sorted(outputs.items())),
         "wall_clock": {"started_utc": clock[0], "elapsed_s": elapsed},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "threads": parallel.threads(),
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+            **{var: os.environ.get(var) for var in _BLAS_VARIABLES},
         },
     }
     write_json(Path(out_dir) / "run_manifest.json", manifest)
+
+
+# ---------------------------------------------------------------------------
+# validation outputs beside a checkpoint
+
+
+def _outputs_key(ckpt_digest: str) -> dict:
+    """What a checkpoint's outputs depend on besides each clip's features:
+    the checkpoint bytes, the numpy build and BLAS thread variables that set
+    the rounding (see the package docstring), and this package's sources."""
+    sources = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        sources.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "checkpoint": ckpt_digest,
+        "numpy": np.__version__,
+        **{var: os.environ.get(var) for var in _BLAS_VARIABLES},
+        "version": __version__,
+        "sources": sources.hexdigest(),
+    }
+
+
+def _outputs_path(ckpt_path) -> Path:
+    return Path(ckpt_path).with_suffix(".val_outputs")
+
+
+def _write_outputs(ckpt_path, ckpt_digest, outputs: dict, caches) -> Path:
+    """`<checkpoint>.val_outputs`: the {clip id: array} `outputs` in the
+    checkpoint format, its header holding the key and each clip's feature
+    cache sha256 (from `caches`)."""
+    entries = networks.ModelParams()
+    for clip_id, output in outputs.items():
+        entries.add(clip_id, output)
+    path = _outputs_path(ckpt_path)
+    networks.save_checkpoint(path, entries, {
+        "kind": "val_outputs",
+        "key": _outputs_key(ckpt_digest),
+        "clips": {clip_id: caches[clip_id] for clip_id in outputs},
+    })
+    return path
+
+
+def _known_outputs(ckpt_path, ckpt_digest, clips, caches, shape) -> dict:
+    """{clip id: output} of each of `clips` whose entry beside the checkpoint
+    has the key of `ckpt_digest`, the clip's cache sha256 and the shape
+    `shape(clip)`; a file that is absent or does not load gives none. Notes
+    on stderr how many clips it covers."""
+    path = _outputs_path(ckpt_path)
+    try:
+        entries, meta = networks.load_checkpoint(path)
+    except (OSError, DataError):
+        entries, meta = networks.ModelParams(), {}
+    stored = meta.get("clips")
+    usable = (
+        meta.get("kind") == "val_outputs" and isinstance(stored, dict)
+        and meta.get("key") == _outputs_key(ckpt_digest)
+    )
+    found = dict(entries.items()) if usable else {}
+    known = {
+        c.clip_id: found[c.clip_id].values
+        for c in clips
+        if c.clip_id in found and stored.get(c.clip_id) == caches[c.clip_id]
+        and found[c.clip_id].shape == shape(c)
+    }
+    _note(f"reused {len(known)} of {len(clips)} clips' outputs from {path}")
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +327,13 @@ def _extract_clip(clip_id, audio_path, cache_path, indexed_digest):
 
 
 def _load_examples(manifest_path, vocabulary, features_dir):
-    """({clip: fold}, {clip: ClipExample}, the files read): the manifest, and
-    each clip's feature cache and annotation file."""
+    """({clip: fold}, {clip: ClipExample}, {file read: sha256}, {clip: its
+    feature cache's sha256}): the files read are the manifest, and each
+    clip's feature cache and annotation file."""
     entries = read_manifest(manifest_path)
     examples = {}
-    inputs = [manifest_path]
+    inputs = _digests([manifest_path])
+    caches = {}
     clipped_total = 0
     for clip_id in sorted(entries):
         entry = entries[clip_id]
@@ -271,10 +353,11 @@ def _load_examples(manifest_path, vocabulary, features_dir):
         examples[clip_id] = ClipExample(
             clip_id=clip_id, features=features, scene=entry["scene"], roll=roll
         )
-        inputs += [cache_path, ann_path]
+        inputs.update(_digests([cache_path, ann_path]))
+        caches[clip_id] = inputs[str(cache_path)]
     if clipped_total:
         _note(f"note: {clipped_total} annotations extend past their clip end")
-    return {c: e["fold"] for c, e in entries.items()}, examples, inputs
+    return {c: e["fold"] for c, e in entries.items()}, examples, inputs, caches
 
 
 def _stats_to_meta(stats: BandStats) -> dict:
@@ -370,13 +453,15 @@ def cmd_train(args) -> int:
     clock = _clock()
     doc, config, paths = _load_train_config(args.config)
     vocabulary = Vocabulary.load(paths["vocabulary"])
-    folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
+    folds, examples, inputs, caches = _load_examples(
+        paths["manifest"], vocabulary, paths["features_dir"]
+    )
     train_clips, val_clips, stats = training.standardize_split(examples, folds, config.fold)
-    inputs += [args.config, paths["vocabulary"]]
+    inputs.update(_digests([args.config, paths["vocabulary"]]))
     soft_labels = None
     if config.mode == "mtl_soft":
         soft_labels = training.load_soft_labels(paths["soft_labels"], vocabulary.n_scenes)
-        inputs.append(paths["soft_labels"])
+        inputs.update(_digests([paths["soft_labels"]]))
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -403,11 +488,14 @@ def cmd_train(args) -> int:
         "config": asdict(config),
     }
     networks.save_checkpoint(ckpt_path, result.params, meta)
+    outputs = _digests([ckpt_path])
+    outputs_path = _write_outputs(ckpt_path, outputs[str(ckpt_path)], result.val_outputs, caches)
     log_path = out_dir / f"{config.mode}_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_run_manifest(out_dir, "train", doc, inputs, [ckpt_path, log_path], clock)
+    outputs.update(_digests([outputs_path, log_path]))
+    _write_run_manifest(out_dir, "train", doc, inputs, outputs, clock)
     best = result.log[result.best_epoch - 1]["val_metrics"] if result.log else {}
     print(
         f"trained {config.mode} for {len(result.log)} epochs; "
@@ -425,17 +513,21 @@ def cmd_distill(args) -> int:
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
     params, stats, vocabulary = _load_model(args, "teacher")
-    folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+    folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
+    inputs.update(_digests([args.checkpoint, args.vocabulary]))
     clips, _, _ = training.standardize_split(examples, folds, -1, stats)
-    labels = training.compute_soft_labels(params, clips, args.temperature)
+    known = _known_outputs(
+        args.checkpoint, inputs[str(args.checkpoint)], clips, caches,
+        lambda clip: (vocabulary.n_scenes,),
+    )
+    labels = training.compute_soft_labels(params, clips, args.temperature, known)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, {clip: list(label) for clip, label in labels.items()})
-    inputs += [args.checkpoint, args.vocabulary]
     _write_run_manifest(
         out_path.parent, "distill",
         {"temperature": args.temperature, "checkpoint": str(args.checkpoint)},
-        inputs, [out_path], clock,
+        inputs, _digests([out_path]), clock,
     )
     print(f"wrote soft labels for {len(labels)} clips to {out_path}")
     return 0
@@ -450,13 +542,21 @@ def cmd_eval(args) -> int:
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
     params, stats, vocabulary = _load_model(args, "student")
-    folds, examples, inputs = _load_examples(args.manifest, vocabulary, args.features)
+    folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
+    inputs.update(_digests([args.checkpoint, args.vocabulary]))
     train_clips, val_clips, _ = training.standardize_split(examples, folds, args.fold, stats)
-    scores = training.score_student(params, settings, train_clips, val_clips, vocabulary.events)
+    calibrated = settings.policy == "calibrated"
+    scored = {c.clip_id: c for c in [*(train_clips if calibrated else []), *val_clips]}
+    known = _known_outputs(
+        args.checkpoint, inputs[str(args.checkpoint)], scored.values(), caches,
+        lambda clip: (vocabulary.n_events, clip.features.n_frames),
+    )
+    scores = training.score_student(
+        params, settings, train_clips, val_clips, vocabulary.events, known
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    calibrated = settings.policy == "calibrated"
     report = ev.report_dict(scores["counts"], scores["per_event"])
     report["policy"] = {
         "kind": settings.policy,
@@ -469,10 +569,9 @@ def cmd_eval(args) -> int:
     write_json(report_path, report)
     table_path = out_dir / "report.txt"
     table_path.write_text(ev.format_report_table(report), encoding="utf-8")
-    inputs += [args.checkpoint, args.vocabulary]
     _write_run_manifest(
         out_dir, "eval", {"fold": args.fold, "policy": settings.policy},
-        inputs, [report_path, table_path], clock,
+        inputs, _digests([report_path, table_path]), clock,
     )
     print(
         f"fold {args.fold}: F-score {report['overall']['f1']:.2f}% "
@@ -509,7 +608,9 @@ def cmd_cv(args) -> int:
     )
     training.fail_on(problems, args.config)
     vocabulary = Vocabulary.load(paths["vocabulary"])
-    folds, examples, inputs = _load_examples(paths["manifest"], vocabulary, paths["features_dir"])
+    folds, examples, inputs, _ = _load_examples(
+        paths["manifest"], vocabulary, paths["features_dir"]
+    )
     out = training.run_cross_validation(examples, folds, train, cv, vocabulary, workers=workers)
 
     out_dir = Path(paths["out_dir"])
@@ -529,8 +630,9 @@ def cmd_cv(args) -> int:
         )
     table = "\n".join(lines) + "\n"
     (out_dir / "cv_table.txt").write_text(table, encoding="utf-8")
-    inputs += [args.config, paths["vocabulary"]]
-    _write_run_manifest(out_dir, "cv", doc, inputs, [report_path, out_dir / "cv_table.txt"], clock)
+    inputs.update(_digests([args.config, paths["vocabulary"]]))
+    outputs = _digests([report_path, out_dir / "cv_table.txt"])
+    _write_run_manifest(out_dir, "cv", doc, inputs, outputs, clock)
     print(table, end="")
     return 0
 

@@ -31,10 +31,11 @@ def threshold_posteriors(posteriors: np.ndarray, thresholds: np.ndarray) -> np.n
     """Per-class strict-greater thresholding of (M, N) posteriors.
 
     `thresholds[:, None]` is broadcast against `posteriors`, so (T, 1)
-    thresholds on (1, M, N) posteriors give a (T, M, N) stack.
+    thresholds on (1, M, N) posteriors give a (T, M, N) stack. A posterior
+    outside [0, 1], NaN included, is an error.
     """
     posteriors = np.asarray(posteriors, dtype=np.float64)
-    if np.any(posteriors < 0.0) or np.any(posteriors > 1.0):
+    if not np.all((posteriors >= 0.0) & (posteriors <= 1.0)):
         raise ArgumentError("posteriors must lie in [0, 1]")
     return (posteriors > np.asarray(thresholds)[:, None]).astype(np.float64)
 

@@ -187,7 +187,8 @@ def write_feature_cache(path, features: LogMelSpectrogram):
 
 def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
     """The features of a cache file; one DataError naming the file when its
-    header does not hold N_MEL_BANDS bands, at least one frame and HOP_S."""
+    header does not hold N_MEL_BANDS bands, at least one frame and HOP_S, or
+    when a value is not finite."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head_len = len(CACHE_MAGIC) + struct.calcsize("<HIId")
@@ -207,4 +208,11 @@ def read_feature_cache(path, clip_id: str = "") -> LogMelSpectrogram:
             f"{path}: payload holds {len(payload)} bytes, expected {d * n * 8}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(d, n).astype(np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        band, frame = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: cache holds {data[band, frame]} at band {band}, frame {frame}, "
+            "not a finite number"
+        )
     return LogMelSpectrogram(data=data, clip_id=clip_id)

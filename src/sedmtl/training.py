@@ -282,12 +282,15 @@ class TrainResult:
     params: networks.ModelParams
     log: list
     best_epoch: int
-    val_posteriors: list | None = None  # students: the best epoch's, per val clip
+    # {validation clip id: its output at the best epoch}: a student's (M, N)
+    # posteriors, the teacher's (C,) logits
+    val_outputs: dict | None = None
 
 
 def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> TrainResult:
     """The epoch loop of every mode, early-stopping on `validate(params)`,
-    which returns (metric name, value, extra metrics, validation posteriors).
+    which returns (metric name, value, extra metrics, one output per
+    validation clip).
 
     `init()` builds the parameters once both folds are known to be non-empty.
     Each mini-batch is one step on one tape: `batch_loss(params, batch,
@@ -308,7 +311,7 @@ def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> 
     best_metric = -np.inf
     best_epoch = -1
     best_snapshot = params.copy_values()
-    best_posteriors = None
+    best_outputs = None
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(items))
@@ -334,7 +337,7 @@ def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> 
                     )
                 grads[name] = g / len(batch)
             adam_step(params, grads, state, config.learning_rate)
-        metric_name, metric, extra, posteriors = validate(params)
+        metric_name, metric, extra, outputs = validate(params)
         log.append(
             {
                 "epoch": epoch,
@@ -346,28 +349,28 @@ def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> 
             best_metric = metric
             best_epoch = epoch
             best_snapshot = params.copy_values()
-            best_posteriors = posteriors
+            best_outputs = dict(zip([c.clip_id for c in val_clips], outputs, strict=True))
             since_best = 0
         else:
             since_best += 1
             if since_best > config.patience:
                 break
     params.set_values(best_snapshot)
-    return TrainResult(params, log, best_epoch, best_posteriors)
+    return TrainResult(params, log, best_epoch, best_outputs)
 
 
 # ---------------------------------------------------------------------------
 # teacher
 
 
-def teacher_accuracy(params: networks.ModelParams, clips) -> float:
-    logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
-    correct = sum(int(np.argmax(x.values)) == clip.scene for x, clip in zip(logits, clips))
-    return correct / len(clips)
+def _teacher_logits(params: networks.ModelParams, clips) -> list:
+    """Each clip's (C,) scene logits, untaped."""
+    return [x.values for x in networks.teacher_logits(params, [c.features.data for c in clips])]
 
 
 def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) -> TrainResult:
-    """Minimize the hard scene loss; early stop on validation scene accuracy."""
+    """Minimize the hard scene loss; early stop on validation scene accuracy,
+    keeping the best epoch's validation logits."""
     if config.mode != "teacher":
         raise ConfigError(f"train_teacher needs mode 'teacher', got {config.mode!r}")
 
@@ -378,6 +381,11 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
             totals["scene_hard"] += each.item()
         return functools.reduce(ad.add, clip_losses)
 
+    def validate(params):
+        logits = _teacher_logits(params, val_clips)
+        correct = sum(int(np.argmax(x)) == clip.scene for x, clip in zip(logits, val_clips))
+        return "scene_accuracy", correct / len(val_clips), {}, logits
+
     return _fit(
         config,
         lambda: networks.init_teacher_params(n_scenes, config.seed),
@@ -385,17 +393,24 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
         val_clips,
         batch_loss,
         lambda totals: {"scene_hard": totals["scene_hard"] / len(train_clips)},
-        lambda params: ("scene_accuracy", teacher_accuracy(params, val_clips), {}, None),
+        validate,
     )
 
 
-def compute_soft_labels(params: networks.ModelParams, clips, temperature: float) -> dict:
-    """Frozen-teacher soft label per clip: temperature softmax of its logits."""
-    logits = networks.teacher_logits(params, [clip.features.data for clip in clips])
-    return {
-        clip.clip_id: losses.distill_targets(x.values, temperature)
-        for x, clip in zip(logits, clips)
-    }
+def compute_soft_labels(
+    params: networks.ModelParams, clips, temperature: float, known: dict | None = None
+) -> dict:
+    """Frozen-teacher soft label per clip: temperature softmax of its logits.
+
+    `known` maps clip ids to logits that `params` already gave (a teacher's
+    `val_outputs`); only the other clips are forwarded. Each clip's forward
+    is its own, so the labels are the same bits either way.
+    """
+    logits = dict(known or {})
+    rest = [c for c in clips if c.clip_id not in logits]
+    if rest:  # never a forward over zero clips
+        logits.update(zip([c.clip_id for c in rest], _teacher_logits(params, rest)))
+    return {c.clip_id: losses.distill_targets(logits[c.clip_id], temperature) for c in clips}
 
 
 def load_soft_labels(path, n_scenes: int) -> dict:
@@ -533,18 +548,19 @@ def score_student(
     calibration_clips,
     val_clips,
     event_names,
-    val_posteriors=None,
+    known: dict | None = None,
 ) -> dict:
     """`evaluate_student` scores of the validation clips under `cfg`, plus
     the `thresholds` used and the `per_event` rows; shared by `eval` and `cv`.
 
     The fixed policy uses `cfg.threshold`; the calibrated one searches
-    `cfg.grid` per class on the calibration clips. Every clip read is
-    forwarded once, in one batched call, unless `val_posteriors` (one per
-    validation clip) already hold the validation clips' posteriors.
+    `cfg.grid` per class on the calibration clips. `known` maps clip ids to
+    posteriors that `params` already gave (a student's `val_outputs`); every
+    other clip read is forwarded once, in one batched call, whose posteriors
+    do not depend on which clips share it.
     """
     calibrated = cfg.policy == "calibrated"
-    posteriors = dict(zip([c.clip_id for c in val_clips], val_posteriors or []))
+    posteriors = dict(known or {})
     read = {c.clip_id: c for c in [*(calibration_clips if calibrated else []), *val_clips]}
     ids = sorted(read.keys() - posteriors.keys())
     if ids:  # never a forward over zero clips
@@ -586,7 +602,7 @@ def _cv_single(payload):
         # train_student scored the validation clips with the restored parameters
         scores = score_student(
             result.params, eval_cfg, train_clips, val_clips, vocabulary.events,
-            val_posteriors=result.val_posteriors,
+            known=result.val_outputs,
         )
         results.append(
             {

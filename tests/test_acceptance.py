@@ -384,7 +384,7 @@ class TestCriterion6ReductionEquivalence:
         from sedmtl.data import Vocabulary
 
         vocabulary = Vocabulary.load(ws["vocabulary"])
-        folds, examples, _ = cli._load_examples(ws["manifest"], vocabulary, ws["features"])
+        folds, examples, _, _ = cli._load_examples(ws["manifest"], vocabulary, ws["features"])
         clips, _, _ = training.standardize_split(examples, folds, -1)
         one_hot = {}
         for clip in clips:

@@ -51,13 +51,9 @@ def fixture_dataset(tmp_path_factory):
     }
 
 
-def nan_features_dir(ds, dest):
-    """A copy of the fixture's feature caches with one NaN in one clip."""
-    shutil.copytree(ds["features"], dest)
-    spec = read_feature_cache(dest / "home_0.sdfc", "home_0")
-    spec.data[10, 20] = np.nan
-    write_feature_cache(dest / "home_0.sdfc", spec)
-    return dest
+# Training settings whose first Adam step moves the parameters by ~1e300, so
+# the second mini-batch's forward overflows and its loss is NaN.
+OVERFLOWING_STEPS = {"learning_rate": 1e300, "batch_size": 1}
 
 
 def refuse_to_load(monkeypatch, *extra):
@@ -340,8 +336,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["teacher", "event_only"])
     def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys, mode):
-        doc = train_config_doc(fixture_dataset, tmp_path / "out", mode)
-        doc["paths"]["features_dir"] = str(nan_features_dir(fixture_dataset, tmp_path / "f"))
+        doc = train_config_doc(fixture_dataset, tmp_path / "out", mode, **OVERFLOWING_STEPS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main(["train", "--config", str(cfg)]) == 1
@@ -726,8 +721,7 @@ class TestCrossValidation:
         assert not (tmp_path / "cv").exists()
 
     def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys):
-        doc = cv_config_doc(fixture_dataset, tmp_path / "cv")
-        doc["paths"]["features_dir"] = str(nan_features_dir(fixture_dataset, tmp_path / "f"))
+        doc = cv_config_doc(fixture_dataset, tmp_path / "cv", **OVERFLOWING_STEPS)
         cfg = tmp_path / "cv.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main(["cv", "--config", str(cfg)]) == 1
@@ -945,6 +939,140 @@ class TestSharedScoringPath:
         assert compared == len(cv_runs) == 8
 
 
+class TestValOutputs:
+    """`train` writes each validation clip's best-epoch output beside its
+    checkpoint (`<mode>.val_outputs`); `eval` and `distill` reuse an entry
+    only when the checkpoint, the clip's feature cache, numpy, the BLAS thread
+    variables and the package sources are those it was made with, and a
+    reused entry moves no byte of their outputs."""
+
+    def train(self, ds, out_dir, mode, fold=-1, features=None, **overrides):
+        doc = train_config_doc(ds, out_dir, mode, alpha=0.5, fold=fold, **overrides)
+        if features is not None:
+            doc["paths"]["features_dir"] = str(features)
+        cfg = Path(out_dir).parent / f"{Path(out_dir).name}.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        return Path(out_dir) / f"{mode}.ckpt"
+
+    def argv(self, ds, command, ckpt, out, fold=-1, policy="fixed", features=None):
+        data = [
+            "--checkpoint", str(ckpt), "--manifest", str(ds["manifest"]),
+            "--vocabulary", str(ds["vocabulary"]), "--features", str(features or ds["features"]),
+        ]
+        if command == "distill":
+            return ["distill", *data, "--out", str(out / "soft_labels.json")]
+        return ["eval", *data, "--fold", str(fold), "--policy", policy, "--out", str(out)]
+
+    def outputs(self, out):
+        names = ("soft_labels.json",) if (out / "soft_labels.json").exists() else (
+            "report.json", "report.txt"
+        )
+        return {name: (out / name).read_bytes() for name in names}
+
+    def forwarded(self, monkeypatch):
+        """The clips each student or teacher forward is given from now on."""
+        calls = []
+        posteriors, logits = training.student_posteriors, networks.teacher_logits
+
+        def counting_posteriors(params, *clips):
+            calls.extend(clip.clip_id for clip in clips)
+            return posteriors(params, *clips)
+
+        def counting_logits(params, features):
+            calls.extend(["teacher clip"] * len(features))
+            return logits(params, features)
+
+        monkeypatch.setattr(training, "student_posteriors", counting_posteriors)
+        monkeypatch.setattr(networks, "teacher_logits", counting_logits)
+        return calls
+
+    @pytest.mark.parametrize("fold", [-1, 0])
+    @pytest.mark.parametrize("command, policy", [
+        ("eval", "fixed"), ("eval", "calibrated"), ("distill", None),
+    ])
+    def test_reuse_never_moves_a_byte(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, command, policy, fold
+    ):
+        ds = fixture_dataset
+        mode = "teacher" if command == "distill" else "mtl_hard"
+        ckpt = self.train(ds, tmp_path / "train", mode, fold=fold)
+        sidecar = tmp_path / "train" / f"{mode}.val_outputs"
+        assert sidecar.is_file()
+        folds = {c: e["fold"] for c, e in read_manifest(ds["manifest"]).items()}
+        validated = sorted(c for c, f in folds.items() if fold in (-1, f))
+        # the clips the command scores: eval's calibration clips (calibrated)
+        # and fold clips, or every clip for distill
+        scored = sorted(folds) if command == "distill" or policy == "calibrated" else validated
+        capsys.readouterr()
+        calls = self.forwarded(monkeypatch)
+        assert cli.main(self.argv(ds, command, ckpt, tmp_path / "hit", fold, policy)) == 0
+        err = capsys.readouterr().err
+        assert f"reused {len(validated)} of {len(scored)} clips' outputs from {sidecar}\n" in err
+        assert len(calls) == len(scored) - len(validated)
+        assert not set(calls) & set(validated)
+        sidecar.unlink()
+        del calls[:]
+        assert cli.main(self.argv(ds, command, ckpt, tmp_path / "miss", fold, policy)) == 0
+        assert f"reused 0 of {len(scored)} clips' outputs" in capsys.readouterr().err
+        assert len(calls) == len(scored)
+        assert self.outputs(tmp_path / "hit") == self.outputs(tmp_path / "miss")
+
+    @pytest.mark.parametrize("command", ["eval", "distill"])
+    @pytest.mark.parametrize("stale", ["cache", "seed", "blas", "truncated", "garbage"])
+    def test_stale_entries_are_never_used(
+        self, fixture_dataset, tmp_path, monkeypatch, command, stale
+    ):
+        ds = fixture_dataset
+        mode = "teacher" if command == "distill" else "mtl_hard"
+        features = shutil.copytree(ds["features"], tmp_path / "features")
+        ckpt = self.train(ds, tmp_path / "train", mode, features=features)
+        sidecar = ckpt.with_suffix(".val_outputs")
+        n_clips = len(read_manifest(ds["manifest"]))
+        expected = n_clips
+        if stale == "cache":  # one clip's cache rewritten with other bytes
+            spec = read_feature_cache(features / "home_0.sdfc", "home_0")
+            spec.data[0, 0] += 1.0
+            write_feature_cache(features / "home_0.sdfc", spec)
+            expected = 1
+        elif stale == "seed":  # the checkpoint retrained at another seed
+            kept = sidecar.read_bytes()
+            self.train(ds, tmp_path / "train", mode, features=features, seed=1)
+            sidecar.write_bytes(kept)
+        elif stale == "blas":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        elif stale == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-9])
+        else:
+            sidecar.write_bytes(b"not a sidecar" * 40)
+        calls = self.forwarded(monkeypatch)
+        argv = self.argv(ds, command, ckpt, tmp_path / "stale", features=features)
+        assert cli.main(argv) == 0
+        assert len(calls) == expected
+        if stale == "cache":
+            assert calls == ["teacher clip" if command == "distill" else "home_0"]
+        sidecar.unlink()
+        assert cli.main(self.argv(ds, command, ckpt, tmp_path / "miss", features=features)) == 0
+        assert self.outputs(tmp_path / "stale") == self.outputs(tmp_path / "miss")
+
+    def test_a_separate_process_reuses(self, fixture_dataset, tmp_path):
+        ds = fixture_dataset
+        doc = train_config_doc(ds, tmp_path / "train", "mtl_hard", alpha=0.5)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)).returncode == 0
+        ckpt = tmp_path / "train" / "mtl_hard.ckpt"
+        argv = self.argv(ds, "eval", ckpt, tmp_path / "hit", policy="calibrated")
+        proc = run_cli(*argv)
+        assert proc.returncode == 0
+        sidecar = tmp_path / "train" / "mtl_hard.val_outputs"
+        assert f"reused 8 of 8 clips' outputs from {sidecar}\n" in proc.stderr
+        sidecar.unlink()
+        argv = self.argv(ds, "eval", ckpt, tmp_path / "miss", policy="calibrated")
+        assert cli.main(argv) == 0
+        assert self.outputs(tmp_path / "hit") == self.outputs(tmp_path / "miss")
+
+
 class TestRunManifestInputs:
     def test_every_command_records_the_annotations_it_read(self, fixture_dataset, tmp_path):
         ds = fixture_dataset
@@ -1037,6 +1165,11 @@ MALFORMED_INPUTS = [
          f"{{path}}: cache holds {bands} bands, {frames} frames and a {hop} s hop; "
          "expected 64 bands, at least 1 frame and a 0.02 s hop")
         for corruption, (bands, frames, hop) in CACHE_HEADERS.items()
+    ),
+    *(
+        ("feature cache", "nan", command,
+         "{path}: cache holds nan at band 10, frame 20, not a finite number")
+        for command in ("train", "distill", "eval", "cv")
     ),
     ("annotation", "unknown-event", "train",
      "{path}: line 2: home_0: unknown event name 'thunder'"),
@@ -1190,6 +1323,11 @@ class TestErrorBoundary:
             text = None
         elif corruption in fixed:
             text = fixed[corruption]
+        elif kind == "feature cache" and corruption == "nan":  # one NaN in a sound cache
+            spec = read_feature_cache(path)
+            spec.data[10, 20] = np.nan
+            write_feature_cache(path, spec)
+            text = path.read_bytes()
         elif kind == "feature cache":  # a whole payload behind the broken header
             bands, frames, hop = CACHE_HEADERS[corruption]
             data = read_feature_cache(path).data[:bands, :frames]

@@ -117,6 +117,11 @@ class TestBinarize:
         with pytest.raises(ArgumentError):
             ev.threshold_posteriors(np.array([[1.2]]), np.array([0.5]))
 
+    def test_nan_posterior_is_an_error(self):
+        # NaN > threshold is False: unchecked, a NaN would score as no event
+        with pytest.raises(ArgumentError, match=r"posteriors must lie in \[0, 1\]"):
+            ev.threshold_posteriors(np.array([[0.7, np.nan]]), np.array([0.5]))
+
     def test_monotone_in_threshold_pre_smoothing(self):
         rng = np.random.default_rng(0)
         post = rng.random((3, 100))

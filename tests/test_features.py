@@ -227,6 +227,18 @@ class TestCacheAndWav:
         with pytest.raises(DataError):
             feat.read_feature_cache(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_cache_rejects_a_non_finite_value(self, tmp_path, value):
+        data = np.zeros((64, 4))
+        data[3, 2] = value
+        path = tmp_path / "clip.sdfc"
+        feat.write_feature_cache(path, feat.LogMelSpectrogram(data=data))
+        with pytest.raises(DataError) as info:
+            feat.read_feature_cache(path)
+        assert str(info.value) == (
+            f"{path}: cache holds {value} at band 3, frame 2, not a finite number"
+        )
+
     def test_cache_rejects_truncation(self, tmp_path):
         spec = feat.LogMelSpectrogram(data=np.zeros((64, 4)))
         path = tmp_path / "trunc.sdfc"

@@ -185,8 +185,19 @@ class TestTrainTeacher:
         clips = sorted(examples.values(), key=lambda c: c.clip_id)
         cfg = quick_config("teacher", max_epochs=200, patience=10, learning_rate=3e-3)
         result = training.train_teacher(clips, clips, cfg, n_scenes=4)
-        assert training.teacher_accuracy(result.params, clips) == 1.0
+        assert [int(np.argmax(x)) for x in result.val_outputs.values()] == [c.scene for c in clips]
         assert result.best_epoch <= 200
+
+    def test_val_outputs_are_the_logits_of_the_restored_parameters(self):
+        clips = sorted(synthetic_scene_examples().values(), key=lambda c: c.clip_id)
+        cfg = quick_config("teacher", max_epochs=6, patience=6, learning_rate=3e-2)
+        result = training.train_teacher(clips[:6], clips[4:], cfg, n_scenes=4)
+        assert result.best_epoch < len(result.log)  # the restored epoch is not the last
+        again = networks.teacher_logits(result.params, [c.features.data for c in clips[4:]])
+        assert list(result.val_outputs) == [c.clip_id for c in clips[4:]]
+        for kept, fresh in zip(result.val_outputs.values(), again):
+            assert kept.shape == (4,)
+            assert kept.tobytes() == fresh.values.tobytes()
 
     def test_deterministic_loss_trace(self):
         examples = synthetic_scene_examples()
@@ -303,8 +314,8 @@ class TestTrainStudent:
         )
         assert result.best_epoch < len(result.log)  # the restored epoch is not the last
         again = [training.student_posteriors(result.params, clip)[0] for clip in clips[3:]]
-        assert len(result.val_posteriors) == len(again)
-        for kept, fresh in zip(result.val_posteriors, again):
+        assert list(result.val_outputs) == [c.clip_id for c in clips[3:]]
+        for kept, fresh in zip(result.val_outputs.values(), again):
             assert kept.tobytes() == fresh.tobytes()
 
     def test_event_only_equals_mtl_hard_alpha_zero(self):
@@ -525,20 +536,26 @@ class TestInferenceThreads:
         for a, b in zip(pooled, serial, strict=True):
             assert a.tobytes() == b.tobytes()
 
-    def test_soft_labels_and_teacher_accuracy(self, monkeypatch, two_threads):
+    def test_soft_labels_and_known_logits(self, monkeypatch, two_threads):
         params = networks.init_teacher_params(4, seed=3)
         clips = mixed_length_clips()
-        for i, clip in enumerate(clips):
-            clip.scene = i % 4
         threads = recording_threads(monkeypatch, networks, "teacher_forward")
         pooled = training.compute_soft_labels(params, clips, 2.0)
-        accuracy = training.teacher_accuracy(params, clips)
         assert len(set(threads)) == 2
         monkeypatch.setattr(parallel, "_threads", 1)
         serial = training.compute_soft_labels(params, clips, 2.0)
         assert list(pooled) == list(serial) == [c.clip_id for c in clips]
         assert all(pooled[c].tobytes() == serial[c].tobytes() for c in serial)
-        assert accuracy == training.teacher_accuracy(params, clips)
+        # logits already known for some clips: only the others are forwarded
+        known = {
+            c.clip_id: networks.teacher_logits(params, [c.features.data])[0].values
+            for c in clips[::3]
+        }
+        threads.clear()
+        reused = training.compute_soft_labels(params, clips, 2.0, known)
+        assert len(threads) == len(clips) - len(known)
+        assert list(reused) == list(serial)
+        assert all(reused[c].tobytes() == serial[c].tobytes() for c in serial)
 
 
 class TestBatchedStudentStep:
