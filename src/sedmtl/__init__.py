@@ -12,7 +12,9 @@ the count: artifacts then repeat byte for byte whatever the core count.
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# the variables that set the BLAS thread count, and so the rounding of its products
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARIABLES:
     os.environ.setdefault(_var, "1")
 del _var
 

@@ -10,7 +10,7 @@ across reruns with the same config and seed.
 epoch's output for each validation clip. `eval` and `distill` take a clip's
 output from there instead of forwarding it again when the entry was made
 from the same checkpoint bytes, feature cache bytes, numpy version, BLAS
-thread variables and package sources; anything else is forwarded.
+build and thread variables and package sources; anything else is forwarded.
 
 Human-readable summaries go to stdout, diagnostics to stderr; machine
 readable results live in files. Exit code 0 means no errors.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation as ev, networks, parallel, training
+from . import BLAS_VARIABLES, __version__, evaluation as ev, networks, parallel, training
 from .data import (
     Vocabulary,
     clip_id_from_path,
@@ -52,9 +52,6 @@ from .features import (
     write_feature_cache,
 )
 from .training import ClipExample
-
-# the variables that set the BLAS thread count, and so the rounding of its products
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _err(message: str):
@@ -83,6 +80,17 @@ def _digests(paths) -> dict:
     return {str(p): _sha256_file(p) for p in paths}
 
 
+def _environment() -> dict:
+    """What sets the rounding of every product (see the package docstring):
+    the numpy version, the BLAS build it links and the BLAS thread variables."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        **{var: os.environ.get(var) for var in BLAS_VARIABLES},
+    }
+
+
 def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dict, clock):
     """`run_manifest.json` in `out_dir`; `inputs` and `outputs` map each
     file read or written to its sha256, each computed once by the command."""
@@ -96,10 +104,9 @@ def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dic
         "wall_clock": {"started_utc": clock[0], "elapsed_s": elapsed},
         "environment": {
             "python": platform.python_version(),
-            "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "threads": parallel.threads(),
-            **{var: os.environ.get(var) for var in _BLAS_VARIABLES},
+            **_environment(),
         },
     }
     write_json(Path(out_dir) / "run_manifest.json", manifest)
@@ -111,18 +118,11 @@ def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dic
 
 def _outputs_key(ckpt_digest: str) -> dict:
     """What a checkpoint's outputs depend on besides each clip's features:
-    the checkpoint bytes, the numpy build and BLAS thread variables that set
-    the rounding (see the package docstring), and this package's sources."""
+    the checkpoint bytes, the `_environment()` and this package's sources."""
     sources = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         sources.update(path.name.encode() + b"\0" + path.read_bytes())
-    return {
-        "checkpoint": ckpt_digest,
-        "numpy": np.__version__,
-        **{var: os.environ.get(var) for var in _BLAS_VARIABLES},
-        "version": __version__,
-        "sources": sources.hexdigest(),
-    }
+    return {"checkpoint": ckpt_digest, **_environment(), "sources": sources.hexdigest()}
 
 
 def _outputs_path(ckpt_path) -> Path:
@@ -145,11 +145,11 @@ def _write_outputs(ckpt_path, ckpt_digest, outputs: dict, caches) -> Path:
     return path
 
 
-def _known_outputs(ckpt_path, ckpt_digest, clips, caches, shape) -> dict:
-    """{clip id: output} of each of `clips` whose entry beside the checkpoint
-    has the key of `ckpt_digest`, the clip's cache sha256 and the shape
-    `shape(clip)`; a file that is absent or does not load gives none. Notes
-    on stderr how many clips it covers."""
+def _known_outputs(ckpt_path, ckpt_digest, kind, vocabulary, clips, caches) -> dict:
+    """{clip id: output} of each of `clips` whose entry beside the `kind`
+    checkpoint has the key of `ckpt_digest`, the clip's cache sha256 and the
+    shape of the clip's output; a file that is absent or does not load gives
+    none. Notes on stderr how many clips it covers."""
     path = _outputs_path(ckpt_path)
     try:
         entries, meta = networks.load_checkpoint(path)
@@ -161,11 +161,12 @@ def _known_outputs(ckpt_path, ckpt_digest, clips, caches, shape) -> dict:
         and meta.get("key") == _outputs_key(ckpt_digest)
     )
     found = dict(entries.items()) if usable else {}
+    shape = _NETWORKS[kind][2]
     known = {
         c.clip_id: found[c.clip_id].values
         for c in clips
         if c.clip_id in found and stored.get(c.clip_id) == caches[c.clip_id]
-        and found[c.clip_id].shape == shape(c)
+        and found[c.clip_id].shape == shape(vocabulary, c)
     }
     _note(f"reused {len(known)} of {len(clips)} clips' outputs from {path}")
     return known
@@ -360,29 +361,34 @@ def _load_examples(manifest_path, vocabulary, features_dir):
     return {c: e["fold"] for c, e in entries.items()}, examples, inputs, caches
 
 
-def _stats_to_meta(stats: BandStats) -> dict:
-    return {"mean": list(stats.mean), "std": list(stats.std)}
-
-
-# The class counts each kind of network is built for, and its initialiser.
+# Each kind of network: the class counts it is built for, its initialiser
+# and the shape of its output for one clip.
 _NETWORKS = {
-    "teacher": (("n_scenes",), networks.init_teacher_params),
-    "student": (("n_scenes", "n_events"), networks.init_student_params),
+    "teacher": (("n_scenes",), networks.init_teacher_params, lambda v, clip: (v.n_scenes,)),
+    "student": (
+        ("n_scenes", "n_events"), networks.init_student_params,
+        lambda v, clip: (v.n_events, clip.features.n_frames),
+    ),
 }
 
 
 def _load_model(args, kind):
-    """(parameters, band stats, vocabulary) of `args.checkpoint`, checked
-    before any features load: its kind, its class counts against
-    `args.vocabulary`, its band stats, its parameter names and shapes
-    against those of a `kind` network built for the vocabulary, and its
-    parameter values, which must be finite."""
+    """The set-up of `distill` and `eval`: (parameters, vocabulary, training
+    clips, validation clips, {file read: sha256}, {clip id: known output}).
+
+    `args.checkpoint` is checked before any features load: its kind, its
+    class counts against `args.vocabulary`, its band stats, its parameter
+    names and shapes against those of a `kind` network built for the
+    vocabulary, and its parameter values, which must be finite. The clips of
+    `args.fold` (-1 when absent) are standardized with its band stats; the
+    known outputs are those of the clips the command reads: the validation
+    clips, and the calibration clips under `--policy calibrated`."""
     path = args.checkpoint
     params, meta = networks.load_checkpoint(path)
     if meta.get("kind") != kind:
         raise DataError(f"{path} is not a {kind} checkpoint")
     vocabulary = Vocabulary.load(args.vocabulary)
-    counts, init = _NETWORKS[kind]
+    counts, init, _ = _NETWORKS[kind]
     for count in counts:
         if meta.get(count) != getattr(vocabulary, count):
             raise DataError(
@@ -414,7 +420,15 @@ def _load_model(args, kind):
         bad = t.values[~np.isfinite(t.values)]
         if bad.size:
             raise DataError(f"{path}: checkpoint parameter {name} holds {bad[0]}, not a finite number")
-    return params, BandStats(mean=np.asarray(mean), std=np.asarray(std)), vocabulary
+    folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
+    inputs.update(_digests([path, args.vocabulary]))
+    stats = BandStats(mean=np.asarray(mean), std=np.asarray(std))
+    fold = getattr(args, "fold", -1)
+    train_clips, val_clips, _ = training.standardize_split(examples, folds, fold, stats)
+    calibrated = getattr(args, "policy", None) == "calibrated"
+    read = {c.clip_id: c for c in [*(train_clips if calibrated else []), *val_clips]}
+    known = _known_outputs(path, inputs[str(path)], kind, vocabulary, read.values(), caches)
+    return params, vocabulary, train_clips, val_clips, inputs, known
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +453,14 @@ def _config_paths(doc, problems, *extra) -> dict:
     return paths
 
 
-def _load_train_config(path):
-    doc = read_json(path, "a config")
+def cmd_train(args) -> int:
+    clock = _clock()
+    doc = read_json(args.config, "a config")
     problems = []
     config = training.check_settings(training.TrainConfig, doc.get("train"), "train", problems)
     extra = ("soft_labels",) if config is not None and config.mode == "mtl_soft" else ()
     paths = _config_paths(doc, problems, *extra)
-    training.fail_on(problems, path)
-    return doc, config, paths
-
-
-def cmd_train(args) -> int:
-    clock = _clock()
-    doc, config, paths = _load_train_config(args.config)
+    training.fail_on(problems, args.config)
     vocabulary = Vocabulary.load(paths["vocabulary"])
     folds, examples, inputs, caches = _load_examples(
         paths["manifest"], vocabulary, paths["features_dir"]
@@ -484,7 +493,7 @@ def cmd_train(args) -> int:
         "n_events": vocabulary.n_events,
         "n_bands": networks.N_BANDS,
         "seed": config.seed,
-        "band_stats": _stats_to_meta(stats),
+        "band_stats": {"mean": list(stats.mean), "std": list(stats.std)},
         "config": asdict(config),
     }
     networks.save_checkpoint(ckpt_path, result.params, meta)
@@ -512,14 +521,7 @@ def cmd_distill(args) -> int:
     clock = _clock()
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
-    params, stats, vocabulary = _load_model(args, "teacher")
-    folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
-    inputs.update(_digests([args.checkpoint, args.vocabulary]))
-    clips, _, _ = training.standardize_split(examples, folds, -1, stats)
-    known = _known_outputs(
-        args.checkpoint, inputs[str(args.checkpoint)], clips, caches,
-        lambda clip: (vocabulary.n_scenes,),
-    )
+    params, _, _, clips, inputs, known = _load_model(args, "teacher")
     labels = training.compute_soft_labels(params, clips, args.temperature, known)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -541,16 +543,7 @@ def cmd_eval(args) -> int:
     clock = _clock()
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
-    params, stats, vocabulary = _load_model(args, "student")
-    folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
-    inputs.update(_digests([args.checkpoint, args.vocabulary]))
-    train_clips, val_clips, _ = training.standardize_split(examples, folds, args.fold, stats)
-    calibrated = settings.policy == "calibrated"
-    scored = {c.clip_id: c for c in [*(train_clips if calibrated else []), *val_clips]}
-    known = _known_outputs(
-        args.checkpoint, inputs[str(args.checkpoint)], scored.values(), caches,
-        lambda clip: (vocabulary.n_events, clip.features.n_frames),
-    )
+    params, vocabulary, train_clips, val_clips, inputs, known = _load_model(args, "student")
     scores = training.score_student(
         params, settings, train_clips, val_clips, vocabulary.events, known
     )
@@ -558,6 +551,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ev.report_dict(scores["counts"], scores["per_event"])
+    calibrated = settings.policy == "calibrated"
     report["policy"] = {
         "kind": settings.policy,
         "threshold": None if calibrated else settings.threshold,

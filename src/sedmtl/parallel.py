@@ -12,6 +12,8 @@ thread.
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
+import numpy as np
+
 
 def _affinity_cores() -> int:
     try:
@@ -43,8 +45,9 @@ def _thread_map(fn, items) -> list:
     """[fn(item) for item in items], in input order, with the items split
     into contiguous shares: the caller runs the first, helper threads the
     rest. A failure raises the error of the first failing item in input
-    order, once every share has stopped. `fn` must not call `_thread_map`
-    itself."""
+    order, once every share has stopped. Helpers run under the caller's
+    numpy error state (`np.geterr()`), which threads do not inherit. `fn`
+    must not call `_thread_map` itself."""
     global _pool
     items = list(items)
     n = min(_threads, len(items))
@@ -54,9 +57,13 @@ def _thread_map(fn, items) -> list:
         _pool = ThreadPoolExecutor(_threads - 1, thread_name_prefix="sedmtl")
     bounds = [len(items) * k // n for k in range(n + 1)]
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    helpers = [
-        _pool.submit(lambda share=share: [fn(item) for item in share]) for share in shares[1:]
-    ]
+    err = np.geterr()
+
+    def run(share):
+        with np.errstate(**err):
+            return [fn(item) for item in share]
+
+    helpers = [_pool.submit(run, share) for share in shares[1:]]
     try:
         results = [fn(item) for item in shares[0]]
     finally:

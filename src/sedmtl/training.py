@@ -287,6 +287,9 @@ class TrainResult:
     val_outputs: dict | None = None
 
 
+# A diverging step's overflow is reported once, by the loss and gradient
+# checks below, not first as numpy warnings from deep in its forward.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> TrainResult:
     """The epoch loop of every mode, early-stopping on `validate(params)`,
     which returns (metric name, value, extra metrics, one output per

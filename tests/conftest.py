@@ -1,12 +1,10 @@
 """Pin BLAS to one thread before any test module imports numpy.
 
 pytest loads this file before the test modules, and numpy reads the thread
-variables once, when it loads. The rule is the package's own (see
-`sedmtl/__init__.py`): a value the caller set wins. In-process pipelines then
-compute the same bits as the `sedmtl` command on any core count.
+variables once, when it loads. Importing the package applies its own rule
+(see `sedmtl/__init__.py`, which imports no numpy): a value the caller set
+wins. In-process pipelines then compute the same bits as the `sedmtl`
+command on any core count.
 """
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import sedmtl  # noqa: F401

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sedmtl
 from sedmtl import autodiff as ad
 from sedmtl import cli, networks, parallel, training
 from sedmtl.data import read_manifest, write_json
@@ -272,9 +273,11 @@ class TestTrain:
         assert (teacher_dir / "teacher_log.jsonl").is_file()
         manifest = json.loads((teacher_dir / "run_manifest.json").read_text())
         assert str(ckpt) in manifest["outputs"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
             "cpu_count": os.cpu_count(),
             "threads": len(os.sched_getaffinity(0)),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -335,13 +338,14 @@ class TestTrain:
         assert "soft_labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["teacher", "event_only"])
-    def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, capsys, mode):
+    def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, mode):
         doc = train_config_doc(fixture_dataset, tmp_path / "out", mode, **OVERFLOWING_STEPS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert cli.main(["train", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {mode} training stopped: loss is nan at epoch 1, batch ")
+        # in a fresh process, where numpy warnings would reach stderr
+        proc = run_cli("train", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {mode} training stopped: loss is nan at epoch 1, batch 2\n"
         assert not (tmp_path / "out" / f"{mode}.ckpt").exists()
 
     def test_reproducible_checkpoint_and_log(self, fixture_dataset, tmp_path):
@@ -726,7 +730,7 @@ class TestCrossValidation:
         cfg.write_text(json.dumps(doc))
         assert cli.main(["cv", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "training stopped: loss is nan at epoch 1, batch " in err
         assert not (tmp_path / "cv").exists()
 
@@ -942,9 +946,9 @@ class TestSharedScoringPath:
 class TestValOutputs:
     """`train` writes each validation clip's best-epoch output beside its
     checkpoint (`<mode>.val_outputs`); `eval` and `distill` reuse an entry
-    only when the checkpoint, the clip's feature cache, numpy, the BLAS thread
-    variables and the package sources are those it was made with, and a
-    reused entry moves no byte of their outputs."""
+    only when the checkpoint, the clip's feature cache, numpy, the BLAS build
+    and thread variables and the package sources are those it was made with,
+    and a reused entry moves no byte of their outputs."""
 
     def train(self, ds, out_dir, mode, fold=-1, features=None, **overrides):
         doc = train_config_doc(ds, out_dir, mode, alpha=0.5, fold=fold, **overrides)
@@ -1019,9 +1023,11 @@ class TestValOutputs:
         assert self.outputs(tmp_path / "hit") == self.outputs(tmp_path / "miss")
 
     @pytest.mark.parametrize("command", ["eval", "distill"])
-    @pytest.mark.parametrize("stale", ["cache", "seed", "blas", "truncated", "garbage"])
+    @pytest.mark.parametrize(
+        "stale", ["cache", "seed", "blas", "build", "truncated", "garbage"]
+    )
     def test_stale_entries_are_never_used(
-        self, fixture_dataset, tmp_path, monkeypatch, command, stale
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, command, stale
     ):
         ds = fixture_dataset
         mode = "teacher" if command == "distill" else "mtl_hard"
@@ -1041,13 +1047,20 @@ class TestValOutputs:
             sidecar.write_bytes(kept)
         elif stale == "blas":
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        elif stale == "build":  # the same numpy and threads, another BLAS build
+            build = {"name": "otherblas", "version": "1.0", "openblas configuration": None}
+            monkeypatch.setattr(
+                np, "show_config", lambda mode: {"Build Dependencies": {"blas": build}}
+            )
         elif stale == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[:-9])
         else:
             sidecar.write_bytes(b"not a sidecar" * 40)
         calls = self.forwarded(monkeypatch)
+        capsys.readouterr()
         argv = self.argv(ds, command, ckpt, tmp_path / "stale", features=features)
         assert cli.main(argv) == 0
+        assert f"reused {n_clips - expected} of {n_clips} clips'" in capsys.readouterr().err
         assert len(calls) == expected
         if stale == "cache":
             assert calls == ["teacher clip" if command == "distill" else "home_0"]
@@ -1539,7 +1552,7 @@ class TestTrainingThreads:
 
 
 class TestBlasThreads:
-    VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    VARIABLES = sedmtl.BLAS_VARIABLES
 
     def env(self, **overrides):
         env = {k: v for k, v in os.environ.items() if k not in self.VARIABLES}

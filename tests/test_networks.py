@@ -5,6 +5,7 @@ import hashlib
 import re
 import struct
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -264,6 +265,17 @@ class TestThreadMap:
             with ad.Tape() if taped else contextlib.nullcontext():
                 networks.student_forward(params, feats)
             assert len(threads) == 5 and len(set(threads)) > 1
+
+    def test_helper_shares_keep_the_callers_error_state(self, two_threads):
+        def exp(x):  # the second item, in the helper's share, overflows
+            return np.exp(np.float64(x))
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            parallel._thread_map(exp, [0.0, 1000.0])
+        with np.errstate(over="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parallel._thread_map(exp, [0.0, 1000.0]) == [1.0, np.inf]
+        assert caught == []
 
     def test_serial_with_one_thread(self, monkeypatch):
         monkeypatch.setattr(parallel, "_threads", 1)
