@@ -372,7 +372,7 @@ _NETWORKS = {
 }
 
 
-def _load_model(args, kind):
+def _load_model(args, kind, fold: int, calibrated: bool):
     """The set-up of `distill` and `eval`: (parameters, vocabulary, training
     clips, validation clips, {file read: sha256}, {clip id: known output}).
 
@@ -380,9 +380,9 @@ def _load_model(args, kind):
     class counts against `args.vocabulary`, its band stats, its parameter
     names and shapes against those of a `kind` network built for the
     vocabulary, and its parameter values, which must be finite. The clips of
-    `args.fold` (-1 when absent) are standardized with its band stats; the
-    known outputs are those of the clips the command reads: the validation
-    clips, and the calibration clips under `--policy calibrated`."""
+    `fold` are standardized with its band stats; the known outputs are those
+    of the clips the command reads: the validation clips, and the training
+    clips too when they are `calibrated` on."""
     path = args.checkpoint
     params, meta = networks.load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -423,9 +423,7 @@ def _load_model(args, kind):
     folds, examples, inputs, caches = _load_examples(args.manifest, vocabulary, args.features)
     inputs.update(_digests([path, args.vocabulary]))
     stats = BandStats(mean=np.asarray(mean), std=np.asarray(std))
-    fold = getattr(args, "fold", -1)
     train_clips, val_clips, _ = training.standardize_split(examples, folds, fold, stats)
-    calibrated = getattr(args, "policy", None) == "calibrated"
     read = {c.clip_id: c for c in [*(train_clips if calibrated else []), *val_clips]}
     known = _known_outputs(path, inputs[str(path)], kind, vocabulary, read.values(), caches)
     return params, vocabulary, train_clips, val_clips, inputs, known
@@ -521,7 +519,7 @@ def cmd_distill(args) -> int:
     clock = _clock()
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
-    params, _, _, clips, inputs, known = _load_model(args, "teacher")
+    params, _, _, clips, inputs, known = _load_model(args, "teacher", -1, False)
     labels = training.compute_soft_labels(params, clips, args.temperature, known)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -543,22 +541,15 @@ def cmd_eval(args) -> int:
     clock = _clock()
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
-    params, vocabulary, train_clips, val_clips, inputs, known = _load_model(args, "student")
-    scores = training.score_student(
+    params, vocabulary, train_clips, val_clips, inputs, known = _load_model(
+        args, "student", args.fold, settings.policy == "calibrated"
+    )
+    report = training.score_student(
         params, settings, train_clips, val_clips, vocabulary.events, known
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = ev.report_dict(scores["counts"], scores["per_event"])
-    calibrated = settings.policy == "calibrated"
-    report["policy"] = {
-        "kind": settings.policy,
-        "threshold": None if calibrated else settings.threshold,
-        "per_class": list(scores["thresholds"]) if calibrated else None,
-        "smooth_window": settings.smooth_window,
-        "note": "per-event ER is class-restricted (no cross-class substitutions)",
-    }
     report_path = out_dir / "report.json"
     write_json(report_path, report)
     table_path = out_dir / "report.txt"

@@ -153,6 +153,8 @@ def make_folds(records, n_folds: int, seed: int) -> dict:
     """
     if n_folds < 1:
         raise ArgumentError(f"folds must be >= 1, got {n_folds}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if len(records) < n_folds:
         raise ArgumentError(
             f"need at least {n_folds} clips for {n_folds} folds, got {len(records)}"

@@ -1,10 +1,11 @@
 """Segment-based detection metrics and posterior binarization.
 
 Posteriors are thresholded per class (strictly greater), then cleaned with a
-per-class binary median filter. Metrics follow the segment-based convention:
-a class counts as active in a 1 s segment iff any frame inside is active;
-per segment, substitutions S = min(FN, FP), deletions D = FN - S and
-insertions I = FP - S; the error rate is (sum S + D + I) / (sum Nref).
+per-class binary median filter. Metrics follow the segment-based convention
+of Mesaros, Heittola and Virtanen (Applied Sciences, 2016): a class counts
+as active in a 1 s segment iff any frame inside is active; per segment,
+substitutions S = min(FN, FP), deletions D = FN - S and insertions
+I = FP - S; the error rate is (sum S + D + I) / (sum Nref).
 
 `SegmentCounts` keeps each count once: per-class TP/FP/FN totals and one
 (S, D, I, Nref) row per segment, from which `totals` sums the rest. Every F1
@@ -21,7 +22,7 @@ from .features import HOP_S
 
 DEFAULT_SMOOTH_WINDOW = 27
 SEGMENT_FRAMES = round(1.0 / HOP_S)  # frames per 1 s segment
-# thresholds searched by calibration unless a caller passes its own grid
+# the thresholds that `eval` and `cv` search when they calibrate
 CALIBRATION_GRID = tuple(g / 20 for g in range(1, 20))
 F1_UNDEFINED_FLAG = "f1_undefined_no_activity"
 ER_UNDEFINED_FLAG = "er_undefined_empty_reference"
@@ -200,17 +201,9 @@ def calibrate_thresholds(pairs, grid, smooth_window: int = DEFAULT_SMOOTH_WINDOW
     return grid[np.argmax(f1_from_counts(tp, fp, fn)[0], axis=0)]
 
 
-def report_dict(counts: SegmentCounts, per_event_rows: list) -> dict:
-    f1, f1_defined, er, er_defined = overall(counts)
-    flags = [F1_UNDEFINED_FLAG] * (not f1_defined) + [ER_UNDEFINED_FLAG] * (not er_defined)
-    return {
-        "overall": {"f1": f1, "er": er, "flags": flags},
-        "per_event": per_event_rows,
-    }
-
-
 def format_report_table(report: dict) -> str:
-    """Aligned plain-text table mirroring the per-event report layout."""
+    """`report.txt`: an aligned plain-text table of the report that
+    `training.score_student` builds, as written to or read from JSON."""
     lines = [
         f"overall  F-score {report['overall']['f1']:6.2f}%   ER {report['overall']['er']:.3f}"
     ]

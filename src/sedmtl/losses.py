@@ -75,7 +75,10 @@ def distill_targets(teacher_logits: np.ndarray, temperature: float) -> np.ndarra
     x = np.asarray(teacher_logits, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ArgumentError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    u = x / temperature
+    with np.errstate(over="ignore"):
+        u = x / temperature
+    if not np.isfinite(u).all():
+        raise ArgumentError(f"teacher logits / temperature {temperature} are not finite")
     u = u - u.max()
     e = np.exp(u)
     return e / e.sum()

@@ -97,10 +97,6 @@ class EvalConfig:
         lambda v: v >= 1 and v % 2 == 1, "must be an odd integer >= 1",
         ev.DEFAULT_SMOOTH_WINDOW,
     )
-    grid: tuple[float, ...] = _rule(
-        lambda v: len(v) > 0 and all(0 < g < 1 for g in v),
-        "must be a non-empty list of numbers in (0, 1)", ev.CALIBRATION_GRID,
-    )
 
 
 @dataclass(frozen=True)
@@ -453,8 +449,8 @@ def evaluate_student(
     smooth_window: int = ev.DEFAULT_SMOOTH_WINDOW,
 ) -> dict:
     """Pool segment counts over (posteriors, roll) pairs, one per clip,
-    binarized at `thresholds` (one, or one per class); returns f1/er plus
-    the raw counts, whose per-class totals feed `pooled_per_event`."""
+    binarized at `thresholds` (one, or one per class); returns f1/er, their
+    flags and the counts, whose per-class totals feed `pooled_per_event`."""
     pairs = list(pairs)
     if not pairs:
         raise DataError("no clips to score: the validation fold is empty")
@@ -462,8 +458,9 @@ def evaluate_student(
     for posteriors, roll in pairs:
         pred = ev.binarize(posteriors, thresholds, smooth_window)
         counts = counts.merge(ev.segment_counts(roll, pred))
-    f1, _, er, _ = ev.overall(counts)
-    return {"f1": f1, "er": er, "counts": counts}
+    f1, f1_defined, er, er_defined = ev.overall(counts)
+    flags = [ev.F1_UNDEFINED_FLAG] * (not f1_defined) + [ev.ER_UNDEFINED_FLAG] * (not er_defined)
+    return {"f1": f1, "er": er, "flags": flags, "counts": counts}
 
 
 def train_student(
@@ -474,7 +471,7 @@ def train_student(
     soft_labels: dict | None = None,
 ) -> TrainResult:
     """Minimize the mode's objective over fixed-length chunks; early stop on
-    validation segment F1 at a fixed 0.5 threshold.
+    validation segment F1 at `EvalConfig`'s default threshold and window.
     """
     if config.mode not in STUDENT_MODES:
         raise ConfigError(f"train_student cannot run mode {config.mode!r}")
@@ -531,7 +528,8 @@ def train_student(
 
     def validate(params):
         posteriors = student_posteriors(params, *val_clips)
-        scores = evaluate_student(zip(posteriors, (c.roll for c in val_clips)), 0.5)
+        pairs = zip(posteriors, (c.roll for c in val_clips))
+        scores = evaluate_student(pairs, EvalConfig.threshold, EvalConfig.smooth_window)
         return "f1", scores["f1"], {"er": scores["er"]}, posteriors
 
     return _fit(
@@ -553,14 +551,15 @@ def score_student(
     event_names,
     known: dict | None = None,
 ) -> dict:
-    """`evaluate_student` scores of the validation clips under `cfg`, plus
-    the `thresholds` used and the `per_event` rows; shared by `eval` and `cv`.
+    """The one report of the validation clips under `cfg`, which `eval`
+    writes and `cv` reads: the `overall` F1, ER and flags of
+    `evaluate_student`, the `per_event` rows and the `policy` block.
 
     The fixed policy uses `cfg.threshold`; the calibrated one searches
-    `cfg.grid` per class on the calibration clips. `known` maps clip ids to
-    posteriors that `params` already gave (a student's `val_outputs`); every
-    other clip read is forwarded once, in one batched call, whose posteriors
-    do not depend on which clips share it.
+    `ev.CALIBRATION_GRID` per class on the calibration clips. `known` maps
+    clip ids to posteriors that `params` already gave (a student's
+    `val_outputs`); every other clip read is forwarded once, in one batched
+    call, whose posteriors do not depend on which clips share it.
     """
     calibrated = cfg.policy == "calibrated"
     posteriors = dict(known or {})
@@ -572,14 +571,23 @@ def score_student(
     thresholds = cfg.threshold
     if calibrated:
         thresholds = ev.calibrate_thresholds(
-            [(posteriors[c.clip_id], c.roll) for c in calibration_clips], cfg.grid,
+            [(posteriors[c.clip_id], c.roll) for c in calibration_clips], ev.CALIBRATION_GRID,
             smooth_window=cfg.smooth_window,
         )
     scores = evaluate_student(
         [(posteriors[c.clip_id], c.roll) for c in val_clips], thresholds, cfg.smooth_window
     )
-    per_event = pooled_per_event(scores["counts"], event_names)
-    return {**scores, "thresholds": thresholds, "per_event": per_event}
+    return {
+        "overall": {key: scores[key] for key in ("f1", "er", "flags")},
+        "per_event": pooled_per_event(scores["counts"], event_names),
+        "policy": {
+            "kind": cfg.policy,
+            "threshold": None if calibrated else cfg.threshold,
+            "per_class": list(thresholds) if calibrated else None,
+            "smooth_window": cfg.smooth_window,
+            "note": "per-event ER is class-restricted (no cross-class substitutions)",
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +611,7 @@ def _cv_single(payload):
             n_scenes=vocabulary.n_scenes,
         )
         # train_student scored the validation clips with the restored parameters
-        scores = score_student(
+        report = score_student(
             result.params, eval_cfg, train_clips, val_clips, vocabulary.events,
             known=result.val_outputs,
         )
@@ -612,10 +620,10 @@ def _cv_single(payload):
                 "fold": fold,
                 "seed": cfg.seed,
                 "mode": cfg.mode,
-                "f1": scores["f1"],
-                "er": scores["er"],
+                "f1": report["overall"]["f1"],
+                "er": report["overall"]["er"],
                 "best_epoch": result.best_epoch,
-                "per_event": scores["per_event"],
+                "per_event": report["per_event"],
             }
         )
     return results

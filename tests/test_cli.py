@@ -657,13 +657,13 @@ class TestCrossValidation:
             ({"smooth_window": -3}, "cv.eval.smooth_window"),
             ({"threshold": 1.5}, "cv.eval.threshold"),
             ({"threshold": -0.1}, "cv.eval.threshold"),
-            ({"policy": "calibrated", "grid": []}, "cv.eval.grid"),
-            ({"policy": "calibrated", "grid": [0.5, 1.2]}, "cv.eval.grid"),
+            # the threshold's interval (0, 1) is open at its upper end
+            ({"threshold": 1.0}, "cv.eval.threshold"),
+            ({"threshold": float("nan")}, "field cv.eval.threshold has wrong type, got nan"),
             ({"treshold": 0.4}, "unknown field cv.eval.treshold"),
             ([["policy", "fixed"]], "cv.eval must be an object"),
             ({"event_names": ["a", "b", "c", "d", "e"]}, "unknown field cv.eval.event_names"),
-            ({"policy": "calibrated", "grid": [0.5, float("inf")]}, "cv.eval.grid has wrong type"),
-            ({"threshold": float("nan")}, "field cv.eval.threshold has wrong type, got nan"),
+            ({"policy": "calibrated", "grid": [0.5]}, "unknown field cv.eval.grid"),
         ],
     )
     def test_invalid_eval_block_rejected_before_training(
@@ -789,7 +789,7 @@ class TestCrossValidation:
             ({"modes": ["teacher"]}, "field cv.modes"),
             ({"seeds": []}, "field cv.seeds"),
             ({"modes": "event_only"}, "field cv.modes has wrong type"),
-            ({"eval": {"policy": "calibrated", "grid": [0.5, True]}}, "field cv.eval.grid"),
+            ({"seeds": [0, True]}, "field cv.seeds has wrong type"),
         ],
     )
     def test_invalid_cv_block_rejected_before_loading(
@@ -1488,6 +1488,43 @@ class TestErrorBoundary:
             err = capsys.readouterr().err
             assert err == f"error: temperature must be a finite number > 0, got {shown}\n"
             assert not (tmp_path / "out").exists()
+
+    def test_distill_rejects_a_temperature_that_overflows_the_logits(
+        self, fixture_dataset, tmp_path, capsys
+    ):
+        ds = fixture_dataset
+        teacher = tmp_path / "teacher.ckpt"
+        networks.save_checkpoint(teacher, networks.init_teacher_params(4, seed=0), {
+            "kind": "teacher", "n_scenes": 4, "n_events": 5,
+            "band_stats": {"mean": [0.0] * 64, "std": [1.0] * 64},
+        })
+        code = cli.main([
+            "distill",
+            "--checkpoint", str(teacher),
+            "--manifest", str(ds["manifest"]),
+            "--vocabulary", str(ds["vocabulary"]),
+            "--features", str(ds["features"]),
+            "--temperature", "1e-310",
+            "--out", str(tmp_path / "out" / "soft_labels.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: teacher logits / temperature 1e-310 are not finite\n")
+        assert err.count("error:") == 1 and "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_rejects_a_negative_seed(self, fixture_dataset, tmp_path, capsys):
+        ds = fixture_dataset
+        code = cli.main([
+            "ingest",
+            "--metadata", str(ds["info"].metadata_path),
+            "--annotations", str(ds["info"].annotations_dir),
+            "--seed", "-1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("folds", ["0", "-1"])
     def test_ingest_rejects_fewer_than_one_fold(self, fixture_dataset, tmp_path, capsys, folds):

@@ -161,6 +161,10 @@ class TestMakeFolds:
         with pytest.raises(ArgumentError, match=f"folds must be >= 1, got {n_folds}"):
             data.make_folds(self.make_records(2, scenes=2), n_folds=n_folds, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ArgumentError, match="seed must be >= 0, got -1"):
+            data.make_folds(self.make_records(2, scenes=2), n_folds=2, seed=-1)
+
     def test_partition_properties(self):
         records = self.make_records(7, scenes=3)
         split = data.make_folds(records, n_folds=4, seed=3)

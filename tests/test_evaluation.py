@@ -1,9 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sedmtl import evaluation as ev, training
 from sedmtl.errors import ArgumentError, DimensionError
+
+
+def report_of(posteriors, reference, event_names):
+    """`training.score_student`'s report, at the default settings, of one
+    clip whose posteriors are known, so no network runs."""
+    clip = training.ClipExample("clip", None, 0, reference)
+    return training.score_student(
+        None, training.EvalConfig(), [clip], [clip], event_names, known={"clip": posteriors}
+    )
 
 
 def brute_force_recount(reference, prediction, frames_per_segment):
@@ -169,7 +180,7 @@ class TestSegmentCounts:
     def test_empty_everything(self):
         counts = ev.segment_counts(np.zeros((2, 100)), np.zeros((2, 100)))
         assert ev.overall(counts) == (0.0, False, 0.0, False)
-        flags = ev.report_dict(counts, [])["overall"]["flags"]
+        flags = report_of(np.zeros((2, 100)), np.zeros((2, 100)), ["a", "b"])["overall"]["flags"]
         assert flags == [ev.F1_UNDEFINED_FLAG, ev.ER_UNDEFINED_FLAG]
 
     def test_shape_mismatch(self):
@@ -266,14 +277,12 @@ class TestPerEventReport:
         assert (rows[0]["f1"], rows[0]["er"]) == ev.overall(counts)[::2]
 
     def test_report_formatting(self):
-        ref = np.zeros((1, 100))
-        pred = np.zeros((1, 100))
-        counts = ev.segment_counts(ref, pred)
-        rows = training.pooled_per_event(counts, ["quiet"])
-        report = ev.report_dict(counts, rows)
+        report = report_of(np.zeros((1, 100)), np.zeros((1, 100)), ["quiet"])
         assert ev.F1_UNDEFINED_FLAG in report["overall"]["flags"]
         table = ev.format_report_table(report)
         assert "quiet" in table and "overall" in table
+        # report.txt is reproducible from report.json as written
+        assert ev.format_report_table(json.loads(json.dumps(report))) == table
 
     def test_pooled_rows_match_per_clip_per_class_merge(self):
         # several clips of different lengths (partial last segments), classes

@@ -121,6 +121,11 @@ class TestDistillTargets:
         p = losses.distill_targets(np.array([1.0, 2.0]), 1000.0)
         assert np.abs(p - 0.5).max() < 1e-3
 
+    def test_overflowing_temperature_is_an_error(self):
+        # 2 / 1e-310 is past the largest float: an error, not a NaN label
+        with pytest.raises(ArgumentError, match="temperature 1e-310 are not finite"):
+            losses.distill_targets(np.array([1.0, 2.0]), 1e-310)
+
 
 class TestSoftSceneLoss:
     def test_matching_distributions_give_entropy(self):
