@@ -6,8 +6,8 @@ execution order; `Tape.backward` replays them in exact reverse order, so two
 identical forward passes produce bit-identical gradients. Ops executed with
 no active tape run forward-only.
 
-The active tape belongs to the thread that entered it: each thread records
-onto at most one tape of its own. That lets `networks` record per-item
+Tapes nest per thread: ops record onto the innermost tape that their thread
+has entered and not yet exited. That lets `networks` record per-item
 subgraphs on threads, each onto a sub-tape of its own.
 
 The op set is exactly what a training step records: elementwise
@@ -29,15 +29,17 @@ from .errors import ArgumentError, DimensionError
 
 
 class _Recording(threading.local):
-    tape = None  # the tape this thread records onto
+    tape = None  # the innermost tape this thread has entered
 
 
 _recording = _Recording()
-_open_tapes = []  # every thread's active tape, oldest first
-_open_lock = threading.Lock()
-# Some active tape while any thread records one, else None; a whole-process
-# view for observers outside the package. Ops read their own thread's tape.
-_ACTIVE_TAPE = None
+
+
+def __getattr__(name):
+    # `_ACTIVE_TAPE`, for observers outside the package: the calling thread's tape
+    if name == "_ACTIVE_TAPE":
+        return _recording.tape
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Tensor:
@@ -72,30 +74,22 @@ class Tensor:
 class Tape:
     """Ordered record of executed primitives for one forward/backward cycle.
 
-    Use as a context manager around the forward pass; at most one tape may be
-    active per thread. Records are (output tensor, backward closure) pairs in
-    execution order, which is a topological order by construction.
+    Use as a context manager around the forward pass; its exit, even by an
+    exception, makes the thread's outer tape (or none) current again. Records
+    are (output tensor, backward closure) pairs in execution order, which is a
+    topological order by construction.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, object]] = []
+        self._outer = None  # the thread's outer tape, held only while this one is entered
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _recording.tape is not None:
-            raise RuntimeError("another tape is already active on this thread")
-        _recording.tape = self
-        with _open_lock:
-            _open_tapes.append(self)
-            _ACTIVE_TAPE = self
+        self._outer, _recording.tape = _recording.tape, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _recording.tape = None
-        with _open_lock:
-            _open_tapes.remove(self)
-            _ACTIVE_TAPE = _open_tapes[-1] if _open_tapes else None
+        _recording.tape, self._outer = self._outer, None  # a kept sub-tape makes no cycle
         return False
 
     def __len__(self):

@@ -200,6 +200,8 @@ def cmd_ingest(args) -> int:
             ann_path, parse_event_annotations, record.clip_id, vocabulary, text=texts.get(ann_path)
         )
     folds = make_folds(records, n_folds=args.folds, seed=args.seed)
+    if not vocabulary.events:  # only a derived one can be empty: see Vocabulary.load
+        raise DataError(f"{ann_dir}: the annotation files of the clips name no events")
 
     audio_root = metadata_path.parent
     entries = {}

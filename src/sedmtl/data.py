@@ -36,12 +36,14 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """The vocabulary of a JSON file {"scenes": [names], "events": [names]},
-        each list naming each class once."""
+        each list naming at least one class and each class once."""
         doc = read_json(path, "a vocabulary")
         for key in ("scenes", "events"):
             names = doc.get(key)
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise DataError(f"{path}: {key!r} must be a list of names, got {names!r}")
+            if not names:
+                raise DataError(f"{path}: {key!r} names no class")
             repeated = [n for i, n in enumerate(names) if n in names[:i]]
             if repeated:
                 raise DataError(f"{path}: {key!r} names {repeated[0]!r} more than once")

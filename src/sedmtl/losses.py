@@ -87,12 +87,21 @@ def distill_targets(teacher_logits: np.ndarray, temperature: float) -> np.ndarra
 def soft_scene_loss(logits: Tensor, soft_target: np.ndarray, temperature: float) -> Tensor:
     """Cross-entropy between the temperature softmax of the student's scene
     logits and a fixed soft target distribution.
+
+    Finite logits whose quotient by the temperature overflows raise an
+    ArgumentError naming it; logits that are not finite (a diverging step's)
+    are left to the caller's loss check.
     """
     if temperature <= 0.0:
         raise ArgumentError(f"temperature must be positive, got {temperature}")
     p = np.asarray(soft_target, dtype=np.float64)
     if abs(p.sum() - 1.0) > 1e-6 or np.any(p < 0.0):
         raise ArgumentError("soft target is not a normalized probability vector")
+    x = logits.values
+    if np.isfinite(x).all():
+        with np.errstate(over="ignore"):
+            if not np.isfinite(x / temperature).all():
+                raise ArgumentError(f"scene logits / temperature {temperature} are not finite")
     return _scene_cross_entropy(logits, p, temperature)
 
 

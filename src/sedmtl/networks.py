@@ -90,16 +90,16 @@ def _taped_map(fn, items, params, last_first: bool = True) -> list:
     """[fn(params, item) for item in items], spread over threads by
     `_thread_map`.
 
-    Under a tape each item records onto a sub-tape of its own, against shadow
-    leaves: new Tensors over the arrays of `params` (name -> Tensor), so each
-    item's parameter gradients stay its own. The outputs join the caller's
-    tape as one record. Its backward replays the sub-tapes on threads, then
-    adds each parameter's per-item gradients into it last item first, the
-    order in which one serial tape reaches the items; with
-    `last_first=False`, first item first, as one tape per item backwarded in
-    turn does. The sum starts from the first term, so when each item reaches
-    each parameter through one op the gradients equal the serial run's bit
-    for bit.
+    Under a tape each item records onto a sub-tape of its own (nested in the
+    caller's tape on its thread), against shadow leaves: new Tensors over the
+    arrays of `params` (name -> Tensor), so each item's parameter gradients
+    stay its own. The outputs join the caller's tape as one record. Its
+    backward replays the sub-tapes on threads, then adds each parameter's
+    per-item gradients into it last item first, the order in which one
+    serial tape reaches the items; with `last_first=False`, first item first,
+    as one tape per item backwarded in turn does. The sum starts from the
+    first term, so when each item reaches each parameter through one op the
+    gradients equal the serial run's bit for bit.
     """
     items = list(items)
     if ad._recording.tape is None:
@@ -107,12 +107,8 @@ def _taped_map(fn, items, params, last_first: bool = True) -> list:
 
     def record(item):
         shadows = {name: Tensor(t.values) for name, t in params.items()}
-        outer, ad._recording.tape = ad._recording.tape, None  # the caller's tape, on its thread
-        try:
-            with ad.Tape() as tape:
-                out = fn(shadows, item)
-        finally:
-            ad._recording.tape = outer
+        with ad.Tape() as tape:
+            out = fn(shadows, item)
         return tape, shadows, out
 
     runs = _thread_map(record, items)

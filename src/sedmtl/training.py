@@ -24,7 +24,8 @@ Every mode runs one epoch loop, `_fit`: seeded mini-batches, each one step
 on one tape, batch-mean gradients, Adam, per-epoch validation, and early
 stopping that restores the best epoch. Each trainer supplies only its batch
 loss; `_fit` records it, and a loss or gradient that is not finite stops
-training before the optimizer step, naming the epoch, batch and parameter.
+training before the optimizer step, naming the epoch, batch and parameter,
+as a validation output that is not finite does before it is scored.
 The teacher's batch loss sums one hard scene loss per clip over
 `networks.teacher_logits`, as its clips may differ in length; the student's
 covers its mini-batch of equal-length chunks at once, taking the scene
@@ -286,10 +287,13 @@ class TrainResult:
 # A diverging step's overflow is reported once, by the loss and gradient
 # checks below, not first as numpy warnings from deep in its forward.
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> TrainResult:
-    """The epoch loop of every mode, early-stopping on `validate(params)`,
-    which returns (metric name, value, extra metrics, one output per
-    validation clip).
+def _fit(
+    config, init, items, val_clips, batch_loss, epoch_losses, val_outputs, score
+) -> TrainResult:
+    """The epoch loop of every mode, early-stopping on `score(outputs)`, which
+    returns (metric name, value, extra metrics) for `val_outputs(params)`,
+    one output per validation clip. An output that is not finite stops
+    training before it is scored, naming its clip and the epoch.
 
     `init()` builds the parameters once both folds are known to be non-empty.
     Each mini-batch is one step on one tape: `batch_loss(params, batch,
@@ -336,7 +340,14 @@ def _fit(config, init, items, val_clips, batch_loss, epoch_losses, validate) -> 
                     )
                 grads[name] = g / len(batch)
             adam_step(params, grads, state, config.learning_rate)
-        metric_name, metric, extra, outputs = validate(params)
+        outputs = val_outputs(params)
+        for clip, out in zip(val_clips, outputs, strict=True):
+            if not np.isfinite(out).all():
+                raise DataError(
+                    f"{stop}: validation output of clip {clip.clip_id!r} is not finite "
+                    f"at epoch {epoch}"
+                )
+        metric_name, metric, extra = score(outputs)
         log.append(
             {
                 "epoch": epoch,
@@ -380,10 +391,9 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
             totals["scene_hard"] += each.item()
         return functools.reduce(ad.add, clip_losses)
 
-    def validate(params):
-        logits = _teacher_logits(params, val_clips)
+    def score(logits):
         correct = sum(int(np.argmax(x)) == clip.scene for x, clip in zip(logits, val_clips))
-        return "scene_accuracy", correct / len(val_clips), {}, logits
+        return "scene_accuracy", correct / len(val_clips), {}
 
     return _fit(
         config,
@@ -392,7 +402,8 @@ def train_teacher(train_clips, val_clips, config: TrainConfig, n_scenes: int) ->
         val_clips,
         batch_loss,
         lambda totals: {"scene_hard": totals["scene_hard"] / len(train_clips)},
-        validate,
+        lambda params: _teacher_logits(params, val_clips),
+        score,
     )
 
 
@@ -526,11 +537,10 @@ def train_student(
             "event_per_unit": totals["event"] / totals["units"],
         }
 
-    def validate(params):
-        posteriors = student_posteriors(params, *val_clips)
+    def score(posteriors):
         pairs = zip(posteriors, (c.roll for c in val_clips))
         scores = evaluate_student(pairs, EvalConfig.threshold, EvalConfig.smooth_window)
-        return "f1", scores["f1"], {"er": scores["er"]}, posteriors
+        return "f1", scores["f1"], {"er": scores["er"]}
 
     return _fit(
         config,
@@ -539,7 +549,8 @@ def train_student(
         val_clips,
         batch_loss,
         epoch_losses,
-        validate,
+        lambda params: student_posteriors(params, *val_clips),
+        score,
     )
 
 

@@ -4,22 +4,23 @@ the benchmark's tracer must keep working on the package.
 `perfbench/workloads.py` lists, per workload, the spans a traced iteration
 must record. A span names a public function or method of a `sedmtl` module
 (`networks.student_forward.train` is `networks.student_forward`, split by
-whether a tape is active). The file is parsed, not imported, so the first
-test runs no benchmark code; a rename or deletion in `sedmtl` then fails
-here, not only in a traced benchmark run. The others run a small `eval`
-and a small fixed-policy `cv` under `perfbench/tracing.py`'s tracer, whose
-hooks read some functions' arguments (the `student_posteriors` hook reads
-the first clip), so a signature change they rely on, or a call they cannot
-read, fails here too.
+whether the calling thread has a tape). The file is parsed, not imported, so
+the first test runs no benchmark code; a rename or deletion in `sedmtl` then
+fails here, not only in a traced benchmark run. The others run a small
+`eval`, a small fixed-policy `cv` and a small teacher `train` under
+`perfbench/tracing.py`'s tracer, whose hooks read some functions' arguments
+(the `student_posteriors` hook reads the first clip), so a signature change
+they rely on, or a call they cannot read, fails here too.
 """
 
 import ast
 import importlib
 import inspect
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from sedmtl import cli, networks
+from sedmtl import cli, networks, parallel
 from sedmtl.fixture import generate_fixture
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -118,3 +119,26 @@ def test_traced_fixed_policy_cv_scores_from_the_training_posteriors(tmp_path, mo
     assert names.count("training.score_student") == 2  # one per fold
     # one validation forward per fold and epoch; scoring adds none
     assert names.count("training.student_posteriors") == 2
+    assert names.count("networks.student_forward.train") >= 1
+
+
+def test_traced_teacher_train_splits_its_forwards_by_tape(tmp_path, monkeypatch):
+    # the teacher's taped forwards run on sub-tapes, on the caller's thread and
+    # on a helper; its validation forwards run untaped
+    manifest, vocabulary, features = ingested_fixture(tmp_path)
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({
+        "paths": {"manifest": str(manifest), "vocabulary": str(vocabulary),
+                  "features_dir": str(features), "out_dir": str(tmp_path / "out")},
+        "train": {"mode": "teacher", "max_epochs": 1, "batch_size": 4, "fold": 0},
+    }))
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(parallel, "_threads", 2)
+    monkeypatch.setattr(parallel, "_pool", pool)
+    try:
+        names = traced_spans(monkeypatch, ["train", "--config", str(cfg)])
+    finally:
+        pool.shutdown()
+    # two training clips, one on each thread, then two validation clips
+    assert names.count("networks.teacher_forward.train") == 2
+    assert names.count("networks.teacher_forward.infer") == 2

@@ -126,6 +126,22 @@ class TestIngest:
         assert "thunder" not in vocab["events"]
         assert "thunder" not in capsys.readouterr().out
 
+    def test_annotations_that_name_no_event_are_an_error(self, tmp_path, capsys):
+        info = generate_fixture(tmp_path / "data", clip_seconds=1.0, clips_per_scene=1)
+        for clip in info.clips:
+            Path(clip.annotation_path).write_text("")
+        code = cli.main([
+            "ingest",
+            "--metadata", str(info.metadata_path),
+            "--annotations", str(info.annotations_dir),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {info.annotations_dir}: the annotation files of the clips name no events\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("given_vocabulary", [False, True])
     def test_each_text_input_is_read_once(
         self, fixture_dataset, tmp_path, monkeypatch, given_vocabulary
@@ -337,15 +353,42 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 1
         assert "soft_labels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["teacher", "event_only"])
-    def test_non_finite_loss_is_a_clear_error(self, fixture_dataset, tmp_path, mode):
-        doc = train_config_doc(fixture_dataset, tmp_path / "out", mode, **OVERFLOWING_STEPS)
+    @pytest.mark.parametrize(
+        "mode, overrides, message",
+        [
+            pytest.param(
+                mode, OVERFLOWING_STEPS,
+                f"{mode} training stopped: loss is nan at epoch 1, batch 2", id=mode,
+            )
+            for mode in ("teacher", "event_only")
+        ] + [
+            # one batch per epoch: the first step's overflow shows first in validation
+            pytest.param(
+                "event_only", {**OVERFLOWING_STEPS, "batch_size": 64},
+                "event_only training stopped: "
+                "validation output of clip 'city_center_0' is not finite at epoch 1",
+                id="event_only-validation",
+            ),
+            # the fixed soft labels' run at a temperature that overflows the logits
+            pytest.param(
+                "mtl_soft", {"temperature": 1e-310},
+                "scene logits / temperature 1e-310 are not finite", id="mtl_soft-temperature",
+            ),
+        ],
+    )
+    def test_non_finite_loss_is_a_clear_error(
+        self, fixture_dataset, tmp_path, mode, overrides, message
+    ):
+        doc = train_config_doc(fixture_dataset, tmp_path / "out", mode)
+        if mode == "mtl_soft":
+            use_fixed_soft_labels(fixture_dataset, doc, tmp_path / "soft_labels.json")
+        doc["train"].update(overrides)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         # in a fresh process, where numpy warnings would reach stderr
         proc = run_cli("train", "--config", str(cfg))
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {mode} training stopped: loss is nan at epoch 1, batch 2\n"
+        assert proc.stderr == f"error: {message}\n"
         assert not (tmp_path / "out" / f"{mode}.ckpt").exists()
 
     def test_reproducible_checkpoint_and_log(self, fixture_dataset, tmp_path):
@@ -1149,6 +1192,8 @@ MALFORMED_INPUTS = [
     ("vocabulary", "truncated", "ingest", "{path}: a vocabulary is not valid JSON: {eof}"),
     ("vocabulary", "not-utf8", "train", "{path}: a vocabulary is not valid JSON: {ff}"),
     ("vocabulary", "repeated-event", "ingest", "{path}: 'events' names 'car' more than once"),
+    ("vocabulary", "no-scenes", "ingest", "{path}: 'scenes' names no class"),
+    ("vocabulary", "no-events", "train", "{path}: 'events' names no class"),
     ("config", "truncated", "train", "{path}: a config is not valid JSON: {eof}"),
     ("config", "not-utf8", "cv", "{path}: a config is not valid JSON: {ff}"),
     ("config", "list", "train", "{path}: a config must be a JSON object, got list"),
@@ -1329,6 +1374,9 @@ class TestErrorBoundary:
         elif corruption == "repeated-event":
             vocabulary = json.loads(ds["vocabulary"].read_text(encoding="utf-8"))
             bad_entry[kind] = dict(vocabulary, events=[*vocabulary["events"], "car"])
+        elif corruption in ("no-scenes", "no-events"):
+            vocabulary = json.loads(ds["vocabulary"].read_text(encoding="utf-8"))
+            bad_entry[kind] = dict(vocabulary, **{corruption.removeprefix("no-"): []})
         if command in ("distill", "eval"):
             write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
         fixed = {"truncated": b'{"a": ', "not-utf8": b'{"a": "\xff"}', "list": b"[1, 2]"}

@@ -151,6 +151,18 @@ class TestSoftSceneLoss:
         with pytest.raises(ArgumentError):
             losses.soft_scene_loss(ad.Tensor([0.0, 0.0]), np.array([0.6, 0.6]), 1.0)
 
+    def test_overflowing_temperature_is_an_error(self):
+        # finite logits / 1e-310 are past the largest float: an error naming
+        # the temperature, not a NaN loss
+        with pytest.raises(ArgumentError, match="^scene logits / temperature 1e-310 are not"):
+            losses.soft_scene_loss(ad.Tensor([1.0, 2.0]), np.array([0.3, 0.7]), 1e-310)
+
+    def test_non_finite_logits_are_left_to_the_loss_check(self):
+        # a diverging step's logits, under the error state of training's loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = losses.soft_scene_loss(ad.Tensor([np.nan, 2.0]), np.array([0.3, 0.7]), 1e-310)
+        assert np.isnan(out.values)
+
     def test_gibbs_inequality(self):
         rng = np.random.default_rng(4)
         p = np.array([0.1, 0.2, 0.3, 0.4])
