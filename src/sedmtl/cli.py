@@ -33,7 +33,6 @@ import numpy as np
 from . import BLAS_VARIABLES, __version__, evaluation as ev, networks, parallel, training
 from .data import (
     Vocabulary,
-    clip_id_from_path,
     count_clipped_events,
     events_to_roll,
     make_folds,
@@ -185,23 +184,30 @@ def cmd_ingest(args) -> int:
     if not ann_dir.is_dir():
         raise DataError(f"annotations directory not found: {ann_dir}")
 
-    texts = {}  # path -> text of each file read so far: none is read twice
-    if args.vocabulary:
-        vocabulary = Vocabulary.load(args.vocabulary)
-    else:
-        vocabulary = _derive_vocabulary(metadata_path, ann_dir, texts)
-    records = _parse_file(metadata_path, parse_metadata, vocabulary, text=texts.get(metadata_path))
+    vocabulary = Vocabulary.load(args.vocabulary) if args.vocabulary else None
+    records = _parse_file(metadata_path, parse_metadata, vocabulary)
+    if len(records) < args.folds:
+        raise DataError(
+            f"{metadata_path}: need at least {args.folds} clips for {args.folds} folds, "
+            f"got {len(records)}"
+        )
     for record in records:
         ann_path = ann_dir / f"{record.clip_id}.txt"
         if not ann_path.is_file():
             raise DataError(f"annotation file missing for clip {record.clip_id!r}: {ann_path}")
         record.annotation_path = str(ann_path)
-        record.events = _parse_file(
-            ann_path, parse_event_annotations, record.clip_id, vocabulary, text=texts.get(ann_path)
+        record.events = _parse_file(ann_path, parse_event_annotations, record.clip_id, vocabulary)
+    if vocabulary is None:  # the names the records hold, each list sorted, as indices
+        vocabulary = Vocabulary(
+            scenes=sorted({r.scene for r in records}),
+            events=sorted({name for r in records for _, _, name in r.events}),
         )
+        if not vocabulary.events:  # a vocabulary file cannot be empty: see Vocabulary.load
+            raise DataError(f"{ann_dir}: the annotation files of the clips name no events")
+        for r in records:
+            r.scene = vocabulary.scenes.index(r.scene)
+            r.events = [(on, off, vocabulary.events.index(name)) for on, off, name in r.events]
     folds = make_folds(records, n_folds=args.folds, seed=args.seed)
-    if not vocabulary.events:  # only a derived one can be empty: see Vocabulary.load
-        raise DataError(f"{ann_dir}: the annotation files of the clips name no events")
 
     audio_root = metadata_path.parent
     entries = {}
@@ -232,37 +238,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_file(path, parse, *args, text=None):
-    """parse(`text`, *args), reading `text` from the UTF-8 file at `path`
-    when it is None; bytes that are not UTF-8, a line it cannot parse, or a
-    name outside the vocabulary raise a DataError naming the file."""
+def _parse_file(path, parse, *args):
+    """parse(the text of the UTF-8 file at `path`, *args); bytes that are not
+    UTF-8, a line it cannot parse, or a name outside the vocabulary raise a
+    DataError naming the file."""
     try:
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
-        return parse(text, *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except (UnicodeDecodeError, ParseError, VocabularyError) as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def _derive_vocabulary(metadata_path: Path, ann_dir: Path, texts: dict) -> Vocabulary:
-    """The sorted scene names of the metadata lines and event names of their
-    clips' annotation files, keeping each file's text in `texts` (path ->
-    text); other files in `ann_dir` are not read."""
-    scenes, events = set(), set()
-    texts[metadata_path] = _parse_file(metadata_path, str)
-    for line in texts[metadata_path].splitlines():
-        parts = line.split("\t")
-        if len(parts) != 2:
-            continue
-        scenes.add(parts[1])
-        ann_path = ann_dir / f"{clip_id_from_path(parts[0])}.txt"
-        if ann_path not in texts and ann_path.is_file():  # a missing one is reported later
-            texts[ann_path] = _parse_file(ann_path, str)
-            for event_line in texts[ann_path].splitlines():
-                fields = event_line.split("\t")
-                if len(fields) == 3:
-                    events.add(fields[2])
-    return Vocabulary(scenes=sorted(scenes), events=sorted(events))
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +419,20 @@ def _load_model(args, kind, fold: int, calibrated: bool):
 
 
 def _config_paths(doc, problems, *extra) -> dict:
-    """The config's `paths` object; each required key (the four below and
-    `extra`) that is absent, no string or, but for out_dir, no existing path
-    goes to problems."""
+    """The config's `paths` object. A top-level key other than paths, train
+    and cv, a `paths` key other than the four below and soft_labels, and each
+    required key (the four below and `extra`) that is absent, no string or,
+    but for out_dir, no existing path go to problems."""
+    problems += [f"unknown field {key}" for key in doc if key not in ("paths", "train", "cv")]
     paths = doc.get("paths")
     if not isinstance(paths, dict):
         problems.append("missing 'paths' object")
         paths = {}
-    for key in ("manifest", "vocabulary", "features_dir", "out_dir", *extra):
+    required = ("manifest", "vocabulary", "features_dir", "out_dir")
+    problems += [
+        f"unknown field paths.{key}" for key in paths if key not in (*required, "soft_labels")
+    ]
+    for key in (*required, *extra):
         if key not in paths:
             problems.append(f"paths.{key} is required")
         elif not isinstance(paths[key], str):
@@ -470,6 +459,12 @@ def cmd_train(args) -> int:
     soft_labels = None
     if config.mode == "mtl_soft":
         soft_labels = training.load_soft_labels(paths["soft_labels"], vocabulary.n_scenes)
+        missing = [c.clip_id for c in train_clips if c.clip_id not in soft_labels]
+        if missing:
+            raise DataError(
+                f"{paths['soft_labels']}: {len(missing)} training clips have no soft label, "
+                f"the first {missing[0]!r}"
+            )
         inputs.update(_digests([paths["soft_labels"]]))
     out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -54,8 +54,8 @@ class Vocabulary:
 class ClipRecord:
     clip_id: str
     audio_path: str
-    scene: int
-    events: list = field(default_factory=list)  # (onset_s, offset_s, event_idx)
+    scene: int  # its name when parsed without a vocabulary
+    events: list = field(default_factory=list)  # (onset_s, offset_s, event_idx), likewise
     annotation_path: str = ""
 
 
@@ -63,12 +63,13 @@ def clip_id_from_path(audio_path: str) -> str:
     return PurePosixPath(audio_path.replace("\\", "/")).stem
 
 
-def parse_metadata(text: str, vocabulary: Vocabulary) -> list[ClipRecord]:
-    """Parse `audio_path TAB scene_name` lines into clip stubs.
+def parse_metadata(text: str, vocabulary: Vocabulary | None = None) -> list[ClipRecord]:
+    """Parse `audio_path TAB scene_name` lines into clip stubs; without a
+    vocabulary, each stub's scene is its name, not its index.
 
     Malformed lines, and a line whose clip (its file stem) an earlier line
-    names, raise immediately with their line number; unknown scene names
-    are collected and reported together.
+    names, raise immediately with their line number; scene names outside
+    the vocabulary are collected and reported together.
     """
     records = []
     unknown = []
@@ -86,18 +87,22 @@ def parse_metadata(text: str, vocabulary: Vocabulary) -> list[ClipRecord]:
                 f"clip {clip_id!r} of {audio_path!r} repeats line {first_line[clip_id]}", lineno
             )
         first_line[clip_id] = lineno
-        if scene_name not in vocabulary.scenes:
+        if vocabulary is None:
+            records.append(ClipRecord(clip_id, audio_path, scene_name))
+        elif scene_name in vocabulary.scenes:
+            records.append(ClipRecord(clip_id, audio_path, vocabulary.scenes.index(scene_name)))
+        else:
             unknown.append(scene_name)
-            continue
-        records.append(ClipRecord(clip_id, audio_path, vocabulary.scenes.index(scene_name)))
     if unknown:
         names = ", ".join(repr(n) for n in sorted(set(unknown)))
         raise VocabularyError(f"unknown scene names: {names}")
     return records
 
 
-def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary) -> list:
-    """Parse `onset TAB offset TAB event_name` lines, sorted by onset.
+def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary | None = None) -> list:
+    """Parse `onset TAB offset TAB event_name` lines into (onset, offset,
+    event index) triples sorted by onset; without a vocabulary, each triple
+    holds the event's name, not its index.
 
     Overlapping events are legal (polyphony). A malformed line or an event
     outside the vocabulary raises a ParseError naming the clip and the line.
@@ -120,9 +125,12 @@ def parse_event_annotations(text: str, clip_id: str, vocabulary: Vocabulary) -> 
             raise ParseError(
                 f"{clip_id}: need 0 <= onset < offset, got {onset} .. {offset}", lineno
             )
-        if parts[2] not in vocabulary.events:
+        if vocabulary is None:
+            events.append((onset, offset, parts[2]))
+        elif parts[2] in vocabulary.events:
+            events.append((onset, offset, vocabulary.events.index(parts[2])))
+        else:
             raise ParseError(f"{clip_id}: unknown event name {parts[2]!r}", lineno)
-        events.append((onset, offset, vocabulary.events.index(parts[2])))
     events.sort(key=lambda e: e[0])
     return events
 

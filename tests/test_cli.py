@@ -165,6 +165,17 @@ class TestIngest:
         texts = [info.metadata_path] + [info.annotations_dir / f"{c.clip_id}.txt" for c in info.clips]
         assert reads == {str(path): 1 for path in texts}
 
+    def test_a_derived_vocabulary_given_back_writes_the_same_files(self, fixture_dataset, tmp_path):
+        info = fixture_dataset["info"]
+        argv = ["ingest", "--metadata", str(info.metadata_path),
+                "--annotations", str(info.annotations_dir), "--folds", "2", "--seed", "3"]
+        derived, given = tmp_path / "derived", tmp_path / "given"
+        assert cli.main([*argv, "--out", str(derived)]) == 0
+        assert cli.main([*argv, "--vocabulary", str(derived / "vocabulary.json"),
+                         "--out", str(given)]) == 0
+        for name in ("manifest.json", "vocabulary.json"):
+            assert (derived / name).read_bytes() == (given / name).read_bytes()
+
     def test_rerun_identical_manifest(self, fixture_dataset, tmp_path):
         args = [
             "ingest",
@@ -1199,6 +1210,12 @@ MALFORMED_INPUTS = [
     ("config", "list", "train", "{path}: a config must be a JSON object, got list"),
     ("config", "entry", "train",
      "invalid config {path}:\n  paths.manifest must be a string, got 3"),
+    *(
+        ("config", "unknown-keys", command,
+         "invalid config {path}:\n  unknown field cross_validation\n"
+         "  unknown field paths.featurs_dir")
+        for command in ("train", "cv")
+    ),
     ("manifest", "truncated", "features", "{path}: a manifest is not valid JSON: {eof}"),
     ("manifest", "not-utf8", "eval", "{path}: a manifest is not valid JSON: {ff}"),
     ("manifest", "list", "distill", "{path}: a manifest must be a JSON object, got list"),
@@ -1213,6 +1230,8 @@ MALFORMED_INPUTS = [
     ("soft labels", "list", "train", "{path}: soft labels must be a JSON object, got list"),
     ("soft labels", "entry", "train",
      "{path}: soft label of clip 'home_0' is not a list of finite numbers"),
+    ("soft labels", "missing-clips", "train",
+     "{path}: 7 training clips have no soft label, the first 'city_center_0'"),
     ("cache index", "truncated", "features", "{path}: a cache index is not valid JSON: {eof}"),
     ("cache index", "not-utf8", "features", "{path}: a cache index is not valid JSON: {ff}"),
     ("cache index", "list", "features",
@@ -1363,7 +1382,14 @@ class TestErrorBoundary:
             "soft labels": {**{clip: [0.25] * 4 for clip in entries}, "home_0": "x"},
             "cache index": {"home_0": 3},
         }
-        if corruption == "no-scene":
+        if corruption == "unknown-keys":  # a misspelled block and a misspelled path
+            bad_entry[kind] = dict(
+                config, cross_validation={"seeds": [0]},
+                paths={**config["paths"], "featurs_dir": config["paths"]["features_dir"]},
+            )
+        elif corruption == "missing-clips":
+            bad_entry[kind] = {"home_0": [0.25] * 4}
+        elif corruption == "no-scene":
             del entries["home_0"]["scene"]
         elif corruption == "scene-9":
             entries["home_0"]["scene"] = 9
@@ -1466,6 +1492,26 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == (
             f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: "
             "invalid start byte\n"
+        )
+        assert not out.exists()
+
+    def test_ingest_reports_the_metadata_before_an_annotation_file(
+        self, fixture_dataset, tmp_path, capsys
+    ):
+        """Each file is parsed once, the metadata first: of a malformed
+        metadata line and an annotation file that is not UTF-8, the line is
+        reported."""
+        info = fixture_dataset["info"]
+        metadata = tmp_path / "meta.tsv"
+        metadata.write_bytes(info.metadata_path.read_bytes() + b"audio/extra_0.wav\n")
+        annotations = shutil.copytree(info.annotations_dir, tmp_path / "annotations")
+        (annotations / "home_0.txt").write_bytes(b"0.1\t0.5\tcar\xff\n")
+        out = tmp_path / "out"
+        argv = ["--metadata", str(metadata), "--annotations", str(annotations), "--out", str(out)]
+        assert cli.main(["ingest", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metadata}: line 9: expected 'audio_path<TAB>scene', "
+            "got 'audio/extra_0.wav'\n"
         )
         assert not out.exists()
 
@@ -1572,6 +1618,34 @@ class TestErrorBoundary:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "metadata_text, folds, clips",
+        [
+            pytest.param(b"\n  \n\n", "4", 0, id="blank-lines"),
+            pytest.param(None, "100", 8, id="100-folds"),
+        ],
+    )
+    def test_ingest_names_the_metadata_when_it_holds_fewer_clips_than_folds(
+        self, fixture_dataset, tmp_path, capsys, metadata_text, folds, clips
+    ):
+        info = fixture_dataset["info"]
+        metadata = info.metadata_path
+        if metadata_text is not None:
+            metadata = tmp_path / "meta.tsv"
+            metadata.write_bytes(metadata_text)
+        code = cli.main([
+            "ingest",
+            "--metadata", str(metadata),
+            "--annotations", str(info.annotations_dir),
+            "--folds", folds,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {metadata}: need at least {folds} clips for {folds} folds, got {clips}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("folds", ["0", "-1"])

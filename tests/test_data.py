@@ -40,6 +40,10 @@ class TestParseMetadata:
     def test_empty_file(self):
         assert data.parse_metadata("", VOCAB) == []
 
+    def test_without_a_vocabulary_the_scene_is_its_name(self):
+        records = data.parse_metadata("audio/a.wav\tbeach\nb.wav\thome\n")
+        assert [(r.clip_id, r.scene) for r in records] == [("a", "beach"), ("b", "home")]
+
     def test_unknown_scene(self):
         with pytest.raises(VocabularyError, match="beach"):
             data.parse_metadata("a.wav\tbeach\n", VOCAB)
@@ -70,6 +74,10 @@ class TestParseEventAnnotations:
         text = "3.0\t4.0\tcar\n0.5\t1.0\tdishes\n"
         events = data.parse_event_annotations(text, "c1", VOCAB)
         assert [e[0] for e in events] == [0.5, 3.0]
+
+    def test_without_a_vocabulary_the_event_is_its_name(self):
+        events = data.parse_event_annotations("3.0\t4.0\tthunder\n0.5\t1.0\tcar\n", "c1")
+        assert events == [(0.5, 1.0, "car"), (3.0, 4.0, "thunder")]
 
     def test_inverted_interval(self):
         with pytest.raises(ParseError, match="line 1"):

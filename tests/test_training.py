@@ -343,16 +343,6 @@ class TestTrainStudent:
             for key in ("event", "scene_term", "total"):
                 assert abs(ra["train_losses"][key] - rb["train_losses"][key]) < 1e-9
 
-    def test_missing_soft_labels_rejected(self):
-        clips = self.clips()
-        with pytest.raises(ConfigError):
-            training.train_student(clips, clips, quick_config("mtl_soft", beta=1.0), n_scenes=4)
-        with pytest.raises(ConfigError):
-            training.train_student(
-                clips, clips, quick_config("mtl_soft", beta=1.0), n_scenes=4,
-                soft_labels={clips[0].clip_id: np.full(4, 0.25)},
-            )
-
     def test_empty_validation_fold_rejected(self):
         clips = self.clips()
         with pytest.raises(DataError, match="validation fold is empty"):
