@@ -20,7 +20,6 @@ run in plain numpy (`_sigmoid_values`, `losses.distill_targets`).
 
 import operator
 import threading
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -486,41 +485,19 @@ def _unpool_axis(g: np.ndarray, axis: int, n: int, mask: np.ndarray) -> np.ndarr
 GRU_GATES = ("update", "reset", "cand")
 
 
-@dataclass
-class GRUCell:
-    """Weights for one GRU direction.
+def bigru_forward(x: Tensor, forward_cell, backward_cell) -> Tensor:
+    """Run a GRU left-to-right and right-to-left over a time-major sequence
+    and return the per-frame concatenation of the two states. x is (N, B, F),
+    a batch of B sequences, giving (N, B, 2*units). Initial states are zero.
 
-    Gate equations (reset applied to the previous state before the candidate
-    matmul, zero initial state):
+    Each cell is one direction's weights as `(W, U, b)`: three lists holding
+    that direction's tensors in GRU_GATES order. Gate equations (reset
+    applied to the previous state before the candidate matmul):
 
         update = sigmoid(x W_u + h U_u + b_u)
         reset  = sigmoid(x W_r + h U_r + b_r)
         cand   = tanh(x W_c + (reset * h) U_c + b_c)
         h'     = update * h + (1 - update) * cand
-    """
-
-    w_update: Tensor
-    w_reset: Tensor
-    w_cand: Tensor
-    u_update: Tensor
-    u_reset: Tensor
-    u_cand: Tensor
-    b_update: Tensor
-    b_reset: Tensor
-    b_cand: Tensor
-
-    def gates(self, kind: str) -> list:
-        """The "w", "u" or "b" tensor of each gate, in GRU_GATES order."""
-        return [getattr(self, f"{kind}_{gate}") for gate in GRU_GATES]
-
-    def tensors(self):
-        return self.gates("w") + self.gates("u") + self.gates("b")
-
-
-def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> Tensor:
-    """Run a GRU left-to-right and right-to-left over a time-major sequence
-    and return the per-frame concatenation of the two states. x is (N, B, F),
-    a batch of B sequences, giving (N, B, 2*units). Initial states are zero.
 
     Both directions advance in one time loop over a stacked (2, B, units)
     state: step t feeds frame t to the forward cell and frame N-1-t to the
@@ -532,19 +509,17 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         raise ArgumentError(f"bigru expects a non-empty (N,B,F) sequence, got {seq.shape}")
     n, b, f = seq.shape
     cells = (forward_cell, backward_cell)
-    units = forward_cell.u_update.values.shape[0]
+    units = forward_cell[1][0].values.shape[0]
     # Each direction's rows in its own time order, and its input projections
     # for the whole sequence in one matmul: (N, direction, B, 3*units).
     rows = (seq.reshape(n * b, f), seq[::-1].reshape(n * b, f))
     proj = np.empty((n, 2, b, 3 * units))
-    for d, cell in enumerate(cells):
-        w = np.concatenate([cell.w_update.values, cell.w_reset.values, cell.w_cand.values], 1)
-        bias = np.concatenate([cell.b_update.values, cell.b_reset.values, cell.b_cand.values])
-        proj[:, d] = (rows[d] @ w + bias).reshape(n, b, 3 * units)
-    u_gates = np.stack(
-        [np.concatenate([c.u_update.values, c.u_reset.values], axis=1) for c in cells]
-    )
-    u_cand = np.stack([c.u_cand.values for c in cells])
+    for d, (w, _, bias) in enumerate(cells):
+        w_all = np.concatenate([t.values for t in w], 1)
+        b_all = np.concatenate([t.values for t in bias])
+        proj[:, d] = (rows[d] @ w_all + b_all).reshape(n, b, 3 * units)
+    u_gates = np.stack([np.concatenate([u[0].values, u[1].values], axis=1) for _, u, _ in cells])
+    u_cand = np.stack([u[2].values for _, u, _ in cells])
     h = np.zeros((2, b, units))
     h_prev = np.empty((n, 2, b, units))
     gates = np.empty((n, 2, b, 2 * units))  # update | reset
@@ -565,7 +540,7 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
         dh_out[:, 1] = g[::-1, :, units:]
         uu_t, ur_t, uc_t = (
             np.stack([t.values for t in pair]).transpose(0, 2, 1)
-            for pair in zip(*(c.gates("u") for c in cells))
+            for pair in zip(*(u for _, u, _ in cells))
         )
         da = np.empty((n, 2, b, 3 * units))  # pre-activation grads: update | reset | cand
         carry = np.zeros((2, b, units))
@@ -586,7 +561,7 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
             da[t, ..., :units], da[t, ..., units : 2 * units], da[t, ..., 2 * units :] = az, ar, ac
             carry = dhp
         dx = []
-        for d, cell in enumerate(cells):
+        for d, (w, u, bias) in enumerate(cells):
             a = da[:, d].reshape(n * b, 3 * units)
             a_gates = [a[:, k * units : (k + 1) * units] for k in range(len(GRU_GATES))]
             hp = h_prev[:, d].reshape(n * b, units)
@@ -595,10 +570,10 @@ def bigru_forward(x: Tensor, forward_cell: GRUCell, backward_cell: GRUCell) -> T
             # U_reset, reset * h by U_cand
             grads = [v.T @ a_g for v, a_g in zip((rows[d],) * 3 + (hp, hp, rh), a_gates * 2)]
             grads += [a_g.sum(axis=0) for a_g in a_gates]
-            for t, gv in zip(cell.tensors(), grads):
+            for t, gv in zip(w + u + bias, grads):
                 _accumulate(t, gv)
             # (update + reset) + cand, each term made just before its sum
-            terms = (a_g @ w.values.T for a_g, w in zip(a_gates, cell.gates("w")))
+            terms = (a_g @ w_g.values.T for a_g, w_g in zip(a_gates, w))
             dx.append(reduce(operator.add, terms).reshape(n, b, f))
         _accumulate(x, dx[0] + dx[1][::-1])
 

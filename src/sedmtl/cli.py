@@ -42,7 +42,7 @@ from .data import (
     read_manifest,
     write_json,
 )
-from .errors import ConfigError, DataError, ParseError, VocabularyError
+from .errors import ConfigError, DataError, ParseError
 from .features import (
     BandStats,
     log_mel_energy,
@@ -244,7 +244,7 @@ def _parse_file(path, parse, *args):
     DataError naming the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"), *args)
-    except (UnicodeDecodeError, ParseError, VocabularyError) as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -418,27 +418,39 @@ def _load_model(args, kind, fold: int, calibrated: bool):
 # train
 
 
+def _unmakeable_dir(path) -> str | None:
+    """Why directory `path` can neither be found nor made, or None: the path,
+    or its nearest existing ancestor, must be a directory."""
+    existing = Path(path)
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    return None if existing.is_dir() else f"{existing} is not a directory"
+
+
 def _config_paths(doc, problems, *extra) -> dict:
     """The config's `paths` object. A top-level key other than paths, train
-    and cv, a `paths` key other than the four below and soft_labels, and each
-    required key (the four below and `extra`) that is absent, no string or,
-    but for out_dir, no existing path go to problems."""
+    and cv, a `paths` key other than the four below and soft_labels, a
+    required key (the four below and `extra`) that is absent, a value that is
+    no string, an input the command reads that does not exist and an out_dir
+    that cannot be made go to problems."""
     problems += [f"unknown field {key}" for key in doc if key not in ("paths", "train", "cv")]
     paths = doc.get("paths")
     if not isinstance(paths, dict):
         problems.append("missing 'paths' object")
         paths = {}
-    required = ("manifest", "vocabulary", "features_dir", "out_dir")
-    problems += [
-        f"unknown field paths.{key}" for key in paths if key not in (*required, "soft_labels")
-    ]
-    for key in (*required, *extra):
+    inputs = ("manifest", "vocabulary", "features_dir", *extra)
+    known = ("manifest", "vocabulary", "features_dir", "out_dir", "soft_labels")
+    problems += [f"unknown field paths.{key}" for key in paths if key not in known]
+    for key in known:
         if key not in paths:
-            problems.append(f"paths.{key} is required")
+            if key in (*inputs, "out_dir"):
+                problems.append(f"paths.{key} is required")
         elif not isinstance(paths[key], str):
             problems.append(f"paths.{key} must be a string, got {paths[key]!r}")
-        elif key != "out_dir" and not Path(paths[key]).exists():
+        elif key in inputs and not Path(paths[key]).exists():
             problems.append(f"paths.{key} does not exist: {paths[key]}")
+        elif key == "out_dir" and (why := _unmakeable_dir(paths[key])):
+            problems.append(f"paths.out_dir cannot be made: {why}")
     return paths
 
 
@@ -516,6 +528,8 @@ def cmd_distill(args) -> int:
     clock = _clock()
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
+    if why := _unmakeable_dir(Path(args.out).parent):
+        raise ConfigError(f"--out {args.out} cannot be written: {why}")
     params, _, _, clips, inputs, known = _load_model(args, "teacher", -1, False)
     labels = training.compute_soft_labels(params, clips, args.temperature, known)
     out_path = Path(args.out)
@@ -538,6 +552,8 @@ def cmd_eval(args) -> int:
     clock = _clock()
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
+    if why := _unmakeable_dir(args.out):
+        raise ConfigError(f"--out {args.out} cannot be made: {why}")
     params, vocabulary, train_clips, val_clips, inputs, known = _load_model(
         args, "student", args.fold, settings.policy == "calibrated"
     )

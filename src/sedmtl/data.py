@@ -14,7 +14,7 @@ from pathlib import PurePosixPath
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, ParseError, VocabularyError
+from .errors import ArgumentError, DataError, ParseError
 from .features import HOP_S
 
 
@@ -95,7 +95,7 @@ def parse_metadata(text: str, vocabulary: Vocabulary | None = None) -> list[Clip
             unknown.append(scene_name)
     if unknown:
         names = ", ".join(repr(n) for n in sorted(set(unknown)))
-        raise VocabularyError(f"unknown scene names: {names}")
+        raise ParseError(f"unknown scene names: {names}")
     return records
 
 
@@ -237,13 +237,17 @@ def write_json(path, doc: dict):
 
 def read_manifest(path) -> dict:
     """clip_id -> {audio_path, annotation_path, scene, fold >= 0} of a
-    manifest of at least one clip; the first entry of another shape names its
-    clip in a DataError."""
+    manifest of at least one clip, each clip id a file name; the first entry
+    of another shape names its clip in a DataError."""
     entries = read_json(path, "a manifest")
     if not entries:
         raise DataError(f"{path}: a manifest holds no clips")
     kinds = {"audio_path": str, "annotation_path": str, "scene": int, "fold": int}
     for clip_id, entry in entries.items():
+        if not clip_id or "/" in clip_id or "\\" in clip_id:
+            raise DataError(
+                f"{path}: clip {clip_id!r} must be a file name: not empty, no '/' or '\\'"
+            )
         if not isinstance(entry, dict):
             raise DataError(f"{path}: clip {clip_id!r} must be an object, got {entry!r}")
         for key, kind in kinds.items():

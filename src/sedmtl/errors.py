@@ -10,17 +10,14 @@ class ArgumentError(ValueError):
 
 
 class ParseError(ValueError):
-    """A text input could not be parsed; message carries the line number."""
+    """A text input could not be parsed; message carries the line number if
+    one line is at fault."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class VocabularyError(ValueError):
-    """A scene or event name is not part of the vocabulary."""
 
 
 class ConfigError(ValueError):

@@ -38,7 +38,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRU_GATES, GRUCell, Tensor
+from .autodiff import GRU_GATES, Tensor
 from .errors import DataError, DimensionError
 from .features import N_MEL_BANDS as N_BANDS
 from .parallel import _thread_map
@@ -185,9 +185,8 @@ def _add_gru(params: ModelParams, rng, name, n_in, units):
     for gate in GRU_GATES:
         params.add(f"{name}.b_{gate}", np.zeros(units))
 
-def _gru_cell(params: ModelParams, name) -> GRUCell:
-    fields = [f"{kind}_{gate}" for kind in ("w", "u", "b") for gate in GRU_GATES]
-    return GRUCell(**{field: params[f"{name}.{field}"] for field in fields})
+def _gru_cell(params: ModelParams, name):
+    return tuple([params[f"{name}.{kind}_{gate}"] for gate in GRU_GATES] for kind in "wub")
 
 def init_teacher_params(n_scenes: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)

@@ -253,7 +253,11 @@ def split_ids(assignment: dict, fold: int):
         train = sorted(c for c, f in assignment.items() if f != fold)
         val = sorted(c for c, f in assignment.items() if f == fold)
     if not train or not val:
-        raise DataError(f"fold {fold} leaves an empty split")
+        held = ", ".join(str(f) for f in sorted(set(assignment.values())))
+        raise DataError(
+            f"fold {fold} leaves an empty split: "
+            + (f"the folds with clips are {held}" if assignment else "there are no clips")
+        )
     return train, val
 
 

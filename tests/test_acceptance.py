@@ -29,11 +29,10 @@ def _random_gru_cell(rng, n_in, units):
     def w(shape):
         return ad.Tensor(rng.uniform(-0.5, 0.5, size=shape))
 
-    return ad.GRUCell(
-        w_update=w((n_in, units)), w_reset=w((n_in, units)), w_cand=w((n_in, units)),
-        u_update=w((units, units)), u_reset=w((units, units)), u_cand=w((units, units)),
-        b_update=w(units), b_reset=w(units), b_cand=w(units),
-    )
+    # (W, U, b), each in GRU_GATES order
+    W = [w((n_in, units)) for _ in ad.GRU_GATES]
+    U = [w((units, units)) for _ in ad.GRU_GATES]
+    return W, U, [w(units) for _ in ad.GRU_GATES]
 
 
 class TestCriterion1GradientSuite:
@@ -80,7 +79,7 @@ class TestCriterion1GradientSuite:
             fwd = _random_gru_cell(rng, 2, 2)
             bwd = _random_gru_cell(rng, 2, 2)
             x = ad.Tensor(rng.normal(size=(3, 1, 2)))  # (N, B, F)
-            inputs = [x] + fwd.tensors() + bwd.tensors()
+            inputs = [x] + sum(fwd + bwd, [])
             return (lambda xt, *rest: ad.bigru_forward(xt, fwd, bwd)), inputs
 
         def add_case(rng):

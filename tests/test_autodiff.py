@@ -77,11 +77,10 @@ def random_gru_cell(rng, n_in, units, scale=0.5):
     def b(c):
         return ad.Tensor(rng.uniform(-scale, scale, size=c))
 
-    return ad.GRUCell(
-        w_update=w(n_in, units), w_reset=w(n_in, units), w_cand=w(n_in, units),
-        u_update=w(units, units), u_reset=w(units, units), u_cand=w(units, units),
-        b_update=b(units), b_reset=b(units), b_cand=b(units),
-    )
+    # (W, U, b), each in GRU_GATES order
+    W = [w(n_in, units) for _ in ad.GRU_GATES]
+    U = [w(units, units) for _ in ad.GRU_GATES]
+    return W, U, [b(units) for _ in ad.GRU_GATES]
 
 
 class TestMatmul:
@@ -488,8 +487,9 @@ class TestBiGRU:
         out = ad.bigru_forward(ad.Tensor(x[:, None]), cell_f, cell_b).values[:, 0]
 
         def one_step(cell, xt):
-            z = 1.0 / (1.0 + np.exp(-(xt @ cell.w_update.values + cell.b_update.values)))
-            c = np.tanh(xt @ cell.w_cand.values + cell.b_cand.values)
+            (w_update, _, w_cand), _, (b_update, _, b_cand) = cell
+            z = 1.0 / (1.0 + np.exp(-(xt @ w_update.values + b_update.values)))
+            c = np.tanh(xt @ w_cand.values + b_cand.values)
             return (1.0 - z) * c  # zero initial state
 
         expected = np.concatenate([one_step(cell_f, x[0]), one_step(cell_b, x[0])])
@@ -508,7 +508,7 @@ class TestBiGRU:
         cell_f = random_gru_cell(rng, 2, 2)
         cell_b = random_gru_cell(rng, 2, 2)
         x = ad.Tensor(rng.normal(size=(3, 1, 2)))  # a batch of one
-        inputs = [x] + cell_f.tensors() + cell_b.tensors()
+        inputs = [x] + sum(cell_f + cell_b, [])
 
         def fn(xt, *weights):
             return ad.bigru_forward(xt, cell_f, cell_b)
@@ -521,7 +521,7 @@ class TestBiGRU:
         cell_f = random_gru_cell(rng, 2, 2)
         cell_b = random_gru_cell(rng, 2, 2)
         x = ad.Tensor(rng.normal(size=(3, 2, 2)))  # (N, B, F)
-        inputs = [x] + cell_f.tensors() + cell_b.tensors()
+        inputs = [x] + sum(cell_f + cell_b, [])
 
         def fn(xt, *weights):
             return ad.bigru_forward(xt, cell_f, cell_b)

@@ -1216,6 +1216,12 @@ MALFORMED_INPUTS = [
          "  unknown field paths.featurs_dir")
         for command in ("train", "cv")
     ),
+    # a paths value that the command does not read is still type-checked
+    *(
+        ("config", "soft-labels-number", command,
+         "invalid config {path}:\n  paths.soft_labels must be a string, got 3")
+        for command in ("train", "cv")
+    ),
     ("manifest", "truncated", "features", "{path}: a manifest is not valid JSON: {eof}"),
     ("manifest", "not-utf8", "eval", "{path}: a manifest is not valid JSON: {ff}"),
     ("manifest", "list", "distill", "{path}: a manifest must be a JSON object, got list"),
@@ -1225,6 +1231,11 @@ MALFORMED_INPUTS = [
     ("manifest", "scene-9", "train", "{path}: clip 'home_0' has scene 9, outside 0..3"),
     ("manifest", "fold--3", "train", "{path}: clip 'home_0' has fold -3, not >= 0"),
     ("manifest", "empty", "cv", "{path}: a manifest holds no clips"),
+    *(
+        ("manifest", "clip-path", command,
+         "{path}: clip '../escaped' must be a file name: not empty, no '/' or '\\'")
+        for command in ("features", "train")
+    ),
     ("soft labels", "truncated", "train", "{path}: soft labels is not valid JSON: {eof}"),
     ("soft labels", "not-utf8", "train", "{path}: soft labels is not valid JSON: {ff}"),
     ("soft labels", "list", "train", "{path}: soft labels must be a JSON object, got list"),
@@ -1387,8 +1398,12 @@ class TestErrorBoundary:
                 config, cross_validation={"seeds": [0]},
                 paths={**config["paths"], "featurs_dir": config["paths"]["features_dir"]},
             )
+        elif corruption == "soft-labels-number":
+            bad_entry[kind] = dict(config, paths={**config["paths"], "soft_labels": 3})
         elif corruption == "missing-clips":
             bad_entry[kind] = {"home_0": [0.25] * 4}
+        elif corruption == "clip-path":  # a clip id that climbs out of the feature directory
+            entries["../escaped"] = entries.pop("home_0")
         elif corruption == "no-scene":
             del entries["home_0"]["scene"]
         elif corruption == "scene-9":
@@ -1565,6 +1580,42 @@ class TestErrorBoundary:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv", "eval", "distill"])
+    def test_an_output_directory_under_a_file_stops_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, command
+    ):
+        """An output directory that cannot be made, because a regular file
+        stands on its path, stops the command before it loads or trains
+        anything, and the command makes nothing."""
+        ds = fixture_dataset
+        afile = tmp_path / "afile"
+        afile.write_text("a file")
+        out = afile / "sub"
+        config = tmp_path / "config.json"
+        why = f"{afile} is not a directory"
+        if command in ("train", "cv"):
+            doc = train_config_doc(ds, out, "mtl_hard") if command == "train" else cv_config_doc(ds, out)
+            config.write_text(json.dumps(doc))
+            argv = ["--config", str(config)]
+            expected = f"invalid config {config}:\n  paths.out_dir cannot be made: {why}"
+        else:
+            write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
+            argv = [
+                "--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", str(ds["manifest"]),
+                "--vocabulary", str(ds["vocabulary"]), "--features", str(ds["features"]),
+            ]
+            if command == "eval":
+                argv += ["--fold", "0", "--out", str(out)]
+                expected = f"--out {out} cannot be made: {why}"
+            else:
+                argv += ["--out", str(out / "soft_labels.json")]
+                expected = f"--out {out / 'soft_labels.json'} cannot be written: {why}"
+        made = sorted(tmp_path.rglob("*"))
+        refuse_to_load(monkeypatch, (networks, "load_checkpoint"))
+        assert cli.main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert sorted(tmp_path.rglob("*")) == made and afile.read_text() == "a file"
 
     def test_distill_checks_the_temperature_before_loading(self, fixture_dataset, tmp_path, capsys):
         ds = fixture_dataset

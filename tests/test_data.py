@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from sedmtl import data, training
 from sedmtl.data import ClipRecord, Vocabulary
-from sedmtl.errors import ArgumentError, DataError, ParseError, VocabularyError
+from sedmtl.errors import ArgumentError, DataError, ParseError
 from sedmtl.features import HOP_S
 
 VOCAB = Vocabulary(
@@ -45,7 +45,7 @@ class TestParseMetadata:
         assert [(r.clip_id, r.scene) for r in records] == [("a", "beach"), ("b", "home")]
 
     def test_unknown_scene(self):
-        with pytest.raises(VocabularyError, match="beach"):
+        with pytest.raises(ParseError, match="beach"):
             data.parse_metadata("a.wav\tbeach\n", VOCAB)
 
     def test_malformed_line_reports_number(self):

@@ -671,8 +671,10 @@ class TestSplitIds:
         "assignment, fold", [(ASSIGNMENT, 2), ({"a": 0, "b": 0}, 0), ({}, -1)]
     )
     def test_empty_side_rejected(self, assignment, fold):
-        with pytest.raises(DataError, match=f"fold {fold} leaves an empty split"):
+        with pytest.raises(DataError, match=f"fold {fold} leaves an empty split") as caught:
             training.split_ids(assignment, fold)
+        held = {2: "the folds with clips are 0, 1", 0: "the folds with clips are 0"}
+        assert str(caught.value).endswith(": " + held.get(fold, "there are no clips"))
 
 
 class TestStandardizeSplit:
