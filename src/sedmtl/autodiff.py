@@ -10,10 +10,11 @@ Tapes nest per thread: ops record onto the innermost tape that their thread
 has entered and not yet exited. That lets `networks` record per-item
 subgraphs on threads, each onto a sub-tape of its own.
 
-The op set is exactly what a training step records: elementwise
-arithmetic, matmul, same-padded 3x3 convolution with its layer's pooling
-(a one-channel input's a block of output channels at a time), max pooling
-with partial final windows, a bidirectional GRU and relu. Steps that are never
+The op set is exactly what a training step records: same-shape add,
+scaling, reshape, transpose, stack and mean, a dense layer as one op,
+same-padded 3x3 convolution with its layer's pooling (a one-channel input's
+a block of output channels at a time), max pooling with partial final
+windows, a bidirectional GRU and relu. Steps that are never
 differentiated, the posterior sigmoid and the teacher's temperature softmax,
 run in plain numpy (`_sigmoid_values`, `losses.distill_targets`).
 """
@@ -130,26 +131,19 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # elementwise and shape ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of the same shape."""
+    if a.values.shape != b.values.shape:
+        raise DimensionError(f"add needs equal shapes, got {a.values.shape} and {b.values.shape}")
     out = Tensor(a.values + b.values)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.values.shape))
-        _accumulate(b, _unbroadcast(g, b.values.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record(out, backward)
 
@@ -174,13 +168,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, backward)
 
 
-def stack(tensors, axis: int) -> Tensor:
-    """Join equal-shape tensors along a new axis."""
-    out = Tensor(np.stack([t.values for t in tensors], axis=axis))
+def stack(tensors) -> Tensor:
+    """Join equal-shape tensors along a new leading axis."""
+    out = Tensor(np.stack([t.values for t in tensors]))
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, np.take(g, i, axis=axis))
+        for t, g_t in zip(tensors, g):
+            _accumulate(t, g_t)
 
     return _record(out, backward)
 
@@ -229,23 +223,23 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
+def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map x @ weight + bias of a (rows, F) matrix x, with weight
+    (F, units) and bias (units,): one record, whose backward adds the bias,
+    input and weight gradients in that order."""
+    xv, wv, bv = x.values, weight.values, bias.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
         raise DimensionError(
-            f"matmul shapes do not compose: {a.values.shape} x {b.values.shape}"
+            f"dense shapes do not compose: x {xv.shape}, weight {wv.shape}, bias {bv.shape}"
         )
-    out = Tensor(a.values @ b.values)
+    out = Tensor(xv @ wv + bv)
 
     def backward(g):
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        _accumulate(bias, g.sum(axis=0))
+        _accumulate(x, g @ wv.T)
+        _accumulate(weight, xv.T @ g)
 
     return _record(out, backward)
-
-
-def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight + bias of a (rows, F) matrix x."""
-    return add(matmul(x, weight), bias)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ def _environment() -> dict:
     }
 
 
+_RUN_MANIFEST = "run_manifest.json"
+
+
 def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dict, clock):
     """`run_manifest.json` in `out_dir`; `inputs` and `outputs` map each
     file read or written to its sha256, each computed once by the command."""
@@ -108,7 +111,7 @@ def _write_run_manifest(out_dir, command, config_doc, inputs: dict, outputs: dic
             **_environment(),
         },
     }
-    write_json(Path(out_dir) / "run_manifest.json", manifest)
+    write_json(Path(out_dir) / _RUN_MANIFEST, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +430,14 @@ def _unmakeable_dir(path) -> str | None:
     return None if existing.is_dir() else f"{existing} is not a directory"
 
 
+def _refuse_directories(*files):
+    """Raise a ConfigError naming the first of the files a command writes
+    that is an existing directory, before the command loads anything."""
+    for path in files:
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _config_paths(doc, problems, *extra) -> dict:
     """The config's `paths` object. A top-level key other than paths, train
     and cv, a `paths` key other than the four below and soft_labels, a
@@ -462,6 +473,10 @@ def cmd_train(args) -> int:
     extra = ("soft_labels",) if config is not None and config.mode == "mtl_soft" else ()
     paths = _config_paths(doc, problems, *extra)
     training.fail_on(problems, args.config)
+    out_dir = Path(paths["out_dir"])
+    ckpt_path = out_dir / f"{config.mode}.ckpt"
+    log_path = out_dir / f"{config.mode}_log.jsonl"
+    _refuse_directories(ckpt_path, _outputs_path(ckpt_path), log_path, out_dir / _RUN_MANIFEST)
     vocabulary = Vocabulary.load(paths["vocabulary"])
     folds, examples, inputs, caches = _load_examples(
         paths["manifest"], vocabulary, paths["features_dir"]
@@ -478,7 +493,6 @@ def cmd_train(args) -> int:
                 f"the first {missing[0]!r}"
             )
         inputs.update(_digests([paths["soft_labels"]]))
-    out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.mode == "teacher":
@@ -492,7 +506,6 @@ def cmd_train(args) -> int:
         )
         kind = "student"
 
-    ckpt_path = out_dir / f"{config.mode}.ckpt"
     meta = {
         "kind": kind,
         "mode": config.mode,
@@ -506,7 +519,6 @@ def cmd_train(args) -> int:
     networks.save_checkpoint(ckpt_path, result.params, meta)
     outputs = _digests([ckpt_path])
     outputs_path = _write_outputs(ckpt_path, outputs[str(ckpt_path)], result.val_outputs, caches)
-    log_path = out_dir / f"{config.mode}_log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -528,11 +540,12 @@ def cmd_distill(args) -> int:
     clock = _clock()
     if not (np.isfinite(args.temperature) and args.temperature > 0):
         raise ConfigError(f"temperature must be a finite number > 0, got {args.temperature}")
-    if why := _unmakeable_dir(Path(args.out).parent):
+    out_path = Path(args.out)
+    if why := _unmakeable_dir(out_path.parent):
         raise ConfigError(f"--out {args.out} cannot be written: {why}")
+    _refuse_directories(out_path, out_path.parent / _RUN_MANIFEST)
     params, _, _, clips, inputs, known = _load_model(args, "teacher", -1, False)
     labels = training.compute_soft_labels(params, clips, args.temperature, known)
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, {clip: list(label) for clip, label in labels.items()})
     _write_run_manifest(
@@ -552,8 +565,11 @@ def cmd_eval(args) -> int:
     clock = _clock()
     flags = {k: getattr(args, k) for k in ("policy", "threshold", "smooth_window")}
     settings = training.parse_settings(training.EvalConfig, flags, "eval")
-    if why := _unmakeable_dir(args.out):
+    out_dir = Path(args.out)
+    if why := _unmakeable_dir(out_dir):
         raise ConfigError(f"--out {args.out} cannot be made: {why}")
+    report_path, table_path = out_dir / "report.json", out_dir / "report.txt"
+    _refuse_directories(report_path, table_path, out_dir / _RUN_MANIFEST)
     params, vocabulary, train_clips, val_clips, inputs, known = _load_model(
         args, "student", args.fold, settings.policy == "calibrated"
     )
@@ -561,11 +577,8 @@ def cmd_eval(args) -> int:
         params, settings, train_clips, val_clips, vocabulary.events, known
     )
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
     write_json(report_path, report)
-    table_path = out_dir / "report.txt"
     table_path.write_text(ev.format_report_table(report), encoding="utf-8")
     _write_run_manifest(
         out_dir, "eval", {"fold": args.fold, "policy": settings.policy},
@@ -605,15 +618,16 @@ def cmd_cv(args) -> int:
         fixed=training.CV_RUN_FIELDS,
     )
     training.fail_on(problems, args.config)
+    out_dir = Path(paths["out_dir"])
+    report_path, table_path = out_dir / "cv_report.json", out_dir / "cv_table.txt"
+    _refuse_directories(report_path, table_path, out_dir / _RUN_MANIFEST)
     vocabulary = Vocabulary.load(paths["vocabulary"])
     folds, examples, inputs, _ = _load_examples(
         paths["manifest"], vocabulary, paths["features_dir"]
     )
     out = training.run_cross_validation(examples, folds, train, cv, vocabulary, workers=workers)
 
-    out_dir = Path(paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "cv_report.json"
     write_json(report_path, out)
     lines = [f"{'Method':<28} {'F-score':>8} {'ER':>7}  (runs)"]
     label = {
@@ -627,9 +641,9 @@ def cmd_cv(args) -> int:
             f"{label[mode]:<28} {agg['f1']:7.2f}% {agg['er']:7.3f}  ({agg['n_runs']})"
         )
     table = "\n".join(lines) + "\n"
-    (out_dir / "cv_table.txt").write_text(table, encoding="utf-8")
+    table_path.write_text(table, encoding="utf-8")
     inputs.update(_digests([args.config, paths["vocabulary"]]))
-    outputs = _digests([report_path, out_dir / "cv_table.txt"])
+    outputs = _digests([report_path, table_path])
     _write_run_manifest(out_dir, "cv", doc, inputs, outputs, clock)
     print(table, end="")
     return 0

@@ -17,7 +17,9 @@ maxpool(relu(x)) value for value, and the gradient reaches the same element
 of each window; the ReLU then runs on the pooled, smaller array. A batch of
 equal-length inputs (a training mini-batch of chunks, or clips at inference)
 runs the trunk and scene head per input and the BiGRU and event head once,
-time-major over the whole batch; inference skips the scene head.
+time-major over the whole batch: the B trunks are stacked once and
+transposed to (N, B, 128), and each dense layer runs over all N * B frames.
+Inference skips the scene head.
 
 The per-input trunk and teacher forwards (`student_forward`,
 `teacher_logits`) run on the process's thread pool (`parallel._thread_map`):
@@ -242,7 +244,9 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     dense event head once over the whole batch. With `scene=False` the scene
     head is skipped and the scene logits are None. A matrix listed more than
     once runs the trunk once. The trunks run on threads, under a tape each on
-    a sub-tape that joins the caller's as one record.
+    a sub-tape that joins the caller's as one record. The BiGRU input is one
+    stack of the B (128, 1, N) trunks, reshaped to (B, 128, N) and transposed
+    to time-major (N, B, 128), so its layout records do not grow with B.
     """
     distinct = {id(f): f for f in features}
     trunks = _taped_map(student_trunk, distinct.values(), params)
@@ -251,8 +255,7 @@ def student_forward(params: ModelParams, features: list, scene: bool = True):
     scene_logits = [_classify(t, params, SCENE_CONVS, "scene_out") for t in trunks] if scene else None
 
     c, _, n = trunks[0].shape
-    # (128, 1, N) per chunk -> time-major (N, B, 128)
-    sequence = ad.stack([ad.transpose(ad.reshape(t, (c, n)), (1, 0)) for t in trunks], axis=1)
+    sequence = ad.transpose(ad.reshape(ad.stack(trunks), (len(trunks), c, n)), (2, 0, 1))
     hidden = ad.bigru_forward(sequence, _gru_cell(params, "gru.fwd"), _gru_cell(params, "gru.bwd"))
     hidden = ad.reshape(hidden, (n * len(trunks), -1))
     hidden = ad.relu(ad.dense(hidden, params["event_hidden.weight"], params["event_hidden.bias"]))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from sedmtl import autodiff
-from sedmtl.autodiff import Tape, Tensor, matmul, reshape
+from sedmtl.autodiff import Tape, Tensor, dense, reshape
 from sedmtl.errors import ArgumentError
 
 
@@ -38,9 +38,10 @@ def zero_grads(tensors):
 
 def weighted_sum(out: Tensor, weights=None) -> Tensor:
     """sum(out * weights) as a (1, 1) tensor, one weight per element of out
-    (all ones by default); d/d(out) is the weights, exactly."""
+    (all ones by default): a dense layer with a zero bias, so d/d(out) is the
+    weights, exactly."""
     w = np.ones(out.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    return matmul(reshape(out, (1, -1)), Tensor(w.reshape(-1, 1)))
+    return dense(reshape(out, (1, -1)), Tensor(w.reshape(-1, 1)), Tensor(np.zeros(1)))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import gc
+import re
 import threading
 import tracemalloc
 import weakref
@@ -83,36 +84,63 @@ def random_gru_cell(rng, n_in, units, scale=0.5):
     return W, U, [b(units) for _ in ad.GRU_GATES]
 
 
-class TestMatmul:
+class TestDense:
     def test_identity(self):
-        out = ad.matmul(ad.Tensor([[1.0, 0.0], [0.0, 1.0]]), ad.Tensor([[3.0], [4.0]]))
-        assert_allclose(out.values, [[3.0], [4.0]])
+        out = ad.dense(ad.Tensor([[3.0, 4.0]]), ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)))
+        assert_allclose(out.values, [[3.0, 4.0]])
 
     def test_hand_arithmetic(self):
-        out = ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]))
-        assert_allclose(out.values, [[11.0]])
+        out = ad.dense(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]), ad.Tensor([0.5]))
+        assert_allclose(out.values, [[11.5]])
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
+    def test_vector_and_matrix_inputs(self):
+        w = ad.Tensor([[1.0, 0.0], [0.0, 2.0]])
+        b = ad.Tensor([1.0, 1.0])
+        with pytest.raises(DimensionError, match=r"x \(2,\), weight \(2, 2\), bias \(2,\)"):
+            ad.dense(ad.Tensor([3.0, 4.0]), w, b)  # rows only
+        out = ad.dense(ad.Tensor([[3.0, 4.0], [1.0, 1.0]]), w, b)
+        assert_allclose(out.values, [[4.0, 9.0], [2.0, 3.0]])
+
+    def test_shape_error_names_all_three_shapes(self):
+        for x, w, b in [
+            ((3, 2), (3, 2), (2,)),  # F differs
+            ((3, 2), (2, 4), (2,)),  # one bias per unit
+            ((3, 2), (2, 4), (1, 4)),
+        ]:
+            with pytest.raises(DimensionError, match=re.escape(f"x {x}, weight {w}, bias {b}")):
+                ad.dense(ad.Tensor(np.zeros(x)), ad.Tensor(np.zeros(w)), ad.Tensor(np.zeros(b)))
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        a = ad.Tensor(rng.normal(size=(3, 4)))
-        b = ad.Tensor(rng.normal(size=(4, 2)))
-        report = grad_check(ad.matmul, [a, b])
+        rng = np.random.default_rng(16)
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        w = ad.Tensor(rng.normal(size=(3, 2)))
+        b = ad.Tensor(rng.normal(size=2))
+        report = grad_check(ad.dense, [x, w, b])
         assert report.max_rel_err < 1e-6
 
     def test_backward_formula(self):
         rng = np.random.default_rng(1)
-        a = ad.Tensor(rng.normal(size=(2, 3)))
-        b = ad.Tensor(rng.normal(size=(3, 2)))
+        x = ad.Tensor(rng.normal(size=(2, 3)))
+        w = ad.Tensor(rng.normal(size=(3, 2)))
+        b = ad.Tensor(rng.normal(size=2))
+        g = rng.uniform(0.5, 1.5, size=(2, 2))
         with ad.Tape() as tape:
-            loss = weighted_sum(ad.matmul(a, b))
+            loss = weighted_sum(ad.dense(x, w, b), g)
         tape.backward(loss)
-        g = np.ones((2, 2))
-        assert_allclose(a.grad, g @ b.values.T)
-        assert_allclose(b.grad, a.values.T @ g)
+        assert_allclose(b.grad, g.sum(axis=0))
+        assert_allclose(x.grad, g @ w.values.T)
+        assert_allclose(w.grad, x.values.T @ g)
+
+    def test_one_record(self):
+        with ad.Tape() as tape:
+            ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(2)))
+        assert len(tape) == 1
+
+
+class TestAdd:
+    def test_unequal_shapes_raise_naming_both(self):
+        with pytest.raises(DimensionError, match=r"\(3, 4\) and \(4,\)"):
+            ad.add(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(4)))
 
 
 class TestConv2d:
@@ -542,29 +570,17 @@ class TestBiGRU:
 
 
 class TestStack:
+    def test_joins_on_a_new_leading_axis(self):
+        a, b = ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0, 4.0]])
+        out = ad.stack([a, b])
+        assert out.values.shape == (2, 1, 2)
+        assert_allclose(out.values[1], b.values)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(26)
         a = ad.Tensor(rng.normal(size=(3, 2)))
         b = ad.Tensor(rng.normal(size=(3, 2)))
-        report = grad_check(lambda s, t: ad.stack([s, t], axis=1), [a, b])
-        assert report.max_rel_err < 1e-6
-
-
-class TestDense:
-    def test_vector_and_matrix_inputs(self):
-        w = ad.Tensor([[1.0, 0.0], [0.0, 2.0]])
-        b = ad.Tensor([1.0, 1.0])
-        with pytest.raises(DimensionError, match=r"\(2,\) x \(2, 2\)"):
-            ad.dense(ad.Tensor([3.0, 4.0]), w, b)  # rows only
-        out = ad.dense(ad.Tensor([[3.0, 4.0], [1.0, 1.0]]), w, b)
-        assert_allclose(out.values, [[4.0, 9.0], [2.0, 3.0]])
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(16)
-        x = ad.Tensor(rng.normal(size=(4, 3)))
-        w = ad.Tensor(rng.normal(size=(3, 2)))
-        b = ad.Tensor(rng.normal(size=2))
-        report = grad_check(ad.dense, [x, w, b])
+        report = grad_check(lambda s, t: ad.stack([s, t]), [a, b])
         assert report.max_rel_err < 1e-6
 
 
@@ -597,19 +613,19 @@ class TestTapeSemantics:
         rng = np.random.default_rng(17)
         xv = rng.normal(size=(3, 4))
         wv = rng.normal(size=(4, 2))
+        bv = rng.normal(size=2)
 
         def run():
-            x, w = ad.Tensor(xv), ad.Tensor(wv)
+            x, w, b = ad.Tensor(xv), ad.Tensor(wv), ad.Tensor(bv)
             with ad.Tape() as tape:
-                out = ad.relu(ad.matmul(x, w))
-                loss = ad.matmul(ad.reshape(out, (1, -1)), ad.reshape(out, (-1, 1)))
+                out = ad.relu(ad.dense(x, w, b))
+                loss = ad.dense(ad.reshape(out, (1, -1)), ad.reshape(out, (-1, 1)), ad.Tensor([0.0]))
             tape.backward(loss)
-            return x.grad.copy(), w.grad.copy()
+            return x.grad.copy(), w.grad.copy(), b.grad.copy()
 
-        gx1, gw1 = run()
-        gx2, gw2 = run()
-        assert np.array_equal(gx1, gx2)
-        assert np.array_equal(gw1, gw2)
+        first, second = run(), run()
+        for g1, g2 in zip(first, second):
+            assert np.array_equal(g1, g2)
 
     def test_untouched_branch_gets_no_gradient(self):
         x = ad.Tensor([1.0, 2.0])

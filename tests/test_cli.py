@@ -1617,6 +1617,42 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert sorted(tmp_path.rglob("*")) == made and afile.read_text() == "a file"
 
+    @pytest.mark.parametrize("command, files", [
+        ("train", ["mtl_hard.ckpt", "mtl_hard.val_outputs", "mtl_hard_log.jsonl", "run_manifest.json"]),
+        ("cv", ["cv_report.json", "cv_table.txt", "run_manifest.json"]),
+        ("eval", ["report.json", "report.txt", "run_manifest.json"]),
+        ("distill", ["soft_labels.json", "run_manifest.json"]),
+    ])
+    def test_an_output_file_that_is_a_directory_stops_before_loading(
+        self, fixture_dataset, tmp_path, capsys, monkeypatch, command, files
+    ):
+        """A file the command would write that is an existing directory stops
+        the command before it loads or trains anything, and the command makes
+        nothing."""
+        ds = fixture_dataset
+        out = tmp_path / "out"
+        if command in ("train", "cv"):
+            doc = train_config_doc(ds, out, "mtl_hard") if command == "train" else cv_config_doc(ds, out)
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            argv = ["--config", str(tmp_path / "config.json")]
+        else:
+            write_checkpoint(tmp_path / "model.ckpt", "teacher" if command == "distill" else "student")
+            argv = [
+                "--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", str(ds["manifest"]),
+                "--vocabulary", str(ds["vocabulary"]), "--features", str(ds["features"]),
+                "--out", str(out / "soft_labels.json" if command == "distill" else out),
+            ]
+            argv += ["--fold", "0"] if command == "eval" else []
+        refuse_to_load(monkeypatch, (networks, "load_checkpoint"))
+        for name in files:
+            (out / name).mkdir(parents=True)
+            made = sorted(tmp_path.rglob("*"))
+            assert cli.main([command, *argv]) == 1, name
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: cannot write {out / name}: it is a directory"]
+            assert sorted(tmp_path.rglob("*")) == made
+            shutil.rmtree(out)
+
     def test_distill_checks_the_temperature_before_loading(self, fixture_dataset, tmp_path, capsys):
         ds = fixture_dataset
         for value, shown in [("0", "0.0"), ("nan", "nan"), ("inf", "inf")]:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import gc
@@ -210,6 +211,31 @@ class TestStudentForward:
             assert np.any(t.grad != 0.0), name
 
 
+class TestCallerTapeRecords:
+    """What one taped student forward puts on the caller's tape: one record
+    per dense layer, and BiGRU input layout records that do not grow with the
+    batch (the trunks record on sub-tapes of their own)."""
+
+    @staticmethod
+    def op_counts(n_chunks):
+        params = networks.init_student_params(4, 5, seed=8)
+        rng = np.random.default_rng(n_chunks)
+        feats = [rng.normal(size=(64, 50)) for _ in range(n_chunks)]
+        with ad.Tape() as tape:
+            event_logits, _ = networks.student_forward(params, feats)
+            losses.event_loss(event_logits, np.zeros((n_chunks, 5, 50)), np.ones((n_chunks, 50)))
+        # each record's backward is a closure defined in its op's function
+        return collections.Counter(fn.__qualname__.split(".")[0] for _, fn in tape._records)
+
+    def test_one_dense_record_per_layer_and_one_stack(self):
+        counts = {b: self.op_counts(b) for b in (3, 8)}
+        for b, ops in counts.items():
+            assert ops["dense"] == b + 2, ops  # B scene outputs, the two event layers
+            assert "matmul" not in ops, ops
+        for op in ("transpose", "stack"):
+            assert counts[3][op] == counts[8][op] > 0, op
+
+
 @pytest.fixture
 def three_threads(monkeypatch):
     """The caller plus two helper threads, whatever this machine's core count."""
@@ -317,7 +343,7 @@ class TestTapedMap:
         ):
             zero_grads(t for _, t in params.items())
             with ad.Tape() as tape:
-                loss = weighted_sum(ad.stack(trunks(), axis=0), weights)
+                loss = weighted_sum(ad.stack(trunks()), weights)
             tape.backward(loss)
             found.append(self.grads(params))
         assert sorted(found[1]) == sorted(TRUNK_PARAMS)
