@@ -84,6 +84,18 @@ def random_gru_cell(rng, n_in, units, scale=0.5):
     return W, U, [b(units) for _ in ad.GRU_GATES]
 
 
+class TestMatmul:
+    """The x @ weight product inside dense, with a zero bias held constant."""
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(0)
+        a = ad.Tensor(rng.normal(size=(3, 4)))
+        b = ad.Tensor(rng.normal(size=(4, 2)))
+        zero_bias = ad.Tensor(np.zeros(2))
+        report = grad_check(lambda x, w: ad.dense(x, w, zero_bias), [a, b])
+        assert report.max_rel_err < 1e-6
+
+
 class TestDense:
     def test_identity(self):
         out = ad.dense(ad.Tensor([[3.0, 4.0]]), ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)))
